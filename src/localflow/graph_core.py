@@ -243,9 +243,21 @@ def _ball_nodes(g: ColoredGraph, starts: Iterable[int], r: int) -> set[int]:
 
 
 def induced_subgraph(g: ColoredGraph, node_ids: set[int]) -> ColoredGraph:
-    """Subgraph on node_ids keeping original node/edge ids, colors and caps."""
-    nodes = tuple(nd for nd in g.nodes if nd.id in node_ids)
-    edges = tuple(e for e in g.edges if e.a in node_ids and e.b in node_ids)
+    """Subgraph on node_ids keeping original node/edge ids, colors and caps.
+
+    Built from the incidence lists of node_ids alone, so its cost depends on
+    the size of the ball, not of g.  Nodes and edges come out in ascending id
+    order; ids that are not nodes of g are ignored.
+    """
+    kept = [v for v in node_ids if v in g._incident]
+    edge_ids = set()
+    for v in kept:
+        for eid in g._incident[v]:
+            e = g._edge_by_id[eid]
+            if e.a in node_ids and e.b in node_ids:
+                edge_ids.add(eid)
+    nodes = tuple(g._node_by_id[v] for v in sorted(kept))
+    edges = tuple(g._edge_by_id[eid] for eid in sorted(edge_ids))
     return ColoredGraph(nodes, edges, g.degree_bound, g.capacity_bound_ticks, g.quantum)
 
 
@@ -344,30 +356,38 @@ def _require(obj: Mapping, key: str, where: str):
     return obj[key]
 
 
+def _int_field(obj: Mapping, key: str, where: str) -> int:
+    """A required integer field; floats, bools and numeric strings are refused."""
+    value = _require(obj, key, where)
+    if type(value) is not int:  # bool is an int subclass
+        raise ValueError(f"bad field {key!r} in {where}: expected an integer, got {value!r}")
+    return value
+
+
 def graph_from_json(obj: Mapping) -> ColoredGraph:
     try:
         quantum = Fraction(str(_require(obj, "quantum", "graph")))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad field 'quantum': {exc}") from None
     nodes = tuple(
-        Node(int(_require(nd, "id", "node")), str(_require(nd, "color", "node")))
+        Node(_int_field(nd, "id", "node"), str(_require(nd, "color", "node")))
         for nd in _require(obj, "nodes", "graph")
     )
     edges = tuple(
         Edge(
-            int(_require(e, "id", "edge")),
-            int(_require(e, "a", "edge")),
-            int(_require(e, "b", "edge")),
-            int(_require(e, "cap_ab", "edge")),
-            int(_require(e, "cap_ba", "edge")),
+            _int_field(e, "id", "edge"),
+            _int_field(e, "a", "edge"),
+            _int_field(e, "b", "edge"),
+            _int_field(e, "cap_ab", "edge"),
+            _int_field(e, "cap_ba", "edge"),
         )
         for e in _require(obj, "edges", "graph")
     )
     return ColoredGraph(
         nodes,
         edges,
-        int(_require(obj, "degree_bound", "graph")),
-        int(_require(obj, "capacity_bound_ticks", "graph")),
+        _int_field(obj, "degree_bound", "graph"),
+        _int_field(obj, "capacity_bound_ticks", "graph"),
         quantum,
     )
 

@@ -27,7 +27,7 @@ from .graph_core import (
     validate_graph,
 )
 from .parallel import parallel_map
-from .path_engine import AugPathCandidate, chain_depth_all, enumerate_paths, path_key
+from .path_engine import _chain_depths, enumerate_paths, path_key
 
 AUGMENTED = "AUGMENTED"
 SKIPPED_CHAIN = "SKIPPED_CHAIN"
@@ -106,7 +106,7 @@ def _sweep(
     """Shared A1/A2 engine; skip_threshold None means never skip."""
     paths = enumerate_paths(g, l)
     order = sorted(paths, key=lambda u: path_key(u, seed))
-    depths = chain_depth_all(paths, seed).depths if skip_threshold is not None else None
+    depths = _chain_depths(order) if skip_threshold is not None else None
 
     edge_of = {e.id: e for e in g.edges}
     f: dict[int, int] = {}
@@ -253,7 +253,8 @@ class LocalEvaluator:
 
     Repeated local evaluations (averaging over seeds, per-vertex sums in the
     tester) keep hitting identical balls; one rerun per (ball, seed) pair
-    serves them all.
+    serves them all.  An edge's ball does not depend on its orientation, so
+    the ball search runs once per edge id.
     """
 
     def __init__(self, g: ColoredGraph, l: int, s: int):
@@ -261,11 +262,15 @@ class LocalEvaluator:
         self.l = l
         self.s = s
         self.radius = s * l
+        self._balls: dict[int, frozenset[int]] = {}
         self._subgraphs: dict[frozenset[int], ColoredGraph] = {}
         self._flows: dict[tuple[frozenset[int], int], Flow] = {}
 
     def f2_on(self, e: DirectedEdgeRef, seed: int) -> int:
-        ball = ball_nodes(self.g, e, self.radius)
+        ball = self._balls.get(e.edge_id)
+        if ball is None:
+            ball = ball_nodes(self.g, e, self.radius)
+            self._balls[e.edge_id] = ball
         key = (ball, seed)
         flow = self._flows.get(key)
         if flow is None:

@@ -110,13 +110,16 @@ def enumerate_paths(
     Capacities are never consulted; whether a candidate can actually augment
     is a question for augmentation time.  Interior nodes may have any color
     unless ``interior_regular_only`` restricts them to R.  The result is
-    sorted by canonical key, each path exactly once.
+    sorted by canonical key, each path exactly once.  A graph is validated
+    on its first enumeration; graphs are immutable, so later calls skip it.
     """
-    validate_graph(g).raise_if_invalid("graph")
+    per_graph = _PATH_CACHE.get(g)
+    if per_graph is None:
+        validate_graph(g).raise_if_invalid("graph")
+        per_graph = _PATH_CACHE.setdefault(g, {})
     if l < 1:
         raise ValueError(f"path length cap must be >= 1, got {l}")
 
-    per_graph = _PATH_CACHE.setdefault(g, {})
     cached = per_graph.get((l, interior_regular_only))
     if cached is not None:
         return list(cached)
@@ -174,7 +177,11 @@ def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> ChainDepthT
     Single pass in increasing key order; per undirected edge we keep the best
     depth seen so far, so each path costs O(length) after sorting.
     """
-    ordered = sorted(paths, key=lambda u: path_key(u, seed))
+    return ChainDepthTable(_chain_depths(sorted(paths, key=lambda u: path_key(u, seed))))
+
+
+def _chain_depths(ordered: Iterable[AugPathCandidate]) -> dict[bytes, int]:
+    """chain_depth_all's pass over paths already sorted by path_key."""
     depths: dict[bytes, int] = {}
     best_at_edge: dict[int, int] = {}
     for u in ordered:
@@ -190,7 +197,7 @@ def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> ChainDepthT
         for eid in u.edge_ids:
             if best_at_edge.get(eid, 0) < d:
                 best_at_edge[eid] = d
-    return ChainDepthTable(depths)
+    return depths
 
 
 def residual_capacity(g: ColoredGraph, f: Flow, u: AugPathCandidate) -> Ticks:

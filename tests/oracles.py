@@ -32,6 +32,13 @@ def bfs_ball(g: ColoredGraph, start_nodes: list[int], r: int) -> set[int]:
     return set(dist)
 
 
+def full_scan_subgraph(g: ColoredGraph, node_ids: set[int]) -> ColoredGraph:
+    """Induced subgraph by one filter pass over every node and edge of g."""
+    nodes = tuple(nd for nd in g.nodes if nd.id in node_ids)
+    edges = tuple(e for e in g.edges if e.a in node_ids and e.b in node_ids)
+    return ColoredGraph(nodes, edges, g.degree_bound, g.capacity_bound_ticks, g.quantum)
+
+
 def brute_min_cut(g: ColoredGraph) -> int:
     """Minimum capacity over all cuts A with S inside and T outside.
 

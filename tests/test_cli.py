@@ -228,6 +228,21 @@ def test_malformed_graph_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_non_integer_graph_fields_exit_two(bundle_graph, tmp_path, capsys):
+    obj = json.loads(bundle_graph.read_text())
+    for where, field, bad in (("edges", "cap_ab", 2.9), ("edges", "cap_ba", "3"),
+                              ("nodes", "id", True)):
+        broken = json.loads(json.dumps(obj))
+        broken[where][0][field] = bad
+        path = tmp_path / f"{field}.json"
+        path.write_text(json.dumps(broken))
+        code = main(["maxflow", "--graph", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"'{field}'" in captured.err
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["maxflow", "--bogus"])

@@ -21,13 +21,14 @@ from localflow.graph_core import (
     flow_value,
     graph_from_json,
     graph_to_json,
+    induced_subgraph,
     neighborhood,
     out_edges,
     validate_flow,
     validate_graph,
 )
 from localflow.harness import InstanceSpec, generate
-from oracles import bfs_ball
+from oracles import bfs_ball, full_scan_subgraph
 
 
 def test_minimal_network_is_valid():
@@ -268,3 +269,47 @@ def test_graph_json_missing_field_named():
             {"quantum": "1/1", "degree_bound": 2, "capacity_bound_ticks": 1,
              "nodes": [{"id": 0}], "edges": []}
         )
+
+
+@pytest.mark.parametrize(
+    "where, field",
+    [("edge", f) for f in ("id", "a", "b", "cap_ab", "cap_ba")]
+    + [("node", "id"), ("graph", "degree_bound"), ("graph", "capacity_bound_ticks")],
+)
+@pytest.mark.parametrize("bad", [2.9, 1.0, True, False, "3"])
+def test_graph_json_rejects_non_integer_fields(where, field, bad):
+    obj = graph_to_json(line_graph("SRT"))
+    target = {"graph": obj, "node": obj["nodes"][0], "edge": obj["edges"][0]}[where]
+    target[field] = bad
+    with pytest.raises(ValueError, match=f"bad field '{field}' in {where}"):
+        graph_from_json(obj)
+
+
+def _subgraph_shape(h: ColoredGraph) -> tuple:
+    return (
+        [(nd.id, nd.color) for nd in h.nodes],
+        [(e.id, e.a, e.b, e.cap_ab, e.cap_ba) for e in h.edges],
+        h.degree_bound,
+        h.capacity_bound_ticks,
+        h.quantum,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        InstanceSpec("grid", d=5, m_ticks=6, quantum=Fraction(2, 3), gen_seed=4,
+                     params={"rows": 5, "cols": 7}),
+        InstanceSpec("random_bounded", n=60, m_ticks=3, quantum=Fraction(1, 2),
+                     gen_seed=12, params={"rounds": 3}),
+    ],
+)
+def test_induced_subgraph_matches_full_scan_on_every_ball(spec):
+    g, _ = generate(spec)
+    centers = [nd.id for nd in g.nodes] + [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    for r in range(5):
+        for center in centers:
+            ball = set(ball_nodes(g, center, r))
+            got = induced_subgraph(g, ball)
+            assert _subgraph_shape(got) == _subgraph_shape(full_scan_subgraph(g, ball))
+

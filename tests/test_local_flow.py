@@ -4,14 +4,16 @@ from fractions import Fraction
 
 import pytest
 
+import localflow.local_flow as local_flow_module
 from conftest import build_graph, line_graph
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
-from localflow.graph_core import DirectedEdgeRef, Flow, flow_value, validate_flow
+from localflow.graph_core import ColoredGraph, DirectedEdgeRef, Flow, flow_value, validate_flow
 from localflow.harness import InstanceSpec, generate, max_depth_per_edge
 from localflow.local_flow import (
     AUGMENTED,
     SKIPPED_CHAIN,
     ZERO_CAPACITY,
+    LocalEvaluator,
     RunConfig,
     length_boundary_violations,
     local_f2_edge,
@@ -320,3 +322,58 @@ def test_edges_where_runs_differ_carry_a_deep_path():
                     assert deep.get(e.id, 0) >= s
                     hits += 1
     assert hits >= 5
+
+
+class WatchedTuple(tuple):
+    """A tuple that counts how often it is iterated or searched."""
+
+    def __iter__(self):
+        self.scans += 1
+        return super().__iter__()
+
+    def __contains__(self, item):
+        self.scans += 1
+        return super().__contains__(item)
+
+
+def watch_scans(g: ColoredGraph) -> tuple[WatchedTuple, WatchedTuple]:
+    """Swap g's node and edge tuples for counting ones; returns them."""
+    watched = []
+    for name in ("nodes", "edges"):
+        t = WatchedTuple(getattr(g, name))
+        t.scans = 0
+        object.__setattr__(g, name, t)
+        watched.append(t)
+    return watched[0], watched[1]
+
+
+def test_local_queries_never_scan_the_whole_graph():
+    g, _ = generate(random_spec(571, n=400, params={"rounds": 2}))
+    refs = [DirectedEdgeRef(e.id, o) for e, o in zip(g.edges[::40], ("AB", "BA") * 10)]
+    cfg = RunConfig(l=3, s=2, seed=8)
+    nodes, edges = watch_scans(g)
+    local = [local_f2_edge(g, ref, cfg) for ref in refs]
+    ev = LocalEvaluator(g, 3, 2)
+    cached = [ev.f2_on(ref, 8) for ref in refs]
+    assert (nodes.scans, edges.scans) == (0, 0)
+    f2, _ = run_a2(g, cfg)
+    assert local == cached == [f2.on(ref) for ref in refs]
+
+
+def test_evaluator_searches_each_edge_ball_once(monkeypatch):
+    searched: list[int] = []
+    real = local_flow_module.ball_nodes
+
+    def counting(g, center, r):
+        searched.append(center.edge_id)
+        return real(g, center, r)
+
+    monkeypatch.setattr(local_flow_module, "ball_nodes", counting)
+    g, _ = generate(random_spec(572, n=60, params={"rounds": 2}))
+    edge_ids = [e.id for e in g.edges[:12]]
+    ev = LocalEvaluator(g, 3, 2)
+    for seed in (1, 2, 3):
+        for eid in edge_ids:
+            ab = ev.f2_on(DirectedEdgeRef(eid, "AB"), seed)
+            assert ev.f2_on(DirectedEdgeRef(eid, "BA"), seed) == -ab
+    assert sorted(searched) == edge_ids

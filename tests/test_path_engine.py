@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+import localflow.path_engine as path_engine_module
 from conftest import build_graph, line_graph
 from localflow.graph_core import DirectedEdgeRef, Flow, neighborhood
 from localflow.harness import InstanceSpec, generate
@@ -251,3 +252,29 @@ def test_residual_capacity_after_full_augmentation_is_zero():
 def test_make_path_shape_check():
     with pytest.raises(ValueError, match="one more node"):
         make_path([0, 1], [])
+
+
+def test_enumeration_validates_each_graph_once(monkeypatch):
+    validated = []
+    real = path_engine_module.validate_graph
+
+    def counting(g):
+        validated.append(g)
+        return real(g)
+
+    monkeypatch.setattr(path_engine_module, "validate_graph", counting)
+    g1 = line_graph("SRRT")
+    g2 = build_graph("SRT", [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1)])
+    for _ in range(3):
+        for g in (g1, g2):
+            for l in (1, 2, 3):
+                enumerate_paths(g, l)
+                enumerate_paths(g, l, interior_regular_only=True)
+    assert len(validated) == 2
+    assert validated[0] is g1 and validated[1] is g2
+
+    bad = build_graph("SRT", [(0, 1, 9, 1), (1, 2, 1, 1)], m=5)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="invalid graph"):
+            enumerate_paths(bad, 2)
+    assert len(validated) == 4
