@@ -18,7 +18,6 @@ from .estimator_tester import (
     fbar2_edge,
     fbar2_value,
     run_tester,
-    tester_g,
 )
 from .exact_oracle import (
     MaxFlowResult,
@@ -57,7 +56,6 @@ from .local_flow import (
 )
 from .path_engine import (
     AugPathCandidate,
-    ChainDepthTable,
     OrderKey,
     chain_depth_all,
     enumerate_paths,
@@ -69,7 +67,6 @@ from .path_engine import (
 __all__ = [
     "AugPathCandidate",
     "AveragedFlowValue",
-    "ChainDepthTable",
     "ColoredGraph",
     "DirectedEdgeRef",
     "Edge",
@@ -109,7 +106,6 @@ __all__ = [
     "run_a2",
     "run_tester",
     "shortest_augmenting_path_length",
-    "tester_g",
     "validate_flow",
     "validate_graph",
     "verify_locality",

@@ -13,7 +13,9 @@ import json
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 from . import harness
 from .estimator_tester import TesterConfig, run_tester
@@ -26,7 +28,6 @@ from .graph_core import (
     flow_value,
     graph_from_json,
     graph_to_json,
-    validate_graph,
 )
 from .harness import (
     APPROX_COLUMNS,
@@ -70,9 +71,7 @@ def _load_graph(path: str | None) -> ColoredGraph:
         raise ValueError(f"bad field '--graph': no such file {path!r}")
     except json.JSONDecodeError as exc:
         raise ValueError(f"bad field '--graph': not valid JSON ({exc})")
-    g = graph_from_json(obj)
-    validate_graph(g).raise_if_invalid("graph")
-    return g
+    return graph_from_json(obj)
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -323,7 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("generate", parents=[common], help="write a generated instance")
+    def command(name: str, func: Callable[[argparse.Namespace], int],
+                summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("generate", _cmd_generate, "write a generated instance")
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--d", type=int, default=harness.DEFAULT_D)
@@ -336,28 +341,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     p.add_argument("--bottlenecks", help="comma-separated per-path bottlenecks (path_bundle)")
 
-    sub.add_parser("maxflow", parents=[common], help="exact maximum flow value")
+    command("maxflow", _cmd_maxflow, "exact maximum flow value")
 
-    p = sub.add_parser("run-a1", parents=[common], help="label-ordered augmentation")
+    p = command("run-a1", partial(_cmd_run, variant="a1"), "label-ordered augmentation")
     p.add_argument("--trace", help="write the per-path trace as JSON lines")
-    p = sub.add_parser("run-a2", parents=[common], help="chain-skipping augmentation")
+    p = command("run-a2", partial(_cmd_run, variant="a2"), "chain-skipping augmentation")
     p.add_argument("--trace", help="write the per-path trace as JSON lines")
 
-    p = sub.add_parser("local-f2", parents=[common], help="A2 value at one edge from its ball")
+    p = command("local-f2", _cmd_local_f2, "A2 value at one edge from its ball")
     p.add_argument("--edge", type=int, help="edge id")
     p.add_argument("--orientation", choices=["AB", "BA"], default="AB")
     p.add_argument("--radius", type=int, help="override ball radius (default s*l)")
 
-    p = sub.add_parser("verify-locality", parents=[common], help="global vs local equality")
+    p = command("verify-locality", _cmd_verify_locality, "global vs local equality")
     p.add_argument("--radius", type=int, help="override ball radius (default s*l)")
     p.add_argument("--local-seed", type=int, help="mismatched-seed negative control")
 
-    sub.add_parser("tester", parents=[common], help="sampling estimate of max flow over n")
+    command("tester", _cmd_tester, "sampling estimate of max flow over n")
 
-    sub.add_parser("dump-paths", parents=[common],
-                   help="debug dump of candidate paths with labels and chain depths")
+    command("dump-paths", _cmd_dump_paths,
+            "debug dump of candidate paths with labels and chain depths")
 
-    p = sub.add_parser("experiment", parents=[common], help="run an experiment suite")
+    p = command("experiment", _cmd_experiment, "run an experiment suite")
     p.add_argument("name", choices=["approx", "chain-tail", "locality"])
     p.add_argument("--specs", help="JSON file with an array of instance specs")
     p.add_argument("--l-sweep", help="comma-separated l values (approx)")
@@ -371,25 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "generate":
-            return _cmd_generate(args)
-        if args.command == "maxflow":
-            return _cmd_maxflow(args)
-        if args.command == "run-a1":
-            return _cmd_run(args, "a1")
-        if args.command == "run-a2":
-            return _cmd_run(args, "a2")
-        if args.command == "local-f2":
-            return _cmd_local_f2(args)
-        if args.command == "verify-locality":
-            return _cmd_verify_locality(args)
-        if args.command == "tester":
-            return _cmd_tester(args)
-        if args.command == "dump-paths":
-            return _cmd_dump_paths(args)
-        if args.command == "experiment":
-            return _cmd_experiment(args)
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,6 @@ from .graph_core import (
     Ticks,
     flow_value,
     out_edges,
-    validate_graph,
 )
 from .local_flow import LocalEvaluator, RunConfig, run_a2
 from .parallel import parallel_map
@@ -93,7 +92,6 @@ def fbar2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: TesterConfig) -> Averag
 def fbar2_value(g: ColoredGraph, cfg: TesterConfig) -> Fraction:
     """Mean over the seed list of the global skipping run's flow value."""
     cfg.check()
-    validate_graph(g).raise_if_invalid("graph")
     total = 0
     for seed in cfg.seeds:
         f2, _ = run_a2(g, RunConfig(l=cfg.l, s=cfg.s, seed=seed))
@@ -109,7 +107,6 @@ def assemble_fbar2(g: ColoredGraph, cfg: TesterConfig) -> Flow:
     itself valid.
     """
     cfg.check()
-    validate_graph(g).raise_if_invalid("graph")
     sums: dict[int, int] = {}
     for seed in cfg.seeds:
         f2, _ = run_a2(g, RunConfig(l=cfg.l, s=cfg.s, seed=seed))
@@ -149,7 +146,6 @@ def run_tester(
     """Sample k vertices uniformly with replacement (or take all of V) and
     average the per-vertex source summands."""
     cfg.check()
-    validate_graph(g).raise_if_invalid("graph")
     cfg.resolve_r()  # every out-edge ball of a sampled vertex fits in h_r(v)
     ids = sorted(nd.id for nd in g.nodes)
     if not ids:
@@ -177,11 +173,6 @@ def run_tester(
     )
 
 
-def tester_g(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) -> Fraction:
-    """The tester's exact rational estimate of max-flow value over n."""
-    return run_tester(g, cfg, exhaustive=exhaustive).estimate
-
-
 def tester_estimates(
     g: ColoredGraph, cfg: TesterConfig, sample_seeds: Sequence[int], *, threads: int = 1
 ) -> list[Fraction]:
@@ -191,7 +182,6 @@ def tester_estimates(
     are computed once because they do not depend on the sampling seed.
     """
     cfg.check()
-    validate_graph(g).raise_if_invalid("graph")
     ids = sorted(nd.id for nd in g.nodes)
     if not ids:
         raise ValueError("graph has no nodes")

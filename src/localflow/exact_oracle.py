@@ -18,7 +18,6 @@ from .graph_core import (
     Flow,
     flow_value,
     validate_flow,
-    validate_graph,
 )
 
 _SUPER_SOURCE = -1
@@ -97,7 +96,6 @@ class _Residual:
 
 def max_flow(g: ColoredGraph) -> MaxFlowResult:
     """Maximum flow value, an attaining flow, and the source-side min cut."""
-    validate_graph(g).raise_if_invalid("graph")
     net = _Residual(g)
     total = 0
     while True:

@@ -5,6 +5,10 @@ A network's vertices are partitioned into regular (R), source (S) and target
 measured in ticks; the real capacity of a direction is ``ticks * quantum``.
 All arithmetic on capacities and flows is exact (int / Fraction), never float:
 the locality checks downstream compare flow values bit for bit.
+
+A ``ColoredGraph`` is valid by construction: its constructor checks the degree
+and capacity bounds, ids, colors and endpoints, and raises on any violation.
+Graphs are immutable, so nothing downstream checks a graph again.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
 
 COLORS = ("R", "S", "T")
 
@@ -59,6 +63,8 @@ class ColoredGraph:
     Node and edge ids are stable; subgraph extraction preserves them, which is
     what lets a local run and a global run agree on path labels.  Identity
     (not structure) is used for equality and hashing so graphs can key caches.
+    Valid by construction: building a graph that breaks any rule of
+    ``validate_graph`` raises ``ValueError``.
     """
 
     nodes: tuple[Node, ...]
@@ -86,6 +92,7 @@ class ColoredGraph:
         object.__setattr__(self, "_node_by_id", node_by_id)
         object.__setattr__(self, "_edge_by_id", edge_by_id)
         object.__setattr__(self, "_incident", incident)
+        validate_graph(self).raise_if_invalid("graph")
 
     @property
     def n(self) -> int:
@@ -172,58 +179,57 @@ class ValidationReport:
             raise ValueError(f"invalid {what}: " + "; ".join(self.violations[:5]))
 
 
-def element_violations(g: ColoredGraph, item: Union[ColoredGraph, Node, Edge]) -> list[str]:
-    """validate_graph's rules for one element: g's own bounds, a node, or an edge.
+def validate_graph(g: ColoredGraph) -> ValidationReport:
+    """Check every network invariant; violations are data, not exceptions.
 
-    Duplicate ids are the one rule left to validate_graph: they need every
-    element at once.
+    ColoredGraph's constructor runs it, so every graph that exists passes.
     """
     bad: list[str] = []
-    if type(item) is Edge:
-        a, b, m = item.a, item.b, g.capacity_bound_ticks
-        if a not in g._node_by_id:
-            bad.append(f"edge {item.id} endpoint a={a} is not a node")
-        if b not in g._node_by_id:
-            bad.append(f"edge {item.id} endpoint b={b} is not a node")
+    d, m = g.degree_bound, g.capacity_bound_ticks
+    if d < 1:
+        bad.append(f"degree bound {d} is not positive")
+    if m < 1:
+        bad.append(f"capacity bound {m} is not positive")
+    if g.quantum <= 0:
+        bad.append(f"tick quantum {g.quantum} is not positive")
+    if len(g._node_by_id) != len(g.nodes):
+        bad.extend(_duplicate_ids("node", g.nodes))
+    incident = g._incident
+    for nd in g.nodes:
+        if nd.id < 0:
+            bad.append(f"negative node id {nd.id}")
+        if nd.color not in COLORS:
+            bad.append(f"node {nd.id} has unknown color {nd.color!r}")
+        deg = len(incident[nd.id])
+        if deg > d:
+            bad.append(f"degree bound exceeded at node {nd.id} ({deg} > {d})")
+    if len(g._edge_by_id) != len(g.edges):
+        bad.extend(_duplicate_ids("edge", g.edges))
+    for e in g.edges:
+        a, b = e.a, e.b
+        if a not in incident:
+            bad.append(f"edge {e.id} endpoint a={a} is not a node")
+        if b not in incident:
+            bad.append(f"edge {e.id} endpoint b={b} is not a node")
         if a == b:
-            bad.append(f"edge {item.id} is a self-loop at node {a}")
-        if not (0 <= item.cap_ab <= m and 0 <= item.cap_ba <= m):
-            for cap, side in ((item.cap_ab, "ab"), (item.cap_ba, "ba")):
+            bad.append(f"edge {e.id} is a self-loop at node {a}")
+        if not (0 <= e.cap_ab <= m and 0 <= e.cap_ba <= m):
+            for cap, side in ((e.cap_ab, "ab"), (e.cap_ba, "ba")):
                 if cap < 0:
-                    bad.append(f"edge {item.id} cap_{side} is negative")
+                    bad.append(f"edge {e.id} cap_{side} is negative")
                 elif cap > m:
-                    bad.append(f"edge {item.id} cap_{side} above M ({cap} > {m})")
-    elif type(item) is Node:
-        if item.id < 0:
-            bad.append(f"negative node id {item.id}")
-        if item.color not in COLORS:
-            bad.append(f"node {item.id} has unknown color {item.color!r}")
-        deg = len(g._incident.get(item.id, ()))
-        if deg > g.degree_bound:
-            bad.append(f"degree bound exceeded at node {item.id} ({deg} > {g.degree_bound})")
-    else:
-        if g.degree_bound < 1:
-            bad.append(f"degree bound {g.degree_bound} is not positive")
-        if g.capacity_bound_ticks < 1:
-            bad.append(f"capacity bound {g.capacity_bound_ticks} is not positive")
-        if g.quantum <= 0:
-            bad.append(f"tick quantum {g.quantum} is not positive")
-    return bad
-
-
-def validate_graph(g: ColoredGraph) -> ValidationReport:
-    """Check every network invariant; violations are data, not exceptions."""
-    bad = element_violations(g, g)
-    for kind, items, by_id in (("node", g.nodes, g._node_by_id), ("edge", g.edges, g._edge_by_id)):
-        if len(by_id) != len(items):  # some id repeats
-            seen: set[int] = set()
-            for item in items:
-                if item.id in seen:
-                    bad.append(f"duplicate {kind} id {item.id}")
-                seen.add(item.id)
-        for item in items:
-            bad.extend(element_violations(g, item))
+                    bad.append(f"edge {e.id} cap_{side} above M ({cap} > {m})")
     return ValidationReport(tuple(bad))
+
+
+def _duplicate_ids(kind: str, items: Iterable[Union[Node, Edge]]) -> list[str]:
+    bad = []
+    seen: set[int] = set()
+    for item in items:
+        if item.id in seen:
+            bad.append(f"duplicate {kind} id {item.id}")
+        seen.add(item.id)
+    return bad
 
 
 def out_edges(g: ColoredGraph, v: int) -> list[DirectedEdgeRef]:
@@ -251,7 +257,7 @@ def _ball_nodes(g: ColoredGraph, starts: Iterable[int], r: int) -> set[int]:
     return set(dist)
 
 
-def induced_subgraph(g: ColoredGraph, node_ids: set[int]) -> ColoredGraph:
+def induced_subgraph(g: ColoredGraph, node_ids: AbstractSet[int]) -> ColoredGraph:
     """Subgraph on node_ids keeping original node/edge ids, colors and caps.
 
     Built from the incidence lists of node_ids alone, so its cost depends on

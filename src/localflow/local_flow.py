@@ -27,12 +27,9 @@ from .graph_core import (
     DirectedEdgeRef,
     Edge,
     Flow,
-    ValidationReport,
     ball_nodes,
-    element_violations,
     induced_subgraph,
     validate_flow,
-    validate_graph,
 )
 from .parallel import parallel_map
 from .path_engine import AugPathCandidate, _chain_depths, enumerate_paths, make_path, path_key
@@ -178,13 +175,6 @@ def length_boundary_violations(g: ColoredGraph, cfg: RunConfig) -> list[int]:
     return bad
 
 
-def _ball_subgraph(g: ColoredGraph, ball: frozenset[int]) -> ColoredGraph:
-    """The subgraph induced by a ball, validated in full."""
-    sub = induced_subgraph(g, set(ball))
-    validate_graph(sub).raise_if_invalid("graph")
-    return sub
-
-
 def local_f2_edge(
     g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig, *, radius: int | None = None
 ) -> int:
@@ -198,7 +188,7 @@ def local_f2_edge(
     l = cfg.resolve_l(g)
     s = cfg.require_s()
     rad = s * l if radius is None else radius
-    return LocalEvaluator(_ball_subgraph(g, ball_nodes(g, e, rad)), l, s).f2_on(e, cfg.seed)
+    return LocalEvaluator(induced_subgraph(g, ball_nodes(g, e, rad)), l, s).f2_on(e, cfg.seed)
 
 
 class LocalityMismatch(NamedTuple):
@@ -233,7 +223,6 @@ def verify_locality(
     any value: an evaluation depends only on the induced subgraph and the
     seed).  ``radius`` and ``local_seed`` exist for negative controls.
     """
-    validate_graph(g).raise_if_invalid("graph")
     l = cfg.resolve_l(g)
     s = cfg.require_s()
     rad = s * l if radius is None else radius
@@ -246,7 +235,7 @@ def verify_locality(
         by_ball.setdefault(ball_nodes(g, ref, rad), []).append(ref)
 
     def evaluate(ball: frozenset[int]) -> list[tuple[DirectedEdgeRef, int]]:
-        ev = LocalEvaluator(_ball_subgraph(g, ball), l, s)
+        ev = LocalEvaluator(induced_subgraph(g, ball), l, s)
         return [(ref, ev.f2_on(ref, seed)) for ref in by_ball[ball]]
 
     local: dict[DirectedEdgeRef, int] = {}
@@ -300,9 +289,9 @@ class LocalEvaluator:
 
     The lists of paths through an edge are built once per edge id and shared
     by both orientations and every seed; order keys, capped depths and
-    amounts are memoised per seed.  Every node and edge is checked against
-    validate_graph's rules the first time the evaluator reads it, and every
-    path, amount and returned value against the invariants of a valid flow.
+    amounts are memoised per seed.  The graph is valid by construction, so
+    its nodes and edges are read unchecked; every path, amount and returned
+    value is checked against the invariants of a valid flow.
     Every table entry is a pure function of its key and is stored only once
     complete, so the threads of ``parallel_map`` share one evaluator without
     a lock: at worst two of them compute the same entry.
@@ -310,7 +299,6 @@ class LocalEvaluator:
 
     def __init__(self, g: ColoredGraph, l: int, s: int):
         self.g = g
-        self._checked(g)
         self.l = RunConfig(l=l).resolve_l(g)
         self.s = RunConfig(s=s).require_s()
         self._steps: dict[int, tuple[str, tuple]] = {}
@@ -475,11 +463,11 @@ class LocalEvaluator:
         return u
 
     def _node(self, v: int) -> tuple[str, tuple]:
-        """(color, steps) of node v, validating v and its edges on first read;
-        a step is (other endpoint, ref leaving v, ref entering v)."""
+        """(color, steps) of node v; a step is (other endpoint, ref leaving v,
+        ref entering v)."""
         got = self._steps.get(v)
         if got is None:
-            nd = self._checked(self.g.node(v))
+            nd = self.g.node(v)
             steps = []
             for eid in self.g._incident[v]:
                 e = self._edge(eid)
@@ -491,17 +479,11 @@ class LocalEvaluator:
     def _edge(self, eid: int) -> Edge:
         got = self._edges.get(eid)
         if got is None:
-            got = self._checked(self.g.edge(eid))
+            got = self.g.edge(eid)
             # Published after its refs: parallel_map threads share the tables.
             self._refs[eid] = (DirectedEdgeRef(eid, AB), DirectedEdgeRef(eid, BA))
             self._edges[eid] = got
         return got
-
-    def _checked(self, item):
-        bad = element_violations(self.g, item)
-        if bad:
-            ValidationReport(tuple(bad)).raise_if_invalid("graph")
-        return item
 
 
 class _SeedTables:

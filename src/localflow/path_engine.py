@@ -29,7 +29,6 @@ from .graph_core import (
     Flow,
     Ticks,
     validate_flow,
-    validate_graph,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -97,30 +96,23 @@ def intersects(u: AugPathCandidate, v: AugPathCandidate) -> bool:
     return not u.edge_ids.isdisjoint(v.edge_ids)
 
 
-# Enumeration depends only on (graph, l, interior rule), never on seeds or
-# capacities, so multi-seed sweeps share it.  Keyed by graph identity.
+# Enumeration depends only on (graph, l), never on seeds or capacities, so
+# multi-seed sweeps share it.  Keyed by graph identity.
 _PATH_CACHE: "weakref.WeakKeyDictionary[ColoredGraph, dict]" = weakref.WeakKeyDictionary()
 
 
-def enumerate_paths(
-    g: ColoredGraph, l: int, *, interior_regular_only: bool = False
-) -> list[AugPathCandidate]:
+def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     """All vertex-simple directed S->T paths with at most l edges.
 
     Capacities are never consulted; whether a candidate can actually augment
-    is a question for augmentation time.  Interior nodes may have any color
-    unless ``interior_regular_only`` restricts them to R.  The result is
-    sorted by canonical key, each path exactly once.  A graph is validated
-    on its first enumeration; graphs are immutable, so later calls skip it.
+    is a question for augmentation time.  Interior nodes may have any color.
+    The result is sorted by canonical key, each path exactly once.  The graph
+    is valid by construction, so it is not checked here.
     """
-    per_graph = _PATH_CACHE.get(g)
-    if per_graph is None:
-        validate_graph(g).raise_if_invalid("graph")
-        per_graph = _PATH_CACHE.setdefault(g, {})
     if l < 1:
         raise ValueError(f"path length cap must be >= 1, got {l}")
-
-    cached = per_graph.get((l, interior_regular_only))
+    per_graph = _PATH_CACHE.setdefault(g, {})
+    cached = per_graph.get(l)
     if cached is not None:
         return list(cached)
 
@@ -132,52 +124,53 @@ def enumerate_paths(
 
     color = {nd.id: nd.color for nd in g.nodes}
     out: list[AugPathCandidate] = []
-
-    def extend(node_seq: list[int], edge_seq: list[DirectedEdgeRef], on_path: set[int]) -> None:
-        here = node_seq[-1]
-        for eid, nxt, orientation in step[here]:
-            if nxt in on_path:
-                continue
-            node_seq.append(nxt)
-            edge_seq.append(DirectedEdgeRef(eid, orientation))
-            c = color[nxt]
-            if c == "T":
-                out.append(make_path(node_seq, edge_seq))
-            if len(edge_seq) < l and (not interior_regular_only or c == "R"):
-                on_path.add(nxt)
-                extend(node_seq, edge_seq, on_path)
-                on_path.remove(nxt)
-            node_seq.pop()
-            edge_seq.pop()
-
     for s in g.nodes_of_color("S"):
-        extend([s], [], {s})
+        _extend(step, color, l, out, [s], [], {s})
 
     bound = len(g.nodes_of_color("S")) * g.degree_bound**l
     if len(out) > bound:
         raise RuntimeError(f"path count {len(out)} exceeds |S|*d^l bound {bound}")
     out.sort(key=lambda u: u.canonical_key)
-    per_graph[(l, interior_regular_only)] = tuple(out)
+    per_graph[l] = tuple(out)
     return out
 
 
-@dataclass(frozen=True)
-class ChainDepthTable:
-    """Longest-chain depth per path, keyed by canonical key."""
+def _extend(
+    step: Mapping[int, list[tuple[int, int, str]]],
+    color: Mapping[int, str],
+    l: int,
+    out: list[AugPathCandidate],
+    node_seq: list[int],
+    edge_seq: list[DirectedEdgeRef],
+    on_path: set[int],
+) -> None:
+    """Depth-first growth of the simple path node_seq, appending each S->T path
+    found to out.  Module-level rather than a nested closure: a closure that
+    calls itself is a reference cycle, which would keep step and color alive
+    until the cyclic collector runs."""
+    for eid, nxt, orientation in step[node_seq[-1]]:
+        if nxt in on_path:
+            continue
+        node_seq.append(nxt)
+        edge_seq.append(DirectedEdgeRef(eid, orientation))
+        if color[nxt] == "T":
+            out.append(make_path(node_seq, edge_seq))
+        if len(edge_seq) < l:
+            on_path.add(nxt)
+            _extend(step, color, l, out, node_seq, edge_seq, on_path)
+            on_path.remove(nxt)
+        node_seq.pop()
+        edge_seq.pop()
 
-    depths: Mapping[bytes, int]
 
-    def depth(self, u: AugPathCandidate) -> int:
-        return self.depths[u.canonical_key]
-
-
-def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> ChainDepthTable:
-    """Depth of every path: 1 + the max depth over smaller-key intersecting paths.
+def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes, int]:
+    """Depth of every path, keyed by canonical key: 1 + the max depth over
+    smaller-key intersecting paths.
 
     Single pass in increasing key order; per undirected edge we keep the best
     depth seen so far, so each path costs O(length) after sorting.
     """
-    return ChainDepthTable(_chain_depths(sorted(paths, key=lambda u: path_key(u, seed))))
+    return _chain_depths(sorted(paths, key=lambda u: path_key(u, seed)))
 
 
 def _chain_depths(ordered: Iterable[AugPathCandidate]) -> dict[bytes, int]:

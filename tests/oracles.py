@@ -135,9 +135,7 @@ def dfs_max_flow_value(g: ColoredGraph) -> int:
         total += pushed
 
 
-def naive_paths(
-    g: ColoredGraph, l: int, interior_regular_only: bool = False
-) -> set[tuple]:
+def naive_paths(g: ColoredGraph, l: int) -> set[tuple]:
     """Queue-driven enumeration of simple S->T directed paths, as
     (node, edge, node, ...) id tuples."""
     color = {nd.id: nd.color for nd in g.nodes}
@@ -157,8 +155,6 @@ def naive_paths(
         if length > 0 and color[here] == "T":
             found.add(trail)
         if length == l:
-            continue
-        if length > 0 and interior_regular_only and color[here] != "R":
             continue
         for eid, nxt in hops[here]:
             if nxt not in seen:

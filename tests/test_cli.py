@@ -200,10 +200,10 @@ def test_dump_paths_hashes_each_path_once(tmp_path, capsys, monkeypatch):
     path = tmp_path / "ac5.json"
     path.write_text(dumps_json(graph_to_json(g)))
     paths = enumerate_paths(g, 6)
-    table = chain_depth_all(paths, 3)
+    depths = chain_depth_all(paths, 3)
     expected = "".join(
         json.dumps({"nodes": list(u.nodes), "length": u.length,
-                    "hash": path_key(u, 3).hash_label, "depth": table.depth(u)}) + "\n"
+                    "hash": path_key(u, 3).hash_label, "depth": depths[u.canonical_key]}) + "\n"
         for u in sorted(paths, key=lambda u: path_key(u, 3))
     )
     calls = []
@@ -270,6 +270,28 @@ def test_non_integer_graph_fields_exit_two(bundle_graph, tmp_path, capsys):
         assert code == 2
         assert captured.out == ""
         assert f"'{field}'" in captured.err
+
+
+def test_invalid_graph_file_exits_two(bundle_graph, tmp_path, capsys):
+    obj = json.loads(bundle_graph.read_text())
+    m = obj["capacity_bound_ticks"]
+    self_loop = json.loads(json.dumps(obj))
+    self_loop["edges"][0]["b"] = self_loop["edges"][0]["a"]
+    above_m = json.loads(json.dumps(obj))
+    above_m["edges"][1]["cap_ab"] = m + 1
+    for name, broken, violation in (
+        ("loop", self_loop, "edge 0 is a self-loop at node 0"),
+        ("cap", above_m, f"edge 1 cap_ab above M ({m + 1} > {m})"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(broken))
+        for argv in (["maxflow"], ["run-a2", "--l", "3", "--s", "2"],
+                     ["tester", "--l", "3", "--s", "2", "--seeds", "1"]):
+            code = main(argv + ["--graph", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2
+            assert captured.out == ""
+            assert captured.err == f"error: invalid graph: {violation}\n"
 
 
 def test_unknown_flag_exits_two(capsys):

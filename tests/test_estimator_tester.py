@@ -15,7 +15,6 @@ from localflow.estimator_tester import (
     fbar2_value,
     run_tester,
     tester_estimates,
-    tester_g,
 )
 from localflow.exact_oracle import max_flow
 from localflow.graph_core import (
@@ -111,14 +110,14 @@ def test_average_value_never_exceeds_max_flow():
 def test_tester_with_no_sources_is_zero():
     g = line_graph("RRT")
     cfg = TesterConfig(l=2, s=2, seeds=(1,), k=50)
-    assert tester_g(g, cfg) == 0
+    assert run_tester(g, cfg).estimate == 0
 
 
 def test_exhaustive_tester_telescopes_exactly():
     for i in range(6):
         g, _ = generate(spec_for(70 + i, n=20))
         cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 3))
-        assert tester_g(g, cfg, exhaustive=True) == fbar2_value(g, cfg) / g.n
+        assert run_tester(g, cfg, exhaustive=True).estimate == fbar2_value(g, cfg) / g.n
 
 
 def test_every_out_edge_ball_fits_in_the_vertex_ball():

@@ -132,9 +132,8 @@ def test_shortest_augmenting_path_matches_independent_search():
 
 
 def test_invalid_inputs_raise():
-    g = build_graph("ST", [(0, 1, 9, 9)], d=2, m=5)  # caps above bound
     with pytest.raises(ValueError, match="invalid graph"):
-        max_flow(g)
+        build_graph("ST", [(0, 1, 9, 9)], d=2, m=5)  # caps above bound
     g2 = line_graph("SRT", cap=1)
     with pytest.raises(ValueError, match="invalid flow"):
         shortest_augmenting_path_length(g2, Flow({0: 5}))

@@ -2,11 +2,21 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+import localflow.graph_core as graph_core_module
 from conftest import build_graph, line_graph
+from localflow.estimator_tester import (
+    TesterConfig,
+    assemble_fbar2,
+    fbar2_value,
+    run_tester,
+    tester_estimates,
+)
+from localflow.exact_oracle import max_flow
 from localflow.graph_core import (
     ColoredGraph,
     DirectedEdgeRef,
@@ -28,6 +38,8 @@ from localflow.graph_core import (
     validate_graph,
 )
 from localflow.harness import InstanceSpec, generate
+from localflow.local_flow import RunConfig, local_f2_edge, run_a2, verify_locality
+from localflow.path_engine import enumerate_paths
 from oracles import bfs_ball, full_scan_subgraph
 
 
@@ -37,36 +49,33 @@ def test_minimal_network_is_valid():
 
 
 def test_degree_bound_violation_names_node():
-    g = build_graph("SRRT", [(0, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1)], d=2)
-    report = validate_graph(g)
-    assert not report.ok
-    assert any("degree bound exceeded at node 1" in v for v in report.violations)
+    with pytest.raises(ValueError, match="invalid graph: .*degree bound exceeded at node 1"):
+        build_graph("SRRT", [(0, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1)], d=2)
 
 
 def test_capacity_above_bound_names_edge():
-    g = build_graph("ST", [(0, 1, 6, 3)], d=2, m=5)
-    report = validate_graph(g)
-    assert any("cap_ab above M" in v for v in report.violations)
+    with pytest.raises(ValueError, match="invalid graph: .*cap_ab above M"):
+        build_graph("ST", [(0, 1, 6, 3)], d=2, m=5)
 
 
 def test_self_loop_rejected():
-    g = build_graph("ST", [(0, 0, 1, 1)], d=2)
-    assert any("self-loop" in v for v in validate_graph(g).violations)
+    with pytest.raises(ValueError, match="invalid graph: .*self-loop"):
+        build_graph("ST", [(0, 0, 1, 1)], d=2)
 
 
 def test_duplicate_and_unknown_ids_rejected():
-    g = ColoredGraph(
-        (Node(0, "S"), Node(0, "T")), (Edge(0, 0, 7, 1, 1),), degree_bound=2,
-        capacity_bound_ticks=5,
-    )
-    report = validate_graph(g)
-    assert any("duplicate node id 0" in v for v in report.violations)
-    assert any("endpoint b=7" in v for v in report.violations)
+    with pytest.raises(ValueError, match="invalid graph: ") as err:
+        ColoredGraph(
+            (Node(0, "S"), Node(0, "T")), (Edge(0, 0, 7, 1, 1),), degree_bound=2,
+            capacity_bound_ticks=5,
+        )
+    assert "duplicate node id 0" in str(err.value)
+    assert "endpoint b=7" in str(err.value)
 
 
 def test_bad_color_rejected():
-    g = ColoredGraph((Node(0, "Q"),), (), 2, 5)
-    assert any("unknown color" in v for v in validate_graph(g).violations)
+    with pytest.raises(ValueError, match="invalid graph: .*unknown color"):
+        ColoredGraph((Node(0, "Q"),), (), 2, 5)
 
 
 def test_parallel_edges_are_allowed():
@@ -313,3 +322,82 @@ def test_induced_subgraph_matches_full_scan_on_every_ball(spec):
             got = induced_subgraph(g, ball)
             assert _subgraph_shape(got) == _subgraph_shape(full_scan_subgraph(g, ball))
 
+
+@pytest.mark.parametrize(
+    "nodes, edges, d, m, quantum, message",
+    [
+        ((Node(0, "S"), Node(0, "T"), Node(-1, "Q")), (), 2, 5, Fraction(1),
+         "invalid graph: duplicate node id 0; negative node id -1; "
+         "node -1 has unknown color 'Q'"),
+        ((Node(0, "S"), Node(1, "R"), Node(2, "R"), Node(3, "T")),
+         (Edge(0, 0, 1, 1, 1), Edge(0, 1, 2, 1, 1), Edge(1, 1, 3, 1, 1)), 2, 5, Fraction(1),
+         "invalid graph: degree bound exceeded at node 1 (3 > 2); duplicate edge id 0"),
+        ((Node(0, "S"), Node(1, "T")), (Edge(0, 0, 7, 6, -1), Edge(1, 1, 1, 0, 0)), 4, 5,
+         Fraction(1),
+         "invalid graph: edge 0 endpoint b=7 is not a node; edge 0 cap_ab above M (6 > 5); "
+         "edge 0 cap_ba is negative; edge 1 is a self-loop at node 1"),
+        ((Node(0, "S"),), (), 0, 0, Fraction(-1),
+         "invalid graph: degree bound 0 is not positive; capacity bound 0 is not positive; "
+         "tick quantum -1 is not positive"),
+    ],
+    ids=["nodes", "degree-and-edge-ids", "edges", "bounds"],
+)
+def test_construction_names_every_violation_in_order(nodes, edges, d, m, quantum, message):
+    with pytest.raises(ValueError) as err:
+        ColoredGraph(nodes, edges, d, m, quantum)
+    assert str(err.value) == message
+
+
+def test_every_route_that_builds_a_graph_rejects_bad_input():
+    # ColoredGraph(...) itself: the tests above.
+    obj = graph_to_json(line_graph("SRT"))
+    obj["edges"][0]["b"] = 0
+    with pytest.raises(ValueError, match="invalid graph: edge 0 is a self-loop at node 0"):
+        graph_from_json(obj)
+    obj = graph_to_json(line_graph("SRT"))
+    obj["edges"][1]["cap_ba"] = 6
+    with pytest.raises(ValueError, match=r"invalid graph: edge 1 cap_ba above M \(6 > 5\)"):
+        graph_from_json(obj)
+
+    with pytest.raises(ValueError, match="invalid graph: capacity bound 0 is not positive"):
+        generate(InstanceSpec("random_bounded", n=10, m_ticks=0))
+    with pytest.raises(ValueError, match="invalid graph: degree bound 0 is not positive"):
+        generate(InstanceSpec("random_bounded", n=10, d=0))
+
+
+def test_an_existing_graph_is_never_validated_again(monkeypatch):
+    g, _ = generate(InstanceSpec("random_bounded", n=40, gen_seed=6, rho_s=Fraction(1, 4),
+                                 rho_t=Fraction(1, 4), params={"rounds": 3}))
+    validated: list[ColoredGraph] = []
+    real = graph_core_module.validate_graph
+
+    def counting(h):
+        validated.append(h)
+        return real(h)
+
+    # Every module holding the function, not just graph_core: a check that
+    # imported it by name is counted too.
+    for module in [m for name, m in sys.modules.items() if name.startswith("localflow")]:
+        if getattr(module, "validate_graph", None) is real:
+            monkeypatch.setattr(module, "validate_graph", counting)
+
+    tester_cfg = TesterConfig(l=3, s=2, seeds=(1, 2), k=50)
+    run_cfg = RunConfig(l=3, s=2, seed=1)
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    run_tester(g, tester_cfg)
+    tester_estimates(g, tester_cfg, [1, 2])
+    fbar2_value(g, tester_cfg)
+    assemble_fbar2(g, tester_cfg)
+    run_a2(g, run_cfg)
+    enumerate_paths(g, 4)
+    max_flow(g)
+    assert validated == []  # none of these builds a graph
+
+    # Local queries build each ball once; the ball, not g, is checked then.
+    local_f2_edge(g, refs[0], run_cfg)
+    assert len(validated) == 1 and validated[0] is not g
+    del validated[:]
+    verify_locality(g, run_cfg, refs, radius=2)
+    balls = {ball_nodes(g, ref, 2) for ref in refs}
+    assert len(validated) == len(balls)
+    assert all(h is not g for h in validated)

@@ -119,8 +119,7 @@ def test_run_a2_equals_a1_when_threshold_exceeds_depths():
         paths = enumerate_paths(g, 3)
         if not paths:
             continue
-        table = chain_depth_all(paths, 9)
-        deepest = max(table.depth(u) for u in paths)
+        deepest = max(chain_depth_all(paths, 9).values())
         f1, _ = run_a1(g, RunConfig(l=3, seed=9))
         f2, _ = run_a2(g, RunConfig(l=3, s=deepest + 1, seed=9))
         assert f2 == f1

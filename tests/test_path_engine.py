@@ -1,8 +1,9 @@
 from __future__ import annotations
 
+import gc
+
 import pytest
 
-import localflow.path_engine as path_engine_module
 from conftest import build_graph, line_graph
 from localflow.graph_core import DirectedEdgeRef, Flow, neighborhood
 from localflow.harness import InstanceSpec, generate
@@ -46,19 +47,6 @@ def test_matches_naive_enumeration_on_random_instances():
         g, _ = generate(spec)
         got = {path_signature(u) for u in enumerate_paths(g, 4)}
         assert got == naive_paths(g, 4)
-
-
-def test_interior_regular_only_matches_naive():
-    for i in range(12):
-        spec = InstanceSpec(
-            "random_bounded", n=10, d=4, m_ticks=3,
-            gen_seed=900 + i, rho_s=0.35, rho_t=0.35,
-        )
-        g, _ = generate(spec)
-        got = {path_signature(u) for u in enumerate_paths(g, 4, interior_regular_only=True)}
-        assert got == naive_paths(g, 4, interior_regular_only=True)
-        # The toggle can only remove candidates.
-        assert got <= naive_paths(g, 4)
 
 
 def test_paths_are_well_formed_and_unique():
@@ -167,18 +155,18 @@ def test_chain_depths_disjoint_paths_all_one():
     spec = InstanceSpec("path_bundle", params={"bottlenecks": [1, 1, 1], "path_len": 2})
     g, _ = generate(spec)
     paths = enumerate_paths(g, 3)
-    table = chain_depth_all(paths, 5)
-    assert all(table.depth(u) == 1 for u in paths)
+    depths = chain_depth_all(paths, 5)
+    assert all(depths[u.canonical_key] == 1 for u in paths)
 
 
 def test_two_intersecting_paths_depths():
     g = build_graph("SRST", [(0, 1, 1, 1), (1, 2, 1, 1), (1, 3, 1, 1)], d=3)
     paths = enumerate_paths(g, 2)
     assert len(paths) == 2
-    table = chain_depth_all(paths, 0)
+    depths = chain_depth_all(paths, 0)
     by_key = sorted(paths, key=lambda u: path_key(u, 0))
-    assert table.depth(by_key[0]) == 1
-    assert table.depth(by_key[1]) == 2
+    assert depths[by_key[0].canonical_key] == 1
+    assert depths[by_key[1].canonical_key] == 2
 
 
 def test_chain_depths_match_brute_force():
@@ -193,9 +181,7 @@ def test_chain_depths_match_brute_force():
         if not paths or len(paths) > 30:
             continue
         for seed in (1, 2, 3):
-            table = chain_depth_all(paths, seed)
-            brute = brute_chain_depths(paths, seed)
-            assert {u.canonical_key: table.depth(u) for u in paths} == brute
+            assert chain_depth_all(paths, seed) == brute_chain_depths(paths, seed)
             cases += 1
     assert cases >= 45
 
@@ -204,12 +190,12 @@ def test_depth_recurrence_property():
     spec = InstanceSpec("random_bounded", n=24, gen_seed=77, rho_s=0.3, rho_t=0.3)
     g, _ = generate(spec)
     paths = enumerate_paths(g, 4)
-    table = chain_depth_all(paths, 11)
+    depths = chain_depth_all(paths, 11)
     keys = {u.canonical_key: path_key(u, 11) for u in paths}
     for u in paths:
         for v in paths:
             if keys[v.canonical_key] < keys[u.canonical_key] and intersects(u, v):
-                assert table.depth(u) >= 1 + table.depth(v)
+                assert depths[u.canonical_key] >= 1 + depths[v.canonical_key]
 
 
 def test_depth_in_subgraph_never_exceeds_global():
@@ -217,14 +203,14 @@ def test_depth_in_subgraph_never_exceeds_global():
                         rho_s=0.3, rho_t=0.3)
     g, _ = generate(spec)
     paths = enumerate_paths(g, 3)
-    table = chain_depth_all(paths, 4)
+    depths = chain_depth_all(paths, 4)
     view = neighborhood(g, 0, 6)
     local_paths = enumerate_paths(view.subgraph, 3)
-    local_table = chain_depth_all(local_paths, 4)
+    local_depths = chain_depth_all(local_paths, 4)
     global_by_key = {u.canonical_key: u for u in paths}
     for u in local_paths:
         assert u.canonical_key in global_by_key
-        assert local_table.depth(u) <= table.depth(global_by_key[u.canonical_key])
+        assert local_depths[u.canonical_key] <= depths[u.canonical_key]
 
 
 def test_duplicate_paths_rejected():
@@ -254,27 +240,12 @@ def test_make_path_shape_check():
         make_path([0, 1], [])
 
 
-def test_enumeration_validates_each_graph_once(monkeypatch):
-    validated = []
-    real = path_engine_module.validate_graph
-
-    def counting(g):
-        validated.append(g)
-        return real(g)
-
-    monkeypatch.setattr(path_engine_module, "validate_graph", counting)
-    g1 = line_graph("SRRT")
-    g2 = build_graph("SRT", [(0, 1, 1, 1), (1, 2, 1, 1), (0, 2, 1, 1)])
-    for _ in range(3):
-        for g in (g1, g2):
-            for l in (1, 2, 3):
-                enumerate_paths(g, l)
-                enumerate_paths(g, l, interior_regular_only=True)
-    assert len(validated) == 2
-    assert validated[0] is g1 and validated[1] is g2
-
-    bad = build_graph("SRT", [(0, 1, 9, 1), (1, 2, 1, 1)], m=5)
-    for _ in range(2):
-        with pytest.raises(ValueError, match="invalid graph"):
-            enumerate_paths(bad, 2)
-    assert len(validated) == 4
+def test_fresh_enumeration_leaves_no_reference_cycle():
+    g, _ = generate(InstanceSpec("random_bounded", n=2000, gen_seed=5))
+    gc.disable()
+    try:
+        gc.collect()
+        assert enumerate_paths(g, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
