@@ -99,7 +99,7 @@ def _run_config(args: argparse.Namespace, need_s: bool) -> RunConfig:
 
 def _cmd_generate(args: argparse.Namespace) -> int:
     params: dict = {}
-    for key in ("rows", "cols", "layers", "width", "fanout", "rounds", "cap_min", "path_len"):
+    for key in harness.INT_PARAMS:
         val = getattr(args, key)
         if val is not None:
             params[key] = val
@@ -152,21 +152,27 @@ def _cmd_local_f2(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sample_edges(g: ColoredGraph, sample: str | None) -> list[DirectedEdgeRef]:
-    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
-    if sample is None or sample == "all":
-        return refs
-    try:
-        count = int(sample)
-    except ValueError:
-        raise ValueError(f"bad field '--sample': expected a count or 'all', got {sample!r}")
-    return refs[:count]
+def _parse_sample(text: str | None, counts: bool = True) -> int | None:
+    """--sample as a non-negative count, or None for 'all' and when absent;
+    with counts False only 'all' is accepted."""
+    if text is None or text == "all":
+        return None
+    if counts:
+        try:
+            count = int(text)
+        except ValueError:
+            count = -1
+        if count >= 0:
+            return count
+    expected = "a non-negative count or 'all'" if counts else "'all'"
+    raise ValueError(f"bad field '--sample': expected {expected}, got {text!r}")
 
 
 def _cmd_verify_locality(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     cfg = _run_config(args, need_s=True)
-    refs = _sample_edges(g, args.sample)
+    count = _parse_sample(args.sample)
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges][:count]
     report = verify_locality(
         g, cfg, refs,
         radius=args.radius,
@@ -199,6 +205,7 @@ def _cmd_tester(args: argparse.Namespace) -> int:
         r=args.r,
         sample_seed=args.seed,
     )
+    _parse_sample(args.sample, counts=False)  # absent or 'all'
     exhaustive = args.sample == "all"
     started = time.monotonic()
     report = run_tester(g, cfg, exhaustive=exhaustive, threads=resolve_threads(args.threads))
@@ -273,17 +280,9 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         columns = CHAIN_TAIL_COLUMNS
     elif args.name == "locality":
         cfgs = _parse_cfgs(args.cfgs) if args.cfgs else [(3, 2), (4, 3)]
-        if args.sample is None or args.sample == "all":
-            sample: int | str = "all"
-        else:
-            try:
-                sample = int(args.sample)
-            except ValueError:
-                raise ValueError(
-                    f"bad field '--sample': expected a count or 'all', got {args.sample!r}"
-                )
+        count = _parse_sample(args.sample)
         rows, ok = harness.experiment_locality(
-            specs, cfgs, seeds, sample=sample, threads=threads,
+            specs, cfgs, seeds, sample="all" if count is None else count, threads=threads,
             negative_control=not args.no_negative_control,
         )
         columns = LOCALITY_COLUMNS
@@ -337,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-s", default="1/5")
     p.add_argument("--rho-t", default="1/5")
     p.add_argument("--gen-seed", type=int, default=0)
-    for key in ("rows", "cols", "layers", "width", "fanout", "rounds", "cap_min", "path_len"):
+    for key in harness.INT_PARAMS:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     p.add_argument("--bottlenecks", help="comma-separated per-path bottlenecks (path_bundle)")
 

@@ -175,14 +175,3 @@ def shortest_augmenting_path_length(
                     nxt.append(w)
         frontier = nxt
     return None
-
-
-def cut_capacity(g: ColoredGraph, node_set: frozenset[int] | set[int]) -> int:
-    """Total capacity of directed edges leaving node_set."""
-    total = 0
-    for e in g.edges:
-        if e.a in node_set and e.b not in node_set:
-            total += e.cap_ab
-        elif e.b in node_set and e.a not in node_set:
-            total += e.cap_ba
-    return total

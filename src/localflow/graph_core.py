@@ -34,9 +34,6 @@ class DirectedEdgeRef(NamedTuple):
     edge_id: int
     orientation: str  # AB or BA
 
-    def __neg__(self) -> "DirectedEdgeRef":
-        return DirectedEdgeRef(self.edge_id, BA if self.orientation == AB else AB)
-
 
 @dataclass(frozen=True)
 class Node:
@@ -155,15 +152,6 @@ class Flow:
         return all(self.values.get(k, 0) == other.values.get(k, 0) for k in keys)
 
     __hash__ = None  # type: ignore[assignment]
-
-
-@dataclass(frozen=True, eq=False)
-class NeighborhoodView:
-    """Induced ball of radius r around a node or an edge, ids preserved."""
-
-    center: Union[int, DirectedEdgeRef]
-    radius: int
-    subgraph: ColoredGraph
 
 
 @dataclass(frozen=True)
@@ -289,11 +277,6 @@ def ball_nodes(g: ColoredGraph, center: Union[int, DirectedEdgeRef], r: int) -> 
     return frozenset(_ball_nodes(g, starts, r))
 
 
-def neighborhood(g: ColoredGraph, center: Union[int, DirectedEdgeRef], r: int) -> NeighborhoodView:
-    """Induced ball of hop radius r around a node or around an edge's endpoints."""
-    return NeighborhoodView(center, r, induced_subgraph(g, set(ball_nodes(g, center, r))))
-
-
 def _net_out(g: ColoredGraph, f: Flow, v: int) -> Ticks:
     total: Ticks = 0
     for ref in out_edges(g, v):
@@ -331,13 +314,6 @@ def flow_value(g: ColoredGraph, f: Flow) -> Ticks:
     for s in g.nodes_of_color("S"):
         total += _net_out(g, f, s)
     return total
-
-
-def add_flows(f: Flow, f2: Flow) -> Flow:
-    out: dict[int, Ticks] = dict(f.values)
-    for eid, v in f2.values.items():
-        out[eid] = out.get(eid, 0) + v
-    return Flow(out)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from .graph_core import (
     Edge,
     Flow,
     Node,
+    _int_field,
     flow_value,
 )
 from .local_flow import RunConfig, run_a1, run_a2, verify_locality
@@ -38,6 +39,14 @@ DEFAULT_D = 4
 DEFAULT_M_TICKS = 5
 DEFAULT_L = 6
 DEFAULT_S = 3
+
+# Integer params some generator reads; bottlenecks is a list of integers.
+INT_PARAMS = ("rows", "cols", "layers", "width", "fanout", "rounds", "cap_min", "path_len")
+
+
+def _int_or(obj: Mapping, key: str, default: int) -> int:
+    """obj[key] if present, else default; a present value must be a true int."""
+    return _int_field(obj, key, "instance spec") if key in obj else default
 
 
 @dataclass(frozen=True)
@@ -76,18 +85,32 @@ class InstanceSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "InstanceSpec":
+        """Inverse of to_json; integer fields and params must be true ints,
+        as in graph JSON."""
         if "family" not in obj:
             raise ValueError("missing field 'family' in instance spec")
+        params = dict(obj.get("params", {}))
+        for key in INT_PARAMS:
+            if key in params:
+                _int_field(params, key, "instance spec params")
+        bottlenecks = params.get("bottlenecks", [])
+        if not isinstance(bottlenecks, (list, tuple)) or any(
+            type(b) is not int for b in bottlenecks
+        ):
+            raise ValueError(
+                "bad field 'bottlenecks' in instance spec params: "
+                f"expected a list of integers, got {bottlenecks!r}"
+            )
         return InstanceSpec(
             family=str(obj["family"]),
-            n=int(obj.get("n", 0)),
-            d=int(obj.get("d", DEFAULT_D)),
-            m_ticks=int(obj.get("m_ticks", DEFAULT_M_TICKS)),
+            n=_int_or(obj, "n", 0),
+            d=_int_or(obj, "d", DEFAULT_D),
+            m_ticks=_int_or(obj, "m_ticks", DEFAULT_M_TICKS),
             quantum=Fraction(str(obj.get("quantum", 1))),
             rho_s=Fraction(str(obj.get("rho_s", Fraction(1, 5)))),
             rho_t=Fraction(str(obj.get("rho_t", Fraction(1, 5)))),
-            gen_seed=int(obj.get("gen_seed", 0)),
-            params=dict(obj.get("params", {})),
+            gen_seed=_int_or(obj, "gen_seed", 0),
+            params=params,
         )
 
 

@@ -17,9 +17,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
-from .exact_oracle import shortest_augmenting_path_length
 from .graph_core import (
     AB,
     BA,
@@ -32,7 +31,14 @@ from .graph_core import (
     validate_flow,
 )
 from .parallel import parallel_map
-from .path_engine import AugPathCandidate, _chain_depths, enumerate_paths, make_path, path_key
+from .path_engine import (
+    AugPathCandidate,
+    OrderKey,
+    _chain_depths,
+    enumerate_paths,
+    make_path,
+    path_key,
+)
 
 AUGMENTED = "AUGMENTED"
 SKIPPED_CHAIN = "SKIPPED_CHAIN"
@@ -102,11 +108,7 @@ class RunTrace:
 
 
 def _sweep(
-    g: ColoredGraph,
-    l: int,
-    seed: int,
-    skip_threshold: int | None,
-    boundary_sink: Callable[[int, Flow], None] | None = None,
+    g: ColoredGraph, l: int, seed: int, skip_threshold: int | None
 ) -> tuple[Flow, RunTrace]:
     """Shared A1/A2 engine; skip_threshold None means never skip."""
     paths = enumerate_paths(g, l)
@@ -116,14 +118,7 @@ def _sweep(
     edge_of = {e.id: e for e in g.edges}
     f: dict[int, int] = {}
     entries: list[TraceEntry] = []
-    done_len = 0  # all paths of length <= done_len already processed
-
     for u in order:
-        if boundary_sink is not None and u.length > done_len + 1:
-            for j in range(done_len + 1, u.length):
-                boundary_sink(j, Flow(dict(f)))
-        done_len = max(done_len, u.length - 1)
-
         if depths is not None and depths[u.canonical_key] >= skip_threshold:
             entries.append(TraceEntry(u.canonical_key, SKIPPED_CHAIN, 0))
             continue
@@ -144,9 +139,6 @@ def _sweep(
             entries.append(TraceEntry(u.canonical_key, ZERO_CAPACITY, 0))
 
     flow = Flow({eid: v for eid, v in f.items() if v != 0})
-    if boundary_sink is not None:
-        for j in range(done_len + 1, l + 1):
-            boundary_sink(j, flow)
     validate_flow(g, flow).raise_if_invalid("run output flow")
     return flow, RunTrace(tuple(entries))
 
@@ -159,20 +151,6 @@ def run_a1(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
 def run_a2(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
     """Like run_a1 but paths with chain depth >= s are never augmented."""
     return _sweep(g, cfg.resolve_l(g), cfg.seed, cfg.require_s())
-
-
-def length_boundary_violations(g: ColoredGraph, cfg: RunConfig) -> list[int]:
-    """Rerun A1 checking that after length-j paths no residual S->T path of
-    length <= j survives; returns the offending boundaries (empty = clean)."""
-    l = cfg.resolve_l(g)
-    bad: list[int] = []
-
-    def sink(j: int, partial: Flow) -> None:
-        if shortest_augmenting_path_length(g, partial, j) is not None:
-            bad.append(j)
-
-    _sweep(g, l, cfg.seed, None, boundary_sink=sink)
-    return bad
 
 
 def local_f2_edge(
@@ -250,11 +228,6 @@ def verify_locality(
     return LocalityReport(checked=len(edge_sample), mismatches=tuple(mismatches))
 
 
-# A path's order key as a plain tuple (length, hash label, raw key): tuples
-# compare faster than OrderKey and in the same order.
-_Key = tuple[int, int, bytes]
-
-
 class LocalEvaluator:
     """The skipping run's value at an edge, evaluated as a memoised query tree.
 
@@ -323,7 +296,7 @@ class LocalEvaluator:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
         return total if e.orientation == AB else -total
 
-    def _ordered(self, t: _SeedTables, eid: int) -> list[tuple[_Key, bytes, int]]:
+    def _ordered(self, t: _SeedTables, eid: int) -> list[tuple[OrderKey, bytes, int]]:
         """(key, canonical key, sign) of the paths through eid, in key order."""
         got = t.orders.get(eid)
         if got is None:
@@ -333,8 +306,7 @@ class LocalEvaluator:
                 ck = u.canonical_key
                 k = keys.get(ck)
                 if k is None:
-                    ok = path_key(u, t.seed)
-                    k = keys[ck] = (ok.length, ok.hash_label, ok.tiebreak)
+                    k = keys[ck] = path_key(u, t.seed)
                 got.append((k, ck, sign))
             got.sort()
             t.orders[eid] = got
@@ -495,8 +467,8 @@ class _SeedTables:
 
     def __init__(self, seed: int, s: int):
         self.seed = seed
-        self.keys: dict[bytes, _Key] = {}
+        self.keys: dict[bytes, OrderKey] = {}
         # edge id -> (key, canonical key, sign) of the paths through it, in key order
-        self.orders: dict[int, list[tuple[_Key, bytes, int]]] = {}
+        self.orders: dict[int, list[tuple[OrderKey, bytes, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}

@@ -19,17 +19,9 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .graph_core import (
-    AB,
-    BA,
-    ColoredGraph,
-    DirectedEdgeRef,
-    Flow,
-    Ticks,
-    validate_flow,
-)
+from .graph_core import AB, BA, ColoredGraph, DirectedEdgeRef
 
 _MASK64 = (1 << 64) - 1
 
@@ -74,9 +66,11 @@ def make_path(nodes: Sequence[int], edges: Sequence[DirectedEdgeRef]) -> AugPath
     return AugPathCandidate(tuple(nodes), tuple(edges), ",".join(parts).encode("ascii"))
 
 
-@dataclass(frozen=True, order=True)
-class OrderKey:
-    """Total processing order: shorter first, then hash label, then raw key."""
+class OrderKey(NamedTuple):
+    """Total processing order: shorter first, then hash label, then raw key.
+
+    A tuple, so keys compare in C rather than through a Python ``__lt__``.
+    """
 
     length: int
     hash_label: int
@@ -89,11 +83,6 @@ def path_key(u: AugPathCandidate, seed: int) -> OrderKey:
         u.canonical_key, digest_size=8, key=(seed & _MASK64).to_bytes(8, "big")
     ).digest()
     return OrderKey(u.length, int.from_bytes(digest, "big"), u.canonical_key)
-
-
-def intersects(u: AugPathCandidate, v: AugPathCandidate) -> bool:
-    """True iff the two paths share an undirected edge (orientation ignored)."""
-    return not u.edge_ids.isdisjoint(v.edge_ids)
 
 
 # Enumeration depends only on (graph, l), never on seeds or capacities, so
@@ -191,17 +180,3 @@ def _chain_depths(ordered: Iterable[AugPathCandidate]) -> dict[bytes, int]:
             if best_at_edge.get(eid, 0) < d:
                 best_at_edge[eid] = d
     return depths
-
-
-def residual_capacity(g: ColoredGraph, f: Flow, u: AugPathCandidate) -> Ticks:
-    """min over the path's directed edges of c(e) - f(e); 0 means not augmenting."""
-    validate_flow(g, f).raise_if_invalid("flow")
-    slack: Ticks | None = None
-    for ref in u.edges:
-        e = g.edge(ref.edge_id)
-        room = e.cap(ref.orientation) - f.on(ref)
-        if slack is None or room < slack:
-            slack = room
-    if slack is None:
-        raise ValueError("path has no edges")
-    return slack

@@ -1,26 +1,40 @@
-"""Independent brute-force implementations used as test oracles.
+"""Independent brute-force implementations and references used as test oracles.
 
-Everything here works from the raw node/edge lists with its own traversal
-strategy, never through the library's adjacency, enumeration or DP code paths,
-except the two former library routes kept as references for their
-replacements: ``full_scan_subgraph`` and ``ball_rerun_f2``.
+The brute-force oracles work from the raw node/edge lists with their own
+traversal strategy, never through the library's adjacency, enumeration or DP
+code paths.  The references are small helpers that only tests need, some of
+them former library routes kept to check their replacements:
+
+* ``full_scan_subgraph`` and ``ball_rerun_f2``: the subgraph scan and the A2
+  rerun on a ball that ``induced_subgraph`` and ``LocalEvaluator`` replace;
+* ``intersects`` and ``cut_capacity``: edge sharing of two paths and the
+  capacity of a cut;
+* ``assemble_fbar2`` and ``fbar2_value``: the seed-averaged A2 flow from m
+  global runs, and its value;
+* ``length_boundary_violations``: the boundary invariant of A1, from prefix
+  runs.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 from itertools import combinations
 
+from localflow.estimator_tester import TesterConfig
+from localflow.exact_oracle import shortest_augmenting_path_length
 from localflow.graph_core import (
     AB,
     BA,
     ColoredGraph,
     DirectedEdgeRef,
+    Flow,
     ball_nodes,
+    flow_value,
     induced_subgraph,
     validate_flow,
 )
-from localflow.local_flow import RunConfig, run_a2
+from localflow.local_flow import RunConfig, run_a1, run_a2
 from localflow.path_engine import AugPathCandidate, path_key
 
 
@@ -62,6 +76,52 @@ def ball_rerun_f2(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig,
     f2, _ = run_a2(sub, RunConfig(l=l, s=s, seed=cfg.seed))
     validate_flow(sub, f2).raise_if_invalid("ball flow")
     return int(f2.on(e))
+
+
+def intersects(u: AugPathCandidate, v: AugPathCandidate) -> bool:
+    """True iff the two paths share an undirected edge (orientation ignored)."""
+    return not u.edge_ids.isdisjoint(v.edge_ids)
+
+
+def cut_capacity(g: ColoredGraph, node_set: frozenset[int] | set[int]) -> int:
+    """Total capacity of directed edges leaving node_set."""
+    total = 0
+    for e in g.edges:
+        if e.a in node_set and e.b not in node_set:
+            total += e.cap_ab
+        elif e.b in node_set and e.a not in node_set:
+            total += e.cap_ba
+    return total
+
+
+def assemble_fbar2(g: ColoredGraph, cfg: TesterConfig) -> Flow:
+    """The seed-averaged A2 flow, edge-wise, as an exact fractional-tick Flow,
+    from the m global runs.  A convex combination of valid flows, so valid."""
+    cfg.check()
+    sums: dict[int, int] = {}
+    for seed in cfg.seeds:
+        f2, _ = run_a2(g, RunConfig(l=cfg.l, s=cfg.s, seed=seed))
+        for eid, v in f2.values.items():
+            sums[eid] = sums.get(eid, 0) + v
+    return Flow({eid: Fraction(total, cfg.m) for eid, total in sums.items() if total != 0})
+
+
+def fbar2_value(g: ColoredGraph, cfg: TesterConfig) -> Fraction:
+    """Value of the seed-averaged A2 flow: the mean of the m runs' values."""
+    return Fraction(flow_value(g, assemble_fbar2(g, cfg)))
+
+
+def length_boundary_violations(g: ColoredGraph, cfg: RunConfig) -> list[int]:
+    """The lengths j in 1..l after whose paths A1 leaves a residual S->T path
+    of length <= j (empty = clean).  Keys order paths by length first, so the
+    run capped at j processes exactly the full run's paths of length <= j, in
+    the same order: its output is the full run's flow at boundary j."""
+    bad = []
+    for j in range(1, cfg.resolve_l(g) + 1):
+        f, _ = run_a1(g, RunConfig(l=j, seed=cfg.seed))
+        if shortest_augmenting_path_length(g, f, j) is not None:
+            bad.append(j)
+    return bad
 
 
 def brute_min_cut(g: ColoredGraph) -> int:

@@ -10,18 +10,13 @@ with a separate power demonstration at a genuinely insufficient radius.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from localflow.cli import main as cli_main
-from localflow.estimator_tester import (
-    TesterConfig,
-    assemble_fbar2,
-    fbar2_value,
-    run_tester,
-    tester_estimates,
-)
+from localflow.estimator_tester import TesterConfig, run_tester
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import DirectedEdgeRef, flow_value, validate_flow
 from localflow.harness import (
@@ -32,14 +27,19 @@ from localflow.harness import (
 )
 from localflow.local_flow import (
     RunConfig,
-    length_boundary_violations,
     local_f2_edge,
     run_a1,
     run_a2,
     verify_locality,
 )
 from localflow.path_engine import chain_depth_all, enumerate_paths
-from oracles import brute_chain_depths, brute_min_cut
+from oracles import (
+    assemble_fbar2,
+    brute_chain_depths,
+    brute_min_cut,
+    fbar2_value,
+    length_boundary_violations,
+)
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -388,7 +388,8 @@ def test_ac10_tester_concentration(announce):
         cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 3), k=1000)
         reference = fbar2_value(g, cfg) / g.n
         slack = Fraction(1, 10) * g.degree_bound * g.capacity_bound_ticks
-        estimates = tester_estimates(g, cfg, list(range(100)))
+        estimates = [run_tester(g, replace(cfg, sample_seed=seed)).estimate
+                     for seed in range(100)]
         failures = sum(1 for est in estimates if abs(est - reference) > slack)
         worst_fail = max(worst_fail, failures)
         assert failures <= 1, (spec.instance_id(), failures)

@@ -294,6 +294,33 @@ def test_invalid_graph_file_exits_two(bundle_graph, tmp_path, capsys):
             assert captured.err == f"error: invalid graph: {violation}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify-locality", "--l", "3", "--s", "2", "--sample", "-3"],
+    ["verify-locality", "--l", "3", "--s", "2", "--sample", "some"],
+    ["tester", "--l", "3", "--s", "2", "--seeds", "1", "--sample", "5"],
+    ["experiment", "locality", "--seeds", "1", "--sample", "-2"],
+])
+def test_bad_sample_exits_two_naming_the_flag(bundle_graph, capsys, argv):
+    code = main(argv + ["--graph", str(bundle_graph)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bad field '--sample'" in captured.err
+
+
+def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
+    for name, spec in (("n", {"n": 30.9}), ("gen_seed", {"n": 30, "gen_seed": True}),
+                       ("rounds", {"n": 30, "params": {"rounds": 2.7}})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps([{"family": "random_bounded", **spec}]))
+        code = main(["experiment", "approx", "--specs", str(path), "--l-sweep", "2",
+                     "--seeds", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"bad field '{name}'" in captured.err
+
+
 def test_unknown_flag_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["maxflow", "--bogus"])

@@ -8,24 +8,19 @@ from fractions import Fraction
 import pytest
 
 from conftest import build_graph, line_graph
-from localflow.estimator_tester import (
-    TesterConfig,
-    assemble_fbar2,
-    fbar2_edge,
-    fbar2_value,
-    run_tester,
-    tester_estimates,
-)
+from localflow.estimator_tester import TesterConfig, run_tester
 from localflow.exact_oracle import max_flow
 from localflow.graph_core import (
     DirectedEdgeRef,
     ball_nodes,
     flow_value,
+    induced_subgraph,
     out_edges,
     validate_flow,
 )
 from localflow.harness import InstanceSpec, generate
-from localflow.local_flow import RunConfig, local_f2_edge
+from localflow.local_flow import RunConfig, local_f2_edge, run_a2
+from oracles import assemble_fbar2, fbar2_value
 
 
 def spec_for(i: int, n: int = 20, **kw) -> InstanceSpec:
@@ -35,20 +30,27 @@ def spec_for(i: int, n: int = 20, **kw) -> InstanceSpec:
     return InstanceSpec("random_bounded", gen_seed=3000 + i, **merged)
 
 
+def local_average(g, ref: DirectedEdgeRef, cfg: TesterConfig) -> Fraction:
+    """Mean over the seed list of the local A2 value at ref, from its ball."""
+    total = sum(local_f2_edge(g, ref, RunConfig(l=cfg.l, s=cfg.s, seed=seed))
+                for seed in cfg.seeds)
+    return Fraction(total, cfg.m)
+
+
 def test_single_seed_average_equals_local_run():
     g, _ = generate(spec_for(1))
     cfg = TesterConfig(l=3, s=2, seeds=(17,))
+    fbar = assemble_fbar2(g, cfg)
     for e in list(g.edges)[:6]:
         ref = DirectedEdgeRef(e.id, "AB")
-        got = fbar2_edge(g, ref, cfg)
-        assert got.m == 1
-        assert got.value == local_f2_edge(g, ref, RunConfig(l=3, s=2, seed=17))
+        assert fbar.on(ref) == local_f2_edge(g, ref, RunConfig(l=3, s=2, seed=17))
 
 
 def test_zero_capacity_edge_stays_zero_for_any_seed_count():
     g = build_graph("SRT", [(0, 1, 0, 0), (1, 2, 3, 3)], d=2)
     cfg = TesterConfig(l=2, s=2, seeds=(1, 2, 3, 4, 5))
-    assert fbar2_edge(g, DirectedEdgeRef(0, "AB"), cfg).value == 0
+    assert local_average(g, DirectedEdgeRef(0, "AB"), cfg) == 0
+    assert assemble_fbar2(g, cfg).on_edge(0) == 0
 
 
 def test_assembled_average_is_a_valid_flow():
@@ -65,25 +67,21 @@ def test_assembled_average_matches_edgewise_local_average():
     fbar = assemble_fbar2(g, cfg)
     for e in g.edges:
         ref = DirectedEdgeRef(e.id, "AB")
-        assert fbar.on(ref) == fbar2_edge(g, ref, cfg).value
+        assert fbar.on(ref) == local_average(g, ref, cfg)
 
 
 def test_fbar2_edge_depends_only_on_its_ball():
     g, _ = generate(spec_for(25, n=40, params={"rounds": 2}))
     cfg = TesterConfig(l=3, s=2, seeds=(3, 4))
-    from localflow.graph_core import induced_subgraph
-
+    fbar = assemble_fbar2(g, cfg)
     for e in list(g.edges)[:8]:
         ref = DirectedEdgeRef(e.id, "AB")
-        ball = ball_nodes(g, ref, cfg.s * cfg.l)
-        sub = induced_subgraph(g, set(ball))
-        assert fbar2_edge(g, ref, cfg).value == fbar2_edge(sub, ref, cfg).value
+        sub = induced_subgraph(g, ball_nodes(g, ref, cfg.s * cfg.l))
+        assert local_average(sub, ref, cfg) == fbar.on(ref)
 
 
 def test_fbar2_value_basics():
     g, _ = generate(spec_for(40, n=18))
-    from localflow.local_flow import run_a2
-
     f2, _ = run_a2(g, RunConfig(l=3, s=2, seed=11))
     assert fbar2_value(g, TesterConfig(l=3, s=2, seeds=(11,))) == flow_value(g, f2)
 
@@ -94,10 +92,13 @@ def test_fbar2_value_basics():
 
 
 def test_fbar2_value_equals_assembled_flow_value():
+    # The averaged flow's value is the mean of the runs' values.
     for i in range(6):
         g, _ = generate(spec_for(50 + i, n=22))
         cfg = TesterConfig(l=3, s=2, seeds=(7, 8, 9))
-        assert fbar2_value(g, cfg) == flow_value(g, assemble_fbar2(g, cfg))
+        values = [flow_value(g, run_a2(g, RunConfig(l=3, s=2, seed=seed))[0])
+                  for seed in cfg.seeds]
+        assert fbar2_value(g, cfg) == Fraction(sum(values), cfg.m)
 
 
 def test_average_value_never_exceeds_max_flow():
@@ -139,8 +140,7 @@ def test_tester_report_shape_and_determinism():
     assert rep1 == rep2
     assert len(rep1.per_sample) == 40
     assert rep1.estimate == sum(rep1.per_sample, Fraction(0)) / 40
-    [only] = tester_estimates(g, cfg, [5])
-    assert only == rep1.estimate
+    assert run_tester(g, replace(cfg, sample_seed=6)).sampled_nodes != rep1.sampled_nodes
 
 
 def test_tester_threads_do_not_change_results():
@@ -157,7 +157,8 @@ def test_variance_scales_like_one_over_k():
     ks = (10, 100, 1000)
     for k in ks:
         cfg = TesterConfig(l=base.l, s=base.s, seeds=base.seeds, k=k)
-        ests = [float(x) for x in tester_estimates(g, cfg, sample_seeds)]
+        ests = [float(run_tester(g, replace(cfg, sample_seed=seed)).estimate)
+                for seed in sample_seeds]
         mean = sum(ests) / len(ests)
         variances.append(sum((x - mean) ** 2 for x in ests) / (len(ests) - 1))
     assert all(v > 0 for v in variances)

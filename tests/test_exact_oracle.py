@@ -3,15 +3,11 @@ from __future__ import annotations
 import pytest
 
 from conftest import build_graph, line_graph
-from localflow.exact_oracle import (
-    cut_capacity,
-    max_flow,
-    shortest_augmenting_path_length,
-)
+from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import Flow, flow_value, validate_flow
 from localflow.harness import InstanceSpec, generate
 from localflow.local_flow import RunConfig, run_a1, run_a2
-from oracles import brute_min_cut, dfs_max_flow_value
+from oracles import brute_min_cut, cut_capacity, dfs_max_flow_value
 
 
 def small_random_specs(count: int, start_seed: int = 0):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import io
+import json
 from fractions import Fraction
 
 import pytest
@@ -77,6 +78,25 @@ def test_spec_json_round_trip():
     )
     again = InstanceSpec.from_json(spec.to_json())
     assert again == spec
+    for spec in default_specs():
+        assert InstanceSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
+
+
+@pytest.mark.parametrize("obj, field", [
+    ({"n": 30.9}, "n"),
+    ({"n": "30"}, "n"),
+    ({"d": 4.0}, "d"),
+    ({"m_ticks": True}, "m_ticks"),
+    ({"gen_seed": True}, "gen_seed"),
+    ({"params": {"rounds": 2.7}}, "rounds"),
+    ({"params": {"rows": "6", "cols": 8}}, "rows"),
+    ({"params": {"cap_min": False}}, "cap_min"),
+    ({"params": {"bottlenecks": [2, 3.0]}}, "bottlenecks"),
+    ({"params": {"bottlenecks": 3}}, "bottlenecks"),
+])
+def test_spec_json_takes_only_true_integers(obj, field):
+    with pytest.raises(ValueError, match=f"bad field '{field}'"):
+        InstanceSpec.from_json({"family": "random_bounded", **obj})
 
 
 def test_rational_rendering():

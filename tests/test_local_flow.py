@@ -23,14 +23,13 @@ from localflow.local_flow import (
     ZERO_CAPACITY,
     LocalEvaluator,
     RunConfig,
-    length_boundary_violations,
     local_f2_edge,
     run_a1,
     run_a2,
     verify_locality,
 )
 from localflow.path_engine import chain_depth_all, enumerate_paths
-from oracles import ball_rerun_f2
+from oracles import ball_rerun_f2, length_boundary_violations
 
 
 def random_spec(i: int, n: int = 20, **kw) -> InstanceSpec:

@@ -5,18 +5,16 @@ import gc
 import pytest
 
 from conftest import build_graph, line_graph
-from localflow.graph_core import DirectedEdgeRef, Flow, neighborhood
+from localflow.graph_core import DirectedEdgeRef, ball_nodes, induced_subgraph
 from localflow.harness import InstanceSpec, generate
 from localflow.path_engine import (
     OrderKey,
     chain_depth_all,
     enumerate_paths,
-    intersects,
     make_path,
     path_key,
-    residual_capacity,
 )
-from oracles import brute_chain_depths, naive_paths, path_signature
+from oracles import brute_chain_depths, intersects, naive_paths, path_signature
 
 
 def test_single_edge_single_path():
@@ -87,8 +85,8 @@ def test_path_key_is_deterministic():
 def test_path_key_stable_inside_neighborhood_view():
     g = line_graph("SRTRR")
     (u,) = enumerate_paths(g, 2)
-    view = neighborhood(g, 0, 2)
-    (u_local,) = enumerate_paths(view.subgraph, 2)
+    sub = induced_subgraph(g, ball_nodes(g, 0, 2))
+    (u_local,) = enumerate_paths(sub, 2)
     assert u_local.canonical_key == u.canonical_key
     assert path_key(u_local, 9) == path_key(u, 9)
 
@@ -204,8 +202,8 @@ def test_depth_in_subgraph_never_exceeds_global():
     g, _ = generate(spec)
     paths = enumerate_paths(g, 3)
     depths = chain_depth_all(paths, 4)
-    view = neighborhood(g, 0, 6)
-    local_paths = enumerate_paths(view.subgraph, 3)
+    sub = induced_subgraph(g, ball_nodes(g, 0, 6))
+    local_paths = enumerate_paths(sub, 3)
     local_depths = chain_depth_all(local_paths, 4)
     global_by_key = {u.canonical_key: u for u in paths}
     for u in local_paths:
@@ -218,21 +216,6 @@ def test_duplicate_paths_rejected():
     (u,) = enumerate_paths(g, 2)
     with pytest.raises(ValueError, match="duplicate path"):
         chain_depth_all([u, u], 0)
-
-
-def test_residual_capacity_is_min_slack():
-    g = build_graph("SRRT", [(0, 1, 3, 0), (1, 2, 5, 0), (2, 3, 2, 0)], d=2)
-    (u,) = enumerate_paths(g, 3)
-    assert residual_capacity(g, Flow.zero(), u) == 2
-    assert residual_capacity(g, Flow({0: 2, 1: 2, 2: 2}), u) == 0
-
-
-def test_residual_capacity_after_full_augmentation_is_zero():
-    g = line_graph("SRT", cap=4)
-    (u,) = enumerate_paths(g, 2)
-    amount = residual_capacity(g, Flow.zero(), u)
-    f = Flow({0: amount, 1: amount})
-    assert residual_capacity(g, f, u) == 0
 
 
 def test_make_path_shape_check():
