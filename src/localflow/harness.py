@@ -44,11 +44,6 @@ DEFAULT_S = 3
 INT_PARAMS = ("rows", "cols", "layers", "width", "fanout", "rounds", "cap_min", "path_len")
 
 
-def _int_or(obj: Mapping, key: str, default: int) -> int:
-    """obj[key] if present, else default; a present value must be a true int."""
-    return _int_field(obj, key, "instance spec") if key in obj else default
-
-
 @dataclass(frozen=True)
 class InstanceSpec:
     """Seeded description of one generated network."""
@@ -62,6 +57,22 @@ class InstanceSpec:
     rho_t: Fraction = Fraction(1, 5)
     gen_seed: int = 0
     params: Mapping = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        """Integer fields and params must be true ints, as in graph JSON."""
+        for key in ("n", "d", "m_ticks", "gen_seed"):
+            _int_field(vars(self), key, "instance spec")
+        for key in INT_PARAMS:
+            if key in self.params:
+                _int_field(self.params, key, "instance spec params")
+        bottlenecks = self.params.get("bottlenecks", [])
+        if not isinstance(bottlenecks, (list, tuple)) or any(
+            type(b) is not int for b in bottlenecks
+        ):
+            raise ValueError(
+                "bad field 'bottlenecks' in instance spec params: "
+                f"expected a list of integers, got {bottlenecks!r}"
+            )
 
     def instance_id(self) -> str:
         base = f"{self.family}-n{self.n}-d{self.d}-M{self.m_ticks}-g{self.gen_seed}"
@@ -85,32 +96,19 @@ class InstanceSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "InstanceSpec":
-        """Inverse of to_json; integer fields and params must be true ints,
-        as in graph JSON."""
+        """Inverse of to_json; the constructor checks the integer fields."""
         if "family" not in obj:
             raise ValueError("missing field 'family' in instance spec")
-        params = dict(obj.get("params", {}))
-        for key in INT_PARAMS:
-            if key in params:
-                _int_field(params, key, "instance spec params")
-        bottlenecks = params.get("bottlenecks", [])
-        if not isinstance(bottlenecks, (list, tuple)) or any(
-            type(b) is not int for b in bottlenecks
-        ):
-            raise ValueError(
-                "bad field 'bottlenecks' in instance spec params: "
-                f"expected a list of integers, got {bottlenecks!r}"
-            )
         return InstanceSpec(
             family=str(obj["family"]),
-            n=_int_or(obj, "n", 0),
-            d=_int_or(obj, "d", DEFAULT_D),
-            m_ticks=_int_or(obj, "m_ticks", DEFAULT_M_TICKS),
+            n=obj.get("n", 0),
+            d=obj.get("d", DEFAULT_D),
+            m_ticks=obj.get("m_ticks", DEFAULT_M_TICKS),
             quantum=Fraction(str(obj.get("quantum", 1))),
             rho_s=Fraction(str(obj.get("rho_s", Fraction(1, 5)))),
             rho_t=Fraction(str(obj.get("rho_t", Fraction(1, 5)))),
-            gen_seed=_int_or(obj, "gen_seed", 0),
-            params=params,
+            gen_seed=obj.get("gen_seed", 0),
+            params=dict(obj.get("params", {})),
         )
 
 
@@ -139,8 +137,8 @@ def _coin_color(rng: random.Random, rho_s: Fraction, rho_t: Fraction) -> str:
 
 
 def _gen_path_bundle(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
-    bottlenecks = [int(b) for b in spec.params.get("bottlenecks", (1,) * max(spec.n, 1))]
-    path_len = int(spec.params.get("path_len", 3))
+    bottlenecks = spec.params.get("bottlenecks", (1,) * max(spec.n, 1))
+    path_len = spec.params.get("path_len", 3)
     if path_len < 1:
         raise ValueError(f"bad field 'path_len': must be >= 1, got {path_len}")
     for b in bottlenecks:
@@ -162,11 +160,11 @@ def _gen_path_bundle(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
 
 
 def _gen_grid(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
-    rows = int(spec.params.get("rows", 0))
-    cols = int(spec.params.get("cols", 0))
+    rows = spec.params.get("rows", 0)
+    cols = spec.params.get("cols", 0)
     if rows < 1 or cols < 1:
         raise ValueError("bad field 'rows'/'cols': grid needs rows >= 1 and cols >= 1")
-    cap_min = int(spec.params.get("cap_min", 0))
+    cap_min = spec.params.get("cap_min", 0)
     rng = random.Random(spec.gen_seed)
     nodes = []
     for r in range(rows):
@@ -196,8 +194,8 @@ def _gen_random_bounded(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
     # Two matching rounds by default: keeps candidate-path populations small
     # enough that chain depths stay O(l) at desk scale.  Raise `rounds`
     # (up to d) for denser graphs; the depth tail grows steeply with it.
-    rounds = int(spec.params.get("rounds", 2))
-    cap_min = int(spec.params.get("cap_min", 0))
+    rounds = spec.params.get("rounds", 2)
+    cap_min = spec.params.get("cap_min", 0)
     rng = random.Random(spec.gen_seed)
     nodes = tuple(
         Node(i, _coin_color(rng, spec.rho_s, spec.rho_t)) for i in range(spec.n)
@@ -220,12 +218,12 @@ def _gen_random_bounded(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
 
 
 def _gen_layered(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
-    layers = int(spec.params.get("layers", 4))
-    width = int(spec.params.get("width", 4))
+    layers = spec.params.get("layers", 4)
+    width = spec.params.get("width", 4)
     if layers < 2 or width < 1:
         raise ValueError("bad field 'layers'/'width': layered needs layers >= 2, width >= 1")
-    fanout = int(spec.params.get("fanout", 2))
-    cap_min = int(spec.params.get("cap_min", 0))
+    fanout = spec.params.get("fanout", 2)
+    cap_min = spec.params.get("cap_min", 0)
     rng = random.Random(spec.gen_seed)
     nodes = []
     for layer in range(layers):

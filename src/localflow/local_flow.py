@@ -7,9 +7,9 @@ whose chain depth reaches the threshold s, which is what confines each edge's
 final value to a ball around it.  ``LocalEvaluator`` computes that value
 without a sweep, as a memoised query tree over the paths through the edge and
 their predecessors, reading nothing beyond s*(l-1) hops of the edge.
-``local_f2_edge`` runs it on the ball of radius s*l alone, and
-``verify_locality`` checks edge by edge that this reproduces the global run
-bit for bit.
+``local_f2_edge`` runs it on the ball of radius s*l alone, read in place in
+g rather than built as a graph, and ``verify_locality`` checks edge by edge
+that this reproduces the global run bit for bit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
+from typing import AbstractSet, NamedTuple
 
 from .graph_core import (
     AB,
@@ -27,7 +27,6 @@ from .graph_core import (
     Edge,
     Flow,
     ball_nodes,
-    induced_subgraph,
     validate_flow,
 )
 from .parallel import parallel_map
@@ -158,15 +157,16 @@ def local_f2_edge(
 ) -> int:
     """Value of the skipping run at e, computed inside the ball h_{s*l}(e) only.
 
-    The evaluator on the ball sees the same labels as a global run because
-    ids are preserved, so (by the locality argument in ``LocalEvaluator``)
-    the result equals the global value exactly.  ``radius`` overrides the
-    default s*l for negative controls.
+    The evaluator reads only the ball's nodes and the edges between them,
+    with their ids, so it sees the same labels as a global run, and (by the
+    locality argument in ``LocalEvaluator``) the result equals the global
+    value exactly.  ``radius`` overrides the default s*l for negative
+    controls.
     """
     l = cfg.resolve_l(g)
     s = cfg.require_s()
     rad = s * l if radius is None else radius
-    return LocalEvaluator(induced_subgraph(g, ball_nodes(g, e, rad)), l, s).f2_on(e, cfg.seed)
+    return LocalEvaluator(g, l, s, ball_nodes(g, e, rad)).f2_on(e, cfg.seed)
 
 
 class LocalityMismatch(NamedTuple):
@@ -198,8 +198,8 @@ def verify_locality(
 
     One global A2, then one ``LocalEvaluator`` per distinct ball among the
     sampled edges (edges whose balls coincide share it, which cannot change
-    any value: an evaluation depends only on the induced subgraph and the
-    seed).  ``radius`` and ``local_seed`` exist for negative controls.
+    any value: an evaluation depends only on the ball and the seed).
+    ``radius`` and ``local_seed`` exist for negative controls.
     """
     l = cfg.resolve_l(g)
     s = cfg.require_s()
@@ -213,7 +213,7 @@ def verify_locality(
         by_ball.setdefault(ball_nodes(g, ref, rad), []).append(ref)
 
     def evaluate(ball: frozenset[int]) -> list[tuple[DirectedEdgeRef, int]]:
-        ev = LocalEvaluator(induced_subgraph(g, ball), l, s)
+        ev = LocalEvaluator(g, l, s, ball)
         return [(ref, ev.f2_on(ref, seed)) for ref in by_ball[ball]]
 
     local: dict[DirectedEdgeRef, int] = {}
@@ -260,27 +260,38 @@ class LocalEvaluator:
     endpoints, and its value is the same on g and on any induced subgraph
     that holds the radius-s*(l-1) ball, the default radius s*l included.
 
-    The lists of paths through an edge are built once per edge id and shared
-    by both orientations and every seed; order keys, capped depths and
-    amounts are memoised per seed.  The graph is valid by construction, so
-    its nodes and edges are read unchecked; every path, amount and returned
-    value is checked against the invariants of a valid flow.
+    Given ``ball``, the evaluator reads g as the subgraph induced by it: a
+    node's steps keep only the edges whose other endpoint is in the ball,
+    and an edge with an endpoint outside it raises ``ValueError``, as it
+    would on ``induced_subgraph(g, ball)``, which is never built.
+
+    One layered search per node finds both the walks from S nodes into it
+    and the walks from it to T nodes.  A path is known by its signed edge
+    ids: one found again through another of its edges is looked up, and only
+    a new one gets a canonical key.  The lists of paths through an edge are
+    built once per edge id and shared by both orientations and every seed;
+    order keys, capped depths and amounts are memoised per seed.  The graph
+    is valid by construction, so its nodes and edges are read unchecked;
+    every path, amount and returned value is checked against the invariants
+    of a valid flow.
     Every table entry is a pure function of its key and is stored only once
     complete, so the threads of ``parallel_map`` share one evaluator without
     a lock: at worst two of them compute the same entry.
     """
 
-    def __init__(self, g: ColoredGraph, l: int, s: int):
+    def __init__(self, g: ColoredGraph, l: int, s: int, ball: AbstractSet[int] | None = None):
         self.g = g
         self.l = RunConfig(l=l).resolve_l(g)
         self.s = RunConfig(s=s).require_s()
+        self.ball = ball
+        # node -> (color, ((neighbour, (edge id, +1 if the step runs AB else -1)), ...))
         self._steps: dict[int, tuple[str, tuple]] = {}
         self._edges: dict[int, Edge] = {}
-        self._refs: dict[int, tuple[DirectedEdgeRef, DirectedEdgeRef]] = {}  # (AB, BA)
-        # canonical key -> ((edge id, +1 for AB / -1 for BA), ...) along the path
+        # a path's signed edge ids -> the path; its canonical key -> the ids
+        self._paths: dict[tuple[tuple[int, int], ...], AugPathCandidate] = {}
         self._signs: dict[bytes, tuple[tuple[int, int], ...]] = {}
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
-        self._walk_memo: dict[tuple[int, bool], list[tuple]] = {}
+        self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
         self._tables: dict[int, _SeedTables] = {}
 
     def f2_on(self, e: DirectedEdgeRef, seed: int) -> int:
@@ -374,86 +385,90 @@ class LocalEvaluator:
         e = self._edge(eid)
         found = []
         for tail, head, sign in ((e.a, e.b, 1), (e.b, e.a, -1)):
-            prefixes = self._walks(tail, backward=True)
+            prefixes = self._walks(tail)[0]
             if not prefixes:
                 continue
-            ref = self._refs[eid][0 if sign > 0 else 1]
-            suffixes = self._walks(head, backward=False)
+            suffixes = self._walks(head)[1]
             for p_nodes, p_edges in prefixes:
                 room = self.l - 1 - len(p_edges)
                 on_prefix = set(p_nodes)
+                through = p_edges + ((eid, sign),)
                 for s_nodes, s_edges in suffixes:
                     if len(s_edges) > room:
                         break
                     if on_prefix.isdisjoint(s_nodes):
-                        found.append((self._path(p_nodes + s_nodes, p_edges + (ref,) + s_edges),
-                                      sign))
+                        signed = through + s_edges
+                        u = self._paths.get(signed) or self._path(p_nodes + s_nodes, signed)
+                        found.append((u, sign))
         return found
 
-    def _walks(self, start: int, backward: bool) -> list[tuple]:
-        """(nodes, edges) of every vertex-simple walk of at most l-1 edges
-        from start to a T node, or from an S node backward into start,
-        shortest first; grown one edge per layer, once per start and direction."""
-        got = self._walk_memo.get((start, backward))
+    def _walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
+        """(into, out of) v: the (nodes, signed edges) of every vertex-simple
+        walk of at most l-1 edges from an S node into v, and from v to a T
+        node, shortest first.  One layered search from v finds both: a walk
+        that ends at an S node is kept reversed."""
+        got = self._walk_memo.get(v)
         if got is None:
-            end_color = "S" if backward else "T"
             read = self._steps.get
-            got = []
-            layer = [((start,), ())]
+            into: list[tuple] = []
+            out: list[tuple] = []
+            layer = [((v,), ())]
             for length in range(self.l):
                 grown = []
                 for nodes, edges in layer:
-                    here = nodes[0] if backward else nodes[-1]
-                    color, steps = read(here) or self._node(here)
-                    if color == end_color:
-                        got.append((nodes, edges))
+                    color, steps = read(nodes[-1]) or self._node(nodes[-1])
+                    if color == "T":
+                        out.append((nodes, edges))
+                    elif color == "S":
+                        back = tuple((eid, -sign) for eid, sign in reversed(edges))
+                        into.append((nodes[::-1], back))
                     if length == self.l - 1:
                         continue
-                    for nxt, leaving, entering in steps:
+                    for nxt, step in steps:
                         if nxt not in nodes:
-                            if backward:
-                                grown.append(((nxt,) + nodes, (entering,) + edges))
-                            else:
-                                grown.append((nodes + (nxt,), edges + (leaving,)))
+                            grown.append((nodes + (nxt,), edges + (step,)))
                 layer = grown
-            self._walk_memo[(start, backward)] = got
+            got = self._walk_memo[v] = (into, out)
         return got
 
-    def _path(self, nodes: tuple[int, ...], edges: tuple[DirectedEdgeRef, ...]) -> AugPathCandidate:
-        u = make_path(nodes, edges)
+    def _path(
+        self, nodes: tuple[int, ...], signed: tuple[tuple[int, int], ...]
+    ) -> AugPathCandidate:
+        """The path not seen before with these nodes and signed edges, checked."""
+        u = make_path(nodes, tuple(DirectedEdgeRef(eid, AB if sign > 0 else BA)
+                                   for eid, sign in signed))
         key = u.canonical_key
-        if key not in self._signs:
-            if self._node(nodes[0])[0] != "S" or self._node(nodes[-1])[0] != "T":
-                raise AssertionError(f"path {key!r} does not run from S to T")
-            for x, ref, y in zip(nodes, edges, nodes[1:]):
-                e = self._edges[ref.edge_id]
-                if (e.a, e.b) != ((x, y) if ref.orientation == AB else (y, x)):
-                    raise AssertionError(f"edge {e.id} does not join {x} and {y} in path {key!r}")
-            self._signs[key] = tuple(
-                (ref.edge_id, 1 if ref.orientation == AB else -1) for ref in edges
-            )
+        if self._node(nodes[0])[0] != "S" or self._node(nodes[-1])[0] != "T":
+            raise AssertionError(f"path {key!r} does not run from S to T")
+        for x, (eid, sign), y in zip(nodes, signed, nodes[1:]):
+            e = self._edges[eid]
+            if (e.a, e.b) != ((x, y) if sign > 0 else (y, x)):
+                raise AssertionError(f"edge {e.id} does not join {x} and {y} in path {key!r}")
+        self._signs[key] = signed
+        self._paths[signed] = u
         return u
 
     def _node(self, v: int) -> tuple[str, tuple]:
-        """(color, steps) of node v; a step is (other endpoint, ref leaving v,
-        ref entering v)."""
+        """(color, steps) of node v, keeping only the edges inside the ball."""
         got = self._steps.get(v)
         if got is None:
-            nd = self.g.node(v)
+            g, ball = self.g, self.ball
             steps = []
-            for eid in self.g._incident[v]:
-                e = self._edge(eid)
-                ab, ba = self._refs[eid]
-                steps.append((e.b, ab, ba) if e.a == v else (e.a, ba, ab))
-            got = self._steps[v] = (nd.color, tuple(steps))
+            for eid in g._incident[v]:
+                e = g._edge_by_id[eid]
+                nxt, sign = (e.b, 1) if e.a == v else (e.a, -1)
+                if ball is None or nxt in ball:
+                    self._edges[eid] = e
+                    steps.append((nxt, (eid, sign)))
+            got = self._steps[v] = (g.node(v).color, tuple(steps))
         return got
 
     def _edge(self, eid: int) -> Edge:
         got = self._edges.get(eid)
         if got is None:
             got = self.g.edge(eid)
-            # Published after its refs: parallel_map threads share the tables.
-            self._refs[eid] = (DirectedEdgeRef(eid, AB), DirectedEdgeRef(eid, BA))
+            if self.ball is not None and (got.a not in self.ball or got.b not in self.ball):
+                raise ValueError(f"unknown edge id {eid}")
             self._edges[eid] = got
         return got
 

@@ -379,13 +379,7 @@ def test_an_existing_graph_is_never_validated_again(monkeypatch):
     run_a2(g, run_cfg)
     enumerate_paths(g, 4)
     max_flow(g)
-    assert validated == []  # none of these builds a graph
-
-    # Local queries build each ball once; the ball, not g, is checked then.
+    # Local queries read each ball in place, so they build no graph either.
     local_f2_edge(g, refs[0], run_cfg)
-    assert len(validated) == 1 and validated[0] is not g
-    del validated[:]
     verify_locality(g, run_cfg, refs, radius=2)
-    balls = {ball_nodes(g, ref, 2) for ref in refs}
-    assert len(validated) == len(balls)
-    assert all(h is not g for h in validated)
+    assert validated == []  # none of these builds a graph

@@ -82,7 +82,7 @@ def test_spec_json_round_trip():
         assert InstanceSpec.from_json(json.loads(json.dumps(spec.to_json()))) == spec
 
 
-@pytest.mark.parametrize("obj, field", [
+NON_INTEGER_FIELDS = [
     ({"n": 30.9}, "n"),
     ({"n": "30"}, "n"),
     ({"d": 4.0}, "d"),
@@ -93,10 +93,21 @@ def test_spec_json_round_trip():
     ({"params": {"cap_min": False}}, "cap_min"),
     ({"params": {"bottlenecks": [2, 3.0]}}, "bottlenecks"),
     ({"params": {"bottlenecks": 3}}, "bottlenecks"),
-])
+    ({"params": {"rows": 6.7, "cols": 8}}, "rows"),
+]
+
+
+@pytest.mark.parametrize("obj, field", NON_INTEGER_FIELDS)
 def test_spec_json_takes_only_true_integers(obj, field):
     with pytest.raises(ValueError, match=f"bad field '{field}'"):
         InstanceSpec.from_json({"family": "random_bounded", **obj})
+
+
+@pytest.mark.parametrize("obj, field", NON_INTEGER_FIELDS)
+def test_spec_built_in_python_takes_only_true_integers(obj, field):
+    """The generators read the fields as they are, so none is coerced."""
+    with pytest.raises(ValueError, match=f"bad field '{field}'"):
+        InstanceSpec("grid", **obj)
 
 
 def test_rational_rendering():

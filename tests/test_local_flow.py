@@ -436,3 +436,91 @@ def test_query_tree_stays_within_radius_s_times_l_minus_one():
         for e in g.edges:
             ref = DirectedEdgeRef(e.id, "AB")
             assert evaluators[e.id].f2_on(ref, seed) == f2.on(ref), (ref, seed)
+
+
+def test_local_queries_build_no_graph(monkeypatch):
+    g, _ = generate(random_spec(573, n=60, params={"rounds": 2}))
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    cfg = RunConfig(l=3, s=2, seed=5)
+    f2, _ = run_a2(g, cfg)
+    built: list[ColoredGraph] = []
+    real = ColoredGraph.__post_init__
+
+    def counting(h):
+        built.append(h)
+        real(h)
+
+    monkeypatch.setattr(ColoredGraph, "__post_init__", counting)
+    assert [local_f2_edge(g, ref, cfg) for ref in refs] == [f2.on(ref) for ref in refs]
+    assert verify_locality(g, cfg, refs).passed
+    assert built == []
+
+
+@pytest.mark.parametrize("spec,l,s", [
+    (None, 6, 3),
+    (InstanceSpec("grid", gen_seed=8032, params={"rows": 4, "cols": 7}), 5, 2),
+], ids=["ac5", "grid"])
+def test_ball_view_equals_evaluator_on_induced_subgraph(spec, l, s):
+    """Every radius up to s*l, the too-small ones of the negative controls too."""
+    g = ac5_instance() if spec is None else generate(spec)[0]
+    refs = [DirectedEdgeRef(e.id, o) for e in g.edges for o in ("AB", "BA")]
+    for radius in range(s * l + 1):
+        by_ball: dict[frozenset[int], list[DirectedEdgeRef]] = {}
+        for ref in refs:
+            by_ball.setdefault(ball_nodes(g, ref, radius), []).append(ref)
+        for ball, ball_refs in by_ball.items():
+            view = LocalEvaluator(g, l, s, ball)
+            sub = LocalEvaluator(induced_subgraph(g, ball), l, s)
+            for seed in (1, 2, 3):
+                for ref in ball_refs:
+                    assert view.f2_on(ref, seed) == sub.f2_on(ref, seed), (ref, radius, seed)
+
+
+def test_ball_view_refuses_an_edge_outside_the_ball():
+    g = line_graph("SRRRT")
+    ball = ball_nodes(g, DirectedEdgeRef(0, "AB"), 1)  # nodes 0, 1, 2
+    sub = induced_subgraph(g, ball)
+    for eid in (2, 3, 12):  # one endpoint outside, both outside, no such edge
+        for ev in (LocalEvaluator(g, 3, 2, ball), LocalEvaluator(sub, 3, 2)):
+            with pytest.raises(ValueError, match=f"unknown edge id {eid}"):
+                ev.f2_on(DirectedEdgeRef(eid, "AB"), 1)
+    assert LocalEvaluator(g, 3, 2, ball).f2_on(DirectedEdgeRef(1, "BA"), 1) == 0
+
+
+def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
+    g, _ = generate(random_spec(574, n=60, params={"rounds": 3}))
+    refs = [DirectedEdgeRef(e.id, o) for e in g.edges[:20] for o in ("AB", "BA")]
+
+    def counts() -> tuple[int, int, int, int]:
+        built: list[bytes] = []
+        searched: list[int] = []
+        real_make_path = local_flow_module.make_path
+        real_walks = LocalEvaluator._walks
+
+        def making(nodes, edges):
+            u = real_make_path(nodes, edges)
+            built.append(u.canonical_key)
+            return u
+
+        def walking(self, v, *rest, **kw):
+            before = len(self._walk_memo)
+            got = real_walks(self, v, *rest, **kw)
+            if len(self._walk_memo) > before:
+                searched.append(v)
+            return got
+
+        monkeypatch.setattr(local_flow_module, "make_path", making)
+        monkeypatch.setattr(LocalEvaluator, "_walks", walking)
+        ev = LocalEvaluator(g, 4, 3)
+        for seed in (1, 2):
+            for ref in refs:
+                ev.f2_on(ref, seed)
+        monkeypatch.undo()
+        assert len(built) == len(set(built)) == len(ev._signs)  # one make_path per path
+        assert len(searched) == len(set(searched))  # one walk search per node
+        assert set(searched) <= set(ev._steps)  # ... and only of nodes read
+        return len(built), len(searched), len(ev._steps), len(ev._through)
+
+    first = counts()
+    assert first == counts()  # deterministic
+    assert first[0] > 0 and first[1] > 0
