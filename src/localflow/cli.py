@@ -23,9 +23,9 @@ from .exact_oracle import max_flow
 from .graph_core import (
     ColoredGraph,
     DirectedEdgeRef,
+    _source_outflow,
     dumps_json,
     flow_to_json,
-    flow_value,
     graph_from_json,
     graph_to_json,
 )
@@ -134,7 +134,7 @@ def _cmd_run(args: argparse.Namespace, variant: str) -> int:
     g = _load_graph(args.graph)
     cfg = _run_config(args, need_s=(variant == "a2"))
     flow, trace = (run_a1 if variant == "a1" else run_a2)(g, cfg)
-    print(flow_value(g, flow))
+    print(_source_outflow(g, flow))  # the run has validated its flow
     if args.out:
         _write_text(args.out, dumps_json(flow_to_json(flow)))
     if args.trace:
@@ -236,12 +236,12 @@ def _cmd_dump_paths(args: argparse.Namespace) -> int:
                    key=lambda pair: pair[0])
     depths = _chain_depths(u for _, u in keyed)
     lines = []
-    for key, u in keyed:
+    for (key, u), depth in zip(keyed, depths):
         lines.append(json.dumps({
             "nodes": list(u.nodes),
             "length": u.length,
             "hash": key.hash_label,
-            "depth": depths[u.canonical_key],
+            "depth": depth,
         }))
     _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0

@@ -16,7 +16,7 @@ from .graph_core import (
     BA,
     ColoredGraph,
     Flow,
-    flow_value,
+    _source_outflow,
     validate_flow,
 )
 
@@ -116,7 +116,7 @@ def max_flow(g: ColoredGraph) -> MaxFlowResult:
     validate_flow(g, f).raise_if_invalid("max-flow output")
 
     cut = _residual_reachable(g, f)
-    return MaxFlowResult(flow=f, value=int(flow_value(g, f)), residual_cut=frozenset(cut))
+    return MaxFlowResult(flow=f, value=int(_source_outflow(g, f)), residual_cut=frozenset(cut))
 
 
 def _residual_reachable(g: ColoredGraph, f: Flow) -> set[int]:

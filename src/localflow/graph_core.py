@@ -115,13 +115,6 @@ class ColoredGraph:
     def nodes_of_color(self, color: str) -> list[int]:
         return sorted(nd.id for nd in self.nodes if nd.color == color)
 
-    def neighbors(self, node_id: int) -> list[int]:
-        out = []
-        for eid in self._incident[node_id]:
-            e = self._edge_by_id[eid]
-            out.append(e.b if e.a == node_id else e.a)
-        return out
-
 
 @dataclass(frozen=True, eq=False)
 class Flow:
@@ -230,19 +223,22 @@ def out_edges(g: ColoredGraph, v: int) -> list[DirectedEdgeRef]:
 
 
 def _ball_nodes(g: ColoredGraph, starts: Iterable[int], r: int) -> set[int]:
-    dist = {v: 0 for v in starts}
-    frontier = list(dist)
-    for layer in range(1, r + 1):
+    incident, edge_by_id = g._incident, g._edge_by_id
+    seen = set(starts)
+    frontier = list(seen)
+    for _ in range(r):
         nxt = []
         for u in frontier:
-            for w in g.neighbors(u):
-                if w not in dist:
-                    dist[w] = layer
+            for eid in incident[u]:
+                e = edge_by_id[eid]
+                w = e.b if e.a == u else e.a
+                if w not in seen:
+                    seen.add(w)
                     nxt.append(w)
         if not nxt:
             break
         frontier = nxt
-    return set(dist)
+    return seen
 
 
 def induced_subgraph(g: ColoredGraph, node_ids: AbstractSet[int]) -> ColoredGraph:
@@ -308,8 +304,13 @@ def validate_flow(g: ColoredGraph, f: Flow) -> ValidationReport:
 
 
 def flow_value(g: ColoredGraph, f: Flow) -> Ticks:
-    """Total net outflow of the sources, in ticks."""
+    """Total net outflow of the sources, in ticks; raises on an invalid flow."""
     validate_flow(g, f).raise_if_invalid("flow")
+    return _source_outflow(g, f)
+
+
+def _source_outflow(g: ColoredGraph, f: Flow) -> Ticks:
+    """``flow_value`` of a flow already validated on g, read without a check."""
     total: Ticks = 0
     for s in g.nodes_of_color("S"):
         total += _net_out(g, f, s)

@@ -17,11 +17,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import AbstractSet, NamedTuple
 
 from .graph_core import (
     AB,
-    BA,
     ColoredGraph,
     DirectedEdgeRef,
     Edge,
@@ -34,6 +34,7 @@ from .path_engine import (
     AugPathCandidate,
     OrderKey,
     _chain_depths,
+    _key_order,
     enumerate_paths,
     make_path,
     path_key,
@@ -109,37 +110,61 @@ class RunTrace:
 def _sweep(
     g: ColoredGraph, l: int, seed: int, skip_threshold: int | None
 ) -> tuple[Flow, RunTrace]:
-    """Shared A1/A2 engine; skip_threshold None means never skip."""
-    paths = enumerate_paths(g, l)
-    order = sorted(paths, key=lambda u: path_key(u, seed))
-    depths = _chain_depths(order) if skip_threshold is not None else None
+    """Shared A1/A2 engine; skip_threshold None means never skip.
 
-    edge_of = {e.id: e for e in g.edges}
-    f: dict[int, int] = {}
+    One pass over the paths in key order.  The residual capacities of the
+    arcs live in one dict: a path's amount is the least residual over its
+    arcs, and augmenting by it moves that much from each arc to its reverse.
+    A2's chain depths are computed in the same pass, path by path.
+    """
+    order = _key_order(enumerate_paths(g, l), seed)
+    if skip_threshold is None:
+        depths, skip_threshold = repeat(0), 1  # every path is below depth 1
+    else:
+        depths = _chain_depths(order)
+
+    res = _Residuals(g)
+    room = res.__getitem__
+    new_entry = tuple.__new__  # a TraceEntry without its Python-level __new__
     entries: list[TraceEntry] = []
-    for u in order:
-        if depths is not None and depths[u.canonical_key] >= skip_threshold:
-            entries.append(TraceEntry(u.canonical_key, SKIPPED_CHAIN, 0))
+    append = entries.append
+    for u, depth in zip(order, depths):
+        ck = u.canonical_key
+        if depth >= skip_threshold:
+            append(new_entry(TraceEntry, (ck, SKIPPED_CHAIN, 0)))
             continue
-        amount: int | None = None
-        for ref in u.edges:
-            e = edge_of[ref.edge_id]
-            got = f.get(ref.edge_id, 0)
-            room = e.cap_ab - got if ref.orientation == "AB" else e.cap_ba + got
-            if amount is None or room < amount:
-                amount = room
-        assert amount is not None and amount >= 0
-        if amount > 0:
-            for ref in u.edges:
-                delta = amount if ref.orientation == "AB" else -amount
-                f[ref.edge_id] = f.get(ref.edge_id, 0) + delta
-            entries.append(TraceEntry(u.canonical_key, AUGMENTED, amount))
+        arcs = u.arcs
+        amount = min(map(room, arcs))
+        if amount < 0:
+            raise AssertionError(f"negative amount {amount} on path {ck!r}")
+        if amount:
+            for arc in arcs:
+                res[arc] -= amount
+                res[arc ^ 1] += amount
+            append(new_entry(TraceEntry, (ck, AUGMENTED, amount)))
         else:
-            entries.append(TraceEntry(u.canonical_key, ZERO_CAPACITY, 0))
+            append(new_entry(TraceEntry, (ck, ZERO_CAPACITY, 0)))
 
-    flow = Flow({eid: v for eid, v in f.items() if v != 0})
+    # Augmenting reaches both arcs of every edge it changes.
+    edge = g._edge_by_id
+    flow = Flow({arc >> 1: edge[arc >> 1].cap_ab - left for arc, left in res.items()
+                 if not arc & 1 and left != edge[arc >> 1].cap_ab})
     validate_flow(g, flow).raise_if_invalid("run output flow")
     return flow, RunTrace(tuple(entries))
+
+
+class _Residuals(dict):
+    """Residual capacity by arc, read from g's capacities on first use, so a
+    sweep holds entries only for the arcs its paths reach."""
+
+    def __init__(self, g: ColoredGraph):
+        super().__init__()
+        self.edge_by_id = g._edge_by_id
+
+    def __missing__(self, arc: int) -> int:
+        e = self.edge_by_id[arc >> 1]
+        got = self[arc] = e.cap_ba if arc & 1 else e.cap_ab
+        return got
 
 
 def run_a1(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
@@ -266,14 +291,14 @@ class LocalEvaluator:
     would on ``induced_subgraph(g, ball)``, which is never built.
 
     One layered search per node finds both the walks from S nodes into it
-    and the walks from it to T nodes.  A path is known by its signed edge
-    ids: one found again through another of its edges is looked up, and only
-    a new one gets a canonical key.  The lists of paths through an edge are
-    built once per edge id and shared by both orientations and every seed;
-    order keys, capped depths and amounts are memoised per seed.  The graph
-    is valid by construction, so its nodes and edges are read unchecked;
-    every path, amount and returned value is checked against the invariants
-    of a valid flow.
+    and the walks from it to T nodes; a reversed walk reverses each arc
+    (``arc ^ 1``).  A path is known by its arcs: one found again through
+    another of its edges is looked up, and only a new one gets a canonical
+    key.  The lists of paths through an edge are built once per edge id and
+    shared by both orientations and every seed; order keys, capped depths
+    and amounts are memoised per seed.  The graph is valid by construction,
+    so its nodes and edges are read unchecked; every path, amount and
+    returned value is checked against the invariants of a valid flow.
     Every table entry is a pure function of its key and is stored only once
     complete, so the threads of ``parallel_map`` share one evaluator without
     a lock: at worst two of them compute the same entry.
@@ -284,12 +309,11 @@ class LocalEvaluator:
         self.l = RunConfig(l=l).resolve_l(g)
         self.s = RunConfig(s=s).require_s()
         self.ball = ball
-        # node -> (color, ((neighbour, (edge id, +1 if the step runs AB else -1)), ...))
+        # node -> (color, ((neighbour, arc leaving the node), ...))
         self._steps: dict[int, tuple[str, tuple]] = {}
         self._edges: dict[int, Edge] = {}
-        # a path's signed edge ids -> the path; its canonical key -> the ids
-        self._paths: dict[tuple[tuple[int, int], ...], AugPathCandidate] = {}
-        self._signs: dict[bytes, tuple[tuple[int, int], ...]] = {}
+        # a path's arcs -> the path
+        self._paths: dict[tuple[int, ...], AugPathCandidate] = {}
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
         self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
         self._tables: dict[int, _SeedTables] = {}
@@ -307,8 +331,8 @@ class LocalEvaluator:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
         return total if e.orientation == AB else -total
 
-    def _ordered(self, t: _SeedTables, eid: int) -> list[tuple[OrderKey, bytes, int]]:
-        """(key, canonical key, sign) of the paths through eid, in key order."""
+    def _ordered(self, t: _SeedTables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
+        """(key, path, sign) of the paths through eid, in key order."""
         got = t.orders.get(eid)
         if got is None:
             keys = t.keys
@@ -318,28 +342,29 @@ class LocalEvaluator:
                 k = keys.get(ck)
                 if k is None:
                     k = keys[ck] = path_key(u, t.seed)
-                got.append((k, ck, sign))
-            got.sort()
+                got.append((k, u, sign))
+            got.sort()  # keys are distinct, so paths are never compared
             t.orders[eid] = got
         return got
 
-    def _depth(self, t: _SeedTables, u: bytes, k: int) -> int:
+    def _depth(self, t: _SeedTables, u: AugPathCandidate, k: int) -> int:
         """h(u, k): u's chain depth capped at k."""
         if k == 1:
             return 1
         memo = t.depths[k]
-        got = memo.get(u)
+        ck = u.canonical_key
+        got = memo.get(ck)
         if got is None:
-            got = memo[u] = self._compute_depth(t, u, k)
+            got = memo[ck] = self._compute_depth(t, u, k)
         return got
 
-    def _compute_depth(self, t: _SeedTables, u: bytes, k: int) -> int:
+    def _compute_depth(self, t: _SeedTables, u: AugPathCandidate, k: int) -> int:
         """h(u, k) for k >= 2, from u's predecessors."""
-        ku = t.keys[u]
+        ku = t.keys[u.canonical_key]
         best = 0
         # Edges whose lists are already ordered first: a deep enough
         # predecessor there ends the search before any new list is built.
-        eids = [eid for eid, _ in self._signs[u]]
+        eids = [arc >> 1 for arc in u.arcs]
         eids.sort(key=lambda eid: eid not in t.orders)
         for eid in eids:
             for kv, v, _ in self._ordered(t, eid):
@@ -352,24 +377,26 @@ class LocalEvaluator:
                     best = got
         return best + 1
 
-    def _amount(self, t: _SeedTables, u: bytes) -> int:
+    def _amount(self, t: _SeedTables, u: AugPathCandidate) -> int:
         """What A2 augments u by; u must be unskipped."""
-        got = t.amounts.get(u)
+        ck = u.canonical_key
+        got = t.amounts.get(ck)
         if got is None:
-            ku = t.keys[u]
-            for eid, sign in self._signs[u]:
+            ku = t.keys[ck]
+            for arc in u.arcs:
+                eid = arc >> 1
                 f_ab = 0
                 for kv, v, v_sign in self._ordered(t, eid):
                     if kv >= ku:
                         break
                     f_ab += v_sign * self._amount(t, v)
                 e = self._edges[eid]
-                room = e.cap_ab - f_ab if sign > 0 else e.cap_ba + f_ab
+                room = e.cap_ba + f_ab if arc & 1 else e.cap_ab - f_ab
                 if got is None or room < got:
                     got = room
             if got is None or got < 0:
-                raise AssertionError(f"negative amount {got} on path {u!r}")
-            t.amounts[u] = got
+                raise AssertionError(f"negative amount {got} on path {ck!r}")
+            t.amounts[ck] = got
         return got
 
     def _paths_through(self, eid: int) -> tuple[tuple[AugPathCandidate, int], ...]:
@@ -384,26 +411,26 @@ class LocalEvaluator:
         an S-to-tail walk, the edge, then a node-disjoint head-to-T walk."""
         e = self._edge(eid)
         found = []
-        for tail, head, sign in ((e.a, e.b, 1), (e.b, e.a, -1)):
+        for tail, head, arc, sign in ((e.a, e.b, 2 * eid, 1), (e.b, e.a, 2 * eid + 1, -1)):
             prefixes = self._walks(tail)[0]
             if not prefixes:
                 continue
             suffixes = self._walks(head)[1]
-            for p_nodes, p_edges in prefixes:
-                room = self.l - 1 - len(p_edges)
+            for p_nodes, p_arcs in prefixes:
+                room = self.l - 1 - len(p_arcs)
                 on_prefix = set(p_nodes)
-                through = p_edges + ((eid, sign),)
-                for s_nodes, s_edges in suffixes:
-                    if len(s_edges) > room:
+                through = p_arcs + (arc,)
+                for s_nodes, s_arcs in suffixes:
+                    if len(s_arcs) > room:
                         break
                     if on_prefix.isdisjoint(s_nodes):
-                        signed = through + s_edges
-                        u = self._paths.get(signed) or self._path(p_nodes + s_nodes, signed)
+                        arcs = through + s_arcs
+                        u = self._paths.get(arcs) or self._path(p_nodes + s_nodes, arcs)
                         found.append((u, sign))
         return found
 
     def _walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
-        """(into, out of) v: the (nodes, signed edges) of every vertex-simple
+        """(into, out of) v: the (nodes, arcs) of every vertex-simple
         walk of at most l-1 edges from an S node into v, and from v to a T
         node, shortest first.  One layered search from v finds both: a walk
         that ends at an S node is kept reversed."""
@@ -415,37 +442,33 @@ class LocalEvaluator:
             layer = [((v,), ())]
             for length in range(self.l):
                 grown = []
-                for nodes, edges in layer:
+                for nodes, arcs in layer:
                     color, steps = read(nodes[-1]) or self._node(nodes[-1])
                     if color == "T":
-                        out.append((nodes, edges))
+                        out.append((nodes, arcs))
                     elif color == "S":
-                        back = tuple((eid, -sign) for eid, sign in reversed(edges))
+                        back = tuple(arc ^ 1 for arc in reversed(arcs))
                         into.append((nodes[::-1], back))
                     if length == self.l - 1:
                         continue
-                    for nxt, step in steps:
+                    for nxt, arc in steps:
                         if nxt not in nodes:
-                            grown.append((nodes + (nxt,), edges + (step,)))
+                            grown.append((nodes + (nxt,), arcs + (arc,)))
                 layer = grown
             got = self._walk_memo[v] = (into, out)
         return got
 
-    def _path(
-        self, nodes: tuple[int, ...], signed: tuple[tuple[int, int], ...]
-    ) -> AugPathCandidate:
-        """The path not seen before with these nodes and signed edges, checked."""
-        u = make_path(nodes, tuple(DirectedEdgeRef(eid, AB if sign > 0 else BA)
-                                   for eid, sign in signed))
+    def _path(self, nodes: tuple[int, ...], arcs: tuple[int, ...]) -> AugPathCandidate:
+        """The path not seen before with these nodes and arcs, checked."""
+        u = make_path(nodes, arcs)
         key = u.canonical_key
         if self._node(nodes[0])[0] != "S" or self._node(nodes[-1])[0] != "T":
             raise AssertionError(f"path {key!r} does not run from S to T")
-        for x, (eid, sign), y in zip(nodes, signed, nodes[1:]):
-            e = self._edges[eid]
-            if (e.a, e.b) != ((x, y) if sign > 0 else (y, x)):
+        for x, arc, y in zip(nodes, arcs, nodes[1:]):
+            e = self._edges[arc >> 1]
+            if (e.a, e.b) != ((y, x) if arc & 1 else (x, y)):
                 raise AssertionError(f"edge {e.id} does not join {x} and {y} in path {key!r}")
-        self._signs[key] = signed
-        self._paths[signed] = u
+        self._paths[arcs] = u
         return u
 
     def _node(self, v: int) -> tuple[str, tuple]:
@@ -456,10 +479,10 @@ class LocalEvaluator:
             steps = []
             for eid in g._incident[v]:
                 e = g._edge_by_id[eid]
-                nxt, sign = (e.b, 1) if e.a == v else (e.a, -1)
+                nxt, arc = (e.b, 2 * eid) if e.a == v else (e.a, 2 * eid + 1)
                 if ball is None or nxt in ball:
                     self._edges[eid] = e
-                    steps.append((nxt, (eid, sign)))
+                    steps.append((nxt, arc))
             got = self._steps[v] = (g.node(v).color, tuple(steps))
         return got
 
@@ -483,7 +506,7 @@ class _SeedTables:
     def __init__(self, seed: int, s: int):
         self.seed = seed
         self.keys: dict[bytes, OrderKey] = {}
-        # edge id -> (key, canonical key, sign) of the paths through it, in key order
-        self.orders: dict[int, list[tuple[OrderKey, bytes, int]]] = {}
+        # edge id -> (key, path, sign) of the paths through it, in key order
+        self.orders: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}

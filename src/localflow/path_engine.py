@@ -1,11 +1,16 @@
 """Candidate augmenting paths, their deterministic labels, and chain depths.
 
-Paths are vertex-simple directed S->T walks of bounded length.  Each path gets
-a pseudo-random label derived by a keyed hash from its id sequence and a seed;
-because node and edge ids survive subgraph extraction, a path carries the same
-label in the full network and in any ball that contains it.  Ordering is
-(length, label, raw key): label realizes a uniform draw in [0, 1), the raw key
-breaks the measure-zero ties so that no two paths ever compare equal.
+Paths are vertex-simple directed S->T walks of bounded length.  A path holds
+its edges as arcs: edge e read AB is the int 2*e and read BA is 2*e + 1, so an
+arc's edge is ``arc >> 1``, its reversal is ``arc ^ 1``, and residual
+capacities and per-edge tables can live in one flat dict keyed by arc.
+
+Each path gets a pseudo-random label derived by a keyed hash from its id
+sequence and a seed; because node and edge ids survive subgraph extraction, a
+path carries the same label in the full network and in any ball that
+contains it.  Ordering is (length, label, raw key): label realizes a uniform
+draw in [0, 1), the raw key breaks the measure-zero ties so that no two paths
+ever compare equal.
 
 A chain is a sequence of pairwise-consecutively-intersecting paths with
 strictly decreasing order keys; the depth of a path is the length of the
@@ -19,28 +24,38 @@ from __future__ import annotations
 import hashlib
 import weakref
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from functools import lru_cache
+from itertools import repeat
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .graph_core import AB, BA, ColoredGraph, DirectedEdgeRef
 
 _MASK64 = (1 << 64) - 1
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class AugPathCandidate:
-    """A directed S->T path: node sequence plus the oriented edges along it."""
+    """A directed S->T path: node sequence plus the arcs along it.
+
+    Arc 2*e runs edge e from its endpoint a to b (AB), arc 2*e + 1 from b
+    to a (BA); ``edges``, ``edge_ids`` and ``length`` are read off the arcs.
+    """
 
     nodes: tuple[int, ...]
-    edges: tuple[DirectedEdgeRef, ...]
+    arcs: tuple[int, ...]
     canonical_key: bytes
 
     @property
-    def length(self) -> int:
-        return len(self.edges)
+    def edges(self) -> tuple[DirectedEdgeRef, ...]:
+        return tuple(DirectedEdgeRef(arc >> 1, BA if arc & 1 else AB) for arc in self.arcs)
 
     @property
     def edge_ids(self) -> frozenset[int]:
-        return frozenset(ref.edge_id for ref in self.edges)
+        return frozenset(arc >> 1 for arc in self.arcs)
+
+    @property
+    def length(self) -> int:
+        return len(self.arcs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, AugPathCandidate):
@@ -51,19 +66,19 @@ class AugPathCandidate:
         return hash(self.canonical_key)
 
 
-def make_path(nodes: Sequence[int], edges: Sequence[DirectedEdgeRef]) -> AugPathCandidate:
+def make_path(nodes: Sequence[int], arcs: Sequence[int]) -> AugPathCandidate:
     """Build a candidate, deriving its canonical byte key.
 
     The key interleaves node and edge ids ("n0,e0,n1,e1,...,nk") so it stays
     injective when parallel edges give two paths the same node sequence.
     """
-    if len(nodes) != len(edges) + 1:
+    if len(nodes) != len(arcs) + 1:
         raise ValueError("path must have one more node than edges")
     parts: list[str] = [str(nodes[0])]
-    for ref, nxt in zip(edges, nodes[1:]):
-        parts.append(str(ref.edge_id))
+    for arc, nxt in zip(arcs, nodes[1:]):
+        parts.append(str(arc >> 1))
         parts.append(str(nxt))
-    return AugPathCandidate(tuple(nodes), tuple(edges), ",".join(parts).encode("ascii"))
+    return AugPathCandidate(tuple(nodes), tuple(arcs), ",".join(parts).encode("ascii"))
 
 
 class OrderKey(NamedTuple):
@@ -77,12 +92,38 @@ class OrderKey(NamedTuple):
     tiebreak: bytes
 
 
+@lru_cache(maxsize=8)
+def _labeller(seed: int) -> Callable[[bytes], int]:
+    """The 64-bit hash label under a seed, as a function of a canonical key:
+    blake2b keyed by the seed.  The keyed state is built once per seed and
+    copied for each key."""
+    copy = hashlib.blake2b(digest_size=8, key=(seed & _MASK64).to_bytes(8, "big")).copy
+    from_bytes = int.from_bytes
+
+    def label(canonical_key: bytes) -> int:
+        h = copy()
+        h.update(canonical_key)
+        return from_bytes(h.digest(), "big")
+
+    return label
+
+
 def path_key(u: AugPathCandidate, seed: int) -> OrderKey:
     """Deterministic order key; stable across machines, runs and subgraphs."""
-    digest = hashlib.blake2b(
-        u.canonical_key, digest_size=8, key=(seed & _MASK64).to_bytes(8, "big")
-    ).digest()
-    return OrderKey(u.length, int.from_bytes(digest, "big"), u.canonical_key)
+    ck = u.canonical_key
+    return tuple.__new__(OrderKey, (len(u.arcs), _labeller(seed)(ck), ck))
+
+
+def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidate]:
+    """``paths``, given in canonical-key order, sorted by ``path_key``.
+
+    One int per path instead of an ``OrderKey``: (length << 64) | label
+    orders as (length, label) does, since a label is below 2**64.  Paths
+    equal in both keep their input order, because Python's sort is stable,
+    and the input is in canonical-key order, which is path_key's last field.
+    """
+    label = _labeller(seed)
+    return sorted(paths, key=lambda u: (len(u.arcs) << 64) | label(u.canonical_key))
 
 
 # Enumeration depends only on (graph, l), never on seeds or capacities, so
@@ -105,11 +146,12 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     if cached is not None:
         return list(cached)
 
-    # Adjacency as (edge_id, other endpoint, orientation leaving this node).
-    step: dict[int, list[tuple[int, int, str]]] = {nd.id: [] for nd in g.nodes}
+    # Adjacency as (arc leaving this node, other endpoint).  Each arc int is
+    # made once here, so all paths share the same int objects.
+    step: dict[int, list[tuple[int, int]]] = {nd.id: [] for nd in g.nodes}
     for e in g.edges:
-        step[e.a].append((e.id, e.b, AB))
-        step[e.b].append((e.id, e.a, BA))
+        step[e.a].append((2 * e.id, e.b))
+        step[e.b].append((2 * e.id + 1, e.a))
 
     color = {nd.id: nd.color for nd in g.nodes}
     out: list[AugPathCandidate] = []
@@ -125,58 +167,60 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
 
 
 def _extend(
-    step: Mapping[int, list[tuple[int, int, str]]],
+    step: Mapping[int, list[tuple[int, int]]],
     color: Mapping[int, str],
     l: int,
     out: list[AugPathCandidate],
     node_seq: list[int],
-    edge_seq: list[DirectedEdgeRef],
+    arc_seq: list[int],
     on_path: set[int],
 ) -> None:
     """Depth-first growth of the simple path node_seq, appending each S->T path
     found to out.  Module-level rather than a nested closure: a closure that
     calls itself is a reference cycle, which would keep step and color alive
     until the cyclic collector runs."""
-    for eid, nxt, orientation in step[node_seq[-1]]:
+    for arc, nxt in step[node_seq[-1]]:
         if nxt in on_path:
             continue
         node_seq.append(nxt)
-        edge_seq.append(DirectedEdgeRef(eid, orientation))
+        arc_seq.append(arc)
         if color[nxt] == "T":
-            out.append(make_path(node_seq, edge_seq))
-        if len(edge_seq) < l:
+            out.append(make_path(node_seq, arc_seq))
+        if len(arc_seq) < l:
             on_path.add(nxt)
-            _extend(step, color, l, out, node_seq, edge_seq, on_path)
+            _extend(step, color, l, out, node_seq, arc_seq, on_path)
             on_path.remove(nxt)
         node_seq.pop()
-        edge_seq.pop()
+        arc_seq.pop()
 
 
 def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes, int]:
     """Depth of every path, keyed by canonical key: 1 + the max depth over
-    smaller-key intersecting paths.
-
-    Single pass in increasing key order; per undirected edge we keep the best
-    depth seen so far, so each path costs O(length) after sorting.
-    """
-    return _chain_depths(sorted(paths, key=lambda u: path_key(u, seed)))
-
-
-def _chain_depths(ordered: Iterable[AugPathCandidate]) -> dict[bytes, int]:
-    """chain_depth_all's pass over paths already sorted by path_key."""
+    smaller-key intersecting paths."""
+    ordered = sorted(paths, key=lambda u: path_key(u, seed))
     depths: dict[bytes, int] = {}
-    best_at_edge: dict[int, int] = {}
-    for u in ordered:
+    for u, d in zip(ordered, _chain_depths(ordered)):
         if u.canonical_key in depths:
             raise ValueError("duplicate path in chain depth input")
-        below = 0
-        for eid in u.edge_ids:
-            got = best_at_edge.get(eid, 0)
-            if got > below:
-                below = got
-        d = below + 1
         depths[u.canonical_key] = d
-        for eid in u.edge_ids:
-            if best_at_edge.get(eid, 0) < d:
-                best_at_edge[eid] = d
     return depths
+
+
+def _chain_depths(ordered: Iterable[AugPathCandidate]) -> Iterator[int]:
+    """The chain depth of each path of ``ordered``, which is sorted by
+    path_key, in turn: single pass, O(length) per path.
+
+    ``best`` holds, per arc, the largest depth of a path seen so far through
+    its edge, the same for both arcs of an edge.  A path's depth d is one
+    more than the largest entry over its arcs, so d exceeds every entry it
+    replaces, and the update needs no comparison.
+    """
+    best: dict[int, int] = {}
+    get = best.get
+    zeros = repeat(0)
+    for u in ordered:
+        arcs = u.arcs
+        d = 1 + max(map(get, arcs, zeros))
+        for arc in arcs:
+            best[arc] = best[arc ^ 1] = d
+        yield d

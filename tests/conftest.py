@@ -5,6 +5,7 @@ from pathlib import Path
 
 from fractions import Fraction
 
+import localflow.graph_core as graph_core
 from localflow.graph_core import ColoredGraph, Edge, Node
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -21,3 +22,19 @@ def build_graph(colors: str, edge_list, d: int = 4, m: int = 5, quantum=Fraction
 def line_graph(colors: str, cap: int = 4, d: int = 4, m: int = 5) -> ColoredGraph:
     """Path graph over the color string with uniform two-way capacities."""
     return build_graph(colors, [(i, i + 1, cap, cap) for i in range(len(colors) - 1)], d=d, m=m)
+
+
+def count_flow_validations(monkeypatch) -> list:
+    """Make every package module's ``validate_flow`` record the flows it is
+    given, in the returned list."""
+    real = graph_core.validate_flow
+    calls = []
+
+    def counting(g, f):
+        calls.append(f)
+        return real(g, f)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "localflow" and getattr(module, "validate_flow", None) is real:
+            monkeypatch.setattr(module, "validate_flow", counting)
+    return calls

@@ -12,7 +12,10 @@ them former library routes kept to check their replacements:
 * ``assemble_fbar2`` and ``fbar2_value``: the seed-averaged A2 flow from m
   global runs, and its value;
 * ``length_boundary_violations``: the boundary invariant of A1, from prefix
-  runs.
+  runs;
+* ``reference_sweep``: the A1/A2 sweep over ``DirectedEdgeRef``s, with a
+  per-edge flow dict and a per-edge depth dict, that the arc-keyed
+  residual sweep replaced.
 """
 
 from __future__ import annotations
@@ -34,8 +37,17 @@ from localflow.graph_core import (
     induced_subgraph,
     validate_flow,
 )
-from localflow.local_flow import RunConfig, run_a1, run_a2
-from localflow.path_engine import AugPathCandidate, path_key
+from localflow.local_flow import (
+    AUGMENTED,
+    SKIPPED_CHAIN,
+    ZERO_CAPACITY,
+    RunConfig,
+    RunTrace,
+    TraceEntry,
+    run_a1,
+    run_a2,
+)
+from localflow.path_engine import AugPathCandidate, enumerate_paths, path_key
 
 
 def bfs_ball(g: ColoredGraph, start_nodes: list[int], r: int) -> set[int]:
@@ -122,6 +134,45 @@ def length_boundary_violations(g: ColoredGraph, cfg: RunConfig) -> list[int]:
         if shortest_augmenting_path_length(g, f, j) is not None:
             bad.append(j)
     return bad
+
+
+def reference_sweep(g: ColoredGraph, l: int, seed: int,
+                    skip_threshold: int | None) -> tuple[Flow, RunTrace]:
+    """A1 (skip_threshold None) or A2, one path at a time in ``path_key``
+    order: depths from a dict of the best depth per undirected edge, rooms
+    from the edge's capacities and the flow so far, by orientation string."""
+    order = sorted(enumerate_paths(g, l), key=lambda u: path_key(u, seed))
+    depths: dict[bytes, int] = {}
+    best_at_edge: dict[int, int] = {}
+    for u in order:
+        d = 1 + max(best_at_edge.get(eid, 0) for eid in u.edge_ids)
+        depths[u.canonical_key] = d
+        for eid in u.edge_ids:
+            best_at_edge[eid] = max(best_at_edge.get(eid, 0), d)
+
+    f: dict[int, int] = {}
+    entries = []
+    for u in order:
+        if skip_threshold is not None and depths[u.canonical_key] >= skip_threshold:
+            entries.append(TraceEntry(u.canonical_key, SKIPPED_CHAIN, 0))
+            continue
+        rooms = []
+        for ref in u.edges:
+            e = g.edge(ref.edge_id)
+            got = f.get(ref.edge_id, 0)
+            rooms.append(e.cap_ab - got if ref.orientation == AB else e.cap_ba + got)
+        amount = min(rooms)
+        assert amount >= 0
+        if amount > 0:
+            for ref in u.edges:
+                delta = amount if ref.orientation == AB else -amount
+                f[ref.edge_id] = f.get(ref.edge_id, 0) + delta
+            entries.append(TraceEntry(u.canonical_key, AUGMENTED, amount))
+        else:
+            entries.append(TraceEntry(u.canonical_key, ZERO_CAPACITY, 0))
+    flow = Flow({eid: v for eid, v in f.items() if v != 0})
+    validate_flow(g, flow).raise_if_invalid("reference sweep flow")
+    return flow, RunTrace(tuple(entries))
 
 
 def brute_min_cut(g: ColoredGraph) -> int:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 import localflow.cli as cli_module
+from conftest import count_flow_validations
 from localflow.cli import main
 from localflow.graph_core import dumps_json, graph_to_json
 from localflow.harness import InstanceSpec, generate
@@ -49,6 +50,19 @@ def test_maxflow_prints_known_value(bundle_graph, capsys):
     code, out = run_cli(capsys, "maxflow", "--graph", str(bundle_graph))
     assert code == 0
     assert out.strip() == "9"
+
+
+def test_run_validates_its_flow_once(random_graph, capsys, monkeypatch):
+    calls = count_flow_validations(monkeypatch)
+    for command, extra in (("run-a1", ()), ("run-a2", ("--s", "3"))):
+        calls.clear()
+        code, out = run_cli(capsys, command, "--graph", str(random_graph), "--l", "5",
+                            "--seed", "7", *extra)
+        assert code == 0 and int(out) > 0
+        assert len(calls) == 1
+    calls.clear()
+    code, out = run_cli(capsys, "maxflow", "--graph", str(random_graph))
+    assert code == 0 and len(calls) == 1
 
 
 def test_run_a1_twice_is_byte_identical(random_graph, tmp_path, capsys):

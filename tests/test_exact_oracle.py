@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import build_graph, line_graph
+from conftest import build_graph, count_flow_validations, line_graph
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import Flow, flow_value, validate_flow
 from localflow.harness import InstanceSpec, generate
@@ -21,6 +21,17 @@ def small_random_specs(count: int, start_seed: int = 0):
             rho_s=0.3,
             rho_t=0.3,
         )
+
+
+def test_max_flow_validates_its_flow_once(monkeypatch):
+    g, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
+    calls = count_flow_validations(monkeypatch)
+    result = max_flow(g)
+    assert result.value > 0
+    assert calls == [result.flow]
+    calls.clear()
+    assert flow_value(g, result.flow) == result.value  # a flow from outside is checked
+    assert len(calls) == 1
 
 
 def test_single_edge_value_equals_capacity():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 import localflow.local_flow as local_flow_module
+import localflow.path_engine as path_engine_module
 from conftest import build_graph, line_graph
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import (
@@ -16,7 +17,7 @@ from localflow.graph_core import (
     induced_subgraph,
     validate_flow,
 )
-from localflow.harness import InstanceSpec, generate, max_depth_per_edge
+from localflow.harness import InstanceSpec, default_specs, generate, max_depth_per_edge
 from localflow.local_flow import (
     AUGMENTED,
     SKIPPED_CHAIN,
@@ -29,7 +30,7 @@ from localflow.local_flow import (
     verify_locality,
 )
 from localflow.path_engine import chain_depth_all, enumerate_paths
-from oracles import ball_rerun_f2, length_boundary_violations
+from oracles import ball_rerun_f2, length_boundary_violations, reference_sweep
 
 
 def random_spec(i: int, n: int = 20, **kw) -> InstanceSpec:
@@ -37,6 +38,39 @@ def random_spec(i: int, n: int = 20, **kw) -> InstanceSpec:
                   params={"rounds": 4})
     merged.update(kw)
     return InstanceSpec("random_bounded", gen_seed=2000 + i, **merged)
+
+
+@pytest.mark.parametrize("spec", default_specs(), ids=InstanceSpec.instance_id)
+def test_sweeps_equal_the_reference_sweep(spec):
+    g, _ = generate(spec)
+    actions = set()
+    for l in (3, 6):
+        for seed in (1, 2, 3):
+            for run, s in ((run_a1, None), (run_a2, 2), (run_a2, 3)):
+                flow, trace = run(g, RunConfig(l=l, s=s, seed=seed))
+                want_flow, want_trace = reference_sweep(g, l, seed, s)
+                assert flow.values == want_flow.values
+                assert trace == want_trace
+                actions.update(entry.action for entry in trace.entries)
+    # The bundle's paths share no edge, so none is skipped or left without room.
+    bundle = spec.family == "path_bundle"
+    assert actions == ({AUGMENTED} if bundle else {AUGMENTED, SKIPPED_CHAIN, ZERO_CAPACITY})
+
+
+def test_sweep_order_ties_fall_back_to_the_canonical_key(monkeypatch):
+    # With every label equal, paths of one length tie on (length, label), and
+    # only the canonical key orders them.
+    g, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
+    paths = enumerate_paths(g, 5)
+    monkeypatch.setattr(path_engine_module, "_labeller", lambda seed: lambda key: 0)
+    lengths = [u.length for u in paths]
+    assert len(lengths) > len(set(lengths))  # some do tie
+    expected = [u.canonical_key for u in sorted(paths, key=lambda u: (u.length, u.canonical_key))]
+    for run, s in ((run_a1, None), (run_a2, 3)):
+        flow, trace = run(g, RunConfig(l=5, s=s, seed=1))
+        assert [entry.canonical_key for entry in trace.entries] == expected
+        want_flow, want_trace = reference_sweep(g, 5, 1, s)
+        assert flow.values == want_flow.values and trace == want_trace
 
 
 def test_resolve_l_from_epsilon():
@@ -516,7 +550,7 @@ def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
             for ref in refs:
                 ev.f2_on(ref, seed)
         monkeypatch.undo()
-        assert len(built) == len(set(built)) == len(ev._signs)  # one make_path per path
+        assert len(built) == len(set(built)) == len(ev._paths)  # one make_path per path
         assert len(searched) == len(set(searched))  # one walk search per node
         assert set(searched) <= set(ev._steps)  # ... and only of nodes read
         return len(built), len(searched), len(ev._steps), len(ev._through)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 
 import pytest
 
@@ -9,6 +10,7 @@ from localflow.graph_core import DirectedEdgeRef, ball_nodes, induced_subgraph
 from localflow.harness import InstanceSpec, generate
 from localflow.path_engine import (
     OrderKey,
+    _key_order,
     chain_depth_all,
     enumerate_paths,
     make_path,
@@ -98,6 +100,23 @@ def test_key_order_refines_length_order():
     keys = sorted(path_key(u, 77) for u in paths)
     lengths = [k.length for k in keys]
     assert lengths == sorted(lengths)
+
+
+def test_key_order_is_path_key_order():
+    g, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
+    paths = enumerate_paths(g, 5)
+    assert len(paths) > 100
+    for seed in (0, 77, -3, 2**70):
+        assert _key_order(paths, seed) == sorted(paths, key=lambda u: path_key(u, seed))
+
+
+def test_hash_label_is_the_seed_keyed_blake2b_of_the_canonical_key():
+    u = make_path([0, 1, 2], [0, 3])
+    for seed in (0, 5, -1, 2**64 + 5):
+        key = (seed % 2**64).to_bytes(8, "big")
+        digest = hashlib.blake2b(u.canonical_key, digest_size=8, key=key).digest()
+        assert path_key(u, seed) == (2, int.from_bytes(digest, "big"), b"0,0,1,1,2")
+        assert type(path_key(u, seed)) is OrderKey
 
 
 def test_order_key_tiebreak_is_lexicographic_last():
@@ -216,6 +235,22 @@ def test_duplicate_paths_rejected():
     (u,) = enumerate_paths(g, 2)
     with pytest.raises(ValueError, match="duplicate path"):
         chain_depth_all([u, u], 0)
+
+
+def test_arcs_round_trip_to_directed_edge_refs():
+    # Arc 2*e reads edge e AB, arc 2*e + 1 reads it BA; negative ids too.
+    u = make_path([4, 7, 2, 9], [10, 7, -3])
+    assert u.arcs == (10, 7, -3)
+    assert u.edges == (DirectedEdgeRef(5, "AB"), DirectedEdgeRef(3, "BA"),
+                       DirectedEdgeRef(-2, "BA"))
+    assert u.edge_ids == frozenset({5, 3, -2})
+    assert u.length == 3
+    assert u.canonical_key == b"4,5,7,3,2,-2,9"
+    assert not hasattr(u, "__dict__")
+    g = build_graph("SRRT", [(0, 1, 1, 1), (2, 1, 1, 1), (2, 3, 1, 1)])
+    (path,) = enumerate_paths(g, 3)
+    assert path.edges == (DirectedEdgeRef(0, "AB"), DirectedEdgeRef(1, "BA"),
+                          DirectedEdgeRef(2, "AB"))
 
 
 def test_make_path_shape_check():
