@@ -19,6 +19,7 @@ samples, the tester equals the averaged flow value over n bit for bit.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -89,7 +90,7 @@ def run_tester(
     """Sample k vertices uniformly with replacement (or take all of V) and
     average the per-vertex source summands."""
     cfg.check()  # includes r >= s*l + 1: every out-edge ball fits in h_r(v)
-    ids = sorted(nd.id for nd in g.nodes)
+    ids = g._sorted_node_ids
     if not ids:
         raise ValueError("graph has no nodes")
     if exhaustive:
@@ -99,16 +100,19 @@ def run_tester(
         chosen = [ids[rng.randrange(len(ids))] for _ in range(cfg.k)]
 
     evaluator = LocalEvaluator(g, cfg.l, cfg.s)
-    distinct_sources = sorted({v for v in chosen if g.node(v).color == "S"})
+    multiplicity = Counter(chosen)
+    distinct_sources = sorted(v for v in multiplicity if g.node(v).color == "S")
     summand_list = parallel_map(
         lambda v: source_ball_summand(g, v, cfg, evaluator), distinct_sources, threads
     )
     summand = dict(zip(distinct_sources, summand_list))
 
     per_sample = tuple(summand.get(v, Fraction(0)) for v in chosen)
-    estimate = sum(per_sample, Fraction(0)) / len(chosen)
+    # Each distinct source once, times its multiplicity: the same sum as
+    # over per_sample, whose other entries are 0.
+    total = sum((summand[v] * multiplicity[v] for v in distinct_sources), Fraction(0))
     return TesterReport(
-        estimate=estimate,
+        estimate=total / len(chosen),
         sampled_nodes=tuple(chosen),
         per_sample=per_sample,
         exhaustive=exhaustive,

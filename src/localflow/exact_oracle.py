@@ -10,15 +10,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Callable
 
-from .graph_core import (
-    AB,
-    BA,
-    ColoredGraph,
-    Flow,
-    _source_outflow,
-    validate_flow,
-)
+from .graph_core import ColoredGraph, Flow, _source_outflow, validate_flow
 
 _SUPER_SOURCE = -1
 _SUPER_SINK = -2
@@ -121,21 +115,28 @@ def max_flow(g: ColoredGraph) -> MaxFlowResult:
 
 def _residual_reachable(g: ColoredGraph, f: Flow) -> set[int]:
     """Nodes reachable from any source along edges with f(e) < c(e)."""
+    room = _room(g, f)
     seen = set(g.nodes_of_color("S"))
     q = deque(seen)
     while q:
-        u = q.popleft()
-        for eid in g.incident_edge_ids(u):
-            e = g.edge(eid)
-            w, orientation = (e.b, AB) if e.a == u else (e.a, BA)
-            if w in seen:
-                continue
-            v = f.on_edge(eid)
-            used = v if orientation == AB else -v
-            if used < e.cap(orientation):
+        steps = iter(g._adj[q.popleft()])
+        for w, arc in zip(steps, steps):
+            if w not in seen and room(arc) > 0:
                 seen.add(w)
                 q.append(w)
     return seen
+
+
+def _room(g: ColoredGraph, f: Flow) -> Callable[[int], int]:
+    """Residual capacity of an arc under f: its capacity less the flow along it."""
+    edge, flow = g._edge_by_id, f.values.get
+
+    def room(arc: int) -> int:
+        e = edge[arc >> 1]
+        used = flow(arc >> 1, 0)
+        return e.cap_ba + used if arc & 1 else e.cap_ab - used
+
+    return room
 
 
 def shortest_augmenting_path_length(
@@ -145,9 +146,18 @@ def shortest_augmenting_path_length(
 
     BFS from all sources simultaneously over the residual edge set
     ``{e : f(e) < c(e)}``.  With ``l_max`` set, paths longer than it count
-    as absent.
+    as absent.  Raises ``ValueError`` if f is not a valid flow on g.
     """
     validate_flow(g, f).raise_if_invalid("flow")
+    return _shortest_augmenting_path_length(g, f, l_max)
+
+
+def _shortest_augmenting_path_length(
+    g: ColoredGraph, f: Flow, l_max: int | None = None
+) -> int | None:
+    """``shortest_augmenting_path_length`` of a flow already validated on g,
+    without the check."""
+    room = _room(g, f)
     targets = set(g.nodes_of_color("T"))
     dist = {s: 0 for s in g.nodes_of_color("S")}
     if targets & set(dist):
@@ -160,15 +170,9 @@ def shortest_augmenting_path_length(
             return None
         nxt = []
         for u in frontier:
-            for eid in g.incident_edge_ids(u):
-                e = g.edge(eid)
-                w, orientation = (e.b, AB) if e.a == u else (e.a, BA)
-                if w in dist:
-                    continue
-                cap = e.cap(orientation)
-                v = f.on_edge(eid)
-                used = v if orientation == AB else -v
-                if used < cap:
+            steps = iter(g._adj[u])
+            for w, arc in zip(steps, steps):
+                if w not in dist and room(arc) > 0:
                     if w in targets:
                         return depth
                     dist[w] = depth

@@ -9,13 +9,21 @@ the locality checks downstream compare flow values bit for bit.
 A ``ColoredGraph`` is valid by construction: its constructor checks the degree
 and capacity bounds, ids, colors and endpoints, and raises on any violation.
 Graphs are immutable, so nothing downstream checks a graph again.
+
+The constructor also builds the graph's one adjacency, which every layer
+reads in place.  It is stored as arcs: edge e read AB (from a to b) is the
+int 2*e and read BA is 2*e + 1, so an arc's edge is ``arc >> 1`` and its
+reversal ``arc ^ 1``.  ``_adj[v]`` is the flat tuple (neighbour, arc,
+neighbour, arc, ...) of the arcs leaving v, in edge-id order.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
+from operator import attrgetter
 from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
 
 COLORS = ("R", "S", "T")
@@ -35,13 +43,13 @@ class DirectedEdgeRef(NamedTuple):
     orientation: str  # AB or BA
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Node:
     id: int
     color: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     id: int
     a: int
@@ -73,22 +81,24 @@ class ColoredGraph:
     # Derived lookups, built once at construction.
     _node_by_id: dict = field(init=False, repr=False)
     _edge_by_id: dict = field(init=False, repr=False)
-    _incident: dict = field(init=False, repr=False)
+    # node id -> (neighbour, arc, neighbour, arc, ...), arcs in edge-id order
+    _adj: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         node_by_id = {nd.id: nd for nd in self.nodes}
         edge_by_id = {e.id: e for e in self.edges}
-        incident: dict[int, list[int]] = {nd.id: [] for nd in self.nodes}
-        for e in self.edges:
-            if e.a in incident:
-                incident[e.a].append(e.id)
-            if e.b in incident and e.b != e.a:
-                incident[e.b].append(e.id)
-        for eids in incident.values():
-            eids.sort()
+        adj: dict = {v: [] for v in node_by_id}
+        for e in sorted(self.edges, key=attrgetter("id")):
+            a, b, arc = e.a, e.b, 2 * e.id
+            if a in adj:
+                adj[a] += (b, arc)
+            if b in adj and b != a:
+                adj[b] += (a, arc + 1)
+        for v, steps in adj.items():
+            adj[v] = tuple(steps)
         object.__setattr__(self, "_node_by_id", node_by_id)
         object.__setattr__(self, "_edge_by_id", edge_by_id)
-        object.__setattr__(self, "_incident", incident)
+        object.__setattr__(self, "_adj", adj)
         validate_graph(self).raise_if_invalid("graph")
 
     @property
@@ -108,9 +118,19 @@ class ColoredGraph:
             raise ValueError(f"unknown edge id {edge_id}") from None
 
     def incident_edge_ids(self, node_id: int) -> list[int]:
-        if node_id not in self._incident:
-            raise ValueError(f"unknown node id {node_id}")
-        return list(self._incident[node_id])
+        return [arc >> 1 for arc in self._arcs(node_id)]
+
+    def _arcs(self, node_id: int) -> tuple[int, ...]:
+        """The arcs leaving node_id, in edge-id order."""
+        try:
+            return self._adj[node_id][1::2]
+        except KeyError:
+            raise ValueError(f"unknown node id {node_id}") from None
+
+    @cached_property
+    def _sorted_node_ids(self) -> tuple[int, ...]:
+        """Every node id in ascending order, sorted once per graph on first use."""
+        return tuple(sorted(self._node_by_id))
 
     def nodes_of_color(self, color: str) -> list[int]:
         return sorted(nd.id for nd in self.nodes if nd.color == color)
@@ -175,22 +195,22 @@ def validate_graph(g: ColoredGraph) -> ValidationReport:
         bad.append(f"tick quantum {g.quantum} is not positive")
     if len(g._node_by_id) != len(g.nodes):
         bad.extend(_duplicate_ids("node", g.nodes))
-    incident = g._incident
+    adj = g._adj
     for nd in g.nodes:
         if nd.id < 0:
             bad.append(f"negative node id {nd.id}")
         if nd.color not in COLORS:
             bad.append(f"node {nd.id} has unknown color {nd.color!r}")
-        deg = len(incident[nd.id])
+        deg = len(adj[nd.id]) // 2
         if deg > d:
             bad.append(f"degree bound exceeded at node {nd.id} ({deg} > {d})")
     if len(g._edge_by_id) != len(g.edges):
         bad.extend(_duplicate_ids("edge", g.edges))
     for e in g.edges:
         a, b = e.a, e.b
-        if a not in incident:
+        if a not in adj:
             bad.append(f"edge {e.id} endpoint a={a} is not a node")
-        if b not in incident:
+        if b not in adj:
             bad.append(f"edge {e.id} endpoint b={b} is not a node")
         if a == b:
             bad.append(f"edge {e.id} is a self-loop at node {a}")
@@ -215,23 +235,17 @@ def _duplicate_ids(kind: str, items: Iterable[Union[Node, Edge]]) -> list[str]:
 
 def out_edges(g: ColoredGraph, v: int) -> list[DirectedEdgeRef]:
     """Incident edges of v, each oriented away from v, in edge-id order."""
-    refs = []
-    for eid in g.incident_edge_ids(v):
-        e = g.edge(eid)
-        refs.append(DirectedEdgeRef(eid, AB if e.a == v else BA))
-    return refs
+    return [DirectedEdgeRef(arc >> 1, BA if arc & 1 else AB) for arc in g._arcs(v)]
 
 
 def _ball_nodes(g: ColoredGraph, starts: Iterable[int], r: int) -> set[int]:
-    incident, edge_by_id = g._incident, g._edge_by_id
+    adj = g._adj
     seen = set(starts)
     frontier = list(seen)
     for _ in range(r):
         nxt = []
         for u in frontier:
-            for eid in incident[u]:
-                e = edge_by_id[eid]
-                w = e.b if e.a == u else e.a
+            for w in adj[u][::2]:
                 if w not in seen:
                     seen.add(w)
                     nxt.append(w)
@@ -248,13 +262,14 @@ def induced_subgraph(g: ColoredGraph, node_ids: AbstractSet[int]) -> ColoredGrap
     the size of the ball, not of g.  Nodes and edges come out in ascending id
     order; ids that are not nodes of g are ignored.
     """
-    kept = [v for v in node_ids if v in g._incident]
+    adj = g._adj
+    kept = [v for v in node_ids if v in adj]
     edge_ids = set()
     for v in kept:
-        for eid in g._incident[v]:
-            e = g._edge_by_id[eid]
-            if e.a in node_ids and e.b in node_ids:
-                edge_ids.add(eid)
+        steps = iter(adj[v])
+        for w, arc in zip(steps, steps):
+            if w in node_ids:
+                edge_ids.add(arc >> 1)
     nodes = tuple(g._node_by_id[v] for v in sorted(kept))
     edges = tuple(g._edge_by_id[eid] for eid in sorted(edge_ids))
     return ColoredGraph(nodes, edges, g.degree_bound, g.capacity_bound_ticks, g.quantum)
@@ -274,9 +289,11 @@ def ball_nodes(g: ColoredGraph, center: Union[int, DirectedEdgeRef], r: int) -> 
 
 
 def _net_out(g: ColoredGraph, f: Flow, v: int) -> Ticks:
+    get = f.values.get
     total: Ticks = 0
-    for ref in out_edges(g, v):
-        total += f.on(ref)
+    for arc in g._adj[v][1::2]:
+        x = get(arc >> 1, 0)
+        total += -x if arc & 1 else x
     return total
 
 

@@ -19,7 +19,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence
 
-from .exact_oracle import max_flow, shortest_augmenting_path_length
+from .exact_oracle import _shortest_augmenting_path_length, max_flow
 from .graph_core import (
     ColoredGraph,
     DirectedEdgeRef,
@@ -127,11 +127,12 @@ def generate(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
     return builder(spec)
 
 
-def _coin_color(rng: random.Random, rho_s: Fraction, rho_t: Fraction) -> str:
+def _coin_color(rng: random.Random, s_cut: float, t_cut: float) -> str:
+    """S below s_cut = rho_s, T below t_cut = rho_s + rho_t, else R."""
     u = rng.random()
-    if u < float(rho_s):
+    if u < s_cut:
         return "S"
-    if u < float(rho_s + rho_t):
+    if u < t_cut:
         return "T"
     return "R"
 
@@ -166,10 +167,11 @@ def _gen_grid(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
         raise ValueError("bad field 'rows'/'cols': grid needs rows >= 1 and cols >= 1")
     cap_min = spec.params.get("cap_min", 0)
     rng = random.Random(spec.gen_seed)
+    cuts = float(spec.rho_s), float(spec.rho_s + spec.rho_t)
     nodes = []
     for r in range(rows):
         for c in range(cols):
-            nodes.append(Node(r * cols + c, _coin_color(rng, spec.rho_s, spec.rho_t)))
+            nodes.append(Node(r * cols + c, _coin_color(rng, *cuts)))
     edges: list[Edge] = []
     for r in range(rows):
         for c in range(cols):
@@ -197,12 +199,11 @@ def _gen_random_bounded(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
     rounds = spec.params.get("rounds", 2)
     cap_min = spec.params.get("cap_min", 0)
     rng = random.Random(spec.gen_seed)
-    nodes = tuple(
-        Node(i, _coin_color(rng, spec.rho_s, spec.rho_t)) for i in range(spec.n)
-    )
+    cuts = float(spec.rho_s), float(spec.rho_s + spec.rho_t)
+    nodes = tuple(Node(i, _coin_color(rng, *cuts)) for i in range(spec.n))
     degree = [0] * spec.n
     edges: list[Edge] = []
-    ids = list(range(spec.n))
+    ids = [nd.id for nd in nodes]  # the same int objects as the node ids
     for _ in range(rounds):
         rng.shuffle(ids)
         for i in range(0, spec.n - 1, 2):
@@ -214,7 +215,9 @@ def _gen_random_bounded(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
                 )
                 degree[a] += 1
                 degree[b] += 1
-    return ColoredGraph(nodes, tuple(edges), spec.d, spec.m_ticks, spec.quantum), {}
+    edge_tuple = tuple(edges)
+    del degree, edges, ids  # not held while the graph builds its lookups
+    return ColoredGraph(nodes, edge_tuple, spec.d, spec.m_ticks, spec.quantum), {}
 
 
 def _gen_layered(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
@@ -310,7 +313,7 @@ def experiment_approx(
         v2 = int(_source_outflow(g, f2))
         bound = Fraction(g.degree_bound * g.capacity_bound_ticks * g.n, l)
         gap_ok = Fraction(v1) >= Fraction(fstar) - bound
-        no_short = shortest_augmenting_path_length(g, f1, l) is None
+        no_short = _shortest_augmenting_path_length(g, f1, l) is None
         return {
             "kind": "run", "instance": spec.instance_id(), "family": spec.family,
             "n": g.n, "d": g.degree_bound, "m_ticks": g.capacity_bound_ticks,

@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import AbstractSet, NamedTuple
+from typing import NamedTuple
 
 from .graph_core import (
     AB,
@@ -61,9 +61,7 @@ class RunConfig:
 
     def resolve_l(self, g: ColoredGraph) -> int:
         if self.l is not None:
-            if self.l < 1:
-                raise ValueError(f"l must be >= 1, got {self.l}")
-            return self.l
+            return _at_least_one("l", self.l)
         if self.epsilon is None:
             raise ValueError("config needs l or epsilon")
         if self.epsilon <= 0:
@@ -75,9 +73,13 @@ class RunConfig:
     def require_s(self) -> int:
         if self.s is None:
             raise ValueError("config needs s for the chain-skipping run")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
-        return self.s
+        return _at_least_one("s", self.s)
+
+
+def _at_least_one(name: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 class TraceEntry(NamedTuple):
@@ -253,6 +255,9 @@ def verify_locality(
     return LocalityReport(checked=len(edge_sample), mismatches=tuple(mismatches))
 
 
+_reverse_arc = (1).__xor__  # arc ^ 1, called from C by map()
+
+
 class LocalEvaluator:
     """The skipping run's value at an edge, evaluated as a memoised query tree.
 
@@ -285,10 +290,12 @@ class LocalEvaluator:
     endpoints, and its value is the same on g and on any induced subgraph
     that holds the radius-s*(l-1) ball, the default radius s*l included.
 
-    Given ``ball``, the evaluator reads g as the subgraph induced by it: a
-    node's steps keep only the edges whose other endpoint is in the ball,
-    and an edge with an endpoint outside it raises ``ValueError``, as it
-    would on ``induced_subgraph(g, ball)``, which is never built.
+    A node's steps are its (neighbour, arc, ...) adjacency in g, read in
+    place.  Given ``ball``, the evaluator reads g as the subgraph induced
+    by it: at a node with a neighbour outside the ball, the steps keep only
+    the edges whose other endpoint is in it, and an edge with an endpoint
+    outside it raises ``ValueError``, as it would on
+    ``induced_subgraph(g, ball)``, which is never built.
 
     One layered search per node finds both the walks from S nodes into it
     and the walks from it to T nodes; a reversed walk reverses each arc
@@ -304,14 +311,13 @@ class LocalEvaluator:
     a lock: at worst two of them compute the same entry.
     """
 
-    def __init__(self, g: ColoredGraph, l: int, s: int, ball: AbstractSet[int] | None = None):
+    def __init__(self, g: ColoredGraph, l: int, s: int, ball: frozenset[int] | None = None):
         self.g = g
-        self.l = RunConfig(l=l).resolve_l(g)
-        self.s = RunConfig(s=s).require_s()
+        self.l = _at_least_one("l", l)
+        self.s = _at_least_one("s", s)
         self.ball = ball
-        # node -> (color, ((neighbour, arc leaving the node), ...))
+        # node -> (color, (neighbour, arc leaving the node, neighbour, arc, ...))
         self._steps: dict[int, tuple[str, tuple]] = {}
-        self._edges: dict[int, Edge] = {}
         # a path's arcs -> the path
         self._paths: dict[tuple[int, ...], AugPathCandidate] = {}
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
@@ -383,6 +389,7 @@ class LocalEvaluator:
         got = t.amounts.get(ck)
         if got is None:
             ku = t.keys[ck]
+            edge = self.g._edge_by_id
             for arc in u.arcs:
                 eid = arc >> 1
                 f_ab = 0
@@ -390,7 +397,7 @@ class LocalEvaluator:
                     if kv >= ku:
                         break
                     f_ab += v_sign * self._amount(t, v)
-                e = self._edges[eid]
+                e = edge[eid]
                 room = e.cap_ba + f_ab if arc & 1 else e.cap_ab - f_ab
                 if got is None or room < got:
                     got = room
@@ -433,27 +440,34 @@ class LocalEvaluator:
         """(into, out of) v: the (nodes, arcs) of every vertex-simple
         walk of at most l-1 edges from an S node into v, and from v to a T
         node, shortest first.  One layered search from v finds both: a walk
-        that ends at an S node is kept reversed."""
+        that ends at an S node is kept reversed.  A walk of l-1 edges that
+        would end at an R node is never built: it can be neither kept nor
+        grown, and its end is read either way."""
         got = self._walk_memo.get(v)
         if got is None:
-            read = self._steps.get
+            read, node = self._steps.get, self._node
             into: list[tuple] = []
             out: list[tuple] = []
+            last = self.l - 1
             layer = [((v,), ())]
             for length in range(self.l):
                 grown = []
                 for nodes, arcs in layer:
-                    color, steps = read(nodes[-1]) or self._node(nodes[-1])
+                    color, steps = read(nodes[-1]) or node(nodes[-1])
                     if color == "T":
                         out.append((nodes, arcs))
                     elif color == "S":
-                        back = tuple(arc ^ 1 for arc in reversed(arcs))
+                        back = tuple(map(_reverse_arc, reversed(arcs)))
                         into.append((nodes[::-1], back))
-                    if length == self.l - 1:
+                    if length == last:
                         continue
-                    for nxt, arc in steps:
-                        if nxt not in nodes:
-                            grown.append((nodes + (nxt,), arcs + (arc,)))
+                    steps = iter(steps)
+                    for nxt, arc in zip(steps, steps):
+                        if nxt in nodes:
+                            continue
+                        if length == last - 1 and (read(nxt) or node(nxt))[0] == "R":
+                            continue
+                        grown.append((nodes + (nxt,), arcs + (arc,)))
                 layer = grown
             got = self._walk_memo[v] = (into, out)
         return got
@@ -464,36 +478,32 @@ class LocalEvaluator:
         key = u.canonical_key
         if self._node(nodes[0])[0] != "S" or self._node(nodes[-1])[0] != "T":
             raise AssertionError(f"path {key!r} does not run from S to T")
+        edge = self.g._edge_by_id
         for x, arc, y in zip(nodes, arcs, nodes[1:]):
-            e = self._edges[arc >> 1]
+            e = edge[arc >> 1]
             if (e.a, e.b) != ((y, x) if arc & 1 else (x, y)):
                 raise AssertionError(f"edge {e.id} does not join {x} and {y} in path {key!r}")
         self._paths[arcs] = u
         return u
 
     def _node(self, v: int) -> tuple[str, tuple]:
-        """(color, steps) of node v, keeping only the edges inside the ball."""
+        """(color, steps) of node v: its adjacency in g, read in place, less
+        the edges to neighbours outside the ball."""
         got = self._steps.get(v)
         if got is None:
             g, ball = self.g, self.ball
-            steps = []
-            for eid in g._incident[v]:
-                e = g._edge_by_id[eid]
-                nxt, arc = (e.b, 2 * eid) if e.a == v else (e.a, 2 * eid + 1)
-                if ball is None or nxt in ball:
-                    self._edges[eid] = e
-                    steps.append((nxt, arc))
-            got = self._steps[v] = (g.node(v).color, tuple(steps))
+            steps = g._adj[v]
+            if ball is not None and not ball.issuperset(steps[::2]):
+                pairs = iter(steps)
+                steps = tuple(x for w, arc in zip(pairs, pairs) if w in ball for x in (w, arc))
+            got = self._steps[v] = (g._node_by_id[v].color, steps)
         return got
 
     def _edge(self, eid: int) -> Edge:
-        got = self._edges.get(eid)
-        if got is None:
-            got = self.g.edge(eid)
-            if self.ball is not None and (got.a not in self.ball or got.b not in self.ball):
-                raise ValueError(f"unknown edge id {eid}")
-            self._edges[eid] = got
-        return got
+        e = self.g.edge(eid)
+        if self.ball is not None and (e.a not in self.ball or e.b not in self.ball):
+            raise ValueError(f"unknown edge id {eid}")
+        return e
 
 
 class _SeedTables:

@@ -146,17 +146,10 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     if cached is not None:
         return list(cached)
 
-    # Adjacency as (arc leaving this node, other endpoint).  Each arc int is
-    # made once here, so all paths share the same int objects.
-    step: dict[int, list[tuple[int, int]]] = {nd.id: [] for nd in g.nodes}
-    for e in g.edges:
-        step[e.a].append((2 * e.id, e.b))
-        step[e.b].append((2 * e.id + 1, e.a))
-
     color = {nd.id: nd.color for nd in g.nodes}
     out: list[AugPathCandidate] = []
     for s in g.nodes_of_color("S"):
-        _extend(step, color, l, out, [s], [], {s})
+        _extend(g._adj, color, l, out, [s], [], {s})
 
     bound = len(g.nodes_of_color("S")) * g.degree_bound**l
     if len(out) > bound:
@@ -167,7 +160,7 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
 
 
 def _extend(
-    step: Mapping[int, list[tuple[int, int]]],
+    adj: Mapping[int, tuple[int, ...]],
     color: Mapping[int, str],
     l: int,
     out: list[AugPathCandidate],
@@ -175,11 +168,12 @@ def _extend(
     arc_seq: list[int],
     on_path: set[int],
 ) -> None:
-    """Depth-first growth of the simple path node_seq, appending each S->T path
-    found to out.  Module-level rather than a nested closure: a closure that
-    calls itself is a reference cycle, which would keep step and color alive
-    until the cyclic collector runs."""
-    for arc, nxt in step[node_seq[-1]]:
+    """Depth-first growth of the simple path node_seq over g's adjacency
+    ``adj``, appending each S->T path found to out.  Module-level rather than
+    a nested closure: a closure that calls itself is a reference cycle, which
+    would keep color alive until the cyclic collector runs."""
+    steps = iter(adj[node_seq[-1]])
+    for nxt, arc in zip(steps, steps):
         if nxt in on_path:
             continue
         node_seq.append(nxt)
@@ -188,7 +182,7 @@ def _extend(
             out.append(make_path(node_seq, arc_seq))
         if len(arc_seq) < l:
             on_path.add(nxt)
-            _extend(step, color, l, out, node_seq, arc_seq, on_path)
+            _extend(adj, color, l, out, node_seq, arc_seq, on_path)
             on_path.remove(nxt)
         node_seq.pop()
         arc_seq.pop()

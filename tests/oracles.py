@@ -15,7 +15,10 @@ them former library routes kept to check their replacements:
   runs;
 * ``reference_sweep``: the A1/A2 sweep over ``DirectedEdgeRef``s, with a
   per-edge flow dict and a per-edge depth dict, that the arc-keyed
-  residual sweep replaced.
+  residual sweep replaced;
+* ``reference_walks``: the layered walk search of ``LocalEvaluator`` without
+  pruning, over steps rebuilt from the edge list: every walk is grown into
+  the last layer and only then dropped if it ends at an R node.
 """
 
 from __future__ import annotations
@@ -328,3 +331,34 @@ def residual_sp_length(g: ColoredGraph, f_values: dict[int, int], l_max=None):
             if used < e.cap(orientation) and w not in dist:
                 heapq.heappush(heap, (d + 1, w))
     return None
+
+
+def reference_walks(g: ColoredGraph, l: int, v: int,
+                    ball: frozenset[int] | None = None) -> tuple[list[tuple], list[tuple]]:
+    """(into, out of) v: the (nodes, arcs) of every vertex-simple walk of at
+    most l-1 edges from an S node into v, and from v to a T node, shortest
+    first, in the graph induced by ``ball`` (all of g without one)."""
+    inside = {nd.id for nd in g.nodes} if ball is None else ball
+    color = {nd.id: nd.color for nd in g.nodes}
+    steps: dict[int, list[tuple[int, int]]] = {nd.id: [] for nd in g.nodes}
+    for e in sorted(g.edges, key=lambda e: e.id):
+        if e.a in inside and e.b in inside:
+            steps[e.a].append((e.b, 2 * e.id))
+            steps[e.b].append((e.a, 2 * e.id + 1))
+    into: list[tuple] = []
+    out: list[tuple] = []
+    layer = [((v,), ())]
+    for length in range(l):
+        grown = []
+        for nodes, arcs in layer:
+            if color[nodes[-1]] == "T":
+                out.append((nodes, arcs))
+            elif color[nodes[-1]] == "S":
+                into.append((nodes[::-1], tuple(arc ^ 1 for arc in reversed(arcs))))
+            if length == l - 1:
+                continue
+            for nxt, arc in steps[nodes[-1]]:
+                if nxt not in nodes:
+                    grown.append((nodes + (nxt,), arcs + (arc,)))
+        layer = grown
+    return into, out

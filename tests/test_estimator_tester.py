@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -11,6 +12,7 @@ from conftest import build_graph, line_graph
 from localflow.estimator_tester import TesterConfig, run_tester
 from localflow.exact_oracle import max_flow
 from localflow.graph_core import (
+    ColoredGraph,
     DirectedEdgeRef,
     ball_nodes,
     flow_value,
@@ -141,6 +143,24 @@ def test_tester_report_shape_and_determinism():
     assert len(rep1.per_sample) == 40
     assert rep1.estimate == sum(rep1.per_sample, Fraction(0)) / 40
     assert run_tester(g, replace(cfg, sample_seed=6)).sampled_nodes != rep1.sampled_nodes
+
+
+def test_tester_samples_sorted_ids_and_weighs_each_source_by_its_multiplicity():
+    g, _ = generate(spec_for(92, n=24))
+    g = ColoredGraph(tuple(reversed(g.nodes)), g.edges, g.degree_bound,
+                     g.capacity_bound_ticks, g.quantum)
+    cfg = TesterConfig(l=3, s=2, seeds=(1, 2), k=200, sample_seed=3)
+    rep = run_tester(g, cfg)
+    ids = sorted(nd.id for nd in g.nodes)
+    rng = random.Random(3)
+    assert rep.sampled_nodes == tuple(ids[rng.randrange(len(ids))] for _ in range(200))
+    assert rep.estimate == sum(rep.per_sample, Fraction(0)) / 200
+    repeated = [v for v in set(rep.sampled_nodes)
+                if g.node(v).color == "S" and rep.sampled_nodes.count(v) > 1]
+    assert repeated and any(rep.per_sample[rep.sampled_nodes.index(v)] for v in repeated)
+    ids_once = g._sorted_node_ids  # sorted once per graph, not once per call
+    assert run_tester(g, replace(cfg, sample_seed=4)).sampled_nodes
+    assert g._sorted_node_ids is ids_once and list(ids_once) == ids
 
 
 def test_tester_threads_do_not_change_results():

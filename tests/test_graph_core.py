@@ -6,11 +6,13 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import localflow.graph_core as graph_core_module
 from conftest import build_graph, line_graph
 from localflow.estimator_tester import TesterConfig, run_tester
-from localflow.exact_oracle import max_flow
+from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import (
     ColoredGraph,
     DirectedEdgeRef,
@@ -32,7 +34,14 @@ from localflow.graph_core import (
 from localflow.harness import InstanceSpec, generate
 from localflow.local_flow import RunConfig, local_f2_edge, run_a2, verify_locality
 from localflow.path_engine import enumerate_paths
-from oracles import bfs_ball, full_scan_subgraph
+from oracles import (
+    bfs_ball,
+    dfs_max_flow_value,
+    full_scan_subgraph,
+    naive_paths,
+    path_signature,
+    residual_sp_length,
+)
 
 
 def test_minimal_network_is_valid():
@@ -383,3 +392,56 @@ def test_an_existing_graph_is_never_validated_again(monkeypatch):
     local_f2_edge(g, refs[0], run_cfg)
     verify_locality(g, run_cfg, refs, radius=2)
     assert validated == []  # none of these builds a graph
+
+
+@st.composite
+def graphs_in_any_order(draw) -> ColoredGraph:
+    """Valid graphs with edges in any id order, negative and sparse ids,
+    parallel edges and isolated nodes."""
+    d = draw(st.integers(1, 4))
+    node_ids = draw(st.lists(st.integers(0, 10**6), min_size=1, max_size=8, unique=True))
+    nodes = tuple(Node(v, draw(st.sampled_from("SRT"))) for v in node_ids)
+    pairs = draw(st.lists(st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids)),
+                          max_size=14))
+    edge_ids = draw(st.lists(st.integers(-40, 40), min_size=len(pairs), max_size=len(pairs),
+                             unique=True))
+    degree = dict.fromkeys(node_ids, 0)
+    edges = []
+    for eid, (a, b) in zip(edge_ids, pairs):
+        if a != b and degree[a] < d and degree[b] < d:
+            degree[a] += 1
+            degree[b] += 1
+            edges.append(Edge(eid, a, b, draw(st.integers(0, 3)), draw(st.integers(0, 3))))
+    return ColoredGraph(nodes, tuple(edges), d, 3)
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(graphs_in_any_order())
+@example(ColoredGraph(  # unsorted, negative and sparse ids, parallel edges, isolated node 9
+    (Node(4, "S"), Node(0, "R"), Node(7, "T"), Node(9, "R")),
+    (Edge(5, 0, 7, 2, 1), Edge(-3, 4, 0, 1, 2), Edge(12, 7, 0, 3, 0), Edge(-8, 4, 7, 1, 1)),
+    3, 3))
+def test_adjacency_is_the_edge_list_read_per_node(g):
+    for nd in g.nodes:
+        v = nd.id
+        incident = sorted(e.id for e in g.edges if v in (e.a, e.b))
+        expected = []
+        for eid in incident:
+            e = g.edge(eid)
+            expected += [e.b, 2 * eid] if e.a == v else [e.a, 2 * eid + 1]
+        assert g._adj[v] == tuple(expected)
+        assert g.incident_edge_ids(v) == incident
+        assert out_edges(g, v) == [
+            DirectedEdgeRef(eid, "AB" if g.edge(eid).a == v else "BA") for eid in incident]
+    assert set(g._adj) == {nd.id for nd in g.nodes}
+    # Every layer that reads the adjacency agrees with a reference that does not.
+    for nd in g.nodes:
+        assert ball_nodes(g, nd.id, 2) == bfs_ball(g, [nd.id], 2)
+        ball = set(ball_nodes(g, nd.id, 1))
+        got, want = induced_subgraph(g, ball), full_scan_subgraph(g, ball)
+        assert (got.nodes, got.edges) == (tuple(sorted(want.nodes, key=lambda x: x.id)),
+                                          tuple(sorted(want.edges, key=lambda x: x.id)))
+    assert {path_signature(u) for u in enumerate_paths(g, 3)} == naive_paths(g, 3)
+    assert max_flow(g).value == dfs_max_flow_value(g)
+    assert shortest_augmenting_path_length(g, Flow.zero()) == residual_sp_length(g, {})
+    assert validate_flow(g, max_flow(g).flow).ok

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -7,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 from localflow.exact_oracle import max_flow
+from conftest import count_flow_validations
 from localflow.graph_core import dumps_json, graph_to_json, validate_graph
 from localflow.harness import (
     APPROX_COLUMNS,
@@ -50,6 +52,34 @@ def test_all_families_validate():
     for spec in default_specs():
         g, _ = generate(spec)
         assert validate_graph(g).ok
+
+
+PINNED_SPECS = {
+    "path_bundle": {"params": {"bottlenecks": [2, 3, 4], "path_len": 3}},
+    "grid": {"params": {"rows": 6, "cols": 8}},
+    "random_bounded": {"n": 200, "params": {"rounds": 3}},
+    "layered": {"params": {"layers": 5, "width": 5}},
+}
+
+
+@pytest.mark.parametrize("family, seed, rho, digest", [
+    ("path_bundle", 1, (Fraction(1, 5), Fraction(1, 5)), "76c6dc4209246ba9"),
+    ("path_bundle", 2, (Fraction(1, 3), Fraction(1, 7)), "76c6dc4209246ba9"),
+    ("grid", 1, (Fraction(1, 5), Fraction(1, 5)), "5a63334e78884e57"),
+    ("grid", 2, (Fraction(1, 3), Fraction(1, 7)), "dceba361e0b2951b"),
+    ("random_bounded", 1, (Fraction(1, 5), Fraction(1, 5)), "ae560f0340450046"),
+    ("random_bounded", 2, (Fraction(1, 3), Fraction(1, 7)), "dbdc3f80a617fba6"),
+    ("layered", 1, (Fraction(1, 5), Fraction(1, 5)), "594da9a7fd2ad99d"),
+    ("layered", 2, (Fraction(1, 3), Fraction(1, 7)), "86d8f59b0213845a"),
+])
+def test_generated_graphs_are_pinned(family, seed, rho, digest):
+    """Every family's nodes and edges, bit for bit, at two seeds and two
+    color splits: a faster generator must build the same graphs."""
+    g, _ = generate(InstanceSpec(family, gen_seed=seed, rho_s=rho[0], rho_t=rho[1],
+                                 **PINNED_SPECS[family]))
+    blob = repr(([(nd.id, nd.color) for nd in g.nodes],
+                 [(e.id, e.a, e.b, e.cap_ab, e.cap_ba) for e in g.edges])).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
 
 
 def test_infeasible_color_fractions_rejected():
@@ -134,6 +164,17 @@ def test_experiment_approx_small_suite_passes():
     # bundle at l >= path length closes the gap entirely
     bundle = [r for r in run_rows if r["family"] == "path_bundle" and r["l"] == 2]
     assert all(r["f1"] == r["fstar"] == 5 for r in bundle)
+
+
+def test_experiment_approx_validates_each_row_flow_twice(monkeypatch):
+    # Each row validates its A1 and its A2 flow once, in the runs; the
+    # no-short-path certificate reads the validated A1 flow unchecked.
+    specs = default_specs()[:2]
+    calls = count_flow_validations(monkeypatch)
+    rows, ok = experiment_approx(specs, [2, 4], [1, 2], s=2)
+    run_rows = [r for r in rows if r["kind"] == "run"]
+    assert ok and len(run_rows) == 8
+    assert len(calls) == 2 * len(run_rows) + len(specs)  # + one per max_flow
 
 
 def test_experiment_approx_threads_equal_rows():

@@ -30,7 +30,12 @@ from localflow.local_flow import (
     verify_locality,
 )
 from localflow.path_engine import chain_depth_all, enumerate_paths
-from oracles import ball_rerun_f2, length_boundary_violations, reference_sweep
+from oracles import (
+    ball_rerun_f2,
+    length_boundary_violations,
+    reference_sweep,
+    reference_walks,
+)
 
 
 def random_spec(i: int, n: int = 20, **kw) -> InstanceSpec:
@@ -558,3 +563,20 @@ def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
     first = counts()
     assert first == counts()  # deterministic
     assert first[0] > 0 and first[1] > 0
+
+
+@pytest.mark.parametrize("spec", [
+    InstanceSpec("path_bundle", params={"bottlenecks": [2, 0, 4], "path_len": 4}),
+    InstanceSpec("grid", params={"rows": 5, "cols": 6}, gen_seed=3),
+    InstanceSpec("random_bounded", n=50, gen_seed=5, params={"rounds": 3}),
+    InstanceSpec("layered", params={"layers": 5, "width": 4}, gen_seed=4),
+], ids=lambda spec: spec.family)
+def test_walk_search_equals_the_reference_search(spec):
+    g, _ = generate(spec)
+    center = DirectedEdgeRef(g.edges[len(g.edges) // 2].id, "AB")
+    for ball in (None, ball_nodes(g, center, 3)):
+        nodes = sorted(nd.id for nd in g.nodes) if ball is None else sorted(ball)
+        for l in range(1, 7):
+            ev = LocalEvaluator(g, l, 2, ball)
+            for v in nodes:
+                assert ev._walks(v) == reference_walks(g, l, v, ball), (l, v, ball is None)
