@@ -1,8 +1,8 @@
 """Command-line harness.
 
-Every command is deterministic in its flags: reruns (at any --threads value)
-produce byte-identical stdout and output files.  Wall-clock timing goes to
-stderr only.  Exit codes: 0 success, 1 a checked property failed, 2 bad input.
+Every command is deterministic in its flags: reruns produce byte-identical
+stdout and output files.  Wall-clock timing goes to stderr only.  Exit codes:
+0 success, 1 a checked property failed, 2 bad input.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from .harness import (
     write_csv,
 )
 from .local_flow import RunConfig, local_f2_edge, run_a1, run_a2, verify_locality
-from .parallel import resolve_threads
 from .path_engine import _chain_depths, enumerate_paths, path_key
 
 
@@ -177,7 +176,6 @@ def _cmd_verify_locality(args: argparse.Namespace) -> int:
         g, cfg, refs,
         radius=args.radius,
         local_seed=args.local_seed,
-        threads=resolve_threads(args.threads),
     )
     lines = [f"checked {report.checked} edges, {len(report.mismatches)} mismatches"]
     for mm in report.mismatches:
@@ -208,7 +206,7 @@ def _cmd_tester(args: argparse.Namespace) -> int:
     _parse_sample(args.sample, counts=False)  # absent or 'all'
     exhaustive = args.sample == "all"
     started = time.monotonic()
-    report = run_tester(g, cfg, exhaustive=exhaustive, threads=resolve_threads(args.threads))
+    report = run_tester(g, cfg, exhaustive=exhaustive)
     wall_ms = int((time.monotonic() - started) * 1000)
     payload = {
         "config": {
@@ -265,24 +263,22 @@ def _load_specs(path: str | None) -> list[InstanceSpec]:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     specs = _load_specs(args.specs)
     seeds = _parse_ints(args.seeds, "--seeds") if args.seeds else [1, 2, 3, 4, 5]
-    threads = resolve_threads(args.threads)
     started = time.monotonic()
     if args.name == "approx":
         l_values = _parse_ints(args.l_sweep, "--l-sweep") if args.l_sweep else [2, 4, 6, 8]
         rows, ok = harness.experiment_approx(
             specs, l_values, seeds, s=args.s if args.s is not None else harness.DEFAULT_S,
-            threads=threads,
         )
         columns = APPROX_COLUMNS
     elif args.name == "chain-tail":
         l = args.l if args.l is not None else harness.DEFAULT_L
-        rows, ok = harness.experiment_chain_tail(specs, l, seeds, threads=threads)
+        rows, ok = harness.experiment_chain_tail(specs, l, seeds)
         columns = CHAIN_TAIL_COLUMNS
     elif args.name == "locality":
         cfgs = _parse_cfgs(args.cfgs) if args.cfgs else [(3, 2), (4, 3)]
         count = _parse_sample(args.sample)
         rows, ok = harness.experiment_locality(
-            specs, cfgs, seeds, sample="all" if count is None else count, threads=threads,
+            specs, cfgs, seeds, sample="all" if count is None else count,
             negative_control=not args.no_negative_control,
         )
         columns = LOCALITY_COLUMNS
@@ -308,7 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--k", type=int, default=1000, help="tester sample count")
     common.add_argument("--r", type=int, help="tester neighborhood radius (>= s*l + 1)")
     common.add_argument("--out", help="output file (.csv or .json); stdout when omitted")
-    common.add_argument("--threads", type=int, help="worker threads (LOCALFLOW_THREADS fallback)")
     common.add_argument(
         "--sample",
         help="verify-locality: edge count or 'all' (default all); "

@@ -84,9 +84,7 @@ def source_ball_summand(g: ColoredGraph, v: int, cfg: TesterConfig,
     return Fraction(total, cfg.m)
 
 
-def run_tester(
-    g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False, threads: int = 1
-) -> TesterReport:
+def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) -> TesterReport:
     """Sample k vertices uniformly with replacement (or take all of V) and
     average the per-vertex source summands."""
     cfg.check()  # includes r >= s*l + 1: every out-edge ball fits in h_r(v)
@@ -102,9 +100,8 @@ def run_tester(
     evaluator = LocalEvaluator(g, cfg.l, cfg.s)
     multiplicity = Counter(chosen)
     distinct_sources = sorted(v for v in multiplicity if g.node(v).color == "S")
-    summand_list = parallel_map(
-        lambda v: source_ball_summand(g, v, cfg, evaluator), distinct_sources, threads
-    )
+    summand_list = parallel_map(lambda v: source_ball_summand(g, v, cfg, evaluator),
+                                distinct_sources)
     summand = dict(zip(distinct_sources, summand_list))
 
     per_sample = tuple(summand.get(v, Fraction(0)) for v in chosen)

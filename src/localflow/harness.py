@@ -294,7 +294,6 @@ def experiment_approx(
     l_values: Sequence[int],
     seeds: Sequence[int],
     s: int = DEFAULT_S,
-    threads: int = 1,
 ) -> tuple[list[dict], bool]:
     """Gap-versus-l sweep: every row checks the length-l approximation bound
     |f1| >= |f*| - (d*M/l)*n and the no-short-augmenting-path certificate;
@@ -329,7 +328,7 @@ def experiment_approx(
         fstar = max_flow(g).value
         for l in l_values:
             items = [(spec, g, fstar, l, seed) for seed in seeds]
-            run_rows = parallel_map(run_one, items, threads)
+            run_rows = parallel_map(run_one, items)
             gaps = [Fraction(int(r["f1"]) - int(r["f2"])) for r in run_rows]
             mean_gap = sum(gaps, Fraction(0)) / len(gaps)
             for r in run_rows:
@@ -371,13 +370,12 @@ def experiment_chain_tail(
     specs: Sequence[InstanceSpec],
     l: int,
     seeds: Sequence[int],
-    threads: int = 1,
 ) -> tuple[list[dict], bool]:
     """Empirical tail of the per-edge maximum chain depth over random labelings."""
     rows: list[dict] = []
     for spec in specs:
         g, _meta = generate(spec)
-        per_seed = parallel_map(lambda seed: max_depth_per_edge(g, l, seed), list(seeds), threads)
+        per_seed = parallel_map(lambda seed: max_depth_per_edge(g, l, seed), seeds)
         counts: dict[int, int] = {}
         covered = 0
         for best in per_seed:
@@ -413,7 +411,6 @@ def experiment_locality(
     cfgs: Sequence[tuple[int, int]],
     seeds: Sequence[int],
     sample: int | str = "all",
-    threads: int = 1,
     negative_control: bool = True,
 ) -> tuple[list[dict], bool]:
     """Exact global-vs-local equality on sampled edges, per (instance, seed, l, s).
@@ -438,7 +435,7 @@ def experiment_locality(
                 if negative_control:
                     roles.append(("negative_control", s * l - 1))
                 for role, radius in roles:
-                    rep = verify_locality(g, cfg, refs, radius=radius, threads=threads)
+                    rep = verify_locality(g, cfg, refs, radius=radius)
                     row_ok = rep.passed if role == "check" else True
                     ok = ok and row_ok
                     rows.append({

@@ -219,7 +219,6 @@ def verify_locality(
     *,
     radius: int | None = None,
     local_seed: int | None = None,
-    threads: int = 1,
 ) -> LocalityReport:
     """Compare the global run against per-edge local evaluations, exact equality.
 
@@ -244,7 +243,7 @@ def verify_locality(
         return [(ref, ev.f2_on(ref, seed)) for ref in by_ball[ball]]
 
     local: dict[DirectedEdgeRef, int] = {}
-    for values in parallel_map(evaluate, sorted(by_ball, key=sorted), threads):
+    for values in parallel_map(evaluate, sorted(by_ball, key=sorted)):
         local.update(values)
 
     mismatches = []
@@ -306,9 +305,6 @@ class LocalEvaluator:
     and amounts are memoised per seed.  The graph is valid by construction,
     so its nodes and edges are read unchecked; every path, amount and
     returned value is checked against the invariants of a valid flow.
-    Every table entry is a pure function of its key and is stored only once
-    complete, so the threads of ``parallel_map`` share one evaluator without
-    a lock: at worst two of them compute the same entry.
     """
 
     def __init__(self, g: ColoredGraph, l: int, s: int, ball: frozenset[int] | None = None):
@@ -328,7 +324,7 @@ class LocalEvaluator:
         edge = self._edge(e.edge_id)
         t = self._tables.get(seed)
         if t is None:
-            t = self._tables.setdefault(seed, _SeedTables(seed, self.s))
+            t = self._tables[seed] = _SeedTables(seed, self.s)
         total = 0
         for _, u, sign in self._ordered(t, e.edge_id):
             if self._depth(t, u, self.s) < self.s:

@@ -1,43 +1,18 @@
-"""Deterministic fan-out helper: results never depend on scheduling."""
+"""A plain in-order map over independent per-item work.
+
+Kept as its own module only because the benchmark's tracer wraps
+``localflow.parallel.parallel_map`` by name; it goes once the benchmark
+drops that target.
+"""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, TypeVar
 
 A = TypeVar("A")
 B = TypeVar("B")
 
-ENV_THREADS = "LOCALFLOW_THREADS"
 
-
-def resolve_threads(explicit: int | None = None) -> int:
-    """Explicit argument wins, then LOCALFLOW_THREADS, then 1."""
-    if explicit is not None:
-        if explicit < 1:
-            raise ValueError(f"threads must be >= 1, got {explicit}")
-        return explicit
-    env = os.environ.get(ENV_THREADS)
-    if env:
-        try:
-            n = int(env)
-        except ValueError:
-            raise ValueError(f"bad {ENV_THREADS} value {env!r}") from None
-        if n < 1:
-            raise ValueError(f"bad {ENV_THREADS} value {env!r}")
-        return n
-    return 1
-
-
-def parallel_map(fn: Callable[[A], B], items: Iterable[A], threads: int = 1) -> list[B]:
-    """Map preserving input order; with threads > 1 uses a worker pool.
-
-    fn must be a pure function of its item for the scheduling independence
-    guarantee to hold.
-    """
-    seq: Sequence[A] = list(items)
-    if threads <= 1 or len(seq) <= 1:
-        return [fn(x) for x in seq]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, seq))
+def parallel_map(fn: Callable[[A], B], items: Iterable[A]) -> list[B]:
+    """``[fn(x) for x in items]``, in input order."""
+    return [fn(x) for x in items]

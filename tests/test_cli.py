@@ -152,18 +152,6 @@ def test_tester_exhaustive_reports_exact_rational(random_graph, capsys):
     assert len(payload["per_sample"]) == 30
 
 
-def test_tester_threads_byte_identical(random_graph, capsys):
-    outs = []
-    for t in ("1", "4", "8"):
-        code, out = run_cli(
-            capsys, "tester", "--graph", str(random_graph), "--l", "3", "--s", "2",
-            "--seeds", "1,2", "--k", "25", "--seed", "3", "--threads", t,
-        )
-        assert code == 0
-        outs.append(out)
-    assert outs[0] == outs[1] == outs[2]
-
-
 def test_experiment_approx_writes_csv(tmp_path, capsys):
     out = tmp_path / "approx.csv"
     specs = tmp_path / "specs.json"
@@ -179,21 +167,6 @@ def test_experiment_approx_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("kind,instance,family")
     assert len(lines) > 4
-
-
-def test_experiment_csv_threads_byte_identical(tmp_path, capsys):
-    specs = tmp_path / "specs.json"
-    specs.write_text(json.dumps([{"family": "random_bounded", "n": 24, "gen_seed": 2}]))
-    blobs = []
-    for t in ("1", "4"):
-        out = tmp_path / f"locality-{t}.csv"
-        code, _ = run_cli(
-            capsys, "experiment", "locality", "--specs", str(specs),
-            "--cfgs", "3:2", "--seeds", "1,2", "--threads", t, "--out", str(out),
-        )
-        assert code == 0
-        blobs.append(out.read_bytes())
-    assert blobs[0] == blobs[1]
 
 
 def test_dump_paths_json_lines(random_graph, capsys):
@@ -234,25 +207,21 @@ def test_dump_paths_hashes_each_path_once(tmp_path, capsys, monkeypatch):
     assert out == expected
 
 
-def test_threads_env_fallback(random_graph, capsys, monkeypatch):
-    code, out_explicit = run_cli(
-        capsys, "tester", "--graph", str(random_graph), "--l", "3", "--s", "2",
-        "--seeds", "1", "--k", "20", "--threads", "2",
-    )
+def test_no_thread_count_setting(random_graph, capsys, monkeypatch):
+    # The CLI has no thread count: LOCALFLOW_THREADS is ignored, and
+    # --threads is an unknown flag that argparse refuses.
+    argv = ("tester", "--graph", str(random_graph), "--l", "3", "--s", "2",
+            "--seeds", "1", "--k", "20")
+    code, out_plain = run_cli(capsys, *argv)
     assert code == 0
-    monkeypatch.setenv("LOCALFLOW_THREADS", "2")
-    code, out_env = run_cli(
-        capsys, "tester", "--graph", str(random_graph), "--l", "3", "--s", "2",
-        "--seeds", "1", "--k", "20",
-    )
-    assert code == 0
-    assert out_env == out_explicit
     monkeypatch.setenv("LOCALFLOW_THREADS", "zero")
-    code, _ = run_cli(
-        capsys, "tester", "--graph", str(random_graph), "--l", "3", "--s", "2",
-        "--seeds", "1", "--k", "20",
-    )
-    assert code == 2
+    code, out_env = run_cli(capsys, *argv)
+    assert code == 0
+    assert out_env == out_plain
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--threads", "2"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_missing_graph_flag_exits_two(capsys):

@@ -177,11 +177,10 @@ def test_experiment_approx_validates_each_row_flow_twice(monkeypatch):
     assert len(calls) == 2 * len(run_rows) + len(specs)  # + one per max_flow
 
 
-def test_experiment_approx_threads_equal_rows():
+def test_experiment_approx_reruns_equal_rows():
     specs = [InstanceSpec("random_bounded", n=20, gen_seed=3)]
-    rows1, _ = experiment_approx(specs, [3], [1, 2, 3], s=2, threads=1)
-    rows4, _ = experiment_approx(specs, [3], [1, 2, 3], s=2, threads=4)
-    assert rows1 == rows4
+    runs = [experiment_approx(specs, [3], [1, 2, 3], s=2) for _ in range(2)]
+    assert runs[0] == runs[1]
 
 
 def test_chain_tail_on_disjoint_bundle_is_depth_one():
