@@ -91,9 +91,10 @@ def _run_config(args: argparse.Namespace, need_s: bool) -> RunConfig:
     epsilon = _parse_fraction(args.epsilon, "--epsilon") if args.epsilon is not None else None
     if args.l is None and epsilon is None:
         raise ValueError("missing field '--l' (or '--epsilon')")
-    if need_s and args.s is None:
+    s = args.s if need_s else None
+    if need_s and s is None:
         raise ValueError("missing field '--s'")
-    return RunConfig(l=args.l, s=args.s, seed=args.seed, epsilon=epsilon)
+    return RunConfig(l=args.l, s=s, seed=args.seed, epsilon=epsilon)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -274,7 +275,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         l = args.l if args.l is not None else harness.DEFAULT_L
         rows, ok = harness.experiment_chain_tail(specs, l, seeds)
         columns = CHAIN_TAIL_COLUMNS
-    elif args.name == "locality":
+    else:
         cfgs = _parse_cfgs(args.cfgs) if args.cfgs else [(3, 2), (4, 3)]
         count = _parse_sample(args.sample)
         rows, ok = harness.experiment_locality(
@@ -282,8 +283,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
             negative_control=not args.no_negative_control,
         )
         columns = LOCALITY_COLUMNS
-    else:
-        raise ValueError(f"bad field 'experiment': unknown name {args.name!r}")
     wall_ms = int((time.monotonic() - started) * 1000)
 
     buf = io.StringIO()
@@ -293,36 +292,43 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--graph", help="graph JSON file")
-    common.add_argument("--seed", type=int, default=0, help="labeling (or sampling) seed")
-    common.add_argument("--seeds", help="comma-separated seed list")
-    common.add_argument("--l", type=int, help="max augmenting-path length")
-    common.add_argument("--s", type=int, help="chain-depth skip threshold")
-    common.add_argument("--epsilon", help="target error; sets l = ceil(2dM/epsilon)")
-    common.add_argument("--k", type=int, default=1000, help="tester sample count")
-    common.add_argument("--r", type=int, help="tester neighborhood radius (>= s*l + 1)")
-    common.add_argument("--out", help="output file (.csv or .json); stdout when omitted")
-    common.add_argument(
-        "--sample",
-        help="verify-locality: edge count or 'all' (default all); "
-        "tester: 'all' switches to exhaustive vertices",
-    )
+# Flags that more than one command reads.  Each command declares only the
+# flags it reads, and takes no abbreviations, so argparse refuses any other
+# (`--l` is not read as `--l-sweep`).
+_SHARED_FLAGS: dict[str, dict] = {
+    "graph": {"help": "graph JSON file"},
+    "seed": {"type": int, "default": 0, "help": "labeling (tester: sampling) seed"},
+    "seeds": {"help": "comma-separated seed list"},
+    "l": {"type": int, "help": "max augmenting-path length"},
+    "s": {"type": int, "help": "chain-depth skip threshold"},
+    "epsilon": {"help": "target error; sets l = ceil(2dM/epsilon)"},
+    "radius": {"type": int, "help": "override ball radius (default s*l)"},
+    "trace": {"help": "write the per-path trace as JSON lines"},
+    "sample": {
+        "help": "edge count or 'all' (default all); "
+        "tester: only 'all', which takes every vertex instead of k samples",
+    },
+    "specs": {"help": "JSON file with an array of instance specs"},
+    "out": {"help": "output file (.csv or .json); stdout when omitted"},
+}
 
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="localflow",
         description="Local almost-maximum-flow runs, exact oracle, and sampling tester.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, func: Callable[[argparse.Namespace], int],
-                summary: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, parents=[common], help=summary)
+    def command(subs, name: str, func: Callable[[argparse.Namespace], int],
+                summary: str, *flags: str) -> argparse.ArgumentParser:
+        p = subs.add_parser(name, help=summary, allow_abbrev=False)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
         p.set_defaults(func=func)
         return p
 
-    p = command("generate", _cmd_generate, "write a generated instance")
+    p = command(sub, "generate", _cmd_generate, "write a generated instance", "out")
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--d", type=int, default=harness.DEFAULT_D)
@@ -335,32 +341,41 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
     p.add_argument("--bottlenecks", help="comma-separated per-path bottlenecks (path_bundle)")
 
-    command("maxflow", _cmd_maxflow, "exact maximum flow value")
+    command(sub, "maxflow", _cmd_maxflow, "exact maximum flow value", "graph", "out")
 
-    p = command("run-a1", partial(_cmd_run, variant="a1"), "label-ordered augmentation")
-    p.add_argument("--trace", help="write the per-path trace as JSON lines")
-    p = command("run-a2", partial(_cmd_run, variant="a2"), "chain-skipping augmentation")
-    p.add_argument("--trace", help="write the per-path trace as JSON lines")
+    command(sub, "run-a1", partial(_cmd_run, variant="a1"), "label-ordered augmentation",
+            "graph", "l", "epsilon", "seed", "out", "trace")
+    command(sub, "run-a2", partial(_cmd_run, variant="a2"), "chain-skipping augmentation",
+            "graph", "l", "s", "epsilon", "seed", "out", "trace")
 
-    p = command("local-f2", _cmd_local_f2, "A2 value at one edge from its ball")
+    p = command(sub, "local-f2", _cmd_local_f2, "A2 value at one edge from its ball",
+                "graph", "l", "s", "epsilon", "seed", "radius")
     p.add_argument("--edge", type=int, help="edge id")
     p.add_argument("--orientation", choices=["AB", "BA"], default="AB")
-    p.add_argument("--radius", type=int, help="override ball radius (default s*l)")
 
-    p = command("verify-locality", _cmd_verify_locality, "global vs local equality")
-    p.add_argument("--radius", type=int, help="override ball radius (default s*l)")
+    p = command(sub, "verify-locality", _cmd_verify_locality, "global vs local equality",
+                "graph", "l", "s", "epsilon", "seed", "radius", "sample", "out")
     p.add_argument("--local-seed", type=int, help="mismatched-seed negative control")
 
-    command("tester", _cmd_tester, "sampling estimate of max flow over n")
+    p = command(sub, "tester", _cmd_tester, "sampling estimate of max flow over n",
+                "graph", "l", "s", "seeds", "seed", "sample", "out")
+    p.add_argument("--k", type=int, default=1000, help="tester sample count")
+    p.add_argument("--r", type=int, help="tester neighborhood radius (>= s*l + 1)")
 
-    command("dump-paths", _cmd_dump_paths,
-            "debug dump of candidate paths with labels and chain depths")
+    command(sub, "dump-paths", _cmd_dump_paths,
+            "debug dump of candidate paths with labels and chain depths",
+            "graph", "l", "seed", "out")
 
-    p = command("experiment", _cmd_experiment, "run an experiment suite")
-    p.add_argument("name", choices=["approx", "chain-tail", "locality"])
-    p.add_argument("--specs", help="JSON file with an array of instance specs")
-    p.add_argument("--l-sweep", help="comma-separated l values (approx)")
-    p.add_argument("--cfgs", help="comma-separated l:s pairs (locality)")
+    experiments = command(sub, "experiment", _cmd_experiment, "run an experiment suite")
+    names = experiments.add_subparsers(dest="name", required=True)
+    p = command(names, "approx", _cmd_experiment, "approximation gap sweep",
+                "specs", "seeds", "s", "out")
+    p.add_argument("--l-sweep", help="comma-separated l values")
+    command(names, "chain-tail", _cmd_experiment, "chain-depth tail",
+            "specs", "seeds", "l", "out")
+    p = command(names, "locality", _cmd_experiment, "global vs local equality per instance",
+                "specs", "seeds", "sample", "out")
+    p.add_argument("--cfgs", help="comma-separated l:s pairs")
     p.add_argument("--no-negative-control", action="store_true")
 
     return parser

@@ -20,6 +20,7 @@ neighbour, arc, ...) of the arcs leaving v, in edge-id order.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -56,9 +57,6 @@ class Edge:
     b: int
     cap_ab: int
     cap_ba: int
-
-    def cap(self, orientation: str) -> int:
-        return self.cap_ab if orientation == AB else self.cap_ba
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +114,6 @@ class ColoredGraph:
             return self._edge_by_id[edge_id]
         except KeyError:
             raise ValueError(f"unknown edge id {edge_id}") from None
-
-    def incident_edge_ids(self, node_id: int) -> list[int]:
-        return [arc >> 1 for arc in self._arcs(node_id)]
 
     def _arcs(self, node_id: int) -> tuple[int, ...]:
         """The arcs leaving node_id, in edge-id order."""
@@ -297,6 +292,33 @@ def _net_out(g: ColoredGraph, f: Flow, v: int) -> Ticks:
     return total
 
 
+class _Residuals(dict):
+    """Residual capacity by arc under a flow (zero when none is given): the
+    arc's capacity less the flow along it.  Read from g on first use, so a
+    search or sweep holds entries only for the arcs it reaches."""
+
+    def __init__(self, g: ColoredGraph, f: Flow | None = None):
+        super().__init__()
+        self.edge_by_id = g._edge_by_id
+        self.start = {} if f is None else f.values
+
+    def __missing__(self, arc: int) -> int:
+        e = self.edge_by_id[arc >> 1]
+        used = self.start.get(arc >> 1, 0)
+        got = self[arc] = e.cap_ba + used if arc & 1 else e.cap_ab - used
+        return got
+
+    def flow(self) -> Flow:
+        """The flow these residuals hold, read off the AB arcs: augmenting
+        reaches both arcs of every edge it changes."""
+        edge = self.edge_by_id
+        values = dict(self.start)
+        for arc, left in self.items():
+            if not arc & 1:
+                values[arc >> 1] = edge[arc >> 1].cap_ab - left
+        return Flow({eid: v for eid, v in values.items() if v})
+
+
 def validate_flow(g: ColoredGraph, f: Flow) -> ValidationReport:
     """Exact check of capacity, conservation and the S/T inequalities."""
     bad: list[str] = []
@@ -412,11 +434,21 @@ def flow_to_json(f: Flow) -> dict:
 
 
 def flow_from_json(obj: Mapping) -> Flow:
+    """Read a flow as ``flow_to_json`` writes it: each ``f_ab`` an integer or
+    a rational as a "p/q" (or "p") string; floats, bools and other strings
+    are refused, as are ids that are not integers."""
     values: dict[int, Ticks] = {}
+    where = "flow edge value"
     for item in _require(obj, "edge_values", "flow"):
-        raw = _require(item, "f_ab", "flow edge value")
-        v: Ticks = int(raw) if isinstance(raw, int) else Fraction(str(raw))
-        values[int(_require(item, "id", "flow edge value"))] = v
+        raw = _require(item, "f_ab", where)
+        if type(raw) is int:
+            v: Ticks = raw
+        elif isinstance(raw, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", raw):
+            v = Fraction(raw)
+        else:
+            raise ValueError(
+                f"bad field 'f_ab' in {where}: expected an integer or a 'p/q' string, got {raw!r}")
+        values[_int_field(item, "id", where)] = v
     return Flow(values)
 
 

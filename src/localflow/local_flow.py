@@ -26,6 +26,7 @@ from .graph_core import (
     DirectedEdgeRef,
     Edge,
     Flow,
+    _Residuals,
     ball_nodes,
     validate_flow,
 )
@@ -147,26 +148,9 @@ def _sweep(
         else:
             append(new_entry(TraceEntry, (ck, ZERO_CAPACITY, 0)))
 
-    # Augmenting reaches both arcs of every edge it changes.
-    edge = g._edge_by_id
-    flow = Flow({arc >> 1: edge[arc >> 1].cap_ab - left for arc, left in res.items()
-                 if not arc & 1 and left != edge[arc >> 1].cap_ab})
+    flow = res.flow()
     validate_flow(g, flow).raise_if_invalid("run output flow")
     return flow, RunTrace(tuple(entries))
-
-
-class _Residuals(dict):
-    """Residual capacity by arc, read from g's capacities on first use, so a
-    sweep holds entries only for the arcs its paths reach."""
-
-    def __init__(self, g: ColoredGraph):
-        super().__init__()
-        self.edge_by_id = g._edge_by_id
-
-    def __missing__(self, arc: int) -> int:
-        e = self.edge_by_id[arc >> 1]
-        got = self[arc] = e.cap_ba if arc & 1 else e.cap_ab
-        return got
 
 
 def run_a1(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:

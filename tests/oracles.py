@@ -328,7 +328,7 @@ def residual_sp_length(g: ColoredGraph, f_values: dict[int, int], l_max=None):
             e = g.edge(eid)
             v = f_values.get(eid, 0)
             used = v if orientation == AB else -v
-            if used < e.cap(orientation) and w not in dist:
+            if used < (e.cap_ab if orientation == AB else e.cap_ba) and w not in dist:
                 heapq.heappush(heap, (d + 1, w))
     return None
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -278,13 +280,13 @@ def test_invalid_graph_file_exits_two(bundle_graph, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["verify-locality", "--l", "3", "--s", "2", "--sample", "-3"],
-    ["verify-locality", "--l", "3", "--s", "2", "--sample", "some"],
-    ["tester", "--l", "3", "--s", "2", "--seeds", "1", "--sample", "5"],
+    ["verify-locality", "--graph", "{graph}", "--l", "3", "--s", "2", "--sample", "-3"],
+    ["verify-locality", "--graph", "{graph}", "--l", "3", "--s", "2", "--sample", "some"],
+    ["tester", "--graph", "{graph}", "--l", "3", "--s", "2", "--seeds", "1", "--sample", "5"],
     ["experiment", "locality", "--seeds", "1", "--sample", "-2"],
 ])
 def test_bad_sample_exits_two_naming_the_flag(bundle_graph, capsys, argv):
-    code = main(argv + ["--graph", str(bundle_graph)])
+    code = main([arg.format(graph=bundle_graph) for arg in argv])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
@@ -305,9 +307,28 @@ def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_two(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["maxflow", "--bogus"])
-    assert exc.value.code == 2
+    # A command declares only the flags it reads: any other exits 2 naming it.
+    for argv, flag in ((["maxflow", "--bogus"], "--bogus"),
+                       (["run-a1", "--graph", "g.json", "--seeds", "1,2,3"], "--seeds"),
+                       (["experiment", "approx", "--l", "5"], "--l"),
+                       (["generate", "--family", "grid", "--k", "5"], "--k")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
+
+def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    for line in block.splitlines():
+        argv = shlex.split(line, comments=True)
+        assert argv[0] == "localflow"
+        code, out = run_cli(capsys, *argv[1:])
+        assert code == 0, line
+        if argv[1] == "maxflow":
+            assert out.strip() == "9"
 
 
 def test_error_messages_name_the_field(tmp_path, capsys):

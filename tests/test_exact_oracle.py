@@ -108,6 +108,7 @@ def test_shortest_augmenting_path_basics():
 
 def test_shortest_augmenting_path_respects_l_max():
     g = line_graph("SRRT", cap=1)
+    assert shortest_augmenting_path_length(g, Flow.zero(), l_max=0) is None
     assert shortest_augmenting_path_length(g, Flow.zero(), l_max=2) is None
     assert shortest_augmenting_path_length(g, Flow.zero(), l_max=3) == 3
     assert shortest_augmenting_path_length(g, Flow.zero()) == 3

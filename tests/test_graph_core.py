@@ -265,9 +265,9 @@ def test_flow_json_round_trip():
 
 
 def test_fractional_flow_serializes_exactly():
-    f = Flow({1: Fraction(5, 3)})
-    f2 = flow_from_json(flow_to_json(f))
-    assert f2.on_edge(1) == Fraction(5, 3)
+    f = Flow({1: Fraction(5, 3), 2: Fraction(-4), 3: Fraction(-1, 2)})
+    f2 = flow_from_json(json.loads(json.dumps(flow_to_json(f))))
+    assert f2.values == f.values
 
 
 def test_graph_json_missing_field_named():
@@ -283,15 +283,25 @@ def test_graph_json_missing_field_named():
 @pytest.mark.parametrize(
     "where, field",
     [("edge", f) for f in ("id", "a", "b", "cap_ab", "cap_ba")]
-    + [("node", "id"), ("graph", "degree_bound"), ("graph", "capacity_bound_ticks")],
+    + [("node", "id"), ("graph", "degree_bound"), ("graph", "capacity_bound_ticks")]
+    + [("flow edge value", "id")],
 )
 @pytest.mark.parametrize("bad", [2.9, 1.0, True, False, "3"])
 def test_graph_json_rejects_non_integer_fields(where, field, bad):
     obj = graph_to_json(line_graph("SRT"))
-    target = {"graph": obj, "node": obj["nodes"][0], "edge": obj["edges"][0]}[where]
+    flow = flow_to_json(Flow({0: 1, 1: 1}))
+    target = {"graph": obj, "node": obj["nodes"][0], "edge": obj["edges"][0],
+              "flow edge value": flow["edge_values"][0]}[where]
     target[field] = bad
     with pytest.raises(ValueError, match=f"bad field '{field}' in {where}"):
         graph_from_json(obj)
+        flow_from_json(flow)
+
+
+@pytest.mark.parametrize("bad", [True, 1.5, "1.5", "1/0", " 3", None])
+def test_flow_json_rejects_a_value_that_is_not_a_rational(bad):
+    with pytest.raises(ValueError, match="bad field 'f_ab' in flow edge value"):
+        flow_from_json({"edge_values": [{"id": 0, "f_ab": bad}]})
 
 
 def _subgraph_shape(h: ColoredGraph) -> tuple:
@@ -415,8 +425,17 @@ def graphs_in_any_order(draw) -> ColoredGraph:
     return ColoredGraph(nodes, tuple(edges), d, 3)
 
 
+def shuffled_grid(seed: int) -> ColoredGraph:
+    """A generated 7x8 grid whose edge tuple is shuffled out of id order."""
+    g, _ = generate(InstanceSpec("grid", gen_seed=seed, params={"rows": 7, "cols": 8}))
+    edges = list(g.edges)
+    random.Random(seed).shuffle(edges)
+    return ColoredGraph(g.nodes, tuple(edges), g.degree_bound, g.capacity_bound_ticks)
+
+
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(graphs_in_any_order())
+@example(shuffled_grid(1))
 @example(ColoredGraph(  # unsorted, negative and sparse ids, parallel edges, isolated node 9
     (Node(4, "S"), Node(0, "R"), Node(7, "T"), Node(9, "R")),
     (Edge(5, 0, 7, 2, 1), Edge(-3, 4, 0, 1, 2), Edge(12, 7, 0, 3, 0), Edge(-8, 4, 7, 1, 1)),
@@ -430,7 +449,6 @@ def test_adjacency_is_the_edge_list_read_per_node(g):
             e = g.edge(eid)
             expected += [e.b, 2 * eid] if e.a == v else [e.a, 2 * eid + 1]
         assert g._adj[v] == tuple(expected)
-        assert g.incident_edge_ids(v) == incident
         assert out_edges(g, v) == [
             DirectedEdgeRef(eid, "AB" if g.edge(eid).a == v else "BA") for eid in incident]
     assert set(g._adj) == {nd.id for nd in g.nodes}
@@ -442,6 +460,11 @@ def test_adjacency_is_the_edge_list_read_per_node(g):
         assert (got.nodes, got.edges) == (tuple(sorted(want.nodes, key=lambda x: x.id)),
                                           tuple(sorted(want.edges, key=lambda x: x.id)))
     assert {path_signature(u) for u in enumerate_paths(g, 3)} == naive_paths(g, 3)
-    assert max_flow(g).value == dfs_max_flow_value(g)
+    best = max_flow(g)
+    assert best.value == dfs_max_flow_value(g)
+    # The search reads the adjacency, so the edge tuple's order cannot matter.
+    by_id = ColoredGraph(g.nodes, tuple(sorted(g.edges, key=lambda e: e.id)), g.degree_bound,
+                         g.capacity_bound_ticks)
+    assert best.flow == max_flow(by_id).flow
     assert shortest_augmenting_path_length(g, Flow.zero()) == residual_sp_length(g, {})
-    assert validate_flow(g, max_flow(g).flow).ok
+    assert validate_flow(g, best.flow).ok
