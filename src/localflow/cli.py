@@ -60,17 +60,20 @@ def _parse_cfgs(text: str) -> list[tuple[int, int]]:
     return out
 
 
+def _load_json(path: str, flag: str):
+    try:
+        with open(path, encoding="utf-8") as fp:
+            return json.load(fp)
+    except FileNotFoundError:
+        raise ValueError(f"bad field '{flag}': no such file {path!r}")
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad field '{flag}': not valid JSON ({exc})")
+
+
 def _load_graph(path: str | None) -> ColoredGraph:
     if path is None:
         raise ValueError("missing field '--graph'")
-    try:
-        with open(path, encoding="utf-8") as fp:
-            obj = json.load(fp)
-    except FileNotFoundError:
-        raise ValueError(f"bad field '--graph': no such file {path!r}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad field '--graph': not valid JSON ({exc})")
-    return graph_from_json(obj)
+    return graph_from_json(_load_json(path, "--graph"))
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -148,7 +151,7 @@ def _cmd_local_f2(args: argparse.Namespace) -> int:
         raise ValueError("missing field '--edge'")
     cfg = _run_config(args, need_s=True)
     ref = DirectedEdgeRef(args.edge, args.orientation)
-    print(local_f2_edge(g, ref, cfg, radius=args.radius))
+    print(local_f2_edge(g, ref, cfg))
     return 0
 
 
@@ -173,11 +176,7 @@ def _cmd_verify_locality(args: argparse.Namespace) -> int:
     cfg = _run_config(args, need_s=True)
     count = _parse_sample(args.sample)
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges][:count]
-    report = verify_locality(
-        g, cfg, refs,
-        radius=args.radius,
-        local_seed=args.local_seed,
-    )
+    report = verify_locality(g, cfg, refs, radius=args.radius, local_seed=args.local_seed)
     lines = [f"checked {report.checked} edges, {len(report.mismatches)} mismatches"]
     for mm in report.mismatches:
         lines.append(
@@ -190,18 +189,14 @@ def _cmd_verify_locality(args: argparse.Namespace) -> int:
 
 def _cmd_tester(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    if args.l is None:
-        raise ValueError("missing field '--l'")
-    if args.s is None:
-        raise ValueError("missing field '--s'")
-    if args.seeds is None:
-        raise ValueError("missing field '--seeds'")
+    for flag in ("l", "s", "seeds"):
+        if getattr(args, flag) is None:
+            raise ValueError(f"missing field '--{flag}'")
     cfg = TesterConfig(
         l=args.l,
         s=args.s,
         seeds=tuple(_parse_ints(args.seeds, "--seeds")),
         k=args.k,
-        r=args.r,
         sample_seed=args.seed,
     )
     _parse_sample(args.sample, counts=False)  # absent or 'all'
@@ -212,7 +207,7 @@ def _cmd_tester(args: argparse.Namespace) -> int:
     payload = {
         "config": {
             "l": cfg.l, "s": cfg.s, "seeds": list(cfg.seeds), "k": cfg.k,
-            "r": cfg.resolve_r(), "sample_seed": cfg.sample_seed,
+            "r": cfg.r, "sample_seed": cfg.sample_seed,
             "exhaustive": exhaustive,
         },
         "estimate": frac_str(report.estimate),
@@ -249,13 +244,7 @@ def _cmd_dump_paths(args: argparse.Namespace) -> int:
 def _load_specs(path: str | None) -> list[InstanceSpec]:
     if path is None:
         return harness.default_specs()
-    try:
-        with open(path, encoding="utf-8") as fp:
-            raw = json.load(fp)
-    except FileNotFoundError:
-        raise ValueError(f"bad field '--specs': no such file {path!r}")
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad field '--specs': not valid JSON ({exc})")
+    raw = _load_json(path, "--specs")
     if not isinstance(raw, list):
         raise ValueError("bad field '--specs': expected a JSON array of instance specs")
     return [InstanceSpec.from_json(obj) for obj in raw]
@@ -280,7 +269,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         count = _parse_sample(args.sample)
         rows, ok = harness.experiment_locality(
             specs, cfgs, seeds, sample="all" if count is None else count,
-            negative_control=not args.no_negative_control,
         )
         columns = LOCALITY_COLUMNS
     wall_ms = int((time.monotonic() - started) * 1000)
@@ -302,7 +290,6 @@ _SHARED_FLAGS: dict[str, dict] = {
     "l": {"type": int, "help": "max augmenting-path length"},
     "s": {"type": int, "help": "chain-depth skip threshold"},
     "epsilon": {"help": "target error; sets l = ceil(2dM/epsilon)"},
-    "radius": {"type": int, "help": "override ball radius (default s*l)"},
     "trace": {"help": "write the per-path trace as JSON lines"},
     "sample": {
         "help": "edge count or 'all' (default all); "
@@ -349,18 +336,18 @@ def build_parser() -> argparse.ArgumentParser:
             "graph", "l", "s", "epsilon", "seed", "out", "trace")
 
     p = command(sub, "local-f2", _cmd_local_f2, "A2 value at one edge from its ball",
-                "graph", "l", "s", "epsilon", "seed", "radius")
+                "graph", "l", "s", "epsilon", "seed")
     p.add_argument("--edge", type=int, help="edge id")
     p.add_argument("--orientation", choices=["AB", "BA"], default="AB")
 
     p = command(sub, "verify-locality", _cmd_verify_locality, "global vs local equality",
-                "graph", "l", "s", "epsilon", "seed", "radius", "sample", "out")
+                "graph", "l", "s", "epsilon", "seed", "sample", "out")
+    p.add_argument("--radius", type=int, help="negative control: ball radius (default s*l)")
     p.add_argument("--local-seed", type=int, help="mismatched-seed negative control")
 
     p = command(sub, "tester", _cmd_tester, "sampling estimate of max flow over n",
                 "graph", "l", "s", "seeds", "seed", "sample", "out")
     p.add_argument("--k", type=int, default=1000, help="tester sample count")
-    p.add_argument("--r", type=int, help="tester neighborhood radius (>= s*l + 1)")
 
     command(sub, "dump-paths", _cmd_dump_paths,
             "debug dump of candidate paths with labels and chain depths",
@@ -376,7 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(names, "locality", _cmd_experiment, "global vs local equality per instance",
                 "specs", "seeds", "sample", "out")
     p.add_argument("--cfgs", help="comma-separated l:s pairs")
-    p.add_argument("--no-negative-control", action="store_true")
 
     return parser
 

@@ -9,8 +9,9 @@ averaged values on its out-edges.  Several sampling seeds are several calls
 with ``replace(cfg, sample_seed=...)``.  Each value comes from one
 ``LocalEvaluator`` query tree on the whole graph per call, shared by every
 sampled source and seed; a tree reads nothing beyond s*(l-1) hops of its
-edge, so the computation stays inside a radius-r ball around the vertex
-(r >= s*l + 1 so that every out-edge's ball fits inside).
+edge, so the computation stays inside the ball of radius ``TesterConfig.r``
+around the vertex: one more than a local query's ball radius, so that the
+ball of every out-edge fits inside.
 
 All arithmetic here is exact rational: with the full vertex set instead of
 samples, the tester equals the averaged flow value over n bit for bit.
@@ -24,43 +25,36 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .graph_core import ColoredGraph, out_edges
-from .local_flow import LocalEvaluator
+from .local_flow import LocalEvaluator, _at_least_one, _ball_radius
 from .parallel import parallel_map
 
 
 @dataclass(frozen=True)
 class TesterConfig:
-    """Sampling tester parameters; r defaults to s*l + 1 and may not go lower."""
+    """Sampling tester parameters."""
 
     l: int
     s: int
     seeds: tuple[int, ...]
     k: int = 1000
-    r: int | None = None
     sample_seed: int = 0
 
     @property
     def m(self) -> int:
         return len(self.seeds)
 
-    def resolve_r(self) -> int:
-        floor = self.s * self.l + 1
-        if self.r is None:
-            return floor
-        if self.r < floor:
-            raise ValueError(f"r must be >= s*l + 1 = {floor}, got {self.r}")
-        return self.r
+    @property
+    def r(self) -> int:
+        """Radius of the ball around a sampled vertex that holds the ball of
+        each of its out-edges, which has the vertex as an endpoint."""
+        return _ball_radius(self.l, self.s) + 1
 
     def check(self) -> None:
-        if self.l < 1:
-            raise ValueError(f"l must be >= 1, got {self.l}")
-        if self.s < 1:
-            raise ValueError(f"s must be >= 1, got {self.s}")
+        _at_least_one("l", self.l)
+        _at_least_one("s", self.s)
         if self.m < 1:
             raise ValueError("at least one labeling seed is required")
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        self.resolve_r()
+        _at_least_one("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -87,7 +81,7 @@ def source_ball_summand(g: ColoredGraph, v: int, cfg: TesterConfig,
 def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) -> TesterReport:
     """Sample k vertices uniformly with replacement (or take all of V) and
     average the per-vertex source summands."""
-    cfg.check()  # includes r >= s*l + 1: every out-edge ball fits in h_r(v)
+    cfg.check()
     ids = g._sorted_node_ids
     if not ids:
         raise ValueError("graph has no nodes")

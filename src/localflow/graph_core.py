@@ -115,13 +115,6 @@ class ColoredGraph:
         except KeyError:
             raise ValueError(f"unknown edge id {edge_id}") from None
 
-    def _arcs(self, node_id: int) -> tuple[int, ...]:
-        """The arcs leaving node_id, in edge-id order."""
-        try:
-            return self._adj[node_id][1::2]
-        except KeyError:
-            raise ValueError(f"unknown node id {node_id}") from None
-
     @cached_property
     def _sorted_node_ids(self) -> tuple[int, ...]:
         """Every node id in ascending order, sorted once per graph on first use."""
@@ -230,24 +223,8 @@ def _duplicate_ids(kind: str, items: Iterable[Union[Node, Edge]]) -> list[str]:
 
 def out_edges(g: ColoredGraph, v: int) -> list[DirectedEdgeRef]:
     """Incident edges of v, each oriented away from v, in edge-id order."""
-    return [DirectedEdgeRef(arc >> 1, BA if arc & 1 else AB) for arc in g._arcs(v)]
-
-
-def _ball_nodes(g: ColoredGraph, starts: Iterable[int], r: int) -> set[int]:
-    adj = g._adj
-    seen = set(starts)
-    frontier = list(seen)
-    for _ in range(r):
-        nxt = []
-        for u in frontier:
-            for w in adj[u][::2]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        if not nxt:
-            break
-        frontier = nxt
-    return seen
+    g.node(v)  # raises on an unknown node id
+    return [DirectedEdgeRef(arc >> 1, BA if arc & 1 else AB) for arc in g._adj[v][1::2]]
 
 
 def induced_subgraph(g: ColoredGraph, node_ids: AbstractSet[int]) -> ColoredGraph:
@@ -276,11 +253,23 @@ def ball_nodes(g: ColoredGraph, center: Union[int, DirectedEdgeRef], r: int) -> 
         raise ValueError(f"radius must be non-negative, got {r}")
     if isinstance(center, DirectedEdgeRef):
         e = g.edge(center.edge_id)
-        starts: list[int] = [e.a, e.b]
+        seen = {e.a, e.b}
     else:
         g.node(center)
-        starts = [center]
-    return frozenset(_ball_nodes(g, starts, r))
+        seen = {center}
+    adj = g._adj
+    frontier = list(seen)
+    for _ in range(r):
+        nxt = []
+        for u in frontier:
+            for w in adj[u][::2]:
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        if not nxt:
+            break
+        frontier = nxt
+    return frozenset(seen)
 
 
 def _net_out(g: ColoredGraph, f: Flow, v: int) -> Ticks:
@@ -361,13 +350,13 @@ def _source_outflow(g: ColoredGraph, f: Flow) -> Ticks:
 # ---------------------------------------------------------------------------
 
 
-def _quantum_str(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+def frac_str(x: Fraction) -> str:
+    return f"{x.numerator}/{x.denominator}"
 
 
 def graph_to_json(g: ColoredGraph, meta: Mapping | None = None) -> dict:
     obj = {
-        "quantum": _quantum_str(g.quantum),
+        "quantum": frac_str(g.quantum),
         "degree_bound": g.degree_bound,
         "capacity_bound_ticks": g.capacity_bound_ticks,
         "nodes": [{"id": nd.id, "color": nd.color} for nd in g.nodes],
@@ -382,9 +371,20 @@ def graph_to_json(g: ColoredGraph, meta: Mapping | None = None) -> dict:
 
 
 def _require(obj: Mapping, key: str, where: str):
+    """A required field of the JSON object obj, which is the item ``where``."""
+    if not isinstance(obj, Mapping):
+        raise ValueError(f"bad {where}: expected a JSON object, got {obj!r}")
     if key not in obj:
         raise ValueError(f"missing field {key!r} in {where}")
     return obj[key]
+
+
+def _list_field(obj: Mapping, key: str, where: str) -> list:
+    """A required field that is a JSON array."""
+    value = _require(obj, key, where)
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"bad field {key!r} in {where}: expected a list, got {value!r}")
+    return value
 
 
 def _int_field(obj: Mapping, key: str, where: str) -> int:
@@ -395,32 +395,27 @@ def _int_field(obj: Mapping, key: str, where: str) -> int:
     return value
 
 
-def graph_from_json(obj: Mapping) -> ColoredGraph:
+def _fraction_field(obj: Mapping, key: str, where: str) -> Fraction:
+    """A required rational field: an integer, or a string such as "p/q"."""
+    value = _require(obj, key, where)
     try:
-        quantum = Fraction(str(_require(obj, "quantum", "graph")))
+        return Fraction(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad field 'quantum': {exc}") from None
+        raise ValueError(f"bad field {key!r} in {where}: {exc}") from None
+
+
+def graph_from_json(obj: Mapping) -> ColoredGraph:
+    quantum = _fraction_field(obj, "quantum", "graph")
     nodes = tuple(
         Node(_int_field(nd, "id", "node"), str(_require(nd, "color", "node")))
-        for nd in _require(obj, "nodes", "graph")
+        for nd in _list_field(obj, "nodes", "graph")
     )
     edges = tuple(
-        Edge(
-            _int_field(e, "id", "edge"),
-            _int_field(e, "a", "edge"),
-            _int_field(e, "b", "edge"),
-            _int_field(e, "cap_ab", "edge"),
-            _int_field(e, "cap_ba", "edge"),
-        )
-        for e in _require(obj, "edges", "graph")
+        Edge(*(_int_field(e, key, "edge") for key in ("id", "a", "b", "cap_ab", "cap_ba")))
+        for e in _list_field(obj, "edges", "graph")
     )
-    return ColoredGraph(
-        nodes,
-        edges,
-        _int_field(obj, "degree_bound", "graph"),
-        _int_field(obj, "capacity_bound_ticks", "graph"),
-        quantum,
-    )
+    return ColoredGraph(nodes, edges, _int_field(obj, "degree_bound", "graph"),
+                        _int_field(obj, "capacity_bound_ticks", "graph"), quantum)
 
 
 def flow_to_json(f: Flow) -> dict:
@@ -436,10 +431,10 @@ def flow_to_json(f: Flow) -> dict:
 def flow_from_json(obj: Mapping) -> Flow:
     """Read a flow as ``flow_to_json`` writes it: each ``f_ab`` an integer or
     a rational as a "p/q" (or "p") string; floats, bools and other strings
-    are refused, as are ids that are not integers."""
+    are refused, as are ids that are not integers and repeated ids."""
     values: dict[int, Ticks] = {}
     where = "flow edge value"
-    for item in _require(obj, "edge_values", "flow"):
+    for item in _list_field(obj, "edge_values", "flow"):
         raw = _require(item, "f_ab", where)
         if type(raw) is int:
             v: Ticks = raw
@@ -448,7 +443,10 @@ def flow_from_json(obj: Mapping) -> Flow:
         else:
             raise ValueError(
                 f"bad field 'f_ab' in {where}: expected an integer or a 'p/q' string, got {raw!r}")
-        values[_int_field(item, "id", where)] = v
+        eid = _int_field(item, "id", where)
+        if eid in values:
+            raise ValueError(f"bad field 'id' in {where}: repeated edge id {eid}")
+        values[eid] = v
     return Flow(values)
 
 

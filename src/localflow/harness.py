@@ -26,10 +26,13 @@ from .graph_core import (
     Edge,
     Flow,
     Node,
+    _fraction_field,
     _int_field,
+    _require,
     _source_outflow,
+    frac_str,
 )
-from .local_flow import RunConfig, run_a1, run_a2, verify_locality
+from .local_flow import RunConfig, _ball_radius, run_a1, run_a2, verify_locality
 from .parallel import parallel_map
 from .path_engine import chain_depth_all, enumerate_paths
 
@@ -87,7 +90,7 @@ class InstanceSpec:
             "n": self.n,
             "d": self.d,
             "m_ticks": self.m_ticks,
-            "quantum": f"{self.quantum.numerator}/{self.quantum.denominator}",
+            "quantum": frac_str(self.quantum),
             "rho_s": str(self.rho_s),
             "rho_t": str(self.rho_t),
             "gen_seed": self.gen_seed,
@@ -96,19 +99,22 @@ class InstanceSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "InstanceSpec":
-        """Inverse of to_json; the constructor checks the integer fields."""
-        if "family" not in obj:
-            raise ValueError("missing field 'family' in instance spec")
+        """Inverse of to_json; the constructor checks the integer fields, and
+        the rationals are read as graph JSON reads its quantum."""
+        where = "instance spec"
+        family = str(_require(obj, "family", where))
+        rationals = {"quantum": 1, "rho_s": "1/5", "rho_t": "1/5", **obj}  # defaults, then obj
+        params = obj.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ValueError(f"bad field 'params' in {where}: expected an object, got {params!r}")
         return InstanceSpec(
-            family=str(obj["family"]),
+            family=family,
             n=obj.get("n", 0),
             d=obj.get("d", DEFAULT_D),
             m_ticks=obj.get("m_ticks", DEFAULT_M_TICKS),
-            quantum=Fraction(str(obj.get("quantum", 1))),
-            rho_s=Fraction(str(obj.get("rho_s", Fraction(1, 5)))),
-            rho_t=Fraction(str(obj.get("rho_t", Fraction(1, 5)))),
             gen_seed=obj.get("gen_seed", 0),
-            params=dict(obj.get("params", {})),
+            params=dict(params),
+            **{key: _fraction_field(rationals, key, where) for key in ("quantum", "rho_s", "rho_t")},
         )
 
 
@@ -176,16 +182,10 @@ def _gen_grid(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
     for r in range(rows):
         for c in range(cols):
             v = r * cols + c
-            if c + 1 < cols:
-                edges.append(
-                    Edge(len(edges), v, v + 1,
-                         rng.randint(cap_min, spec.m_ticks), rng.randint(cap_min, spec.m_ticks))
-                )
-            if r + 1 < rows:
-                edges.append(
-                    Edge(len(edges), v, v + cols,
-                         rng.randint(cap_min, spec.m_ticks), rng.randint(cap_min, spec.m_ticks))
-                )
+            for inside, w in ((c + 1 < cols, v + 1), (r + 1 < rows, v + cols)):  # right, down
+                if inside:
+                    edges.append(Edge(len(edges), v, w, rng.randint(cap_min, spec.m_ticks),
+                                      rng.randint(cap_min, spec.m_ticks)))
     d = max(spec.d, 4 if rows > 1 and cols > 1 else 2)
     return ColoredGraph(tuple(nodes), tuple(edges), d, spec.m_ticks, spec.quantum), {}
 
@@ -256,10 +256,6 @@ def _gen_layered(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
 # ---------------------------------------------------------------------------
 # Rational rendering and CSV plumbing
 # ---------------------------------------------------------------------------
-
-
-def frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
 
 
 def dec_str(x: Fraction, digits: int = 12) -> str:
@@ -411,12 +407,12 @@ def experiment_locality(
     cfgs: Sequence[tuple[int, int]],
     seeds: Sequence[int],
     sample: int | str = "all",
-    negative_control: bool = True,
 ) -> tuple[list[dict], bool]:
     """Exact global-vs-local equality on sampled edges, per (instance, seed, l, s).
 
-    Primary rows must show zero mismatches.  Negative-control rows rerun with
-    radius s*l - 1; their mismatches are reported, never failed on.
+    Check rows, at the ball radius s*l of a local query, must show zero
+    mismatches.  Negative-control rows rerun one hop inside it, at s*l - 1;
+    their mismatches are reported, never failed on.
     """
     rows: list[dict] = []
     ok = True
@@ -431,17 +427,14 @@ def experiment_locality(
                     rng = random.Random(seed)
                     refs = sorted(rng.sample(all_refs, min(int(sample), len(all_refs))))
                 cfg = RunConfig(l=l, s=s, seed=seed)
-                roles = [("check", None)]
-                if negative_control:
-                    roles.append(("negative_control", s * l - 1))
-                for role, radius in roles:
+                ball = _ball_radius(l, s)
+                for role, radius in (("check", ball), ("negative_control", ball - 1)):
                     rep = verify_locality(g, cfg, refs, radius=radius)
                     row_ok = rep.passed if role == "check" else True
                     ok = ok and row_ok
                     rows.append({
                         "instance": spec.instance_id(), "family": spec.family, "n": g.n,
-                        "l": l, "s": s, "seed": seed, "role": role,
-                        "radius": s * l if radius is None else radius,
+                        "l": l, "s": s, "seed": seed, "role": role, "radius": radius,
                         "checked": rep.checked, "mismatches": len(rep.mismatches),
                         "ok": row_ok,
                     })

@@ -96,18 +96,9 @@ class RunTrace:
     entries: tuple[TraceEntry, ...]
 
     def to_json_lines(self) -> str:
-        lines = []
-        for ent in self.entries:
-            lines.append(
-                json.dumps(
-                    {
-                        "key": ent.canonical_key.decode("ascii"),
-                        "action": ent.action,
-                        "amount": ent.amount,
-                    }
-                )
-            )
-        return "\n".join(lines) + ("\n" if lines else "")
+        return "".join(json.dumps({"key": ent.canonical_key.decode("ascii"),
+                                   "action": ent.action, "amount": ent.amount}) + "\n"
+                       for ent in self.entries)
 
 
 def _sweep(
@@ -163,21 +154,23 @@ def run_a2(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
     return _sweep(g, cfg.resolve_l(g), cfg.seed, cfg.require_s())
 
 
-def local_f2_edge(
-    g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig, *, radius: int | None = None
-) -> int:
+def _ball_radius(l: int, s: int) -> int:
+    """Radius of the ball a local query reads around its edge: s*l hops, s
+    more than the s*(l-1) that ``LocalEvaluator`` needs."""
+    return s * l
+
+
+def local_f2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
     """Value of the skipping run at e, computed inside the ball h_{s*l}(e) only.
 
     The evaluator reads only the ball's nodes and the edges between them,
     with their ids, so it sees the same labels as a global run, and (by the
     locality argument in ``LocalEvaluator``) the result equals the global
-    value exactly.  ``radius`` overrides the default s*l for negative
-    controls.
+    value exactly.
     """
     l = cfg.resolve_l(g)
     s = cfg.require_s()
-    rad = s * l if radius is None else radius
-    return LocalEvaluator(g, l, s, ball_nodes(g, e, rad)).f2_on(e, cfg.seed)
+    return LocalEvaluator(g, l, s, ball_nodes(g, e, _ball_radius(l, s))).f2_on(e, cfg.seed)
 
 
 class LocalityMismatch(NamedTuple):
@@ -209,11 +202,12 @@ def verify_locality(
     One global A2, then one ``LocalEvaluator`` per distinct ball among the
     sampled edges (edges whose balls coincide share it, which cannot change
     any value: an evaluation depends only on the ball and the seed).
-    ``radius`` and ``local_seed`` exist for negative controls.
+    ``radius`` (default ``_ball_radius``) and ``local_seed`` exist for
+    negative controls.
     """
     l = cfg.resolve_l(g)
     s = cfg.require_s()
-    rad = s * l if radius is None else radius
+    rad = _ball_radius(l, s) if radius is None else radius
     seed = cfg.seed if local_seed is None else local_seed
 
     f2_global, _ = run_a2(g, cfg)

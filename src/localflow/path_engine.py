@@ -130,6 +130,9 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 # multi-seed sweeps share it.  Keyed by graph identity.
 _PATH_CACHE: "weakref.WeakKeyDictionary[ColoredGraph, dict]" = weakref.WeakKeyDictionary()
 
+# The most S->T walks of at most l edges a graph may have for its paths to be listed.
+_MAX_WALKS = 10**7
+
 
 def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     """All vertex-simple directed S->T paths with at most l edges.
@@ -137,7 +140,9 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     Capacities are never consulted; whether a candidate can actually augment
     is a question for augmentation time.  Interior nodes may have any color.
     The result is sorted by canonical key, each path exactly once.  The graph
-    is valid by construction, so it is not checked here.
+    is valid by construction, so it is not checked here.  A graph with more
+    than ``_MAX_WALKS`` S->T walks of at most l edges is refused before any
+    path is listed.
     """
     if l < 1:
         raise ValueError(f"path length cap must be >= 1, got {l}")
@@ -147,13 +152,22 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
         return list(cached)
 
     color = {nd.id: nd.color for nd in g.nodes}
+    # Every path is an S->T walk of at most l edges.  Count those walks per
+    # end node and length, in O(l*|E|), before listing any path.
+    ways, walks = dict.fromkeys(g.nodes_of_color("S"), 1), 0
+    for _ in range(l):
+        grown: dict[int, int] = {}
+        for v, count in ways.items():
+            for w in g._adj[v][::2]:
+                grown[w] = grown.get(w, 0) + count
+        ways = grown
+        walks += sum(count for v, count in ways.items() if color[v] == "T")
+        if walks > _MAX_WALKS:
+            raise ValueError(f"path length cap l={l} is too large for this graph: more than "
+                             f"{_MAX_WALKS} S->T walks of at most {l} edges")
     out: list[AugPathCandidate] = []
     for s in g.nodes_of_color("S"):
         _extend(g._adj, color, l, out, [s], [], {s})
-
-    bound = len(g.nodes_of_color("S")) * g.degree_bound**l
-    if len(out) > bound:
-        raise RuntimeError(f"path count {len(out)} exceeds |S|*d^l bound {bound}")
     out.sort(key=lambda u: u.canonical_key)
     per_graph[l] = tuple(out)
     return out

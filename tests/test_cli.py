@@ -9,7 +9,14 @@ import pytest
 import localflow.cli as cli_module
 from conftest import count_flow_validations
 from localflow.cli import main
-from localflow.graph_core import dumps_json, graph_to_json
+from localflow.exact_oracle import max_flow
+from localflow.graph_core import (
+    dumps_json,
+    flow_from_json,
+    graph_from_json,
+    graph_to_json,
+    validate_flow,
+)
 from localflow.harness import InstanceSpec, generate
 from localflow.path_engine import chain_depth_all, enumerate_paths, path_key
 
@@ -52,6 +59,18 @@ def test_maxflow_prints_known_value(bundle_graph, capsys):
     code, out = run_cli(capsys, "maxflow", "--graph", str(bundle_graph))
     assert code == 0
     assert out.strip() == "9"
+
+
+def test_maxflow_out_reads_back_as_the_maximum_flow(random_graph, tmp_path, capsys):
+    out = tmp_path / "fstar.json"
+    code, stdout = run_cli(capsys, "maxflow", "--graph", str(random_graph), "--out", str(out))
+    assert code == 0
+    g = graph_from_json(json.loads(random_graph.read_text()))
+    best = max_flow(g)
+    assert int(stdout) == best.value
+    flow = flow_from_json(json.loads(out.read_text()))
+    assert flow == best.flow
+    assert validate_flow(g, flow).ok
 
 
 def test_run_validates_its_flow_once(random_graph, capsys, monkeypatch):
@@ -125,6 +144,21 @@ def test_verify_locality_full_sample_passes(random_graph, capsys):
     )
     assert code == 0
     assert "0 mismatches" in out
+
+
+def test_numeric_sample_checks_that_many_edges(random_graph, tmp_path, capsys):
+    code, out = run_cli(
+        capsys, "verify-locality", "--graph", str(random_graph),
+        "--l", "3", "--s", "2", "--seed", "1", "--sample", "4",
+    )
+    assert (code, out) == (0, "checked 4 edges, 0 mismatches\n")
+    csv_path = tmp_path / "locality.csv"
+    code, _ = run_cli(capsys, "experiment", "locality", "--seeds", "1", "--cfgs", "3:2",
+                      "--sample", "3", "--out", str(csv_path))
+    assert code == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    checked = rows[0].index("checked")
+    assert len(rows) > 1 and all(row[checked] == "3" for row in rows[1:])
 
 
 def test_verify_locality_bad_radius_exits_one(tmp_path, capsys):
@@ -240,6 +274,12 @@ def test_malformed_graph_file_exits_two(tmp_path, capsys):
     missing_field.write_text(json.dumps({"nodes": [], "edges": []}))
     code, _ = run_cli(capsys, "maxflow", "--graph", str(missing_field))
     assert code == 2
+    not_an_object = tmp_path / "item.json"
+    not_an_object.write_text(json.dumps({"quantum": "1", "degree_bound": 2,
+                                         "capacity_bound_ticks": 1, "nodes": [5], "edges": []}))
+    code = main(["maxflow", "--graph", str(not_an_object)])
+    assert code == 2
+    assert "bad node: expected a JSON object, got 5" in capsys.readouterr().err
 
 
 def test_non_integer_graph_fields_exit_two(bundle_graph, tmp_path, capsys):
@@ -294,16 +334,22 @@ def test_bad_sample_exits_two_naming_the_flag(bundle_graph, capsys, argv):
 
 
 def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
-    for name, spec in (("n", {"n": 30.9}), ("gen_seed", {"n": 30, "gen_seed": True}),
-                       ("rounds", {"n": 30, "params": {"rounds": 2.7}})):
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps([{"family": "random_bounded", **spec}]))
+    cases = [(f"bad field '{name}'", {"family": "random_bounded", **spec}) for name, spec in (
+        ("n", {"n": 30.9}), ("gen_seed", {"n": 30, "gen_seed": True}),
+        ("rounds", {"n": 30, "params": {"rounds": 2.7}}),
+        ("quantum", {"n": 30, "quantum": "1/0"}), ("params", {"n": 30, "params": 5}),
+        ("rho_s", {"n": 30, "rho_s": "abc"}),
+    )]
+    cases.append(("bad instance spec: expected a JSON object, got 5", 5))
+    for i, (message, spec) in enumerate(cases):
+        path = tmp_path / f"spec{i}.json"
+        path.write_text(json.dumps([spec]))
         code = main(["experiment", "approx", "--specs", str(path), "--l-sweep", "2",
                      "--seeds", "1"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert f"bad field '{name}'" in captured.err
+        assert message in captured.err
 
 
 def test_unknown_flag_exits_two(capsys):
@@ -311,7 +357,11 @@ def test_unknown_flag_exits_two(capsys):
     for argv, flag in ((["maxflow", "--bogus"], "--bogus"),
                        (["run-a1", "--graph", "g.json", "--seeds", "1,2,3"], "--seeds"),
                        (["experiment", "approx", "--l", "5"], "--l"),
-                       (["generate", "--family", "grid", "--k", "5"], "--k")):
+                       (["generate", "--family", "grid", "--k", "5"], "--k"),
+                       (["tester", "--graph", "g.json", "--r", "9"], "--r"),
+                       (["local-f2", "--graph", "g.json", "--radius", "1"], "--radius"),
+                       (["experiment", "locality", "--no-negative-control"],
+                        "--no-negative-control")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -302,6 +303,20 @@ def test_graph_json_rejects_non_integer_fields(where, field, bad):
 def test_flow_json_rejects_a_value_that_is_not_a_rational(bad):
     with pytest.raises(ValueError, match="bad field 'f_ab' in flow edge value"):
         flow_from_json({"edge_values": [{"id": 0, "f_ab": bad}]})
+
+
+@pytest.mark.parametrize("read, change, message", [
+    (graph_from_json, {"nodes": [5]}, "bad node: expected a JSON object, got 5"),
+    (graph_from_json, {"edges": [7]}, "bad edge: expected a JSON object, got 7"),
+    (graph_from_json, {"nodes": 5}, "bad field 'nodes' in graph: expected a list, got 5"),
+    (flow_from_json, {"edge_values": [3]}, "bad flow edge value: expected a JSON object, got 3"),
+    (flow_from_json, {"edge_values": [{"id": 1, "f_ab": 2}, {"id": 1, "f_ab": 3}]},
+     "bad field 'id' in flow edge value: repeated edge id 1"),
+])
+def test_json_rejects_a_malformed_item_naming_where_it_is(read, change, message):
+    obj = graph_to_json(line_graph("SRT")) if read is graph_from_json else {}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read({**obj, **change})
 
 
 def _subgraph_shape(h: ColoredGraph) -> tuple:

@@ -1,14 +1,17 @@
-"""Property tests of the two JSON wire formats: graphs and instance specs.
+"""Property tests of the JSON wire formats: graphs, flows and instance specs.
 
 A value written and read back is the same value, and a file with any integer
 field replaced by a non-integer (a float, a bool, a numeric string, null) is
-refused with a ValueError that names the field.  Examples are derandomized,
-so every run checks the same ones.
+refused with a ValueError that names the field.  So is a file with an item
+or a list replaced by a scalar, a flow that repeats an edge id, and a spec
+whose rational field is not a rational.  Examples are derandomized, so every
+run checks the same ones.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,8 +22,11 @@ from localflow.graph_core import (
     COLORS,
     ColoredGraph,
     Edge,
+    Flow,
     Node,
     dumps_json,
+    flow_from_json,
+    flow_to_json,
     graph_from_json,
     graph_to_json,
 )
@@ -35,6 +41,14 @@ non_integers = st.one_of(
     st.none(),
 )
 fractions = st.builds(Fraction, st.integers(0, 20), st.integers(1, 20))
+# Neither a JSON object nor a list.
+scalars = st.one_of(
+    st.integers(-99, 99),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
 
 
 @st.composite
@@ -88,6 +102,39 @@ def test_graph_json_refuses_a_non_integer_field(g, data, bad):
         graph_from_json(through_json(obj))
 
 
+@FIXED
+@given(graphs(), st.data(), scalars)
+def test_graph_json_refuses_a_scalar_item_or_list(g, data, bad):
+    obj = through_json(graph_to_json(g))
+    holders = [(obj, key, f"bad field '{key}' in graph: expected a list")
+               for key in ("nodes", "edges")]
+    holders += [(obj[key], i, f"bad {where}: expected a JSON object")
+                for key, where in (("nodes", "node"), ("edges", "edge"))
+                for i in range(len(obj[key]))]
+    holder, key, message = data.draw(st.sampled_from(holders))
+    holder[key] = bad
+    with pytest.raises(ValueError, match=re.escape(message)):
+        graph_from_json(through_json(obj))
+
+
+flows = st.dictionaries(st.integers(-99, 99), st.integers(-9, 9).filter(bool), min_size=1).map(Flow)
+
+
+@FIXED
+@given(flows, st.data(), scalars)
+def test_flow_json_refuses_a_scalar_item_or_a_repeated_id(f, data, bad):
+    obj = through_json(flow_to_json(f))
+    assert flow_from_json(obj) == f
+    items = obj["edge_values"]
+    at = data.draw(st.integers(0, len(items)))
+    items.insert(at, dict(data.draw(st.sampled_from(items)), f_ab=data.draw(st.integers(-9, 9))))
+    with pytest.raises(ValueError, match="bad field 'id' in flow edge value: repeated edge id"):
+        flow_from_json(through_json(obj))
+    items[at] = bad
+    with pytest.raises(ValueError, match="bad flow edge value: expected a JSON object"):
+        flow_from_json(through_json(obj))
+
+
 @st.composite
 def specs(draw) -> InstanceSpec:
     keys = draw(st.lists(st.sampled_from(INT_PARAMS), unique=True, max_size=4))
@@ -125,3 +172,15 @@ def test_spec_json_refuses_a_non_integer_field(spec, data, bad):
     field = key if isinstance(key, str) else "bottlenecks"
     with pytest.raises(ValueError, match=f"bad field '{field}'"):
         InstanceSpec.from_json(through_json(obj))
+
+
+@FIXED
+@given(specs(), st.sampled_from(["quantum", "rho_s", "rho_t", "params"]),
+       st.sampled_from(["1/0", "abc", "", "1/2/3", None, True, [1]]))
+def test_spec_json_refuses_a_bad_rational_or_params(spec, key, bad):
+    obj = through_json(spec.to_json())
+    obj[key] = bad
+    with pytest.raises(ValueError, match=f"bad field '{key}' in instance spec"):
+        InstanceSpec.from_json(through_json(obj))
+    with pytest.raises(ValueError, match="bad instance spec: expected a JSON object"):
+        InstanceSpec.from_json(bad)

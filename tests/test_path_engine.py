@@ -5,7 +5,9 @@ import hashlib
 
 import pytest
 
+import localflow.path_engine as path_engine_module
 from conftest import build_graph, line_graph
+from localflow.cli import main
 from localflow.graph_core import DirectedEdgeRef, ball_nodes, induced_subgraph
 from localflow.harness import InstanceSpec, generate
 from localflow.path_engine import (
@@ -31,6 +33,32 @@ def test_length_cap_excludes_longer_paths():
     g = line_graph("SRT")
     assert enumerate_paths(g, 1) == []
     assert len(enumerate_paths(g, 2)) == 1
+
+
+def test_walk_count_ceiling_is_exact(monkeypatch):
+    # S-R-T has one S->T walk of at most 3 edges and two of at most 4
+    # (S R T R T), though it has one path.
+    monkeypatch.setattr(path_engine_module, "_MAX_WALKS", 1)
+    assert len(enumerate_paths(line_graph("SRT"), 3)) == 1
+    with pytest.raises(ValueError, match="l=4"):
+        enumerate_paths(line_graph("SRT"), 4)
+
+
+def test_too_many_walks_are_refused_before_any_path_is_listed(tmp_path, capsys, monkeypatch):
+    def no_listing(*args):
+        raise AssertionError("paths listed")
+
+    monkeypatch.setattr(path_engine_module, "_extend", no_listing)
+    g, _ = generate(InstanceSpec("grid", params={"rows": 30, "cols": 40}, gen_seed=1))
+    with pytest.raises(ValueError, match="path length cap l=12 is too large"):
+        enumerate_paths(g, 12)
+    path = tmp_path / "grid.json"
+    assert main(["generate", "--family", "grid", "--rows", "30", "--cols", "40",
+                 "--out", str(path)]) == 0
+    assert main(["run-a1", "--graph", str(path), "--l", "12"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "l=12" in captured.err
 
 
 def test_capacities_are_not_consulted():
