@@ -42,22 +42,42 @@ from .local_flow import RunConfig, local_f2_edge, run_a1, run_a2, verify_localit
 from .path_engine import _chain_depths, enumerate_paths, path_key
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
+def _ints(text: str) -> list[int]:
+    """Comma-separated integers, at least one."""
     try:
-        return [int(part) for part in text.split(",") if part != ""]
+        values = [int(part) for part in text.split(",") if part != ""]
     except ValueError:
-        raise ValueError(f"bad field '{flag}': expected comma-separated integers, got {text!r}")
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    return values
 
 
-def _parse_cfgs(text: str) -> list[tuple[int, int]]:
-    out = []
-    for part in text.split(","):
-        try:
-            l_str, s_str = part.split(":")
-            out.append((int(l_str), int(s_str)))
-        except ValueError:
-            raise ValueError(f"bad field '--cfgs': expected l:s pairs, got {part!r}")
-    return out
+def _cfgs(text: str) -> list[tuple[int, int]]:
+    """Comma-separated l:s pairs."""
+    try:
+        return [(int(l), int(s)) for l, s in (part.split(":") for part in text.split(","))]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected l:s pairs, got {text!r}")
+
+
+def _rational(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"expected a rational, got {text!r}")
+
+
+def _sample(text: str) -> int | None:
+    """A non-negative edge count, or None for 'all'."""
+    if text == "all":
+        return None
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a non-negative count or 'all', got {text!r}")
 
 
 def _load_json(path: str, flag: str):
@@ -70,9 +90,7 @@ def _load_json(path: str, flag: str):
         raise ValueError(f"bad field '{flag}': not valid JSON ({exc})")
 
 
-def _load_graph(path: str | None) -> ColoredGraph:
-    if path is None:
-        raise ValueError("missing field '--graph'")
+def _load_graph(path: str) -> ColoredGraph:
     return graph_from_json(_load_json(path, "--graph"))
 
 
@@ -83,41 +101,16 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _parse_fraction(text: str, flag: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"bad field '{flag}': expected a rational, got {text!r}")
-
-
-def _run_config(args: argparse.Namespace, need_s: bool) -> RunConfig:
-    epsilon = _parse_fraction(args.epsilon, "--epsilon") if args.epsilon is not None else None
-    if args.l is None and epsilon is None:
-        raise ValueError("missing field '--l' (or '--epsilon')")
-    s = args.s if need_s else None
-    if need_s and s is None:
-        raise ValueError("missing field '--s'")
-    return RunConfig(l=args.l, s=s, seed=args.seed, epsilon=epsilon)
+def _run_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig(l=args.l, s=getattr(args, "s", None), seed=args.seed, epsilon=args.epsilon)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    params: dict = {}
-    for key in harness.INT_PARAMS:
-        val = getattr(args, key)
-        if val is not None:
-            params[key] = val
-    if args.bottlenecks is not None:
-        params["bottlenecks"] = _parse_ints(args.bottlenecks, "--bottlenecks")
+    params = {key: getattr(args, key) for key in (*harness.INT_PARAMS, "bottlenecks")
+              if getattr(args, key) is not None}
     spec = InstanceSpec(
-        family=args.family,
-        n=args.n,
-        d=args.d,
-        m_ticks=args.m,
-        quantum=_parse_fraction(args.quantum, "--quantum"),
-        rho_s=_parse_fraction(args.rho_s, "--rho-s"),
-        rho_t=_parse_fraction(args.rho_t, "--rho-t"),
-        gen_seed=args.gen_seed,
-        params=params,
+        family=args.family, n=args.n, d=args.d, m_ticks=args.m, quantum=args.quantum,
+        rho_s=args.rho_s, rho_t=args.rho_t, gen_seed=args.gen_seed, params=params,
     )
     g, meta = harness.generate(spec)
     _write_text(args.out, dumps_json(graph_to_json(g, meta=meta or None)))
@@ -135,8 +128,7 @@ def _cmd_maxflow(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace, variant: str) -> int:
     g = _load_graph(args.graph)
-    cfg = _run_config(args, need_s=(variant == "a2"))
-    flow, trace = (run_a1 if variant == "a1" else run_a2)(g, cfg)
+    flow, trace = (run_a1 if variant == "a1" else run_a2)(g, _run_config(args))
     print(_source_outflow(g, flow))  # the run has validated its flow
     if args.out:
         _write_text(args.out, dumps_json(flow_to_json(flow)))
@@ -147,36 +139,15 @@ def _cmd_run(args: argparse.Namespace, variant: str) -> int:
 
 def _cmd_local_f2(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    if args.edge is None:
-        raise ValueError("missing field '--edge'")
-    cfg = _run_config(args, need_s=True)
-    ref = DirectedEdgeRef(args.edge, args.orientation)
-    print(local_f2_edge(g, ref, cfg))
+    print(local_f2_edge(g, DirectedEdgeRef(args.edge, args.orientation), _run_config(args)))
     return 0
-
-
-def _parse_sample(text: str | None, counts: bool = True) -> int | None:
-    """--sample as a non-negative count, or None for 'all' and when absent;
-    with counts False only 'all' is accepted."""
-    if text is None or text == "all":
-        return None
-    if counts:
-        try:
-            count = int(text)
-        except ValueError:
-            count = -1
-        if count >= 0:
-            return count
-    expected = "a non-negative count or 'all'" if counts else "'all'"
-    raise ValueError(f"bad field '--sample': expected {expected}, got {text!r}")
 
 
 def _cmd_verify_locality(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    cfg = _run_config(args, need_s=True)
-    count = _parse_sample(args.sample)
-    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges][:count]
-    report = verify_locality(g, cfg, refs, radius=args.radius, local_seed=args.local_seed)
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges][:args.sample]
+    report = verify_locality(g, _run_config(args), refs,
+                             radius=args.radius, local_seed=args.local_seed)
     lines = [f"checked {report.checked} edges, {len(report.mismatches)} mismatches"]
     for mm in report.mismatches:
         lines.append(
@@ -189,17 +160,8 @@ def _cmd_verify_locality(args: argparse.Namespace) -> int:
 
 def _cmd_tester(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    for flag in ("l", "s", "seeds"):
-        if getattr(args, flag) is None:
-            raise ValueError(f"missing field '--{flag}'")
-    cfg = TesterConfig(
-        l=args.l,
-        s=args.s,
-        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
-        k=args.k,
-        sample_seed=args.seed,
-    )
-    _parse_sample(args.sample, counts=False)  # absent or 'all'
+    cfg = TesterConfig(l=args.l, s=args.s, seeds=tuple(args.seeds), k=args.k,
+                       sample_seed=args.seed)
     exhaustive = args.sample == "all"
     started = time.monotonic()
     report = run_tester(g, cfg, exhaustive=exhaustive)
@@ -224,19 +186,12 @@ def _cmd_tester(args: argparse.Namespace) -> int:
 
 def _cmd_dump_paths(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    if args.l is None:
-        raise ValueError("missing field '--l'")
     keyed = sorted(((path_key(u, args.seed), u) for u in enumerate_paths(g, args.l)),
                    key=lambda pair: pair[0])
     depths = _chain_depths(u for _, u in keyed)
-    lines = []
-    for (key, u), depth in zip(keyed, depths):
-        lines.append(json.dumps({
-            "nodes": list(u.nodes),
-            "length": u.length,
-            "hash": key.hash_label,
-            "depth": depth,
-        }))
+    lines = [json.dumps({"nodes": list(u.nodes), "length": u.length,
+                         "hash": key.hash_label, "depth": depth})
+             for (key, u), depth in zip(keyed, depths)]
     _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 
@@ -252,24 +207,16 @@ def _load_specs(path: str | None) -> list[InstanceSpec]:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     specs = _load_specs(args.specs)
-    seeds = _parse_ints(args.seeds, "--seeds") if args.seeds else [1, 2, 3, 4, 5]
     started = time.monotonic()
     if args.name == "approx":
-        l_values = _parse_ints(args.l_sweep, "--l-sweep") if args.l_sweep else [2, 4, 6, 8]
-        rows, ok = harness.experiment_approx(
-            specs, l_values, seeds, s=args.s if args.s is not None else harness.DEFAULT_S,
-        )
+        rows, ok = harness.experiment_approx(specs, args.l_sweep, args.seeds, s=args.s)
         columns = APPROX_COLUMNS
     elif args.name == "chain-tail":
-        l = args.l if args.l is not None else harness.DEFAULT_L
-        rows, ok = harness.experiment_chain_tail(specs, l, seeds)
+        rows, ok = harness.experiment_chain_tail(specs, args.l, args.seeds)
         columns = CHAIN_TAIL_COLUMNS
     else:
-        cfgs = _parse_cfgs(args.cfgs) if args.cfgs else [(3, 2), (4, 3)]
-        count = _parse_sample(args.sample)
-        rows, ok = harness.experiment_locality(
-            specs, cfgs, seeds, sample="all" if count is None else count,
-        )
+        sample = "all" if args.sample is None else args.sample
+        rows, ok = harness.experiment_locality(specs, args.cfgs, args.seeds, sample=sample)
         columns = LOCALITY_COLUMNS
     wall_ms = int((time.monotonic() - started) * 1000)
 
@@ -286,15 +233,12 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 _SHARED_FLAGS: dict[str, dict] = {
     "graph": {"help": "graph JSON file"},
     "seed": {"type": int, "default": 0, "help": "labeling (tester: sampling) seed"},
-    "seeds": {"help": "comma-separated seed list"},
+    "seeds": {"type": _ints, "help": "comma-separated seed list"},
     "l": {"type": int, "help": "max augmenting-path length"},
     "s": {"type": int, "help": "chain-depth skip threshold"},
-    "epsilon": {"help": "target error; sets l = ceil(2dM/epsilon)"},
+    "epsilon": {"type": _rational, "help": "target error; sets l = ceil(2dM/epsilon)"},
     "trace": {"help": "write the per-path trace as JSON lines"},
-    "sample": {
-        "help": "edge count or 'all' (default all); "
-        "tester: only 'all', which takes every vertex instead of k samples",
-    },
+    "sample": {"type": _sample, "help": "edge count or 'all' (default all)"},
     "specs": {"help": "JSON file with an array of instance specs"},
     "out": {"help": "output file (.csv or .json); stdout when omitted"},
 }
@@ -309,9 +253,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(subs, name: str, func: Callable[[argparse.Namespace], int],
                 summary: str, *flags: str) -> argparse.ArgumentParser:
+        """A command reading the shared ``flags``: "x!" is required, "x=v"
+        defaults to v, read as if given, and "a|b!" takes exactly one of a, b."""
         p = subs.add_parser(name, help=summary, allow_abbrev=False)
         for flag in flags:
-            p.add_argument(f"--{flag}", **_SHARED_FLAGS[flag])
+            spec, required = flag.rstrip("!"), flag.endswith("!")
+            if "|" in spec:
+                group = p.add_mutually_exclusive_group(required=required)
+                for key in spec.split("|"):
+                    group.add_argument(f"--{key}", **_SHARED_FLAGS[key])
+                continue
+            key, _, default = spec.partition("=")
+            kwargs = dict(_SHARED_FLAGS[key], required=required)
+            if default:
+                kwargs.update(default=default, help=kwargs["help"] + " (default: %(default)s)")
+            p.add_argument(f"--{key}", **kwargs)
         p.set_defaults(func=func)
         return p
 
@@ -320,49 +276,53 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=0)
     p.add_argument("--d", type=int, default=harness.DEFAULT_D)
     p.add_argument("--m", type=int, default=harness.DEFAULT_M_TICKS, help="capacity bound in ticks")
-    p.add_argument("--quantum", default="1")
-    p.add_argument("--rho-s", default="1/5")
-    p.add_argument("--rho-t", default="1/5")
+    p.add_argument("--quantum", type=_rational, default="1")
+    p.add_argument("--rho-s", type=_rational, default="1/5")
+    p.add_argument("--rho-t", type=_rational, default="1/5")
     p.add_argument("--gen-seed", type=int, default=0)
     for key in harness.INT_PARAMS:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    p.add_argument("--bottlenecks", help="comma-separated per-path bottlenecks (path_bundle)")
+    p.add_argument("--bottlenecks", type=_ints,
+                   help="comma-separated per-path bottlenecks (path_bundle)")
 
-    command(sub, "maxflow", _cmd_maxflow, "exact maximum flow value", "graph", "out")
+    command(sub, "maxflow", _cmd_maxflow, "exact maximum flow value", "graph!", "out")
 
     command(sub, "run-a1", partial(_cmd_run, variant="a1"), "label-ordered augmentation",
-            "graph", "l", "epsilon", "seed", "out", "trace")
+            "graph!", "l|epsilon!", "seed", "out", "trace")
     command(sub, "run-a2", partial(_cmd_run, variant="a2"), "chain-skipping augmentation",
-            "graph", "l", "s", "epsilon", "seed", "out", "trace")
+            "graph!", "l|epsilon!", "s!", "seed", "out", "trace")
 
     p = command(sub, "local-f2", _cmd_local_f2, "A2 value at one edge from its ball",
-                "graph", "l", "s", "epsilon", "seed")
-    p.add_argument("--edge", type=int, help="edge id")
+                "graph!", "l|epsilon!", "s!", "seed")
+    p.add_argument("--edge", type=int, required=True, help="edge id")
     p.add_argument("--orientation", choices=["AB", "BA"], default="AB")
 
     p = command(sub, "verify-locality", _cmd_verify_locality, "global vs local equality",
-                "graph", "l", "s", "epsilon", "seed", "sample", "out")
+                "graph!", "l|epsilon!", "s!", "seed", "sample", "out")
     p.add_argument("--radius", type=int, help="negative control: ball radius (default s*l)")
     p.add_argument("--local-seed", type=int, help="mismatched-seed negative control")
 
     p = command(sub, "tester", _cmd_tester, "sampling estimate of max flow over n",
-                "graph", "l", "s", "seeds", "seed", "sample", "out")
+                "graph!", "l!", "s!", "seeds!", "seed", "out")
     p.add_argument("--k", type=int, default=1000, help="tester sample count")
+    p.add_argument("--sample", choices=["all"], help="every vertex instead of k samples")
 
     command(sub, "dump-paths", _cmd_dump_paths,
             "debug dump of candidate paths with labels and chain depths",
-            "graph", "l", "seed", "out")
+            "graph!", "l!", "seed", "out")
 
     experiments = command(sub, "experiment", _cmd_experiment, "run an experiment suite")
     names = experiments.add_subparsers(dest="name", required=True)
     p = command(names, "approx", _cmd_experiment, "approximation gap sweep",
-                "specs", "seeds", "s", "out")
-    p.add_argument("--l-sweep", help="comma-separated l values")
+                "specs", "seeds=1,2,3,4,5", f"s={harness.DEFAULT_S}", "out")
+    p.add_argument("--l-sweep", type=_ints, default="2,4,6,8",
+                   help="comma-separated l values (default: %(default)s)")
     command(names, "chain-tail", _cmd_experiment, "chain-depth tail",
-            "specs", "seeds", "l", "out")
+            "specs", "seeds=1,2,3,4,5", f"l={harness.DEFAULT_L}", "out")
     p = command(names, "locality", _cmd_experiment, "global vs local equality per instance",
-                "specs", "seeds", "sample", "out")
-    p.add_argument("--cfgs", help="comma-separated l:s pairs")
+                "specs", "seeds=1,2,3,4,5", "sample", "out")
+    p.add_argument("--cfgs", type=_cfgs, default="3:2,4:3",
+                   help="comma-separated l:s pairs (default: %(default)s)")
 
     return parser
 

@@ -65,6 +65,10 @@ class InstanceSpec:
         """Integer fields and params must be true ints, as in graph JSON."""
         for key in ("n", "d", "m_ticks", "gen_seed"):
             _int_field(vars(self), key, "instance spec")
+        if not isinstance(self.params, Mapping):
+            raise ValueError(
+                f"bad field 'params' in instance spec: expected an object, got {self.params!r}"
+            )
         for key in INT_PARAMS:
             if key in self.params:
                 _int_field(self.params, key, "instance spec params")
@@ -99,21 +103,18 @@ class InstanceSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "InstanceSpec":
-        """Inverse of to_json; the constructor checks the integer fields, and
-        the rationals are read as graph JSON reads its quantum."""
+        """Inverse of to_json; the constructor checks the integer fields and
+        params, and the rationals are read as graph JSON reads its quantum."""
         where = "instance spec"
         family = str(_require(obj, "family", where))
         rationals = {"quantum": 1, "rho_s": "1/5", "rho_t": "1/5", **obj}  # defaults, then obj
-        params = obj.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ValueError(f"bad field 'params' in {where}: expected an object, got {params!r}")
         return InstanceSpec(
             family=family,
             n=obj.get("n", 0),
             d=obj.get("d", DEFAULT_D),
             m_ticks=obj.get("m_ticks", DEFAULT_M_TICKS),
             gen_seed=obj.get("gen_seed", 0),
-            params=dict(params),
+            params=obj.get("params", {}),
             **{key: _fraction_field(rationals, key, where) for key in ("quantum", "rho_s", "rho_t")},
         )
 

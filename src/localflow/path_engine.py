@@ -130,7 +130,8 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 # multi-seed sweeps share it.  Keyed by graph identity.
 _PATH_CACHE: "weakref.WeakKeyDictionary[ColoredGraph, dict]" = weakref.WeakKeyDictionary()
 
-# The most S->T walks of at most l edges a graph may have for its paths to be listed.
+# The most non-backtracking S->T walks of at most l edges a graph may have for
+# its paths to be listed.
 _MAX_WALKS = 10**7
 
 
@@ -141,8 +142,8 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     is a question for augmentation time.  Interior nodes may have any color.
     The result is sorted by canonical key, each path exactly once.  The graph
     is valid by construction, so it is not checked here.  A graph with more
-    than ``_MAX_WALKS`` S->T walks of at most l edges is refused before any
-    path is listed.
+    than ``_MAX_WALKS`` non-backtracking S->T walks of at most l edges is
+    refused before any path is listed.
     """
     if l < 1:
         raise ValueError(f"path length cap must be >= 1, got {l}")
@@ -152,19 +153,27 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
         return list(cached)
 
     color = {nd.id: nd.color for nd in g.nodes}
-    # Every path is an S->T walk of at most l edges.  Count those walks per
-    # end node and length, in O(l*|E|), before listing any path.
-    ways, walks = dict.fromkeys(g.nodes_of_color("S"), 1), 0
+    # Every path is an S->T walk of at most l edges that never takes the
+    # reverse of the arc it arrived by.  Count those walks, in O(l*|E|),
+    # before listing any path: ``ways`` holds the walks of the current length
+    # per last arc and ``into`` their sum per end node, so the walks leaving v
+    # by arc are those into v less those that arrived by arc ^ 1.
+    into, ways, walks = dict.fromkeys(g.nodes_of_color("S"), 1), {}, 0
     for _ in range(l):
         grown: dict[int, int] = {}
-        for v, count in ways.items():
-            for w in g._adj[v][::2]:
-                grown[w] = grown.get(w, 0) + count
-        ways = grown
-        walks += sum(count for v, count in ways.items() if color[v] == "T")
+        grown_into: dict[int, int] = {}
+        for v, count in into.items():
+            steps = iter(g._adj[v])
+            for w, arc in zip(steps, steps):
+                c = count - ways.get(arc ^ 1, 0)
+                if c:
+                    grown[arc] = c
+                    grown_into[w] = grown_into.get(w, 0) + c
+        ways, into = grown, grown_into
+        walks += sum(count for v, count in into.items() if color[v] == "T")
         if walks > _MAX_WALKS:
             raise ValueError(f"path length cap l={l} is too large for this graph: more than "
-                             f"{_MAX_WALKS} S->T walks of at most {l} edges")
+                             f"{_MAX_WALKS} non-backtracking S->T walks of at most {l} edges")
     out: list[AugPathCandidate] = []
     for s in g.nodes_of_color("S"):
         _extend(g._adj, color, l, out, [s], [], {s})

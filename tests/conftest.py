@@ -24,6 +24,17 @@ def line_graph(colors: str, cap: int = 4, d: int = 4, m: int = 5) -> ColoredGrap
     return build_graph(colors, [(i, i + 1, cap, cap) for i in range(len(colors) - 1)], d=d, m=m)
 
 
+def seed_sensitive_graph() -> ColoredGraph:
+    """Four length-3 paths racing for one shared unit-capacity edge; which
+    source wins is a pure label question, so f2 varies with the seed."""
+    return build_graph(
+        "SSRRTT",
+        [(0, 2, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (3, 5, 1, 1)],
+        d=3,
+        m=1,
+    )
+
+
 def count_flow_validations(monkeypatch) -> list:
     """Make every package module's ``validate_flow`` record the flows it is
     given, in the returned list."""

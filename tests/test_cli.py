@@ -7,10 +7,11 @@ from pathlib import Path
 import pytest
 
 import localflow.cli as cli_module
-from conftest import count_flow_validations
+from conftest import count_flow_validations, seed_sensitive_graph
 from localflow.cli import main
 from localflow.exact_oracle import max_flow
 from localflow.graph_core import (
+    DirectedEdgeRef,
     dumps_json,
     flow_from_json,
     graph_from_json,
@@ -18,6 +19,7 @@ from localflow.graph_core import (
     validate_flow,
 )
 from localflow.harness import InstanceSpec, generate
+from localflow.local_flow import RunConfig, verify_locality
 from localflow.path_engine import chain_depth_all, enumerate_paths, path_key
 
 
@@ -107,16 +109,22 @@ def test_run_a1_twice_is_byte_identical(random_graph, tmp_path, capsys):
 
 
 def test_run_a2_requires_s(random_graph, capsys):
-    code, _ = run_cli(capsys, "run-a2", "--graph", str(random_graph), "--l", "4")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["run-a2", "--graph", str(random_graph), "--l", "4"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--s" in captured.err
 
 
 def test_epsilon_may_replace_l(bundle_graph, capsys):
-    code, out = run_cli(
-        capsys, "run-a1", "--graph", str(bundle_graph), "--epsilon", "10", "--seed", "1",
-    )
-    assert code == 0
-    assert out.strip() == "9"
+    # epsilon 1 gives l = ceil(2*4*5/1) = 40, far longer than the bundle's paths.
+    for epsilon in ("10", "1"):
+        code, out = run_cli(
+            capsys, "run-a1", "--graph", str(bundle_graph), "--epsilon", epsilon, "--seed", "1",
+        )
+        assert code == 0
+        assert out.strip() == "9"
 
 
 def test_local_f2_matches_global_value(random_graph, tmp_path, capsys):
@@ -129,12 +137,13 @@ def test_local_f2_matches_global_value(random_graph, tmp_path, capsys):
     flow = {item["id"]: item["f_ab"] for item in json.loads(f2_path.read_text())["edge_values"]}
     graph = json.loads(random_graph.read_text())
     edge = graph["edges"][0]["id"]
-    code, out = run_cli(
-        capsys, "local-f2", "--graph", str(random_graph), "--edge", str(edge),
-        "--l", "3", "--s", "2", "--seed", "1",
-    )
-    assert code == 0
-    assert int(out.strip()) == flow.get(edge, 0)
+    for orientation, sign in (("AB", 1), ("BA", -1)):
+        code, out = run_cli(
+            capsys, "local-f2", "--graph", str(random_graph), "--edge", str(edge),
+            "--l", "3", "--s", "2", "--seed", "1", "--orientation", orientation,
+        )
+        assert code == 0
+        assert int(out.strip()) == sign * flow.get(edge, 0)
 
 
 def test_verify_locality_full_sample_passes(random_graph, capsys):
@@ -174,6 +183,24 @@ def test_verify_locality_bad_radius_exits_one(tmp_path, capsys):
     )
     assert code == 1
     assert "mismatch" in out
+
+
+def test_verify_locality_local_seed_reports_the_library_mismatches(tmp_path, capsys):
+    # Seeds 0 and 1 give different A2 flows on this instance (see
+    # test_mismatched_seed_negative_control_fails).
+    g = seed_sensitive_graph()
+    path = tmp_path / "race.json"
+    path.write_text(dumps_json(graph_to_json(g)))
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    report = verify_locality(g, RunConfig(l=3, s=5, seed=0), refs, local_seed=1)
+    assert report.mismatches
+    expected = f"checked {len(refs)} edges, {len(report.mismatches)} mismatches\n" + "".join(
+        f"mismatch edge {mm.edge.edge_id} AB: global {mm.global_value} local {mm.local_value}\n"
+        for mm in report.mismatches
+    )
+    code, out = run_cli(capsys, "verify-locality", "--graph", str(path), "--l", "3", "--s", "5",
+                        "--seed", "0", "--local-seed", "1")
+    assert (code, out) == (1, expected)
 
 
 def test_tester_exhaustive_reports_exact_rational(random_graph, capsys):
@@ -261,8 +288,12 @@ def test_no_thread_count_setting(random_graph, capsys, monkeypatch):
 
 
 def test_missing_graph_flag_exits_two(capsys):
-    code, _ = run_cli(capsys, "maxflow")
-    assert code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["maxflow"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert "--graph" in captured.err
 
 
 def test_malformed_graph_file_exits_two(tmp_path, capsys):
@@ -326,11 +357,12 @@ def test_invalid_graph_file_exits_two(bundle_graph, tmp_path, capsys):
     ["experiment", "locality", "--seeds", "1", "--sample", "-2"],
 ])
 def test_bad_sample_exits_two_naming_the_flag(bundle_graph, capsys, argv):
-    code = main([arg.format(graph=bundle_graph) for arg in argv])
+    with pytest.raises(SystemExit) as exc:
+        main([arg.format(graph=bundle_graph) for arg in argv])
     captured = capsys.readouterr()
-    assert code == 2
+    assert exc.value.code == 2
     assert captured.out == ""
-    assert "bad field '--sample'" in captured.err
+    assert "--sample" in captured.err
 
 
 def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
@@ -353,19 +385,50 @@ def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
 
 
 def test_unknown_flag_exits_two(capsys):
-    # A command declares only the flags it reads: any other exits 2 naming it.
-    for argv, flag in ((["maxflow", "--bogus"], "--bogus"),
-                       (["run-a1", "--graph", "g.json", "--seeds", "1,2,3"], "--seeds"),
+    # A command declares only the flags it reads: any other exits 2 naming it,
+    # as does a value its flag refuses.  Required flags are given, since
+    # argparse reports a missing one first.
+    for argv, flag in ((["maxflow", "--graph", "g.json", "--bogus"], "--bogus"),
+                       (["run-a1", "--graph", "g.json", "--l", "3", "--seeds", "1,2,3"],
+                        "--seeds"),
                        (["experiment", "approx", "--l", "5"], "--l"),
                        (["generate", "--family", "grid", "--k", "5"], "--k"),
-                       (["tester", "--graph", "g.json", "--r", "9"], "--r"),
-                       (["local-f2", "--graph", "g.json", "--radius", "1"], "--radius"),
+                       (["tester", "--graph", "g.json", "--l", "3", "--s", "2", "--seeds", "1",
+                         "--r", "9"], "--r"),
+                       (["local-f2", "--graph", "g.json", "--edge", "0", "--l", "3", "--s", "2",
+                         "--radius", "1"], "--radius"),
                        (["experiment", "locality", "--no-negative-control"],
-                        "--no-negative-control")):
+                        "--no-negative-control"),
+                       (["experiment", "approx", "--seeds", ","], "--seeds"),
+                       (["experiment", "locality", "--seeds", ""], "--seeds"),
+                       (["experiment", "chain-tail", "--seeds", ","], "--seeds"),
+                       (["experiment", "approx", "--l-sweep", ""], "--l-sweep"),
+                       (["run-a1", "--graph", "g.json", "--l", "1", "--epsilon", "1"],
+                        "--epsilon"),
+                       (["local-f2", "--graph", "g.json", "--edge", "0", "--s", "2",
+                         "--epsilon", "1/0"], "--epsilon")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
+        captured = capsys.readouterr()
         assert exc.value.code == 2
-        assert flag in capsys.readouterr().err
+        assert captured.out == ""
+        assert flag in captured.err
+
+
+@pytest.mark.parametrize("command", [
+    ["generate"], ["maxflow"], ["run-a1"], ["run-a2"], ["local-f2"], ["verify-locality"],
+    ["tester"], ["dump-paths"], ["experiment"], ["experiment", "approx"],
+    ["experiment", "chain-tail"], ["experiment", "locality"],
+])
+def test_help_exits_zero(capsys, command):
+    # argparse formats a command's help, defaults included, only when asked.
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--help"])
+    captured = capsys.readouterr()
+    assert exc.value.code == 0
+    assert captured.out.startswith(f"usage: localflow {' '.join(command)}")
+    if command[0] == "experiment" and len(command) == 2:
+        assert "(default: 1,2,3,4,5)" in captured.out
 
 
 def test_readme_cli_block_runs(tmp_path, capsys, monkeypatch):

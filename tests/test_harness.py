@@ -124,6 +124,8 @@ NON_INTEGER_FIELDS = [
     ({"params": {"bottlenecks": [2, 3.0]}}, "bottlenecks"),
     ({"params": {"bottlenecks": 3}}, "bottlenecks"),
     ({"params": {"rows": 6.7, "cols": 8}}, "rows"),
+    ({"params": 5}, "params"),
+    ({"params": [["rows", 2]]}, "params"),
 ]
 
 

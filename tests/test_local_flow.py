@@ -6,7 +6,7 @@ import pytest
 
 import localflow.local_flow as local_flow_module
 import localflow.path_engine as path_engine_module
-from conftest import build_graph, line_graph
+from conftest import build_graph, line_graph, seed_sensitive_graph
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import (
     ColoredGraph,
@@ -306,19 +306,8 @@ def test_verify_locality_reruns_are_equal():
     assert verify_locality(g, cfg, refs) == verify_locality(g, cfg, refs)
 
 
-def _seed_sensitive_instance():
-    """Four length-3 paths racing for one shared unit-capacity edge; which
-    source wins is a pure label question, so f2 varies with the seed."""
-    return build_graph(
-        "SSRRTT",
-        [(0, 2, 1, 1), (1, 2, 1, 1), (2, 3, 1, 1), (3, 4, 1, 1), (3, 5, 1, 1)],
-        d=3,
-        m=1,
-    )
-
-
 def test_mismatched_seed_negative_control_fails():
-    g = _seed_sensitive_instance()
+    g = seed_sensitive_graph()
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
     found = None
     for a in range(12):

@@ -33,15 +33,23 @@ def test_length_cap_excludes_longer_paths():
     g = line_graph("SRT")
     assert enumerate_paths(g, 1) == []
     assert len(enumerate_paths(g, 2)) == 1
+    # The README's 3-path bundle at l=40, the cap `--epsilon 1` gives.  Counting
+    # walks that turn back along their last edge, it would have about 1.9e8
+    # and be refused.
+    bundle, _ = generate(InstanceSpec("path_bundle", params={"bottlenecks": [2, 3, 4],
+                                                            "path_len": 3}))
+    assert len(enumerate_paths(bundle, 40)) == 3
 
 
 def test_walk_count_ceiling_is_exact(monkeypatch):
-    # S-R-T has one S->T walk of at most 3 edges and two of at most 4
-    # (S R T R T), though it has one path.
-    monkeypatch.setattr(path_engine_module, "_MAX_WALKS", 1)
-    assert len(enumerate_paths(line_graph("SRT"), 3)) == 1
+    # The triangle S-R-T-S has two paths, S T and S R T, and as many
+    # non-backtracking S->T walks of at most 3 edges; at most 4 edges adds
+    # S T R S T.  A walk that turns back (S R S T) is not counted.
+    triangle = build_graph("SRT", [(0, 1, 1, 1), (1, 2, 1, 1), (2, 0, 1, 1)])
+    monkeypatch.setattr(path_engine_module, "_MAX_WALKS", 2)
+    assert len(enumerate_paths(triangle, 3)) == 2
     with pytest.raises(ValueError, match="l=4"):
-        enumerate_paths(line_graph("SRT"), 4)
+        enumerate_paths(triangle, 4)
 
 
 def test_too_many_walks_are_refused_before_any_path_is_listed(tmp_path, capsys, monkeypatch):
