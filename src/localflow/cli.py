@@ -38,7 +38,7 @@ from .harness import (
     frac_str,
     write_csv,
 )
-from .local_flow import RunConfig, local_f2_edge, run_a1, run_a2, verify_locality
+from .local_flow import RunConfig, length_cap, local_f2_edge, run_a1, run_a2, verify_locality
 from .path_engine import _chain_depths, enumerate_paths, path_key
 
 
@@ -69,15 +69,15 @@ def _rational(text: str) -> Fraction:
 
 
 def _sample(text: str) -> int | None:
-    """A non-negative edge count, or None for 'all'."""
+    """An edge count of at least 1, or None for 'all'."""
     if text == "all":
         return None
     try:
-        if int(text) >= 0:
+        if int(text) >= 1:
             return int(text)
     except ValueError:
         pass
-    raise argparse.ArgumentTypeError(f"expected a non-negative count or 'all', got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a count >= 1 or 'all', got {text!r}")
 
 
 def _load_json(path: str, flag: str):
@@ -101,13 +101,17 @@ def _write_text(path: str | None, text: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(l=args.l, s=getattr(args, "s", None), seed=args.seed, epsilon=args.epsilon)
+def _run_config(args: argparse.Namespace, g: ColoredGraph) -> RunConfig:
+    l = args.l if args.epsilon is None else length_cap(g, args.epsilon)
+    return RunConfig(l=l, s=getattr(args, "s", None), seed=args.seed)
+
+
+# Every family param, each a `generate` flag.
+_PARAMS = tuple(dict.fromkeys(key for params in harness.FAMILY_PARAMS.values() for key in params))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    params = {key: getattr(args, key) for key in (*harness.INT_PARAMS, "bottlenecks")
-              if getattr(args, key) is not None}
+    params = {key: getattr(args, key) for key in _PARAMS if getattr(args, key) is not None}
     spec = InstanceSpec(
         family=args.family, n=args.n, d=args.d, m_ticks=args.m, quantum=args.quantum,
         rho_s=args.rho_s, rho_t=args.rho_t, gen_seed=args.gen_seed, params=params,
@@ -128,7 +132,7 @@ def _cmd_maxflow(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace, variant: str) -> int:
     g = _load_graph(args.graph)
-    flow, trace = (run_a1 if variant == "a1" else run_a2)(g, _run_config(args))
+    flow, trace = (run_a1 if variant == "a1" else run_a2)(g, _run_config(args, g))
     print(_source_outflow(g, flow))  # the run has validated its flow
     if args.out:
         _write_text(args.out, dumps_json(flow_to_json(flow)))
@@ -139,14 +143,14 @@ def _cmd_run(args: argparse.Namespace, variant: str) -> int:
 
 def _cmd_local_f2(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    print(local_f2_edge(g, DirectedEdgeRef(args.edge, args.orientation), _run_config(args)))
+    print(local_f2_edge(g, DirectedEdgeRef(args.edge, args.orientation), _run_config(args, g)))
     return 0
 
 
 def _cmd_verify_locality(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges][:args.sample]
-    report = verify_locality(g, _run_config(args), refs,
+    report = verify_locality(g, _run_config(args, g), refs,
                              radius=args.radius, local_seed=args.local_seed)
     lines = [f"checked {report.checked} edges, {len(report.mismatches)} mismatches"]
     for mm in report.mismatches:
@@ -215,8 +219,7 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
         rows, ok = harness.experiment_chain_tail(specs, args.l, args.seeds)
         columns = CHAIN_TAIL_COLUMNS
     else:
-        sample = "all" if args.sample is None else args.sample
-        rows, ok = harness.experiment_locality(specs, args.cfgs, args.seeds, sample=sample)
+        rows, ok = harness.experiment_locality(specs, args.cfgs, args.seeds, sample=args.sample)
         columns = LOCALITY_COLUMNS
     wall_ms = int((time.monotonic() - started) * 1000)
 
@@ -280,10 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rho-s", type=_rational, default="1/5")
     p.add_argument("--rho-t", type=_rational, default="1/5")
     p.add_argument("--gen-seed", type=int, default=0)
-    for key in harness.INT_PARAMS:
-        p.add_argument(f"--{key.replace('_', '-')}", dest=key, type=int)
-    p.add_argument("--bottlenecks", type=_ints,
-                   help="comma-separated per-path bottlenecks (path_bundle)")
+    for key in _PARAMS:
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                       type=_ints if key == "bottlenecks" else int)
 
     command(sub, "maxflow", _cmd_maxflow, "exact maximum flow value", "graph!", "out")
 

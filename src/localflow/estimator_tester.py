@@ -24,20 +24,32 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import ColoredGraph, out_edges
-from .local_flow import LocalEvaluator, _at_least_one, _ball_radius
+from .graph_core import ColoredGraph, _int_field, out_edges
+from .local_flow import LocalEvaluator, _ball_radius
 from .parallel import parallel_map
 
 
 @dataclass(frozen=True)
 class TesterConfig:
-    """Sampling tester parameters."""
+    """Sampling tester parameters, checked when built: l, s and k are
+    integers >= 1, sample_seed is an integer, and seeds is a non-empty tuple
+    or list of integers; floats, bools and numeric strings are refused."""
 
     l: int
     s: int
     seeds: tuple[int, ...]
     k: int = 1000
     sample_seed: int = 0
+
+    def __post_init__(self) -> None:
+        fields = vars(self)
+        for key in ("l", "s", "k"):
+            _int_field(fields, key, "tester config", minimum=1)
+        _int_field(fields, "sample_seed", "tester config")
+        seeds = self.seeds
+        if not (isinstance(seeds, (tuple, list)) and seeds and all(type(x) is int for x in seeds)):
+            raise ValueError("bad field 'seeds' in tester config: "
+                             f"expected a non-empty list of integers, got {seeds!r}")
 
     @property
     def m(self) -> int:
@@ -48,13 +60,6 @@ class TesterConfig:
         """Radius of the ball around a sampled vertex that holds the ball of
         each of its out-edges, which has the vertex as an endpoint."""
         return _ball_radius(self.l, self.s) + 1
-
-    def check(self) -> None:
-        _at_least_one("l", self.l)
-        _at_least_one("s", self.s)
-        if self.m < 1:
-            raise ValueError("at least one labeling seed is required")
-        _at_least_one("k", self.k)
 
 
 @dataclass(frozen=True)
@@ -81,7 +86,6 @@ def source_ball_summand(g: ColoredGraph, v: int, cfg: TesterConfig,
 def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) -> TesterReport:
     """Sample k vertices uniformly with replacement (or take all of V) and
     average the per-vertex source summands."""
-    cfg.check()
     ids = g._sorted_node_ids
     if not ids:
         raise ValueError("graph has no nodes")

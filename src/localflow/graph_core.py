@@ -387,11 +387,14 @@ def _list_field(obj: Mapping, key: str, where: str) -> list:
     return value
 
 
-def _int_field(obj: Mapping, key: str, where: str) -> int:
-    """A required integer field; floats, bools and numeric strings are refused."""
+def _int_field(obj: Mapping, key: str, where: str, minimum: int | None = None) -> int:
+    """A required integer field, at least ``minimum`` when one is given;
+    floats, bools and numeric strings are refused."""
     value = _require(obj, key, where)
-    if type(value) is not int:  # bool is an int subclass
-        raise ValueError(f"bad field {key!r} in {where}: expected an integer, got {value!r}")
+    # bool is an int subclass
+    if type(value) is not int or (minimum is not None and value < minimum):
+        expected = "an integer" if minimum is None else f"an integer >= {minimum}"
+        raise ValueError(f"bad field {key!r} in {where}: expected {expected}, got {value!r}")
     return value
 
 

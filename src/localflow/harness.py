@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence
@@ -36,20 +36,32 @@ from .local_flow import RunConfig, _ball_radius, run_a1, run_a2, verify_locality
 from .parallel import parallel_map
 from .path_engine import chain_depth_all, enumerate_paths
 
-FAMILIES = ("path_bundle", "grid", "random_bounded", "layered")
-
 DEFAULT_D = 4
 DEFAULT_M_TICKS = 5
 DEFAULT_L = 6
 DEFAULT_S = 3
 
-# Integer params some generator reads; bottlenecks is a list of integers.
-INT_PARAMS = ("rows", "cols", "layers", "width", "fanout", "rounds", "cap_min", "path_len")
+# Per family, the params its generator reads and their defaults.  All are
+# integers but path_bundle's bottlenecks, a list of integers, one path each;
+# without it the bundle has max(n, 1) paths of bottleneck 1.
+FAMILY_PARAMS: dict[str, dict] = {
+    "path_bundle": {"bottlenecks": None, "path_len": 3},
+    "grid": {"rows": 0, "cols": 0, "cap_min": 0},
+    "random_bounded": {"rounds": 2, "cap_min": 0},
+    "layered": {"layers": 4, "width": 4, "fanout": 2, "cap_min": 0},
+}
+FAMILIES = tuple(FAMILY_PARAMS)
 
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Seeded description of one generated network."""
+    """Seeded description of one generated network, checked when built.
+
+    The family is one of ``FAMILIES``; the integer fields and params are true
+    ints, as in graph JSON; params holds only names its family's generator
+    reads (``FAMILY_PARAMS``); and the color fractions rho_s and rho_t are
+    non-negative with a sum of at most 1.
+    """
 
     family: str
     n: int = 0
@@ -62,23 +74,26 @@ class InstanceSpec:
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        """Integer fields and params must be true ints, as in graph JSON."""
         for key in ("n", "d", "m_ticks", "gen_seed"):
             _int_field(vars(self), key, "instance spec")
+        if self.family not in FAMILY_PARAMS:
+            raise ValueError(f"unknown family {self.family!r}")
         if not isinstance(self.params, Mapping):
             raise ValueError(
                 f"bad field 'params' in instance spec: expected an object, got {self.params!r}"
             )
-        for key in INT_PARAMS:
-            if key in self.params:
+        for key, value in self.params.items():
+            if key not in FAMILY_PARAMS[self.family]:
+                raise ValueError(f"bad field {key!r} in instance spec params: "
+                                 f"not a param of family {self.family!r}")
+            if key != "bottlenecks":
                 _int_field(self.params, key, "instance spec params")
-        bottlenecks = self.params.get("bottlenecks", [])
-        if not isinstance(bottlenecks, (list, tuple)) or any(
-            type(b) is not int for b in bottlenecks
-        ):
+            elif not isinstance(value, (list, tuple)) or any(type(b) is not int for b in value):
+                raise ValueError("bad field 'bottlenecks' in instance spec params: "
+                                 f"expected a list of integers, got {value!r}")
+        if self.rho_s < 0 or self.rho_t < 0 or self.rho_s + self.rho_t > 1:
             raise ValueError(
-                "bad field 'bottlenecks' in instance spec params: "
-                f"expected a list of integers, got {bottlenecks!r}"
+                f"infeasible color fractions rho_s={self.rho_s}, rho_t={self.rho_t}"
             )
 
     def instance_id(self) -> str:
@@ -103,10 +118,15 @@ class InstanceSpec:
 
     @staticmethod
     def from_json(obj: Mapping) -> "InstanceSpec":
-        """Inverse of to_json; the constructor checks the integer fields and
-        params, and the rationals are read as graph JSON reads its quantum."""
+        """Inverse of to_json, refusing a key other than the fields it writes;
+        the constructor checks the fields, and the rationals are read as
+        graph JSON reads its quantum."""
         where = "instance spec"
         family = str(_require(obj, "family", where))
+        names = {f.name for f in fields(InstanceSpec)}
+        for key in obj:
+            if key not in names:
+                raise ValueError(f"bad field {key!r} in {where}: not a spec field")
         rationals = {"quantum": 1, "rho_s": "1/5", "rho_t": "1/5", **obj}  # defaults, then obj
         return InstanceSpec(
             family=family,
@@ -120,18 +140,15 @@ class InstanceSpec:
 
 
 def generate(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
-    """Deterministic graph for the spec, plus metadata (known max flow, if any)."""
-    if spec.family not in FAMILIES:
-        raise ValueError(f"unknown family {spec.family!r}")
-    if spec.rho_s < 0 or spec.rho_t < 0 or spec.rho_s + spec.rho_t > 1:
-        raise ValueError(f"infeasible color fractions rho_s={spec.rho_s}, rho_t={spec.rho_t}")
+    """Deterministic graph for the spec, plus metadata (known max flow, if any).
+    Each generator gets the spec's params over its family's defaults."""
     builder = {
         "path_bundle": _gen_path_bundle,
         "grid": _gen_grid,
         "random_bounded": _gen_random_bounded,
         "layered": _gen_layered,
     }[spec.family]
-    return builder(spec)
+    return builder(spec, {**FAMILY_PARAMS[spec.family], **spec.params})
 
 
 def _coin_color(rng: random.Random, s_cut: float, t_cut: float) -> str:
@@ -144,9 +161,10 @@ def _coin_color(rng: random.Random, s_cut: float, t_cut: float) -> str:
     return "R"
 
 
-def _gen_path_bundle(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
-    bottlenecks = spec.params.get("bottlenecks", (1,) * max(spec.n, 1))
-    path_len = spec.params.get("path_len", 3)
+def _gen_path_bundle(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, dict]:
+    bottlenecks, path_len = params["bottlenecks"], params["path_len"]
+    if bottlenecks is None:
+        bottlenecks = (1,) * max(spec.n, 1)
     if path_len < 1:
         raise ValueError(f"bad field 'path_len': must be >= 1, got {path_len}")
     for b in bottlenecks:
@@ -167,12 +185,10 @@ def _gen_path_bundle(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
     return g, {"known_max_flow_ticks": sum(bottlenecks)}
 
 
-def _gen_grid(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
-    rows = spec.params.get("rows", 0)
-    cols = spec.params.get("cols", 0)
+def _gen_grid(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, dict]:
+    rows, cols, cap_min = params["rows"], params["cols"], params["cap_min"]
     if rows < 1 or cols < 1:
         raise ValueError("bad field 'rows'/'cols': grid needs rows >= 1 and cols >= 1")
-    cap_min = spec.params.get("cap_min", 0)
     rng = random.Random(spec.gen_seed)
     cuts = float(spec.rho_s), float(spec.rho_s + spec.rho_t)
     nodes = []
@@ -191,14 +207,13 @@ def _gen_grid(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
     return ColoredGraph(tuple(nodes), tuple(edges), d, spec.m_ticks, spec.quantum), {}
 
 
-def _gen_random_bounded(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
+def _gen_random_bounded(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, dict]:
     if spec.n < 2:
         raise ValueError(f"bad field 'n': random_bounded needs n >= 2, got {spec.n}")
     # Two matching rounds by default: keeps candidate-path populations small
     # enough that chain depths stay O(l) at desk scale.  Raise `rounds`
     # (up to d) for denser graphs; the depth tail grows steeply with it.
-    rounds = spec.params.get("rounds", 2)
-    cap_min = spec.params.get("cap_min", 0)
+    rounds, cap_min = params["rounds"], params["cap_min"]
     rng = random.Random(spec.gen_seed)
     cuts = float(spec.rho_s), float(spec.rho_s + spec.rho_t)
     nodes = tuple(Node(i, _coin_color(rng, *cuts)) for i in range(spec.n))
@@ -221,13 +236,11 @@ def _gen_random_bounded(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
     return ColoredGraph(nodes, edge_tuple, spec.d, spec.m_ticks, spec.quantum), {}
 
 
-def _gen_layered(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
-    layers = spec.params.get("layers", 4)
-    width = spec.params.get("width", 4)
+def _gen_layered(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, dict]:
+    layers, width = params["layers"], params["width"]
     if layers < 2 or width < 1:
         raise ValueError("bad field 'layers'/'width': layered needs layers >= 2, width >= 1")
-    fanout = spec.params.get("fanout", 2)
-    cap_min = spec.params.get("cap_min", 0)
+    fanout, cap_min = params["fanout"], params["cap_min"]
     rng = random.Random(spec.gen_seed)
     nodes = []
     for layer in range(layers):
@@ -407,9 +420,10 @@ def experiment_locality(
     specs: Sequence[InstanceSpec],
     cfgs: Sequence[tuple[int, int]],
     seeds: Sequence[int],
-    sample: int | str = "all",
+    sample: int | None = None,
 ) -> tuple[list[dict], bool]:
-    """Exact global-vs-local equality on sampled edges, per (instance, seed, l, s).
+    """Exact global-vs-local equality on sampled edges, per (instance, seed, l, s):
+    every edge when ``sample`` is None, else that many drawn with the seed.
 
     Check rows, at the ball radius s*l of a local query, must show zero
     mismatches.  Negative-control rows rerun one hop inside it, at s*l - 1;
@@ -422,11 +436,11 @@ def experiment_locality(
         all_refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
         for l, s in cfgs:
             for seed in seeds:
-                if sample == "all":
+                if sample is None:
                     refs = all_refs
                 else:
                     rng = random.Random(seed)
-                    refs = sorted(rng.sample(all_refs, min(int(sample), len(all_refs))))
+                    refs = sorted(rng.sample(all_refs, min(sample, len(all_refs))))
                 cfg = RunConfig(l=l, s=s, seed=seed)
                 ball = _ball_radius(l, s)
                 for role, radius in (("check", ball), ("negative_control", ball - 1)):

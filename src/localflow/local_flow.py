@@ -15,6 +15,7 @@ that this reproduces the global run bit for bit.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -26,6 +27,7 @@ from .graph_core import (
     DirectedEdgeRef,
     Edge,
     Flow,
+    _int_field,
     _Residuals,
     ball_nodes,
     validate_flow,
@@ -50,37 +52,37 @@ ZERO_CAPACITY = "ZERO_CAPACITY"
 class RunConfig:
     """Parameters of a run: length cap l, skip threshold s, labeling seed.
 
-    When ``epsilon`` is given instead of ``l``, the cap defaults to
-    ceil(2*d*M/epsilon) with M the real capacity bound (ticks * quantum).
-    s stays caller-supplied; there is no closed form for it.
+    Checked when built: l is an integer >= 1, s is None (enough for A1,
+    which never skips) or an integer >= 1, and seed is an integer; floats,
+    bools and numeric strings are refused, as in graph JSON.
+    ``length_cap`` gives the l that targets an error epsilon on a graph; s
+    has no such closed form.
     """
 
-    l: int | None = None
+    l: int
     s: int | None = None
     seed: int = 0
-    epsilon: Fraction | None = None
 
-    def resolve_l(self, g: ColoredGraph) -> int:
-        if self.l is not None:
-            return _at_least_one("l", self.l)
-        if self.epsilon is None:
-            raise ValueError("config needs l or epsilon")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        m_real = g.capacity_bound_ticks * g.quantum
-        ratio = 2 * g.degree_bound * m_real / self.epsilon
-        return int(-(-ratio.numerator // ratio.denominator))
+    def __post_init__(self) -> None:
+        fields = vars(self)
+        _int_field(fields, "l", "run config", minimum=1)
+        if self.s is not None:
+            _int_field(fields, "s", "run config", minimum=1)
+        _int_field(fields, "seed", "run config")
 
     def require_s(self) -> int:
         if self.s is None:
             raise ValueError("config needs s for the chain-skipping run")
-        return _at_least_one("s", self.s)
+        return self.s
 
 
-def _at_least_one(name: str, value: int) -> int:
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
-    return value
+def length_cap(g: ColoredGraph, epsilon: int | Fraction) -> int:
+    """The length cap ceil(2*d*M/epsilon) that targets error epsilon on g,
+    with M the real capacity bound (ticks * quantum)."""
+    if type(epsilon) not in (int, Fraction) or epsilon <= 0:
+        raise ValueError(f"bad field 'epsilon': expected a positive integer or rational, "
+                         f"got {epsilon!r}")
+    return math.ceil(2 * g.degree_bound * g.capacity_bound_ticks * Fraction(g.quantum) / epsilon)
 
 
 class TraceEntry(NamedTuple):
@@ -146,12 +148,12 @@ def _sweep(
 
 def run_a1(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
     """Augment on every candidate path once, shortest lengths first."""
-    return _sweep(g, cfg.resolve_l(g), cfg.seed, None)
+    return _sweep(g, cfg.l, cfg.seed, None)
 
 
 def run_a2(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
     """Like run_a1 but paths with chain depth >= s are never augmented."""
-    return _sweep(g, cfg.resolve_l(g), cfg.seed, cfg.require_s())
+    return _sweep(g, cfg.l, cfg.seed, cfg.require_s())
 
 
 def _ball_radius(l: int, s: int) -> int:
@@ -168,8 +170,7 @@ def local_f2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
     locality argument in ``LocalEvaluator``) the result equals the global
     value exactly.
     """
-    l = cfg.resolve_l(g)
-    s = cfg.require_s()
+    l, s = cfg.l, cfg.require_s()
     return LocalEvaluator(g, l, s, ball_nodes(g, e, _ball_radius(l, s))).f2_on(e, cfg.seed)
 
 
@@ -203,10 +204,11 @@ def verify_locality(
     sampled edges (edges whose balls coincide share it, which cannot change
     any value: an evaluation depends only on the ball and the seed).
     ``radius`` (default ``_ball_radius``) and ``local_seed`` exist for
-    negative controls.
+    negative controls.  An empty sample is refused: it would check nothing.
     """
-    l = cfg.resolve_l(g)
-    s = cfg.require_s()
+    if not edge_sample:
+        raise ValueError("bad field 'edge_sample': expected at least one edge, got none")
+    l, s = cfg.l, cfg.require_s()
     rad = _ball_radius(l, s) if radius is None else radius
     seed = cfg.seed if local_seed is None else local_seed
 
@@ -281,14 +283,15 @@ class LocalEvaluator:
     key.  The lists of paths through an edge are built once per edge id and
     shared by both orientations and every seed; order keys, capped depths
     and amounts are memoised per seed.  The graph is valid by construction,
-    so its nodes and edges are read unchecked; every path, amount and
-    returned value is checked against the invariants of a valid flow.
+    so its nodes and edges are read unchecked, and l and s come from a
+    checked config; every path, amount and returned value is checked
+    against the invariants of a valid flow.
     """
 
     def __init__(self, g: ColoredGraph, l: int, s: int, ball: frozenset[int] | None = None):
         self.g = g
-        self.l = _at_least_one("l", l)
-        self.s = _at_least_one("s", s)
+        self.l = l
+        self.s = s
         self.ball = ball
         # node -> (color, (neighbour, arc leaving the node, neighbour, arc, ...))
         self._steps: dict[int, tuple[str, tuple]] = {}

@@ -143,7 +143,7 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     The result is sorted by canonical key, each path exactly once.  The graph
     is valid by construction, so it is not checked here.  A graph with more
     than ``_MAX_WALKS`` non-backtracking S->T walks of at most l edges is
-    refused before any path is listed.
+    refused before any path is listed, and one with none is not searched.
     """
     if l < 1:
         raise ValueError(f"path length cap must be >= 1, got {l}")
@@ -175,8 +175,9 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
             raise ValueError(f"path length cap l={l} is too large for this graph: more than "
                              f"{_MAX_WALKS} non-backtracking S->T walks of at most {l} edges")
     out: list[AugPathCandidate] = []
-    for s in g.nodes_of_color("S"):
-        _extend(g._adj, color, l, out, [s], [], {s})
+    if walks:  # with no such walk there is no path, and nothing to search
+        for s in g.nodes_of_color("S"):
+            _extend(g._adj, color, l, out, [s], [], {s})
     out.sort(key=lambda u: u.canonical_key)
     per_graph[l] = tuple(out)
     return out

@@ -84,8 +84,7 @@ def ball_rerun_f2(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig,
     """The A2 value at e from a whole A2 run on the ball of radius s*l (or
     ``radius``) around e: every path in the ball enumerated, sorted, given a
     depth and swept, and the ball's flow validated."""
-    l = cfg.resolve_l(g)
-    s = cfg.require_s()
+    l, s = cfg.l, cfg.require_s()
     rad = s * l if radius is None else radius
     sub = induced_subgraph(g, set(ball_nodes(g, e, rad)))
     f2, _ = run_a2(sub, RunConfig(l=l, s=s, seed=cfg.seed))
@@ -112,7 +111,6 @@ def cut_capacity(g: ColoredGraph, node_set: frozenset[int] | set[int]) -> int:
 def assemble_fbar2(g: ColoredGraph, cfg: TesterConfig) -> Flow:
     """The seed-averaged A2 flow, edge-wise, as an exact fractional-tick Flow,
     from the m global runs.  A convex combination of valid flows, so valid."""
-    cfg.check()
     sums: dict[int, int] = {}
     for seed in cfg.seeds:
         f2, _ = run_a2(g, RunConfig(l=cfg.l, s=cfg.s, seed=seed))
@@ -132,7 +130,7 @@ def length_boundary_violations(g: ColoredGraph, cfg: RunConfig) -> list[int]:
     run capped at j processes exactly the full run's paths of length <= j, in
     the same order: its output is the full run's flow at boundary j."""
     bad = []
-    for j in range(1, cfg.resolve_l(g) + 1):
+    for j in range(1, cfg.l + 1):
         f, _ = run_a1(g, RunConfig(l=j, seed=cfg.seed))
         if shortest_augmenting_path_length(g, f, j) is not None:
             bad.append(j)

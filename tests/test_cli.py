@@ -355,6 +355,8 @@ def test_invalid_graph_file_exits_two(bundle_graph, tmp_path, capsys):
     ["verify-locality", "--graph", "{graph}", "--l", "3", "--s", "2", "--sample", "some"],
     ["tester", "--graph", "{graph}", "--l", "3", "--s", "2", "--seeds", "1", "--sample", "5"],
     ["experiment", "locality", "--seeds", "1", "--sample", "-2"],
+    ["verify-locality", "--graph", "{graph}", "--l", "3", "--s", "2", "--sample", "0"],
+    ["experiment", "locality", "--seeds", "1", "--sample", "0"],
 ])
 def test_bad_sample_exits_two_naming_the_flag(bundle_graph, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -370,7 +372,8 @@ def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
         ("n", {"n": 30.9}), ("gen_seed", {"n": 30, "gen_seed": True}),
         ("rounds", {"n": 30, "params": {"rounds": 2.7}}),
         ("quantum", {"n": 30, "quantum": "1/0"}), ("params", {"n": 30, "params": 5}),
-        ("rho_s", {"n": 30, "rho_s": "abc"}),
+        ("rho_s", {"n": 30, "rho_s": "abc"}), ("gen_sed", {"n": 30, "gen_sed": 7}),
+        ("cap_mn", {"n": 30, "params": {"cap_mn": 3}}),
     )]
     cases.append(("bad instance spec: expected a JSON object, got 5", 5))
     for i, (message, spec) in enumerate(cases):
@@ -382,6 +385,43 @@ def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
         assert code == 2
         assert captured.out == ""
         assert message in captured.err
+
+
+def test_verify_locality_on_a_graph_with_no_edges_exits_two(tmp_path, capsys):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"quantum": "1", "degree_bound": 2, "capacity_bound_ticks": 1,
+                                "nodes": [{"id": 0, "color": "S"}], "edges": []}))
+    code = main(["verify-locality", "--graph", str(path), "--l", "3", "--s", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bad field 'edge_sample'" in captured.err
+
+
+def test_generate_refuses_a_param_the_family_does_not_read(tmp_path, capsys):
+    out = tmp_path / "grid.json"
+    code = main(["generate", "--family", "grid", "--rows", "2", "--cols", "3", "--rounds", "3",
+                 "--layers", "9", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "bad field 'rounds' in instance spec params" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["run-a1", "--l", "0"], "l"),
+    (["run-a2", "--l", "3", "--s", "0"], "s"),
+    (["local-f2", "--edge", "0", "--epsilon", "0", "--s", "2"], "epsilon"),
+    (["verify-locality", "--epsilon", "-1", "--s", "2"], "epsilon"),
+    (["tester", "--l", "3", "--s", "2", "--seeds", "1", "--k", "0"], "k"),
+    (["tester", "--l", "0", "--s", "2", "--seeds", "1"], "l"),
+])
+def test_bad_run_parameter_exits_two_naming_the_field(bundle_graph, capsys, argv, field):
+    code = main(argv + ["--graph", str(bundle_graph)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: bad field '{field}'")
 
 
 def test_unknown_flag_exits_two(capsys):

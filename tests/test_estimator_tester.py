@@ -192,8 +192,37 @@ def test_variance_scales_like_one_over_k():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="at least one labeling seed"):
-        TesterConfig(l=3, s=2, seeds=()).check()
-    with pytest.raises(ValueError, match="k must be >= 1"):
-        TesterConfig(l=3, s=2, seeds=(1,), k=0).check()
+    with pytest.raises(ValueError, match="bad field 'seeds' in tester config: expected a non-emp"):
+        TesterConfig(l=3, s=2, seeds=())
+    with pytest.raises(ValueError, match="bad field 'k' in tester config: expected an integer >= 1,"
+                                         " got 0"):
+        TesterConfig(l=3, s=2, seeds=(1,), k=0)
+    with pytest.raises(ValueError, match="bad field 'sample_seed' in tester config"):
+        replace(TesterConfig(l=3, s=2, seeds=(1,)), sample_seed=1.5)
+
+
+VALID_CONFIGS = {
+    RunConfig: {"l": 6, "s": 3, "seed": 0},
+    TesterConfig: {"l": 3, "s": 2, "seeds": (1, 2), "k": 10, "sample_seed": 0},
+}
+
+
+def _bad_config_fields():
+    """(config class, field, bad value): a float, a bool and a numeric string
+    for every field, 0 where the field must be >= 1, and for seeds the same
+    as list items, an empty list and a bare integer."""
+    for cls, valid in VALID_CONFIGS.items():
+        for key in valid:
+            if key == "seeds":
+                bad_values = [(1.5,), (1, True), ("1",), (), 1]
+            else:
+                bad_values = [2.5, 6.0, True, "6"] + ([0] if key in ("l", "s", "k") else [])
+            for bad in bad_values:
+                yield pytest.param(cls, key, bad, id=f"{cls.__name__}-{key}-{bad!r}")
+
+
+@pytest.mark.parametrize("cls, key, bad", list(_bad_config_fields()))
+def test_config_refuses_a_bad_field_when_built(cls, key, bad):
+    with pytest.raises(ValueError, match=f"bad field '{key}' in "):
+        cls(**dict(VALID_CONFIGS[cls], **{key: bad}))
 

@@ -83,14 +83,37 @@ def test_generated_graphs_are_pinned(family, seed, rho, digest):
 
 
 def test_infeasible_color_fractions_rejected():
-    spec = InstanceSpec("random_bounded", n=10, rho_s=Fraction(3, 5), rho_t=Fraction(3, 5))
     with pytest.raises(ValueError, match="infeasible color fractions"):
-        generate(spec)
+        InstanceSpec("random_bounded", n=10, rho_s=Fraction(3, 5), rho_t=Fraction(3, 5))
 
 
 def test_unknown_family_rejected():
     with pytest.raises(ValueError, match="unknown family"):
-        generate(InstanceSpec("mystery", n=5))
+        InstanceSpec("mystery", n=5)
+
+
+@pytest.mark.parametrize("family, param", [
+    ("grid", "rounds"), ("grid", "layers"), ("random_bounded", "rows"),
+    ("path_bundle", "cap_min"), ("layered", "bottlenecks"), ("random_bounded", "cap_mn"),
+])
+def test_spec_refuses_a_param_its_family_does_not_read(family, param):
+    with pytest.raises(ValueError, match=f"bad field '{param}' in instance spec params: "
+                                         f"not a param of family '{family}'"):
+        InstanceSpec(family, n=10, params={param: 3})
+
+
+def test_instance_id_hashes_the_params_as_given():
+    bare = InstanceSpec("random_bounded", n=60, gen_seed=1)
+    assert bare.instance_id() == "random_bounded-n60-d4-M5-g1"
+    explicit = InstanceSpec("random_bounded", n=60, gen_seed=1, params={"rounds": 2})
+    assert explicit.instance_id().startswith("random_bounded-n60-d4-M5-g1-p")
+
+
+def test_empty_bottlenecks_mean_no_paths():
+    g, meta = generate(InstanceSpec("path_bundle", n=3, params={"bottlenecks": []}))
+    assert (g.n, meta["known_max_flow_ticks"]) == (0, 0)
+    g, meta = generate(InstanceSpec("path_bundle", n=3))
+    assert (len(g.edges), meta["known_max_flow_ticks"]) == (9, 3)
 
 
 def test_bad_family_params_name_the_field():
@@ -204,7 +227,7 @@ def test_chain_tail_is_monotone_nonincreasing():
 
 def test_experiment_locality_reports_and_passes():
     specs = [InstanceSpec("random_bounded", n=18, gen_seed=4, rho_s=0.25, rho_t=0.25)]
-    rows, ok = experiment_locality(specs, [(3, 2)], seeds=[1, 2], sample="all")
+    rows, ok = experiment_locality(specs, [(3, 2)], seeds=[1, 2])
     assert ok
     checks = [r for r in rows if r["role"] == "check"]
     controls = [r for r in rows if r["role"] == "negative_control"]

@@ -30,7 +30,7 @@ from localflow.graph_core import (
     graph_from_json,
     graph_to_json,
 )
-from localflow.harness import FAMILIES, INT_PARAMS, InstanceSpec
+from localflow.harness import FAMILIES, FAMILY_PARAMS, InstanceSpec
 
 FIXED = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -137,18 +137,22 @@ def test_flow_json_refuses_a_scalar_item_or_a_repeated_id(f, data, bad):
 
 @st.composite
 def specs(draw) -> InstanceSpec:
-    keys = draw(st.lists(st.sampled_from(INT_PARAMS), unique=True, max_size=4))
-    params: dict = {key: draw(st.integers(-5, 50)) for key in keys}
-    if draw(st.booleans()):
-        params["bottlenecks"] = draw(st.lists(st.integers(0, 9), max_size=5))
+    """Specs with params drawn from their family's own names and feasible
+    color fractions, which the constructor requires."""
+    family = draw(st.sampled_from(FAMILIES))
+    keys = draw(st.lists(st.sampled_from(sorted(FAMILY_PARAMS[family])), unique=True))
+    params: dict = {key: draw(st.lists(st.integers(0, 9), max_size=5) if key == "bottlenecks"
+                              else st.integers(-5, 50)) for key in keys}
+    unit = st.integers(1, 20).flatmap(lambda b: st.builds(Fraction, st.integers(0, b), st.just(b)))
+    rho_s = draw(unit)
     return InstanceSpec(
-        family=draw(st.sampled_from(FAMILIES)),
+        family=family,
         n=draw(st.integers(0, 10**4)),
         d=draw(st.integers(1, 8)),
         m_ticks=draw(st.integers(1, 20)),
         quantum=draw(fractions.filter(lambda q: q > 0)),
-        rho_s=draw(fractions),
-        rho_t=draw(fractions),
+        rho_s=rho_s,
+        rho_t=draw(unit) * (1 - rho_s),
         gen_seed=draw(st.integers(0, 2**64)),
         params=params,
     )
@@ -165,7 +169,7 @@ def test_spec_json_round_trip_property(spec):
 def test_spec_json_refuses_a_non_integer_field(spec, data, bad):
     obj = through_json(spec.to_json())
     holders = [(obj, key) for key in ("n", "d", "m_ticks", "gen_seed")]
-    holders += [(obj["params"], key) for key in INT_PARAMS if key in obj["params"]]
+    holders += [(obj["params"], key) for key in obj["params"] if key != "bottlenecks"]
     holders += [(b, i) for b in [obj["params"].get("bottlenecks")] if b for i in range(len(b))]
     holder, key = data.draw(st.sampled_from(holders))
     holder[key] = bad

@@ -24,6 +24,7 @@ from localflow.local_flow import (
     ZERO_CAPACITY,
     LocalEvaluator,
     RunConfig,
+    length_cap,
     local_f2_edge,
     run_a1,
     run_a2,
@@ -78,32 +79,38 @@ def test_sweep_order_ties_fall_back_to_the_canonical_key(monkeypatch):
         assert flow.values == want_flow.values and trace == want_trace
 
 
-def test_resolve_l_from_epsilon():
+def test_length_cap_from_epsilon():
     g = line_graph("SRT", cap=4, d=4, m=5)
-    cfg = RunConfig(epsilon=Fraction(1, 2), seed=0)
     # ceil(2 * 4 * 5 / (1/2)) = 80
-    assert cfg.resolve_l(g) == 80
-    cfg2 = RunConfig(epsilon=Fraction(13), seed=0)
+    assert length_cap(g, Fraction(1, 2)) == 80
     # ceil(40/13) = 4
-    assert cfg2.resolve_l(g) == 4
+    assert length_cap(g, Fraction(13)) == 4
+    assert length_cap(g, 13) == 4
 
 
-def test_resolve_l_respects_quantum():
+def test_length_cap_respects_quantum():
     g = build_graph("ST", [(0, 1, 3, 3)], d=2, m=4, quantum=Fraction(1, 2))
     # M = 4 * 1/2 = 2, so l = ceil(2*2*2 / 1) = 8
-    assert RunConfig(epsilon=Fraction(1)).resolve_l(g) == 8
+    assert length_cap(g, Fraction(1)) == 8
+    assert length_cap(g, 1) == 8
+
+
+@pytest.mark.parametrize("epsilon", [0, -1, Fraction(0), Fraction(-1, 2), 0.5, True, "1"])
+def test_length_cap_refuses_a_bad_epsilon(epsilon):
+    with pytest.raises(ValueError, match="bad field 'epsilon'"):
+        length_cap(line_graph("SRT"), epsilon)
 
 
 def test_config_validation_errors():
     g = line_graph("SRT")
-    with pytest.raises(ValueError, match="l or epsilon"):
-        run_a1(g, RunConfig())
+    with pytest.raises(TypeError):
+        RunConfig()
     with pytest.raises(ValueError, match="needs s"):
         run_a2(g, RunConfig(l=2))
-    with pytest.raises(ValueError, match="l must be >= 1"):
-        run_a1(g, RunConfig(l=0))
-    with pytest.raises(ValueError, match="s must be >= 1"):
-        run_a2(g, RunConfig(l=2, s=0))
+    with pytest.raises(ValueError, match="bad field 'l' in run config: expected an integer >= 1"):
+        RunConfig(l=0)
+    with pytest.raises(ValueError, match="bad field 's' in run config: expected an integer >= 1"):
+        RunConfig(l=2, s=0)
 
 
 def test_run_a1_without_sources_or_targets():
@@ -294,9 +301,11 @@ def test_verify_locality_full_edge_set_passes():
     assert report.checked == len(refs)
 
 
-def test_verify_locality_empty_sample_passes_vacuously():
+def test_verify_locality_refuses_an_empty_sample():
+    # A check of no edge cannot fail, so it shows nothing.
     g = line_graph("SRT")
-    assert verify_locality(g, RunConfig(l=2, s=2, seed=0), []).passed
+    with pytest.raises(ValueError, match="bad field 'edge_sample'"):
+        verify_locality(g, RunConfig(l=2, s=2, seed=0), [])
 
 
 def test_verify_locality_reruns_are_equal():

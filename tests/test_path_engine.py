@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -67,6 +68,27 @@ def test_too_many_walks_are_refused_before_any_path_is_listed(tmp_path, capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "l=12" in captured.err
+
+
+def test_no_walk_means_no_search(monkeypatch):
+    """With no S->T walk of at most l edges, no path is searched for: here a
+    grid with S nodes and no T node at all."""
+    calls = []
+    extend = path_engine_module._extend
+
+    def counted(*args):
+        calls.append(1)
+        return extend(*args)
+
+    monkeypatch.setattr(path_engine_module, "_extend", counted)
+    no_targets, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8},
+                                          rho_t=Fraction(0), gen_seed=3))
+    assert no_targets.nodes_of_color("S") and not no_targets.nodes_of_color("T")
+    assert enumerate_paths(no_targets, 6) == []
+    assert enumerate_paths(no_targets, 6) == []  # cached
+    assert calls == []
+    with_targets, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
+    assert enumerate_paths(with_targets, 6) and calls
 
 
 def test_capacities_are_not_consulted():
