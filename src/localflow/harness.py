@@ -41,14 +41,15 @@ DEFAULT_M_TICKS = 5
 DEFAULT_L = 6
 DEFAULT_S = 3
 
-# Per family, the params its generator reads and their defaults.  All are
-# integers but path_bundle's bottlenecks, a list of integers, one path each;
-# without it the bundle has max(n, 1) paths of bottleneck 1.
-FAMILY_PARAMS: dict[str, dict] = {
-    "path_bundle": {"bottlenecks": None, "path_len": 3},
-    "grid": {"rows": 0, "cols": 0, "cap_min": 0},
-    "random_bounded": {"rounds": 2, "cap_min": 0},
-    "layered": {"layers": 4, "width": 4, "fanout": 2, "cap_min": 0},
+# Per family, the params its generator reads, each as (default, minimum).
+# All are integers but path_bundle's bottlenecks, a list of integers, one
+# path each; without it the bundle has max(n, 1) paths of bottleneck 1.  A
+# grid has no default size: its rows and cols must be given.
+FAMILY_PARAMS: dict[str, dict[str, tuple]] = {
+    "path_bundle": {"bottlenecks": (None, None), "path_len": (3, 1)},
+    "grid": {"rows": (0, 1), "cols": (0, 1), "cap_min": (0, 0)},
+    "random_bounded": {"rounds": (2, 1), "cap_min": (0, 0)},
+    "layered": {"layers": (4, 2), "width": (4, 1), "fanout": (2, 1), "cap_min": (0, 0)},
 }
 FAMILIES = tuple(FAMILY_PARAMS)
 
@@ -59,8 +60,9 @@ class InstanceSpec:
 
     The family is one of ``FAMILIES``; the integer fields and params are true
     ints, as in graph JSON; params holds only names its family's generator
-    reads (``FAMILY_PARAMS``); and the color fractions rho_s and rho_t are
-    non-negative with a sum of at most 1.
+    reads, each at least its minimum (``FAMILY_PARAMS``), with cap_min at
+    most m_ticks; and the color fractions rho_s and rho_t are non-negative
+    with a sum of at most 1.
     """
 
     family: str
@@ -82,15 +84,19 @@ class InstanceSpec:
             raise ValueError(
                 f"bad field 'params' in instance spec: expected an object, got {self.params!r}"
             )
+        known = FAMILY_PARAMS[self.family]
         for key, value in self.params.items():
-            if key not in FAMILY_PARAMS[self.family]:
+            if key not in known:
                 raise ValueError(f"bad field {key!r} in instance spec params: "
                                  f"not a param of family {self.family!r}")
             if key != "bottlenecks":
-                _int_field(self.params, key, "instance spec params")
+                _int_field(self.params, key, "instance spec params", minimum=known[key][1])
             elif not isinstance(value, (list, tuple)) or any(type(b) is not int for b in value):
                 raise ValueError("bad field 'bottlenecks' in instance spec params: "
                                  f"expected a list of integers, got {value!r}")
+        if "cap_min" in self.params and self.params["cap_min"] > self.m_ticks:
+            raise ValueError("bad field 'cap_min' in instance spec params: expected at most "
+                             f"m_ticks={self.m_ticks}, got {self.params['cap_min']}")
         if self.rho_s < 0 or self.rho_t < 0 or self.rho_s + self.rho_t > 1:
             raise ValueError(
                 f"infeasible color fractions rho_s={self.rho_s}, rho_t={self.rho_t}"
@@ -148,7 +154,8 @@ def generate(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:
         "random_bounded": _gen_random_bounded,
         "layered": _gen_layered,
     }[spec.family]
-    return builder(spec, {**FAMILY_PARAMS[spec.family], **spec.params})
+    defaults = {key: default for key, (default, _) in FAMILY_PARAMS[spec.family].items()}
+    return builder(spec, {**defaults, **spec.params})
 
 
 def _coin_color(rng: random.Random, s_cut: float, t_cut: float) -> str:
@@ -165,8 +172,6 @@ def _gen_path_bundle(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, di
     bottlenecks, path_len = params["bottlenecks"], params["path_len"]
     if bottlenecks is None:
         bottlenecks = (1,) * max(spec.n, 1)
-    if path_len < 1:
-        raise ValueError(f"bad field 'path_len': must be >= 1, got {path_len}")
     for b in bottlenecks:
         if not 0 <= b <= spec.m_ticks:
             raise ValueError(f"bad field 'bottlenecks': {b} outside [0, {spec.m_ticks}]")
@@ -238,8 +243,6 @@ def _gen_random_bounded(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph,
 
 def _gen_layered(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, dict]:
     layers, width = params["layers"], params["width"]
-    if layers < 2 or width < 1:
-        raise ValueError("bad field 'layers'/'width': layered needs layers >= 2, width >= 1")
     fanout, cap_min = params["fanout"], params["cap_min"]
     rng = random.Random(spec.gen_seed)
     nodes = []

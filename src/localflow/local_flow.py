@@ -6,10 +6,11 @@ plain run (A1) processes everything; the skipping run (A2) refuses any path
 whose chain depth reaches the threshold s, which is what confines each edge's
 final value to a ball around it.  ``LocalEvaluator`` computes that value
 without a sweep, as a memoised query tree over the paths through the edge and
-their predecessors, reading nothing beyond s*(l-1) hops of the edge.
-``local_f2_edge`` runs it on the ball of radius s*l alone, read in place in
-g rather than built as a graph, and ``verify_locality`` checks edge by edge
-that this reproduces the global run bit for bit.
+their predecessors, reading nothing beyond s*(l-1) hops of the edge.  A
+query may name a ball, which keeps the paths that lie inside it rather than
+being built as a graph.  ``local_f2_edge`` queries the ball of radius s*l,
+and ``verify_locality`` checks edge by edge, with one evaluator for every
+ball, that this reproduces the global run bit for bit.
 """
 
 from __future__ import annotations
@@ -25,14 +26,12 @@ from .graph_core import (
     AB,
     ColoredGraph,
     DirectedEdgeRef,
-    Edge,
     Flow,
     _int_field,
     _Residuals,
     ball_nodes,
     validate_flow,
 )
-from .parallel import parallel_map
 from .path_engine import (
     AugPathCandidate,
     OrderKey,
@@ -165,13 +164,12 @@ def _ball_radius(l: int, s: int) -> int:
 def local_f2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
     """Value of the skipping run at e, computed inside the ball h_{s*l}(e) only.
 
-    The evaluator reads only the ball's nodes and the edges between them,
-    with their ids, so it sees the same labels as a global run, and (by the
-    locality argument in ``LocalEvaluator``) the result equals the global
-    value exactly.
+    The evaluator keeps only the paths inside the ball, with their ids, so
+    it sees the same labels as a global run, and (by the locality argument
+    in ``LocalEvaluator``) the result equals the global value exactly.
     """
     l, s = cfg.l, cfg.require_s()
-    return LocalEvaluator(g, l, s, ball_nodes(g, e, _ball_radius(l, s))).f2_on(e, cfg.seed)
+    return LocalEvaluator(g, l, s).f2_on(e, cfg.seed, ball_nodes(g, e, _ball_radius(l, s)))
 
 
 class LocalityMismatch(NamedTuple):
@@ -200,9 +198,11 @@ def verify_locality(
 ) -> LocalityReport:
     """Compare the global run against per-edge local evaluations, exact equality.
 
-    One global A2, then one ``LocalEvaluator`` per distinct ball among the
-    sampled edges (edges whose balls coincide share it, which cannot change
-    any value: an evaluation depends only on the ball and the seed).
+    One global A2, then a single ``LocalEvaluator`` that answers each sampled
+    edge on the edge's own ball.  Its walk searches, paths and labels serve
+    every ball; edges whose balls coincide are answered together and share
+    the ball's tables, which cannot change any value (an evaluation depends
+    only on the ball and the seed), and the tables go once they are done.
     ``radius`` (default ``_ball_radius``) and ``local_seed`` exist for
     negative controls.  An empty sample is refused: it would check nothing.
     """
@@ -213,18 +213,15 @@ def verify_locality(
     seed = cfg.seed if local_seed is None else local_seed
 
     f2_global, _ = run_a2(g, cfg)
-
+    ev = LocalEvaluator(g, l, s)
     by_ball: dict[frozenset[int], list[DirectedEdgeRef]] = {}
     for ref in edge_sample:
         by_ball.setdefault(ball_nodes(g, ref, rad), []).append(ref)
-
-    def evaluate(ball: frozenset[int]) -> list[tuple[DirectedEdgeRef, int]]:
-        ev = LocalEvaluator(g, l, s, ball)
-        return [(ref, ev.f2_on(ref, seed)) for ref in by_ball[ball]]
-
     local: dict[DirectedEdgeRef, int] = {}
-    for values in parallel_map(evaluate, by_ball):
-        local.update(values)
+    for ball, refs in by_ball.items():
+        for ref in refs:
+            local[ref] = ev.f2_on(ref, seed, ball)
+        del ev._tables[seed, ball]  # no later query names this ball
 
     mismatches = []
     for ref in edge_sample:
@@ -269,58 +266,62 @@ class LocalEvaluator:
     endpoints, and its value is the same on g and on any induced subgraph
     that holds the radius-s*(l-1) ball, the default radius s*l included.
 
-    A node's steps are its (neighbour, arc, ...) adjacency in g, read in
-    place.  Given ``ball``, the evaluator reads g as the subgraph induced
-    by it: at a node with a neighbour outside the ball, the steps keep only
-    the edges whose other endpoint is in it, and an edge with an endpoint
-    outside it raises ``ValueError``, as it would on
-    ``induced_subgraph(g, ball)``, which is never built.
-
-    One layered search per node finds both the walks from S nodes into it
-    and the walks from it to T nodes; a reversed walk reverses each arc
-    (``arc ^ 1``).  A path is known by its arcs: one found again through
-    another of its edges is looked up, and only a new one gets a canonical
-    key.  The lists of paths through an edge are built once per edge id and
-    shared by both orientations and every seed; order keys, capped depths
-    and amounts are memoised per seed.  The graph is valid by construction,
-    so its nodes and edges are read unchecked, and l and s come from a
-    checked config; every path, amount and returned value is checked
-    against the invariants of a valid flow.
+    A query given a ``ball`` is answered on ``induced_subgraph(g, ball)``,
+    which is never built: the paths of that subgraph through an edge are
+    exactly the paths of g through it whose nodes all lie in the ball, so
+    the ball only filters the lists of paths through edges, and an edge
+    with an endpoint outside it raises ``ValueError``, as on the subgraph.
+    Everything else is shared by every ball.  One layered search per node
+    of g finds both the walks from S nodes into it and the walks from it to
+    T nodes; a reversed walk reverses each arc (``arc ^ 1``).  A path is
+    known by its arcs: one found again through another of its edges is
+    looked up, and only a new one gets a canonical key.  The lists of paths
+    through an edge are built once per edge id and shared by both
+    orientations, every seed and every ball, and order keys once per seed;
+    the ordered lists, capped depths and amounts are memoised per (seed,
+    ball).  The graph is valid by construction, so its nodes and edges are
+    read unchecked, and l and s come from a checked config; every path,
+    amount and returned value is checked against the invariants of a valid
+    flow.
     """
 
-    def __init__(self, g: ColoredGraph, l: int, s: int, ball: frozenset[int] | None = None):
+    def __init__(self, g: ColoredGraph, l: int, s: int):
         self.g = g
         self.l = l
         self.s = s
-        self.ball = ball
-        # node -> (color, (neighbour, arc leaving the node, neighbour, arc, ...))
-        self._steps: dict[int, tuple[str, tuple]] = {}
         # a path's arcs -> the path
         self._paths: dict[tuple[int, ...], AugPathCandidate] = {}
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
         self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
-        self._tables: dict[int, _SeedTables] = {}
+        self._keys: dict[int, dict[bytes, OrderKey]] = {}  # seed -> canonical key -> order key
+        self._tables: dict[tuple[int, frozenset[int] | None], _BallTables] = {}
 
-    def f2_on(self, e: DirectedEdgeRef, seed: int) -> int:
-        edge = self._edge(e.edge_id)
-        t = self._tables.get(seed)
+    def f2_on(self, e: DirectedEdgeRef, seed: int, ball: frozenset[int] | None = None) -> int:
+        """A2's value at e under seed, on the subgraph ``ball`` induces if given."""
+        edge = self.g.edge(e.edge_id)
+        if ball is not None and (edge.a not in ball or edge.b not in ball):
+            raise ValueError(f"unknown edge id {edge.id}")
+        t = self._tables.get((seed, ball))
         if t is None:
-            t = self._tables[seed] = _SeedTables(seed, self.s)
+            keys = self._keys.setdefault(seed, {})
+            t = self._tables[seed, ball] = _BallTables(seed, ball, keys, self.s)
         total = 0
-        for _, u, sign in self._ordered(t, e.edge_id):
+        for _, u, sign in self._ordered(t, edge.id):
             if self._depth(t, u, self.s) < self.s:
                 total += sign * self._amount(t, u)
         if not -edge.cap_ba <= total <= edge.cap_ab:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
         return total if e.orientation == AB else -total
 
-    def _ordered(self, t: _SeedTables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
-        """(key, path, sign) of the paths through eid, in key order."""
+    def _ordered(self, t: _BallTables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
+        """(key, path, sign) of the paths through eid inside t's ball, in key order."""
         got = t.orders.get(eid)
         if got is None:
-            keys = t.keys
+            keys, ball = t.keys, t.ball
             got = []
             for u, sign in self._paths_through(eid):
+                if ball is not None and not ball.issuperset(u.nodes):
+                    continue
                 ck = u.canonical_key
                 k = keys.get(ck)
                 if k is None:
@@ -330,7 +331,7 @@ class LocalEvaluator:
             t.orders[eid] = got
         return got
 
-    def _depth(self, t: _SeedTables, u: AugPathCandidate, k: int) -> int:
+    def _depth(self, t: _BallTables, u: AugPathCandidate, k: int) -> int:
         """h(u, k): u's chain depth capped at k."""
         if k == 1:
             return 1
@@ -341,7 +342,7 @@ class LocalEvaluator:
             got = memo[ck] = self._compute_depth(t, u, k)
         return got
 
-    def _compute_depth(self, t: _SeedTables, u: AugPathCandidate, k: int) -> int:
+    def _compute_depth(self, t: _BallTables, u: AugPathCandidate, k: int) -> int:
         """h(u, k) for k >= 2, from u's predecessors."""
         ku = t.keys[u.canonical_key]
         best = 0
@@ -360,7 +361,7 @@ class LocalEvaluator:
                     best = got
         return best + 1
 
-    def _amount(self, t: _SeedTables, u: AugPathCandidate) -> int:
+    def _amount(self, t: _BallTables, u: AugPathCandidate) -> int:
         """What A2 augments u by; u must be unskipped."""
         ck = u.canonical_key
         got = t.amounts.get(ck)
@@ -393,7 +394,7 @@ class LocalEvaluator:
     def _enumerate_through(self, eid: int) -> list[tuple[AugPathCandidate, int]]:
         """Vertex-simple S->T paths of at most l edges using eid, either way:
         an S-to-tail walk, the edge, then a node-disjoint head-to-T walk."""
-        e = self._edge(eid)
+        e = self.g._edge_by_id[eid]
         found = []
         for tail, head, arc, sign in ((e.a, e.b, 2 * eid, 1), (e.b, e.a, 2 * eid + 1, -1)):
             prefixes = self._walks(tail)[0]
@@ -416,13 +417,14 @@ class LocalEvaluator:
     def _walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
         """(into, out of) v: the (nodes, arcs) of every vertex-simple
         walk of at most l-1 edges from an S node into v, and from v to a T
-        node, shortest first.  One layered search from v finds both: a walk
-        that ends at an S node is kept reversed.  A walk of l-1 edges that
-        would end at an R node is never built: it can be neither kept nor
-        grown, and its end is read either way."""
+        node, shortest first.  One layered search from v over g's adjacency,
+        read in place, finds both: a walk that ends at an S node is kept
+        reversed.  A walk of l-1 edges that would end at an R node is never
+        built: it can be neither kept nor grown, and its end is read either
+        way."""
         got = self._walk_memo.get(v)
         if got is None:
-            read, node = self._steps.get, self._node
+            adj, node = self.g._adj, self.g._node_by_id
             into: list[tuple] = []
             out: list[tuple] = []
             last = self.l - 1
@@ -430,7 +432,8 @@ class LocalEvaluator:
             for length in range(self.l):
                 grown = []
                 for nodes, arcs in layer:
-                    color, steps = read(nodes[-1]) or node(nodes[-1])
+                    end = nodes[-1]
+                    color = node[end].color
                     if color == "T":
                         out.append((nodes, arcs))
                     elif color == "S":
@@ -438,11 +441,11 @@ class LocalEvaluator:
                         into.append((nodes[::-1], back))
                     if length == last:
                         continue
-                    steps = iter(steps)
+                    steps = iter(adj[end])
                     for nxt, arc in zip(steps, steps):
                         if nxt in nodes:
                             continue
-                        if length == last - 1 and (read(nxt) or node(nxt))[0] == "R":
+                        if length == last - 1 and node[nxt].color == "R":
                             continue
                         grown.append((nodes + (nxt,), arcs + (arc,)))
                 layer = grown
@@ -453,9 +456,10 @@ class LocalEvaluator:
         """The path not seen before with these nodes and arcs, checked."""
         u = make_path(nodes, arcs)
         key = u.canonical_key
-        if self._node(nodes[0])[0] != "S" or self._node(nodes[-1])[0] != "T":
+        g = self.g
+        if g._node_by_id[nodes[0]].color != "S" or g._node_by_id[nodes[-1]].color != "T":
             raise AssertionError(f"path {key!r} does not run from S to T")
-        edge = self.g._edge_by_id
+        edge = g._edge_by_id
         for x, arc, y in zip(nodes, arcs, nodes[1:]):
             e = edge[arc >> 1]
             if (e.a, e.b) != ((y, x) if arc & 1 else (x, y)):
@@ -463,37 +467,22 @@ class LocalEvaluator:
         self._paths[arcs] = u
         return u
 
-    def _node(self, v: int) -> tuple[str, tuple]:
-        """(color, steps) of node v: its adjacency in g, read in place, less
-        the edges to neighbours outside the ball."""
-        got = self._steps.get(v)
-        if got is None:
-            g, ball = self.g, self.ball
-            steps = g._adj[v]
-            if ball is not None and not ball.issuperset(steps[::2]):
-                pairs = iter(steps)
-                steps = tuple(x for w, arc in zip(pairs, pairs) if w in ball for x in (w, arc))
-            got = self._steps[v] = (g._node_by_id[v].color, steps)
-        return got
 
-    def _edge(self, eid: int) -> Edge:
-        e = self.g.edge(eid)
-        if self.ball is not None and (e.a not in self.ball or e.b not in self.ball):
-            raise ValueError(f"unknown edge id {eid}")
-        return e
-
-
-class _SeedTables:
-    """One seed's memo tables over an evaluator's paths, keyed by canonical key.
+class _BallTables:
+    """One (seed, ball)'s memo tables over an evaluator's paths, keyed by
+    canonical key; ``keys`` is the seed's table of order keys, shared by its
+    balls.
 
     Plain data: the evaluator's methods fill it, so no reference cycle keeps
     a finished evaluator alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, s: int):
+    def __init__(self, seed: int, ball: frozenset[int] | None, keys: dict[bytes, OrderKey],
+                 s: int):
         self.seed = seed
-        self.keys: dict[bytes, OrderKey] = {}
-        # edge id -> (key, path, sign) of the paths through it, in key order
+        self.ball = ball
+        self.keys = keys
+        # edge id -> (key, path, sign) of the paths through it inside the ball, in key order
         self.orders: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}

@@ -331,18 +331,15 @@ def residual_sp_length(g: ColoredGraph, f_values: dict[int, int], l_max=None):
     return None
 
 
-def reference_walks(g: ColoredGraph, l: int, v: int,
-                    ball: frozenset[int] | None = None) -> tuple[list[tuple], list[tuple]]:
+def reference_walks(g: ColoredGraph, l: int, v: int) -> tuple[list[tuple], list[tuple]]:
     """(into, out of) v: the (nodes, arcs) of every vertex-simple walk of at
     most l-1 edges from an S node into v, and from v to a T node, shortest
-    first, in the graph induced by ``ball`` (all of g without one)."""
-    inside = {nd.id for nd in g.nodes} if ball is None else ball
+    first."""
     color = {nd.id: nd.color for nd in g.nodes}
     steps: dict[int, list[tuple[int, int]]] = {nd.id: [] for nd in g.nodes}
     for e in sorted(g.edges, key=lambda e: e.id):
-        if e.a in inside and e.b in inside:
-            steps[e.a].append((e.b, 2 * e.id))
-            steps[e.b].append((e.a, 2 * e.id + 1))
+        steps[e.a].append((e.b, 2 * e.id))
+        steps[e.b].append((e.a, 2 * e.id + 1))
     into: list[tuple] = []
     out: list[tuple] = []
     layer = [((v,), ())]

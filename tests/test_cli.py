@@ -409,6 +409,20 @@ def test_generate_refuses_a_param_the_family_does_not_read(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, field", [
+    (["--family", "random_bounded", "--n", "10", "--rounds", "-3"], "rounds"),
+    (["--family", "layered", "--fanout", "-2"], "fanout"),
+    (["--family", "grid", "--rows", "3", "--cols", "3", "--cap-min", "9", "--m", "5"], "cap_min"),
+])
+def test_generate_refuses_a_param_out_of_range(tmp_path, capsys, argv, field):
+    out = tmp_path / "g.json"
+    code = main(["generate", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"bad field '{field}' in instance spec params" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
     (["run-a1", "--l", "0"], "l"),
     (["run-a2", "--l", "3", "--s", "0"], "s"),
     (["local-f2", "--edge", "0", "--epsilon", "0", "--s", "2"], "epsilon"),

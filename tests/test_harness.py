@@ -123,6 +123,35 @@ def test_bad_family_params_name_the_field():
         generate(InstanceSpec("path_bundle", m_ticks=3, params={"bottlenecks": [9]}))
 
 
+@pytest.mark.parametrize("family, params, minimum", [
+    ("random_bounded", {"rounds": -3}, 1),
+    ("random_bounded", {"rounds": 0}, 1),
+    ("layered", {"fanout": -2}, 1),
+    ("layered", {"fanout": 0}, 1),
+    ("layered", {"layers": 1}, 2),
+    ("layered", {"width": 0}, 1),
+    ("path_bundle", {"path_len": 0}, 1),
+    ("grid", {"rows": 3, "cols": 0}, 1),
+    ("grid", {"rows": 3, "cols": 3, "cap_min": -1}, 0),
+    ("random_bounded", {"cap_min": -1}, 0),
+])
+def test_spec_refuses_a_param_below_its_minimum(family, params, minimum):
+    (field, value), = ((k, v) for k, v in params.items() if v < minimum)
+    with pytest.raises(ValueError, match=f"bad field '{field}' in instance spec params: "
+                                         f"expected an integer >= {minimum}, got {value}"):
+        InstanceSpec(family, n=10, params=params)
+    g, _ = generate(InstanceSpec(family, n=10, params={**params, field: minimum}))
+    assert g.edges  # the minimum itself builds a graph with edges
+
+
+def test_spec_refuses_cap_min_above_m_ticks():
+    with pytest.raises(ValueError, match="bad field 'cap_min' in instance spec params: "
+                                         "expected at most m_ticks=5, got 9"):
+        InstanceSpec("grid", m_ticks=5, params={"rows": 3, "cols": 3, "cap_min": 9})
+    g, _ = generate(InstanceSpec("grid", m_ticks=5, params={"rows": 3, "cols": 3, "cap_min": 5}))
+    assert {e.cap_ab for e in g.edges} | {e.cap_ba for e in g.edges} == {5}
+
+
 def test_spec_json_round_trip():
     spec = InstanceSpec(
         "layered", n=0, d=3, m_ticks=4, quantum=Fraction(1, 2),

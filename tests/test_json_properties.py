@@ -137,19 +137,23 @@ def test_flow_json_refuses_a_scalar_item_or_a_repeated_id(f, data, bad):
 
 @st.composite
 def specs(draw) -> InstanceSpec:
-    """Specs with params drawn from their family's own names and feasible
-    color fractions, which the constructor requires."""
+    """Specs with params drawn from their family's own names, each at least
+    its minimum and cap_min at most m_ticks, and feasible color fractions,
+    which the constructor requires."""
     family = draw(st.sampled_from(FAMILIES))
-    keys = draw(st.lists(st.sampled_from(sorted(FAMILY_PARAMS[family])), unique=True))
+    m_ticks = draw(st.integers(1, 20))
+    known = FAMILY_PARAMS[family]
+    keys = draw(st.lists(st.sampled_from(sorted(known)), unique=True))
     params: dict = {key: draw(st.lists(st.integers(0, 9), max_size=5) if key == "bottlenecks"
-                              else st.integers(-5, 50)) for key in keys}
+                              else st.integers(0, m_ticks) if key == "cap_min"
+                              else st.integers(known[key][1], 50)) for key in keys}
     unit = st.integers(1, 20).flatmap(lambda b: st.builds(Fraction, st.integers(0, b), st.just(b)))
     rho_s = draw(unit)
     return InstanceSpec(
         family=family,
         n=draw(st.integers(0, 10**4)),
         d=draw(st.integers(1, 8)),
-        m_ticks=draw(st.integers(1, 20)),
+        m_ticks=m_ticks,
         quantum=draw(fractions.filter(lambda q: q > 0)),
         rho_s=rho_s,
         rho_t=draw(unit) * (1 - rho_s),

@@ -3,6 +3,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localflow.local_flow as local_flow_module
 import localflow.path_engine as path_engine_module
@@ -30,13 +32,16 @@ from localflow.local_flow import (
     run_a2,
     verify_locality,
 )
-from localflow.path_engine import chain_depth_all, enumerate_paths
+from localflow.path_engine import chain_depth_all, enumerate_paths, path_key
 from oracles import (
     ball_rerun_f2,
     length_boundary_violations,
+    naive_paths,
+    path_signature,
     reference_sweep,
     reference_walks,
 )
+from test_json_properties import graphs
 
 
 def random_spec(i: int, n: int = 20, **kw) -> InstanceSpec:
@@ -496,30 +501,33 @@ def test_local_queries_build_no_graph(monkeypatch):
     (InstanceSpec("grid", gen_seed=8032, params={"rows": 4, "cols": 7}), 5, 2),
 ], ids=["ac5", "grid"])
 def test_ball_view_equals_evaluator_on_induced_subgraph(spec, l, s):
-    """Every radius up to s*l, the too-small ones of the negative controls too."""
+    """Every radius up to s*l, the too-small ones of the negative controls
+    too, all answered by one evaluator on g."""
     g = ac5_instance() if spec is None else generate(spec)[0]
     refs = [DirectedEdgeRef(e.id, o) for e in g.edges for o in ("AB", "BA")]
+    view = LocalEvaluator(g, l, s)
     for radius in range(s * l + 1):
         by_ball: dict[frozenset[int], list[DirectedEdgeRef]] = {}
         for ref in refs:
             by_ball.setdefault(ball_nodes(g, ref, radius), []).append(ref)
         for ball, ball_refs in by_ball.items():
-            view = LocalEvaluator(g, l, s, ball)
             sub = LocalEvaluator(induced_subgraph(g, ball), l, s)
             for seed in (1, 2, 3):
                 for ref in ball_refs:
-                    assert view.f2_on(ref, seed) == sub.f2_on(ref, seed), (ref, radius, seed)
+                    assert view.f2_on(ref, seed, ball) == sub.f2_on(ref, seed), (ref, radius, seed)
 
 
 def test_ball_view_refuses_an_edge_outside_the_ball():
     g = line_graph("SRRRT")
     ball = ball_nodes(g, DirectedEdgeRef(0, "AB"), 1)  # nodes 0, 1, 2
-    sub = induced_subgraph(g, ball)
+    sub = LocalEvaluator(induced_subgraph(g, ball), 3, 2)
+    view = LocalEvaluator(g, 3, 2)
     for eid in (2, 3, 12):  # one endpoint outside, both outside, no such edge
-        for ev in (LocalEvaluator(g, 3, 2, ball), LocalEvaluator(sub, 3, 2)):
+        for query in (lambda ref: view.f2_on(ref, 1, ball), lambda ref: sub.f2_on(ref, 1)):
             with pytest.raises(ValueError, match=f"unknown edge id {eid}"):
-                ev.f2_on(DirectedEdgeRef(eid, "AB"), 1)
-    assert LocalEvaluator(g, 3, 2, ball).f2_on(DirectedEdgeRef(1, "BA"), 1) == 0
+                query(DirectedEdgeRef(eid, "AB"))
+    assert view.f2_on(DirectedEdgeRef(1, "BA"), 1, ball) == 0
+    assert view.f2_on(DirectedEdgeRef(2, "AB"), 1) == 0  # g itself has edge 2
 
 
 def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
@@ -553,12 +561,68 @@ def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
         monkeypatch.undo()
         assert len(built) == len(set(built)) == len(ev._paths)  # one make_path per path
         assert len(searched) == len(set(searched))  # one walk search per node
-        assert set(searched) <= set(ev._steps)  # ... and only of nodes read
-        return len(built), len(searched), len(ev._steps), len(ev._through)
+        # ... and only of endpoints of the edges whose paths were listed
+        listed = {v for eid in ev._through for v in (g.edge(eid).a, g.edge(eid).b)}
+        assert set(searched) <= listed
+        return len(built), len(searched), len(listed), len(ev._through)
 
     first = counts()
     assert first == counts()  # deterministic
     assert first[0] > 0 and first[1] > 0
+
+
+def test_verify_locality_searches_each_node_and_builds_each_path_once(monkeypatch):
+    """One evaluator serves every ball: on AC-5's instance, whose 300 edges
+    have 292 distinct balls, each of the 300 nodes is searched once and each
+    of the 196 paths is built and labelled once."""
+    g = ac5_instance()
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    searched: list[int] = []
+    built: list[bytes] = []
+    hashed: list[bytes] = []
+    real_walks = LocalEvaluator._walks
+    real_make_path = local_flow_module.make_path
+    real_path_key = local_flow_module.path_key
+
+    def walking(self, v):
+        if v not in self._walk_memo:
+            searched.append(v)
+        return real_walks(self, v)
+
+    def making(nodes, arcs):
+        u = real_make_path(nodes, arcs)
+        built.append(u.canonical_key)
+        return u
+
+    def keying(u, seed):
+        hashed.append(u.canonical_key)
+        return real_path_key(u, seed)
+
+    monkeypatch.setattr(LocalEvaluator, "_walks", walking)
+    monkeypatch.setattr(local_flow_module, "make_path", making)
+    monkeypatch.setattr(local_flow_module, "path_key", keying)
+    assert verify_locality(g, RunConfig(l=6, s=3, seed=1), refs).passed
+    assert (g.n, len(g.edges), len(enumerate_paths(g, 6))) == (300, 300, 196)
+    assert len({ball_nodes(g, ref, 18) for ref in refs}) == 292
+    assert (len(searched), len(built), len(hashed)) == (300, 196, 196)
+    assert len(set(searched)) == 300 and len(set(built)) == len(set(hashed)) == 196
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s, data):
+    """No memo leaks between balls or seeds: queries on g and on balls of
+    every radius up to s*l, interleaved in a drawn order with mixed seeds."""
+    queries = []
+    for e in g.edges:
+        for orientation in ("AB", "BA"):
+            ref = DirectedEdgeRef(e.id, orientation)
+            balls = dict.fromkeys(ball_nodes(g, ref, r) for r in range(s * l + 1))
+            queries += [(ref, seed, ball) for ball in (None, *balls) for seed in (1, 2, 3)]
+    ev = LocalEvaluator(g, l, s)
+    for ref, seed, ball in data.draw(st.permutations(queries)):
+        sub = g if ball is None else induced_subgraph(g, ball)
+        assert ev.f2_on(ref, seed, ball) == LocalEvaluator(sub, l, s).f2_on(ref, seed)
 
 
 @pytest.mark.parametrize("spec", [
@@ -570,9 +634,24 @@ def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
 def test_walk_search_equals_the_reference_search(spec):
     g, _ = generate(spec)
     center = DirectedEdgeRef(g.edges[len(g.edges) // 2].id, "AB")
-    for ball in (None, ball_nodes(g, center, 3)):
-        nodes = sorted(nd.id for nd in g.nodes) if ball is None else sorted(ball)
-        for l in range(1, 7):
-            ev = LocalEvaluator(g, l, 2, ball)
-            for v in nodes:
-                assert ev._walks(v) == reference_walks(g, l, v, ball), (l, v, ball is None)
+    balls = [ball_nodes(g, center, radius) for radius in range(4)]
+    for l in range(1, 7):
+        ev = LocalEvaluator(g, l, 2)
+        for v in sorted(nd.id for nd in g.nodes):
+            assert ev._walks(v) == reference_walks(g, l, v), (l, v)
+        # A ball's list of the paths through an edge holds the paths of the
+        # subgraph the ball induces, in key order, each with its direction.
+        for ball in balls:
+            sub = induced_subgraph(g, ball)
+            want = naive_paths(sub, l)
+            ev.f2_on(center, 1, ball)
+            t = ev._tables[1, ball]
+            for e in sub.edges:
+                got = ev._ordered(t, e.id)
+                assert [k for k, _, _ in got] == sorted(path_key(u, 1) for _, u, _ in got)
+                through = set()
+                for sig in want:
+                    if e.id in sig[1::2]:
+                        before = sig[2 * sig[1::2].index(e.id)]
+                        through.add((sig, 1 if before == e.a else -1))
+                assert {(path_signature(u), sign) for _, u, sign in got} == through, (l, e.id)
