@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import time
+from dataclasses import fields
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -106,16 +107,15 @@ def _run_config(args: argparse.Namespace, g: ColoredGraph) -> RunConfig:
     return RunConfig(l=l, s=getattr(args, "s", None), seed=args.seed)
 
 
-# Every family param, each a `generate` flag.
+# Every family param and spec field, each a `generate` flag that is passed on
+# only when given, so a spec field left out takes its default.
 _PARAMS = tuple(dict.fromkeys(key for params in harness.FAMILY_PARAMS.values() for key in params))
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
-    params = {key: getattr(args, key) for key in _PARAMS if getattr(args, key) is not None}
-    spec = InstanceSpec(
-        family=args.family, n=args.n, d=args.d, m_ticks=args.m, quantum=args.quantum,
-        rho_s=args.rho_s, rho_t=args.rho_t, gen_seed=args.gen_seed, params=params,
-    )
+    given = {key: value for key, value in vars(args).items() if value is not None}
+    spec = InstanceSpec(params={key: given[key] for key in _PARAMS if key in given},
+                        **{f.name: given[f.name] for f in fields(InstanceSpec) if f.name in given})
     g, meta = harness.generate(spec)
     _write_text(args.out, dumps_json(graph_to_json(g, meta=meta or None)))
     return 0
@@ -276,13 +276,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command(sub, "generate", _cmd_generate, "write a generated instance", "out")
     p.add_argument("--family", required=True, choices=harness.FAMILIES)
-    p.add_argument("--n", type=int, default=0)
-    p.add_argument("--d", type=int, default=harness.DEFAULT_D)
-    p.add_argument("--m", type=int, default=harness.DEFAULT_M_TICKS, help="capacity bound in ticks")
-    p.add_argument("--quantum", type=_rational, default="1")
-    p.add_argument("--rho-s", type=_rational, default="1/5")
-    p.add_argument("--rho-t", type=_rational, default="1/5")
-    p.add_argument("--gen-seed", type=int, default=0)
+    p.add_argument("--n", type=int)
+    p.add_argument("--d", type=int)
+    p.add_argument("--m", type=int, dest="m_ticks", metavar="M", help="capacity bound in ticks")
+    p.add_argument("--quantum", type=_rational)
+    p.add_argument("--rho-s", type=_rational)
+    p.add_argument("--rho-t", type=_rational)
+    p.add_argument("--gen-seed", type=int)
     for key in _PARAMS:
         p.add_argument(f"--{key.replace('_', '-')}", dest=key,
                        type=_ints if key == "bottlenecks" else int)

@@ -179,7 +179,9 @@ def validate_graph(g: ColoredGraph) -> ValidationReport:
         bad.append(f"degree bound {d} is not positive")
     if m < 1:
         bad.append(f"capacity bound {m} is not positive")
-    if g.quantum <= 0:
+    if type(g.quantum) not in (int, Fraction):  # bool is an int subclass; a float is not exact
+        bad.append(f"tick quantum {g.quantum!r} is not an int or a Fraction")
+    elif g.quantum <= 0:
         bad.append(f"tick quantum {g.quantum} is not positive")
     if len(g._node_by_id) != len(g.nodes):
         bad.extend(_duplicate_ids("node", g.nodes))

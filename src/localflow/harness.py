@@ -36,8 +36,6 @@ from .local_flow import RunConfig, _ball_radius, run_a1, run_a2, verify_locality
 from .parallel import parallel_map
 from .path_engine import chain_depth_all, enumerate_paths
 
-DEFAULT_D = 4
-DEFAULT_M_TICKS = 5
 DEFAULT_L = 6
 DEFAULT_S = 3
 
@@ -53,22 +51,31 @@ FAMILY_PARAMS: dict[str, dict[str, tuple]] = {
 }
 FAMILIES = tuple(FAMILY_PARAMS)
 
+# Per family, the spec fields among n, rho_s and rho_t that its generator
+# reads (path_bundle's n only without bottlenecks); each family reads d,
+# m_ticks and quantum, and all but path_bundle read gen_seed.
+_FAMILY_FIELDS: dict[str, tuple[str, ...]] = {
+    "path_bundle": ("n",), "grid": ("rho_s", "rho_t"),
+    "random_bounded": ("n", "rho_s", "rho_t"), "layered": ()}
+
 
 @dataclass(frozen=True)
 class InstanceSpec:
     """Seeded description of one generated network, checked when built.
 
     The family is one of ``FAMILIES``; the integer fields and params are true
-    ints, as in graph JSON; params holds only names its family's generator
+    ints, as in graph JSON, and n is non-negative; quantum, rho_s and rho_t
+    are ints or Fractions; params holds only names its family's generator
     reads, each at least its minimum (``FAMILY_PARAMS``), with cap_min at
-    most m_ticks; and the color fractions rho_s and rho_t are non-negative
-    with a sum of at most 1.
+    most m_ticks; n, rho_s and rho_t keep their defaults unless the family
+    reads them (``_FAMILY_FIELDS``); and the color fractions rho_s and rho_t
+    are non-negative with a sum of at most 1.
     """
 
     family: str
     n: int = 0
-    d: int = DEFAULT_D
-    m_ticks: int = DEFAULT_M_TICKS
+    d: int = 4
+    m_ticks: int = 5
     quantum: Fraction = Fraction(1)
     rho_s: Fraction = Fraction(1, 5)
     rho_t: Fraction = Fraction(1, 5)
@@ -76,8 +83,14 @@ class InstanceSpec:
     params: Mapping = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        values = vars(self)
         for key in ("n", "d", "m_ticks", "gen_seed"):
-            _int_field(vars(self), key, "instance spec")
+            _int_field(values, key, "instance spec", minimum=0 if key == "n" else None)
+        for key in ("quantum", "rho_s", "rho_t"):
+            # bool is an int subclass; a float is not exact
+            if type(values[key]) not in (int, Fraction):
+                raise ValueError(f"bad field {key!r} in instance spec: expected an integer "
+                                 f"or a Fraction, got {values[key]!r}")
         if self.family not in FAMILY_PARAMS:
             raise ValueError(f"unknown family {self.family!r}")
         if not isinstance(self.params, Mapping):
@@ -97,6 +110,10 @@ class InstanceSpec:
         if "cap_min" in self.params and self.params["cap_min"] > self.m_ticks:
             raise ValueError("bad field 'cap_min' in instance spec params: expected at most "
                              f"m_ticks={self.m_ticks}, got {self.params['cap_min']}")
+        for key in ("n", "rho_s", "rho_t"):
+            if key not in _FAMILY_FIELDS[self.family] and values[key] != getattr(InstanceSpec, key):
+                raise ValueError(f"bad field {key!r} in instance spec: family {self.family!r} "
+                                 f"does not read it, got {values[key]}")
         if self.rho_s < 0 or self.rho_t < 0 or self.rho_s + self.rho_t > 1:
             raise ValueError(
                 f"infeasible color fractions rho_s={self.rho_s}, rho_t={self.rho_t}"
@@ -125,24 +142,17 @@ class InstanceSpec:
     @staticmethod
     def from_json(obj: Mapping) -> "InstanceSpec":
         """Inverse of to_json, refusing a key other than the fields it writes;
-        the constructor checks the fields, and the rationals are read as
-        graph JSON reads its quantum."""
+        a field not given takes its default, the constructor checks the
+        fields, and the rationals are read as graph JSON reads its quantum."""
         where = "instance spec"
         family = str(_require(obj, "family", where))
         names = {f.name for f in fields(InstanceSpec)}
         for key in obj:
             if key not in names:
                 raise ValueError(f"bad field {key!r} in {where}: not a spec field")
-        rationals = {"quantum": 1, "rho_s": "1/5", "rho_t": "1/5", **obj}  # defaults, then obj
-        return InstanceSpec(
-            family=family,
-            n=obj.get("n", 0),
-            d=obj.get("d", DEFAULT_D),
-            m_ticks=obj.get("m_ticks", DEFAULT_M_TICKS),
-            gen_seed=obj.get("gen_seed", 0),
-            params=obj.get("params", {}),
-            **{key: _fraction_field(rationals, key, where) for key in ("quantum", "rho_s", "rho_t")},
-        )
+        rationals = {key: _fraction_field(obj, key, where)
+                     for key in ("quantum", "rho_s", "rho_t") if key in obj}
+        return InstanceSpec(**{**obj, "family": family, **rationals})
 
 
 def generate(spec: InstanceSpec) -> tuple[ColoredGraph, dict]:

@@ -198,13 +198,11 @@ def verify_locality(
 ) -> LocalityReport:
     """Compare the global run against per-edge local evaluations, exact equality.
 
-    One global A2, then a single ``LocalEvaluator`` that answers each sampled
-    edge on the edge's own ball.  Its walk searches, paths and labels serve
-    every ball; edges whose balls coincide are answered together and share
-    the ball's tables, which cannot change any value (an evaluation depends
-    only on the ball and the seed), and the tables go once they are done.
-    ``radius`` (default ``_ball_radius``) and ``local_seed`` exist for
-    negative controls.  An empty sample is refused: it would check nothing.
+    One global A2, then one pass over the sample: each edge is answered on
+    its own ball by a single ``LocalEvaluator``, whose walk searches, paths
+    and labels serve every ball.  ``radius`` (default ``_ball_radius``) and
+    ``local_seed`` exist for negative controls.  An empty sample is refused:
+    it would check nothing.
     """
     if not edge_sample:
         raise ValueError("bad field 'edge_sample': expected at least one edge, got none")
@@ -214,20 +212,12 @@ def verify_locality(
 
     f2_global, _ = run_a2(g, cfg)
     ev = LocalEvaluator(g, l, s)
-    by_ball: dict[frozenset[int], list[DirectedEdgeRef]] = {}
-    for ref in edge_sample:
-        by_ball.setdefault(ball_nodes(g, ref, rad), []).append(ref)
-    local: dict[DirectedEdgeRef, int] = {}
-    for ball, refs in by_ball.items():
-        for ref in refs:
-            local[ref] = ev.f2_on(ref, seed, ball)
-        del ev._tables[seed, ball]  # no later query names this ball
-
     mismatches = []
     for ref in edge_sample:
+        got_local = ev.f2_on(ref, seed, ball_nodes(g, ref, rad))
         got_global = int(f2_global.on(ref))
-        if got_global != local[ref]:
-            mismatches.append(LocalityMismatch(ref, got_global, local[ref]))
+        if got_global != got_local:
+            mismatches.append(LocalityMismatch(ref, got_global, got_local))
     return LocalityReport(checked=len(edge_sample), mismatches=tuple(mismatches))
 
 
@@ -277,12 +267,13 @@ class LocalEvaluator:
     known by its arcs: one found again through another of its edges is
     looked up, and only a new one gets a canonical key.  The lists of paths
     through an edge are built once per edge id and shared by both
-    orientations, every seed and every ball, and order keys once per seed;
-    the ordered lists, capped depths and amounts are memoised per (seed,
-    ball).  The graph is valid by construction, so its nodes and edges are
-    read unchecked, and l and s come from a checked config; every path,
-    amount and returned value is checked against the invariants of a valid
-    flow.
+    orientations, every seed and every ball, and order keys once per seed.
+    The ordered lists, capped depths and amounts are memoised per seed for
+    one ball at a time: a query on another ball (no ball is one too) drops
+    the tables of the last.  The graph is valid by construction, so its
+    nodes and edges are read unchecked, and l and s come from a checked
+    config; every path, amount and returned value is checked against the
+    invariants of a valid flow.
     """
 
     def __init__(self, g: ColoredGraph, l: int, s: int):
@@ -294,17 +285,19 @@ class LocalEvaluator:
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
         self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
         self._keys: dict[int, dict[bytes, OrderKey]] = {}  # seed -> canonical key -> order key
-        self._tables: dict[tuple[int, frozenset[int] | None], _BallTables] = {}
+        self._ball: frozenset[int] | None = None  # the ball the tables hold
+        self._tables: dict[int, _BallTables] = {}  # seed -> its tables on self._ball
 
     def f2_on(self, e: DirectedEdgeRef, seed: int, ball: frozenset[int] | None = None) -> int:
         """A2's value at e under seed, on the subgraph ``ball`` induces if given."""
         edge = self.g.edge(e.edge_id)
         if ball is not None and (edge.a not in ball or edge.b not in ball):
             raise ValueError(f"unknown edge id {edge.id}")
-        t = self._tables.get((seed, ball))
+        if ball != self._ball:
+            self._ball, self._tables = ball, {}
+        t = self._tables.get(seed)
         if t is None:
-            keys = self._keys.setdefault(seed, {})
-            t = self._tables[seed, ball] = _BallTables(seed, ball, keys, self.s)
+            t = self._tables[seed] = _BallTables(seed, self._keys.setdefault(seed, {}), self.s)
         total = 0
         for _, u, sign in self._ordered(t, edge.id):
             if self._depth(t, u, self.s) < self.s:
@@ -314,10 +307,10 @@ class LocalEvaluator:
         return total if e.orientation == AB else -total
 
     def _ordered(self, t: _BallTables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
-        """(key, path, sign) of the paths through eid inside t's ball, in key order."""
+        """(key, path, sign) of the paths through eid inside the ball, in key order."""
         got = t.orders.get(eid)
         if got is None:
-            keys, ball = t.keys, t.ball
+            keys, ball = t.keys, self._ball
             got = []
             for u, sign in self._paths_through(eid):
                 if ball is not None and not ball.issuperset(u.nodes):
@@ -346,12 +339,8 @@ class LocalEvaluator:
         """h(u, k) for k >= 2, from u's predecessors."""
         ku = t.keys[u.canonical_key]
         best = 0
-        # Edges whose lists are already ordered first: a deep enough
-        # predecessor there ends the search before any new list is built.
-        eids = [arc >> 1 for arc in u.arcs]
-        eids.sort(key=lambda eid: eid not in t.orders)
-        for eid in eids:
-            for kv, v, _ in self._ordered(t, eid):
+        for arc in u.arcs:
+            for kv, v, _ in self._ordered(t, arc >> 1):
                 if kv >= ku:
                     break
                 got = self._depth(t, v, k - 1)
@@ -469,18 +458,16 @@ class LocalEvaluator:
 
 
 class _BallTables:
-    """One (seed, ball)'s memo tables over an evaluator's paths, keyed by
-    canonical key; ``keys`` is the seed's table of order keys, shared by its
-    balls.
+    """One seed's memo tables over an evaluator's paths on the evaluator's
+    ball, keyed by canonical key; ``keys`` is the seed's table of order keys,
+    shared by every ball.
 
     Plain data: the evaluator's methods fill it, so no reference cycle keeps
     a finished evaluator alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, ball: frozenset[int] | None, keys: dict[bytes, OrderKey],
-                 s: int):
+    def __init__(self, seed: int, keys: dict[bytes, OrderKey], s: int):
         self.seed = seed
-        self.ball = ball
         self.keys = keys
         # edge id -> (key, path, sign) of the paths through it inside the ball, in key order
         self.orders: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}

@@ -373,7 +373,8 @@ def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
         ("rounds", {"n": 30, "params": {"rounds": 2.7}}),
         ("quantum", {"n": 30, "quantum": "1/0"}), ("params", {"n": 30, "params": 5}),
         ("rho_s", {"n": 30, "rho_s": "abc"}), ("gen_sed", {"n": 30, "gen_sed": 7}),
-        ("cap_mn", {"n": 30, "params": {"cap_mn": 3}}),
+        ("cap_mn", {"n": 30, "params": {"cap_mn": 3}}), ("n", {"n": -3}),
+        ("rho_s", {"family": "layered", "rho_s": "1/2"}),
     )]
     cases.append(("bad instance spec: expected a JSON object, got 5", 5))
     for i, (message, spec) in enumerate(cases):
@@ -405,6 +406,21 @@ def test_generate_refuses_a_param_the_family_does_not_read(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 2
     assert "bad field 'rounds' in instance spec params" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["--family", "grid", "--rows", "2", "--cols", "3", "--n", "500"], "n"),
+    (["--family", "layered", "--rho-s", "1/2"], "rho_s"),
+    (["--family", "path_bundle", "--rho-t", "0"], "rho_t"),
+    (["--family", "path_bundle", "--n", "-4"], "n"),
+])
+def test_generate_refuses_a_field_the_family_does_not_read(tmp_path, capsys, argv, field):
+    out = tmp_path / "g.json"
+    code = main(["generate", *argv, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"bad field '{field}' in instance spec:" in captured.err
     assert not out.exists()
 
 

@@ -25,7 +25,7 @@ from oracles import assemble_fbar2, fbar2_value
 
 
 def spec_for(i: int, n: int = 20, **kw) -> InstanceSpec:
-    merged = dict(n=n, d=4, m_ticks=4, rho_s=0.25, rho_t=0.25,
+    merged = dict(n=n, d=4, m_ticks=4, rho_s=Fraction(1, 4), rho_t=Fraction(1, 4),
                   params={"rounds": 4})
     merged.update(kw)
     return InstanceSpec("random_bounded", gen_seed=3000 + i, **merged)
@@ -169,7 +169,7 @@ def test_tester_reruns_are_equal():
 
 
 def test_variance_scales_like_one_over_k():
-    g, _ = generate(spec_for(99, n=40, m_ticks=5, rho_s=0.3, rho_t=0.3))
+    g, _ = generate(spec_for(99, n=40, m_ticks=5, rho_s=Fraction(3, 10), rho_t=Fraction(3, 10)))
     base = TesterConfig(l=3, s=2, seeds=(1, 2))
     sample_seeds = list(range(24))
     variances = []

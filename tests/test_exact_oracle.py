@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import build_graph, count_flow_validations, line_graph
@@ -18,8 +20,8 @@ def small_random_specs(count: int, start_seed: int = 0):
             d=3 + (i % 2),
             m_ticks=3,
             gen_seed=start_seed + i,
-            rho_s=0.3,
-            rho_t=0.3,
+            rho_s=Fraction(3, 10),
+            rho_t=Fraction(3, 10),
         )
 
 

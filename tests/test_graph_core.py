@@ -364,8 +364,12 @@ def test_induced_subgraph_matches_full_scan_on_every_ball(spec):
         ((Node(0, "S"),), (), 0, 0, Fraction(-1),
          "invalid graph: degree bound 0 is not positive; capacity bound 0 is not positive; "
          "tick quantum -1 is not positive"),
+        ((Node(0, "S"),), (), 2, 5, 0.5,
+         "invalid graph: tick quantum 0.5 is not an int or a Fraction"),
+        ((Node(0, "S"),), (), 2, 5, True,
+         "invalid graph: tick quantum True is not an int or a Fraction"),
     ],
-    ids=["nodes", "degree-and-edge-ids", "edges", "bounds"],
+    ids=["nodes", "degree-and-edge-ids", "edges", "bounds", "float-quantum", "bool-quantum"],
 )
 def test_construction_names_every_violation_in_order(nodes, edges, d, m, quantum, message):
     with pytest.raises(ValueError) as err:

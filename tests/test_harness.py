@@ -11,6 +11,7 @@ from localflow.exact_oracle import max_flow
 from conftest import count_flow_validations
 from localflow.graph_core import dumps_json, graph_to_json, validate_graph
 from localflow.harness import (
+    _FAMILY_FIELDS,
     APPROX_COLUMNS,
     CHAIN_TAIL_COLUMNS,
     LOCALITY_COLUMNS,
@@ -64,17 +65,18 @@ PINNED_SPECS = {
 
 @pytest.mark.parametrize("family, seed, rho, digest", [
     ("path_bundle", 1, (Fraction(1, 5), Fraction(1, 5)), "76c6dc4209246ba9"),
-    ("path_bundle", 2, (Fraction(1, 3), Fraction(1, 7)), "76c6dc4209246ba9"),
+    ("path_bundle", 2, (Fraction(1, 5), Fraction(1, 5)), "76c6dc4209246ba9"),
     ("grid", 1, (Fraction(1, 5), Fraction(1, 5)), "5a63334e78884e57"),
     ("grid", 2, (Fraction(1, 3), Fraction(1, 7)), "dceba361e0b2951b"),
     ("random_bounded", 1, (Fraction(1, 5), Fraction(1, 5)), "ae560f0340450046"),
     ("random_bounded", 2, (Fraction(1, 3), Fraction(1, 7)), "dbdc3f80a617fba6"),
     ("layered", 1, (Fraction(1, 5), Fraction(1, 5)), "594da9a7fd2ad99d"),
-    ("layered", 2, (Fraction(1, 3), Fraction(1, 7)), "86d8f59b0213845a"),
+    ("layered", 2, (Fraction(1, 5), Fraction(1, 5)), "86d8f59b0213845a"),
 ])
 def test_generated_graphs_are_pinned(family, seed, rho, digest):
-    """Every family's nodes and edges, bit for bit, at two seeds and two
-    color splits: a faster generator must build the same graphs."""
+    """Every family's nodes and edges, bit for bit, at two seeds and, for
+    the families that read them, two color splits: a faster generator must
+    build the same graphs."""
     g, _ = generate(InstanceSpec(family, gen_seed=seed, rho_s=rho[0], rho_t=rho[1],
                                  **PINNED_SPECS[family]))
     blob = repr(([(nd.id, nd.color) for nd in g.nodes],
@@ -100,6 +102,40 @@ def test_spec_refuses_a_param_its_family_does_not_read(family, param):
     with pytest.raises(ValueError, match=f"bad field '{param}' in instance spec params: "
                                          f"not a param of family '{family}'"):
         InstanceSpec(family, n=10, params={param: 3})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("quantum", 0.1), ("rho_s", 0.1), ("rho_t", 0.25), ("quantum", True), ("rho_s", False),
+])
+def test_spec_built_in_python_takes_only_exact_rationals(field, value):
+    with pytest.raises(ValueError, match=f"bad field '{field}' in instance spec: expected an "
+                                         "integer or a Fraction"):
+        InstanceSpec("grid", **{field: value})
+
+
+UNREAD_FIELDS = [
+    ("grid", {"n": 500}, "n", "does not read it"),
+    ("layered", {"n": 3}, "n", "does not read it"),
+    ("layered", {"rho_s": Fraction(1, 2)}, "rho_s", "does not read it"),
+    ("layered", {"rho_t": Fraction(0)}, "rho_t", "does not read it"),
+    ("path_bundle", {"rho_s": Fraction(1, 3)}, "rho_s", "does not read it"),
+    ("path_bundle", {"rho_t": 1}, "rho_t", "does not read it"),
+    ("path_bundle", {"n": -4}, "n", "expected an integer >= 0"),
+    ("random_bounded", {"n": -1}, "n", "expected an integer >= 0"),
+    ("grid", {"n": -2}, "n", "expected an integer >= 0"),
+]
+
+
+@pytest.mark.parametrize("family, given, field, why", UNREAD_FIELDS)
+def test_spec_refuses_a_field_its_family_does_not_read(family, given, field, why):
+    """A field the generator would ignore, or a negative n, is refused
+    whether the spec is built in Python or read from JSON."""
+    with pytest.raises(ValueError, match=f"bad field '{field}' in instance spec: .*{why}"):
+        InstanceSpec(family, **given)
+    obj = {"family": family, **{key: str(v) if isinstance(v, Fraction) else v
+                                for key, v in given.items()}}
+    with pytest.raises(ValueError, match=f"bad field '{field}' in instance spec: .*{why}"):
+        InstanceSpec.from_json(obj)
 
 
 def test_instance_id_hashes_the_params_as_given():
@@ -137,10 +173,11 @@ def test_bad_family_params_name_the_field():
 ])
 def test_spec_refuses_a_param_below_its_minimum(family, params, minimum):
     (field, value), = ((k, v) for k, v in params.items() if v < minimum)
+    n = 10 if "n" in _FAMILY_FIELDS[family] else 0
     with pytest.raises(ValueError, match=f"bad field '{field}' in instance spec params: "
                                          f"expected an integer >= {minimum}, got {value}"):
-        InstanceSpec(family, n=10, params=params)
-    g, _ = generate(InstanceSpec(family, n=10, params={**params, field: minimum}))
+        InstanceSpec(family, n=n, params=params)
+    g, _ = generate(InstanceSpec(family, n=n, params={**params, field: minimum}))
     assert g.edges  # the minimum itself builds a graph with edges
 
 
@@ -154,9 +191,9 @@ def test_spec_refuses_cap_min_above_m_ticks():
 
 def test_spec_json_round_trip():
     spec = InstanceSpec(
-        "layered", n=0, d=3, m_ticks=4, quantum=Fraction(1, 2),
+        "grid", n=0, d=3, m_ticks=4, quantum=Fraction(1, 2),
         rho_s=Fraction(1, 4), rho_t=Fraction(1, 4), gen_seed=5,
-        params={"layers": 3, "width": 4},
+        params={"rows": 3, "cols": 4},
     )
     again = InstanceSpec.from_json(spec.to_json())
     assert again == spec
@@ -247,7 +284,8 @@ def test_chain_tail_on_disjoint_bundle_is_depth_one():
 
 
 def test_chain_tail_is_monotone_nonincreasing():
-    specs = [InstanceSpec("random_bounded", n=40, gen_seed=9, rho_s=0.25, rho_t=0.25)]
+    specs = [InstanceSpec("random_bounded", n=40, gen_seed=9,
+                           rho_s=Fraction(1, 4), rho_t=Fraction(1, 4))]
     rows, _ = experiment_chain_tail(specs, l=4, seeds=list(range(10)))
     tails = [Fraction(r["count_ge"], r["covered"]) for r in rows]
     assert tails == sorted(tails, reverse=True)
@@ -255,7 +293,8 @@ def test_chain_tail_is_monotone_nonincreasing():
 
 
 def test_experiment_locality_reports_and_passes():
-    specs = [InstanceSpec("random_bounded", n=18, gen_seed=4, rho_s=0.25, rho_t=0.25)]
+    specs = [InstanceSpec("random_bounded", n=18, gen_seed=4,
+                           rho_s=Fraction(1, 4), rho_t=Fraction(1, 4))]
     rows, ok = experiment_locality(specs, [(3, 2)], seeds=[1, 2])
     assert ok
     checks = [r for r in rows if r["role"] == "check"]

@@ -30,7 +30,7 @@ from localflow.graph_core import (
     graph_from_json,
     graph_to_json,
 )
-from localflow.harness import FAMILIES, FAMILY_PARAMS, InstanceSpec
+from localflow.harness import _FAMILY_FIELDS, FAMILIES, FAMILY_PARAMS, InstanceSpec
 
 FIXED = settings(max_examples=60, derandomize=True, database=None, deadline=None)
 
@@ -138,8 +138,9 @@ def test_flow_json_refuses_a_scalar_item_or_a_repeated_id(f, data, bad):
 @st.composite
 def specs(draw) -> InstanceSpec:
     """Specs with params drawn from their family's own names, each at least
-    its minimum and cap_min at most m_ticks, and feasible color fractions,
-    which the constructor requires."""
+    its minimum and cap_min at most m_ticks, and n and feasible color
+    fractions drawn only for the families that read them, which the
+    constructor requires."""
     family = draw(st.sampled_from(FAMILIES))
     m_ticks = draw(st.integers(1, 20))
     known = FAMILY_PARAMS[family]
@@ -148,17 +149,19 @@ def specs(draw) -> InstanceSpec:
                               else st.integers(0, m_ticks) if key == "cap_min"
                               else st.integers(known[key][1], 50)) for key in keys}
     unit = st.integers(1, 20).flatmap(lambda b: st.builds(Fraction, st.integers(0, b), st.just(b)))
-    rho_s = draw(unit)
+    reads = _FAMILY_FIELDS[family]
+    drawn: dict = {"n": draw(st.integers(0, 10**4))} if "n" in reads else {}
+    if "rho_s" in reads:
+        drawn["rho_s"] = draw(unit)
+        drawn["rho_t"] = draw(unit) * (1 - drawn["rho_s"])
     return InstanceSpec(
         family=family,
-        n=draw(st.integers(0, 10**4)),
         d=draw(st.integers(1, 8)),
         m_ticks=m_ticks,
         quantum=draw(fractions.filter(lambda q: q > 0)),
-        rho_s=rho_s,
-        rho_t=draw(unit) * (1 - rho_s),
         gen_seed=draw(st.integers(0, 2**64)),
         params=params,
+        **drawn,
     )
 
 

@@ -45,7 +45,7 @@ from test_json_properties import graphs
 
 
 def random_spec(i: int, n: int = 20, **kw) -> InstanceSpec:
-    merged = dict(n=n, d=4, m_ticks=4, rho_s=0.25, rho_t=0.25,
+    merged = dict(n=n, d=4, m_ticks=4, rho_s=Fraction(1, 4), rho_t=Fraction(1, 4),
                   params={"rounds": 4})
     merged.update(kw)
     return InstanceSpec("random_bounded", gen_seed=2000 + i, **merged)
@@ -625,6 +625,34 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
         assert ev.f2_on(ref, seed, ball) == LocalEvaluator(sub, l, s).f2_on(ref, seed)
 
 
+def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
+    """Ball B1 under seeds 1 and 2, then B2, then B1 again: every answer is a
+    fresh evaluator's on the subgraph the ball induces, and after every query
+    the memo tables are those of the current ball alone, one per seed."""
+    g, _ = generate(random_spec(7, n=40))
+    l, s = 4, 2
+    first, last = (DirectedEdgeRef(e.id, "AB") for e in (g.edges[0], g.edges[-1]))
+    b1, b2 = ball_nodes(g, first, 2), ball_nodes(g, last, 2)
+    assert b1 != b2
+    ev = LocalEvaluator(g, l, s)
+    answers = []
+    for ball, seeds in ((b1, (1, 2)), (b2, (1,)), (b1, (1,))):
+        sub = induced_subgraph(g, ball)
+        fresh = LocalEvaluator(sub, l, s)
+        for i, seed in enumerate(seeds):
+            for e in sub.edges:
+                ref = DirectedEdgeRef(e.id, "AB")
+                answers.append(ev.f2_on(ref, seed, ball))
+                assert answers[-1] == fresh.f2_on(ref, seed)
+                assert ev._ball == ball and set(ev._tables) == set(seeds[:i + 1])
+                inside = {u.canonical_key for u in ev._paths.values() if ball.issuperset(u.nodes)}
+                for t in ev._tables.values():
+                    assert all(ball.issuperset(u.nodes)
+                               for got in t.orders.values() for _, u, _ in got)
+                    assert set(t.amounts).union(*t.depths) <= inside
+    assert any(answers)
+
+
 @pytest.mark.parametrize("spec", [
     InstanceSpec("path_bundle", params={"bottlenecks": [2, 0, 4], "path_len": 4}),
     InstanceSpec("grid", params={"rows": 5, "cols": 6}, gen_seed=3),
@@ -645,7 +673,7 @@ def test_walk_search_equals_the_reference_search(spec):
             sub = induced_subgraph(g, ball)
             want = naive_paths(sub, l)
             ev.f2_on(center, 1, ball)
-            t = ev._tables[1, ball]
+            t = ev._tables[1]
             for e in sub.edges:
                 got = ev._ordered(t, e.id)
                 assert [k for k, _, _ in got] == sorted(path_key(u, 1) for _, u, _ in got)

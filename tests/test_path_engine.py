@@ -100,7 +100,7 @@ def test_matches_naive_enumeration_on_random_instances():
     for i in range(30):
         spec = InstanceSpec(
             "random_bounded", n=8 + (i % 8), d=4, m_ticks=3,
-            gen_seed=700 + i, rho_s=0.3, rho_t=0.3,
+            gen_seed=700 + i, rho_s=Fraction(3, 10), rho_t=Fraction(3, 10),
         )
         g, _ = generate(spec)
         got = {path_signature(u) for u in enumerate_paths(g, 4)}
@@ -108,7 +108,8 @@ def test_matches_naive_enumeration_on_random_instances():
 
 
 def test_paths_are_well_formed_and_unique():
-    spec = InstanceSpec("random_bounded", n=20, gen_seed=3, rho_s=0.3, rho_t=0.3)
+    spec = InstanceSpec("random_bounded", n=20, gen_seed=3,
+                        rho_s=Fraction(3, 10), rho_t=Fraction(3, 10))
     g, _ = generate(spec)
     color = {nd.id: nd.color for nd in g.nodes}
     paths = enumerate_paths(g, 5)
@@ -152,7 +153,8 @@ def test_path_key_stable_inside_neighborhood_view():
 
 
 def test_key_order_refines_length_order():
-    spec = InstanceSpec("random_bounded", n=18, gen_seed=8, rho_s=0.3, rho_t=0.3)
+    spec = InstanceSpec("random_bounded", n=18, gen_seed=8,
+                        rho_s=Fraction(3, 10), rho_t=Fraction(3, 10))
     g, _ = generate(spec)
     paths = enumerate_paths(g, 5)
     keys = sorted(path_key(u, 77) for u in paths)
@@ -186,7 +188,7 @@ def test_order_key_tiebreak_is_lexicographic_last():
 def test_hash_labels_look_uniform():
     # 16 buckets over >= 10^4 paths; each bucket within 5 sigma of uniform.
     spec = InstanceSpec("grid", gen_seed=21, params={"rows": 9, "cols": 9},
-                        rho_s=0.3, rho_t=0.3)
+                        rho_s=Fraction(3, 10), rho_t=Fraction(3, 10))
     g, _ = generate(spec)
     paths = enumerate_paths(g, 7)
     assert len(paths) >= 10_000
@@ -249,7 +251,7 @@ def test_chain_depths_match_brute_force():
     for i in range(40):
         spec = InstanceSpec(
             "random_bounded", n=8 + (i % 6), d=4, m_ticks=3,
-            gen_seed=1300 + i, rho_s=0.3, rho_t=0.3,
+            gen_seed=1300 + i, rho_s=Fraction(3, 10), rho_t=Fraction(3, 10),
         )
         g, _ = generate(spec)
         paths = enumerate_paths(g, 3)
@@ -262,7 +264,8 @@ def test_chain_depths_match_brute_force():
 
 
 def test_depth_recurrence_property():
-    spec = InstanceSpec("random_bounded", n=24, gen_seed=77, rho_s=0.3, rho_t=0.3)
+    spec = InstanceSpec("random_bounded", n=24, gen_seed=77,
+                        rho_s=Fraction(3, 10), rho_t=Fraction(3, 10))
     g, _ = generate(spec)
     paths = enumerate_paths(g, 4)
     depths = chain_depth_all(paths, 11)
@@ -275,7 +278,7 @@ def test_depth_recurrence_property():
 
 def test_depth_in_subgraph_never_exceeds_global():
     spec = InstanceSpec("grid", gen_seed=31, params={"rows": 5, "cols": 8},
-                        rho_s=0.3, rho_t=0.3)
+                        rho_s=Fraction(3, 10), rho_t=Fraction(3, 10))
     g, _ = generate(spec)
     paths = enumerate_paths(g, 3)
     depths = chain_depth_all(paths, 4)
