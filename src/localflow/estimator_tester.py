@@ -9,9 +9,9 @@ averaged values on its out-edges.  Several sampling seeds are several calls
 with ``replace(cfg, sample_seed=...)``.  Each value comes from one
 ``LocalEvaluator`` query tree on the whole graph per call, shared by every
 sampled source and seed; a tree reads nothing beyond s*(l-1) hops of its
-edge, so the computation stays inside the ball of radius ``TesterConfig.r``
-around the vertex: one more than a local query's ball radius, so that the
-ball of every out-edge fits inside.
+edge, so the computation stays inside the ball of radius
+``TesterConfig.r`` = s*(l-1) + 1 around the vertex, which holds the ball of
+every out-edge.
 
 All arithmetic here is exact rational: with the full vertex set instead of
 samples, the tester equals the averaged flow value over n bit for bit.

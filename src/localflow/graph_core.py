@@ -7,7 +7,8 @@ All arithmetic on capacities and flows is exact (int / Fraction), never float:
 the locality checks downstream compare flow values bit for bit.
 
 A ``ColoredGraph`` is valid by construction: its constructor checks the degree
-and capacity bounds, ids, colors and endpoints, and raises on any violation.
+and capacity bounds, ids, colors, endpoints and capacities, each number a true
+int, and raises on any violation.
 Graphs are immutable, so nothing downstream checks a graph again.
 
 The constructor also builds the graph's one adjacency, which every layer
@@ -175,9 +176,13 @@ def validate_graph(g: ColoredGraph) -> ValidationReport:
     """
     bad: list[str] = []
     d, m = g.degree_bound, g.capacity_bound_ticks
-    if d < 1:
+    if type(d) is not int:  # bool is an int subclass; a float is not exact
+        bad.append(f"graph field 'degree_bound' is {d!r}, not an int")
+    elif d < 1:
         bad.append(f"degree bound {d} is not positive")
-    if m < 1:
+    if type(m) is not int:
+        bad.append(f"graph field 'capacity_bound_ticks' is {m!r}, not an int")
+    elif m < 1:
         bad.append(f"capacity bound {m} is not positive")
     if type(g.quantum) not in (int, Fraction):  # bool is an int subclass; a float is not exact
         bad.append(f"tick quantum {g.quantum!r} is not an int or a Fraction")
@@ -187,7 +192,9 @@ def validate_graph(g: ColoredGraph) -> ValidationReport:
         bad.extend(_duplicate_ids("node", g.nodes))
     adj = g._adj
     for nd in g.nodes:
-        if nd.id < 0:
+        if type(nd.id) is not int:
+            bad.append(f"node field 'id' is {nd.id!r}, not an int")
+        elif nd.id < 0:
             bad.append(f"negative node id {nd.id}")
         if nd.color not in COLORS:
             bad.append(f"node {nd.id} has unknown color {nd.color!r}")
@@ -198,6 +205,10 @@ def validate_graph(g: ColoredGraph) -> ValidationReport:
         bad.extend(_duplicate_ids("edge", g.edges))
     for e in g.edges:
         a, b = e.a, e.b
+        if not type(e.id) is type(a) is type(b) is type(e.cap_ab) is type(e.cap_ba) is int:
+            bad.extend(f"edge {e.id!r} field {name!r} is {value!r}, not an int"
+                       for name in ("id", "a", "b", "cap_ab", "cap_ba")
+                       if type(value := getattr(e, name)) is not int)
         if a not in adj:
             bad.append(f"edge {e.id} endpoint a={a} is not a node")
         if b not in adj:
@@ -252,7 +263,7 @@ def induced_subgraph(g: ColoredGraph, node_ids: AbstractSet[int]) -> ColoredGrap
 def ball_nodes(g: ColoredGraph, center: Union[int, DirectedEdgeRef], r: int) -> frozenset[int]:
     """Node ids at hop distance <= r from a node or from either endpoint of an edge."""
     if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+        raise ValueError(f"bad field 'radius': expected an integer >= 0, got {r}")
     if isinstance(center, DirectedEdgeRef):
         e = g.edge(center.edge_id)
         seen = {e.a, e.b}

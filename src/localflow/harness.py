@@ -51,12 +51,12 @@ FAMILY_PARAMS: dict[str, dict[str, tuple]] = {
 }
 FAMILIES = tuple(FAMILY_PARAMS)
 
-# Per family, the spec fields among n, rho_s and rho_t that its generator
-# reads (path_bundle's n only without bottlenecks); each family reads d,
-# m_ticks and quantum, and all but path_bundle read gen_seed.
+# Per family, the spec fields among n, rho_s, rho_t and gen_seed that its
+# generator reads (path_bundle's n only without bottlenecks); each family
+# reads d, m_ticks and quantum.
 _FAMILY_FIELDS: dict[str, tuple[str, ...]] = {
-    "path_bundle": ("n",), "grid": ("rho_s", "rho_t"),
-    "random_bounded": ("n", "rho_s", "rho_t"), "layered": ()}
+    "path_bundle": ("n",), "grid": ("rho_s", "rho_t", "gen_seed"),
+    "random_bounded": ("n", "rho_s", "rho_t", "gen_seed"), "layered": ("gen_seed",)}
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ class InstanceSpec:
     ints, as in graph JSON, and n is non-negative; quantum, rho_s and rho_t
     are ints or Fractions; params holds only names its family's generator
     reads, each at least its minimum (``FAMILY_PARAMS``), with cap_min at
-    most m_ticks; n, rho_s and rho_t keep their defaults unless the family
-    reads them (``_FAMILY_FIELDS``); and the color fractions rho_s and rho_t
-    are non-negative with a sum of at most 1.
+    most m_ticks; n, rho_s, rho_t and gen_seed keep their defaults unless
+    the family reads them (``_FAMILY_FIELDS``); and the color fractions
+    rho_s and rho_t are non-negative with a sum of at most 1.
     """
 
     family: str
@@ -110,7 +110,7 @@ class InstanceSpec:
         if "cap_min" in self.params and self.params["cap_min"] > self.m_ticks:
             raise ValueError("bad field 'cap_min' in instance spec params: expected at most "
                              f"m_ticks={self.m_ticks}, got {self.params['cap_min']}")
-        for key in ("n", "rho_s", "rho_t"):
+        for key in ("n", "rho_s", "rho_t", "gen_seed"):
             if key not in _FAMILY_FIELDS[self.family] and values[key] != getattr(InstanceSpec, key):
                 raise ValueError(f"bad field {key!r} in instance spec: family {self.family!r} "
                                  f"does not read it, got {values[key]}")
@@ -424,8 +424,7 @@ def experiment_chain_tail(
 
 
 LOCALITY_COLUMNS = (
-    "instance", "family", "n", "l", "s", "seed", "role", "radius",
-    "checked", "mismatches", "ok",
+    "instance", "family", "n", "l", "s", "seed", "radius", "checked", "mismatches", "ok",
 )
 
 
@@ -438,9 +437,8 @@ def experiment_locality(
     """Exact global-vs-local equality on sampled edges, per (instance, seed, l, s):
     every edge when ``sample`` is None, else that many drawn with the seed.
 
-    Check rows, at the ball radius s*l of a local query, must show zero
-    mismatches.  Negative-control rows rerun one hop inside it, at s*l - 1;
-    their mismatches are reported, never failed on.
+    One row per run, at the radius s*(l-1) of a local query's ball, which
+    must show zero mismatches.
     """
     rows: list[dict] = []
     ok = True
@@ -454,18 +452,14 @@ def experiment_locality(
                 else:
                     rng = random.Random(seed)
                     refs = sorted(rng.sample(all_refs, min(sample, len(all_refs))))
-                cfg = RunConfig(l=l, s=s, seed=seed)
-                ball = _ball_radius(l, s)
-                for role, radius in (("check", ball), ("negative_control", ball - 1)):
-                    rep = verify_locality(g, cfg, refs, radius=radius)
-                    row_ok = rep.passed if role == "check" else True
-                    ok = ok and row_ok
-                    rows.append({
-                        "instance": spec.instance_id(), "family": spec.family, "n": g.n,
-                        "l": l, "s": s, "seed": seed, "role": role, "radius": radius,
-                        "checked": rep.checked, "mismatches": len(rep.mismatches),
-                        "ok": row_ok,
-                    })
+                rep = verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs)
+                ok = ok and rep.passed
+                rows.append({
+                    "instance": spec.instance_id(), "family": spec.family, "n": g.n,
+                    "l": l, "s": s, "seed": seed, "radius": _ball_radius(l, s),
+                    "checked": rep.checked, "mismatches": len(rep.mismatches),
+                    "ok": rep.passed,
+                })
     return rows, ok
 
 

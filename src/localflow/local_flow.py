@@ -8,7 +8,7 @@ final value to a ball around it.  ``LocalEvaluator`` computes that value
 without a sweep, as a memoised query tree over the paths through the edge and
 their predecessors, reading nothing beyond s*(l-1) hops of the edge.  A
 query may name a ball, which keeps the paths that lie inside it rather than
-being built as a graph.  ``local_f2_edge`` queries the ball of radius s*l,
+being built as a graph.  ``local_f2_edge`` queries the ball of that radius,
 and ``verify_locality`` checks edge by edge, with one evaluator for every
 ball, that this reproduces the global run bit for bit.
 """
@@ -156,13 +156,13 @@ def run_a2(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
 
 
 def _ball_radius(l: int, s: int) -> int:
-    """Radius of the ball a local query reads around its edge: s*l hops, s
-    more than the s*(l-1) that ``LocalEvaluator`` needs."""
-    return s * l
+    """Radius of the ball a local query reads around its edge: the s*(l-1)
+    hops beyond which ``LocalEvaluator`` reads nothing."""
+    return s * (l - 1)
 
 
 def local_f2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
-    """Value of the skipping run at e, computed inside the ball h_{s*l}(e) only.
+    """Value of the skipping run at e, computed inside the ball h_{s*(l-1)}(e) only.
 
     The evaluator keeps only the paths inside the ball, with their ids, so
     it sees the same labels as a global run, and (by the locality argument
@@ -254,7 +254,8 @@ class LocalEvaluator:
     read, and the walks that find them run at most l-1 edges from those
     edges' endpoints: the tree never reads beyond s*(l-1) hops of e's
     endpoints, and its value is the same on g and on any induced subgraph
-    that holds the radius-s*(l-1) ball, the default radius s*l included.
+    that holds the radius-s*(l-1) ball, the ball ``_ball_radius`` gives a
+    local query.
 
     A query given a ``ball`` is answered on ``induced_subgraph(g, ball)``,
     which is never built: the paths of that subgraph through an edge are

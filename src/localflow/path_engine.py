@@ -146,7 +146,7 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     refused before any path is listed, and one with none is not searched.
     """
     if l < 1:
-        raise ValueError(f"path length cap must be >= 1, got {l}")
+        raise ValueError(f"bad field 'l': expected a path length cap >= 1, got {l}")
     per_graph = _PATH_CACHE.setdefault(g, {})
     cached = per_graph.get(l)
     if cached is not None:

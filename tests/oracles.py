@@ -47,6 +47,7 @@ from localflow.local_flow import (
     RunConfig,
     RunTrace,
     TraceEntry,
+    _ball_radius,
     run_a1,
     run_a2,
 )
@@ -79,14 +80,12 @@ def full_scan_subgraph(g: ColoredGraph, node_ids: set[int]) -> ColoredGraph:
     return ColoredGraph(nodes, edges, g.degree_bound, g.capacity_bound_ticks, g.quantum)
 
 
-def ball_rerun_f2(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig,
-                  radius: int | None = None) -> int:
-    """The A2 value at e from a whole A2 run on the ball of radius s*l (or
-    ``radius``) around e: every path in the ball enumerated, sorted, given a
-    depth and swept, and the ball's flow validated."""
+def ball_rerun_f2(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
+    """The A2 value at e from a whole A2 run on the ball a local query reads
+    around e: every path in the ball enumerated, sorted, given a depth and
+    swept, and the ball's flow validated."""
     l, s = cfg.l, cfg.require_s()
-    rad = s * l if radius is None else radius
-    sub = induced_subgraph(g, set(ball_nodes(g, e, rad)))
+    sub = induced_subgraph(g, set(ball_nodes(g, e, _ball_radius(l, s))))
     f2, _ = run_a2(sub, RunConfig(l=l, s=s, seed=cfg.seed))
     validate_flow(sub, f2).raise_if_invalid("ball flow")
     return int(f2.on(e))

@@ -19,7 +19,7 @@ from localflow.graph_core import (
     validate_flow,
 )
 from localflow.harness import InstanceSpec, generate
-from localflow.local_flow import RunConfig, verify_locality
+from localflow.local_flow import RunConfig, _ball_radius, verify_locality
 from localflow.path_engine import chain_depth_all, enumerate_paths, path_key
 
 
@@ -170,6 +170,18 @@ def test_numeric_sample_checks_that_many_edges(random_graph, tmp_path, capsys):
     assert len(rows) > 1 and all(row[checked] == "3" for row in rows[1:])
 
 
+def test_experiment_locality_at_l_one_checks_radius_zero(tmp_path, capsys):
+    # l=1 gives radius 0, a ball of the edge's two endpoints.
+    csv_path = tmp_path / "locality.csv"
+    code, _ = run_cli(capsys, "experiment", "locality", "--seeds", "1,2", "--cfgs", "1:1,1:2",
+                      "--out", str(csv_path))
+    assert code == 0
+    rows = [line.split(",") for line in csv_path.read_text().splitlines()]
+    radius, mismatches = rows[0].index("radius"), rows[0].index("mismatches")
+    assert len(rows) == 1 + 5 * 2 * 2
+    assert all(row[radius] == "0" and row[mismatches] == "0" for row in rows[1:])
+
+
 def test_verify_locality_bad_radius_exits_one(tmp_path, capsys):
     path = tmp_path / "line.json"
     code, _ = run_cli(
@@ -210,7 +222,7 @@ def test_tester_exhaustive_reports_exact_rational(random_graph, capsys):
     )
     assert code == 0
     payload = json.loads(out)
-    assert payload["config"]["r"] == 7
+    assert payload["config"]["r"] == _ball_radius(3, 2) + 1 == 5
     assert "/" in payload["estimate"]
     assert len(payload["per_sample"]) == 30
 
@@ -375,6 +387,7 @@ def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
         ("rho_s", {"n": 30, "rho_s": "abc"}), ("gen_sed", {"n": 30, "gen_sed": 7}),
         ("cap_mn", {"n": 30, "params": {"cap_mn": 3}}), ("n", {"n": -3}),
         ("rho_s", {"family": "layered", "rho_s": "1/2"}),
+        ("gen_seed", {"family": "path_bundle", "gen_seed": 8005}),
     )]
     cases.append(("bad instance spec: expected a JSON object, got 5", 5))
     for i, (message, spec) in enumerate(cases):
@@ -414,6 +427,7 @@ def test_generate_refuses_a_param_the_family_does_not_read(tmp_path, capsys):
     (["--family", "layered", "--rho-s", "1/2"], "rho_s"),
     (["--family", "path_bundle", "--rho-t", "0"], "rho_t"),
     (["--family", "path_bundle", "--n", "-4"], "n"),
+    (["--family", "path_bundle", "--gen-seed", "1"], "gen_seed"),
 ])
 def test_generate_refuses_a_field_the_family_does_not_read(tmp_path, capsys, argv, field):
     out = tmp_path / "g.json"
@@ -445,6 +459,8 @@ def test_generate_refuses_a_param_out_of_range(tmp_path, capsys, argv, field):
     (["verify-locality", "--epsilon", "-1", "--s", "2"], "epsilon"),
     (["tester", "--l", "3", "--s", "2", "--seeds", "1", "--k", "0"], "k"),
     (["tester", "--l", "0", "--s", "2", "--seeds", "1"], "l"),
+    (["verify-locality", "--l", "3", "--s", "2", "--radius", "-1"], "radius"),
+    (["dump-paths", "--l", "0"], "l"),
 ])
 def test_bad_run_parameter_exits_two_naming_the_field(bundle_graph, capsys, argv, field):
     code = main(argv + ["--graph", str(bundle_graph)])
@@ -452,6 +468,14 @@ def test_bad_run_parameter_exits_two_naming_the_field(bundle_graph, capsys, argv
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith(f"error: bad field '{field}'")
+
+
+def test_chain_tail_bad_l_exits_two_naming_the_field(capsys):
+    code = main(["experiment", "chain-tail", "--l", "0", "--seeds", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: bad field 'l'")
 
 
 def test_unknown_flag_exits_two(capsys):

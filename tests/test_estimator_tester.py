@@ -20,7 +20,7 @@ from localflow.graph_core import (
     validate_flow,
 )
 from localflow.harness import InstanceSpec, generate
-from localflow.local_flow import RunConfig, local_f2_edge, run_a2
+from localflow.local_flow import RunConfig, _ball_radius, local_f2_edge, run_a2
 from oracles import assemble_fbar2, fbar2_value
 
 
@@ -126,11 +126,11 @@ def test_every_out_edge_ball_fits_in_the_vertex_ball():
     g, _ = generate(spec_for(80, n=30))
     cfg = TesterConfig(l=3, s=2, seeds=(1,))
     r = cfg.r
-    assert r == 7
+    assert r == _ball_radius(3, 2) + 1 == 5
     for v in g.nodes_of_color("S"):
         big = ball_nodes(g, v, r)
         for ref in out_edges(g, v):
-            assert ball_nodes(g, ref, cfg.s * cfg.l) <= big
+            assert ball_nodes(g, ref, _ball_radius(cfg.l, cfg.s)) <= big
 
 
 def test_tester_report_shape_and_determinism():

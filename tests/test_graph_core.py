@@ -368,8 +368,18 @@ def test_induced_subgraph_matches_full_scan_on_every_ball(spec):
          "invalid graph: tick quantum 0.5 is not an int or a Fraction"),
         ((Node(0, "S"),), (), 2, 5, True,
          "invalid graph: tick quantum True is not an int or a Fraction"),
+        ((Node(0, "S"), Node(1, "T")), (Edge(0, 0, 1, 2, 2.5),), 2.5, 5.0, Fraction(1),
+         "invalid graph: graph field 'degree_bound' is 2.5, not an int; "
+         "graph field 'capacity_bound_ticks' is 5.0, not an int; "
+         "edge 0 field 'cap_ba' is 2.5, not an int"),
+        ((Node(0.0, "S"), Node(1, "T")), (Edge(0, 0, 1.0, 1, 1),), 2, 5, Fraction(1),
+         "invalid graph: node field 'id' is 0.0, not an int; edge 0 field 'b' is 1.0, not an int"),
+        ((Node(0, "S"), Node(1, "T")), (Edge(True, 0, 1, False, 1),), 2, 5, Fraction(1),
+         "invalid graph: edge True field 'id' is True, not an int; "
+         "edge True field 'cap_ab' is False, not an int"),
     ],
-    ids=["nodes", "degree-and-edge-ids", "edges", "bounds", "float-quantum", "bool-quantum"],
+    ids=["nodes", "degree-and-edge-ids", "edges", "bounds", "float-quantum", "bool-quantum",
+         "float-caps-and-bounds", "float-ids", "bool-ids"],
 )
 def test_construction_names_every_violation_in_order(nodes, edges, d, m, quantum, message):
     with pytest.raises(ValueError) as err:

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+import localflow.local_flow as local_flow_module
 from localflow.exact_oracle import max_flow
 from conftest import count_flow_validations
 from localflow.graph_core import dumps_json, graph_to_json, validate_graph
@@ -25,6 +26,7 @@ from localflow.harness import (
     generate,
     write_csv,
 )
+from localflow.local_flow import _ball_radius
 
 
 def test_path_bundle_known_value():
@@ -64,8 +66,8 @@ PINNED_SPECS = {
 
 
 @pytest.mark.parametrize("family, seed, rho, digest", [
-    ("path_bundle", 1, (Fraction(1, 5), Fraction(1, 5)), "76c6dc4209246ba9"),
-    ("path_bundle", 2, (Fraction(1, 5), Fraction(1, 5)), "76c6dc4209246ba9"),
+    ("path_bundle", 0, (Fraction(1, 5), Fraction(1, 5)), "76c6dc4209246ba9"),
+    ("random_bounded", 3, (Fraction(1, 4), Fraction(1, 2)), "b9025fc51e491ca0"),
     ("grid", 1, (Fraction(1, 5), Fraction(1, 5)), "5a63334e78884e57"),
     ("grid", 2, (Fraction(1, 3), Fraction(1, 7)), "dceba361e0b2951b"),
     ("random_bounded", 1, (Fraction(1, 5), Fraction(1, 5)), "ae560f0340450046"),
@@ -74,9 +76,10 @@ PINNED_SPECS = {
     ("layered", 2, (Fraction(1, 5), Fraction(1, 5)), "86d8f59b0213845a"),
 ])
 def test_generated_graphs_are_pinned(family, seed, rho, digest):
-    """Every family's nodes and edges, bit for bit, at two seeds and, for
-    the families that read them, two color splits: a faster generator must
-    build the same graphs."""
+    """Every family's nodes and edges, bit for bit, at two seeds and two
+    color splits for the families that read them (three for random_bounded;
+    path_bundle reads neither): a faster generator must build the same
+    graphs."""
     g, _ = generate(InstanceSpec(family, gen_seed=seed, rho_s=rho[0], rho_t=rho[1],
                                  **PINNED_SPECS[family]))
     blob = repr(([(nd.id, nd.color) for nd in g.nodes],
@@ -123,6 +126,7 @@ UNREAD_FIELDS = [
     ("path_bundle", {"n": -4}, "n", "expected an integer >= 0"),
     ("random_bounded", {"n": -1}, "n", "expected an integer >= 0"),
     ("grid", {"n": -2}, "n", "expected an integer >= 0"),
+    ("path_bundle", {"gen_seed": 2}, "gen_seed", "does not read it"),
 ]
 
 
@@ -292,16 +296,24 @@ def test_chain_tail_is_monotone_nonincreasing():
     assert tails[0] == 1  # every covered edge has depth >= 1
 
 
-def test_experiment_locality_reports_and_passes():
+def test_experiment_locality_reports_and_passes(monkeypatch):
+    """One row, and one global run, per (instance, l, s, seed)."""
+    runs = []
+    real_run_a2 = local_flow_module.run_a2
+
+    def counting(g, cfg):
+        runs.append(cfg)
+        return real_run_a2(g, cfg)
+
+    monkeypatch.setattr(local_flow_module, "run_a2", counting)
     specs = [InstanceSpec("random_bounded", n=18, gen_seed=4,
                            rho_s=Fraction(1, 4), rho_t=Fraction(1, 4))]
     rows, ok = experiment_locality(specs, [(3, 2)], seeds=[1, 2])
     assert ok
-    checks = [r for r in rows if r["role"] == "check"]
-    controls = [r for r in rows if r["role"] == "negative_control"]
-    assert len(checks) == 2 and len(controls) == 2
-    assert all(r["mismatches"] == 0 for r in checks)
-    assert all(r["radius"] == 5 for r in controls)
+    assert [r["seed"] for r in rows] == [1, 2]
+    assert all(r["mismatches"] == 0 and r["ok"] for r in rows)
+    assert all(r["radius"] == _ball_radius(3, 2) == 4 for r in rows)
+    assert [(cfg.l, cfg.s, cfg.seed) for cfg in runs] == [(3, 2, 1), (3, 2, 2)]
 
 
 def test_experiment_locality_empty_spec_list_passes_trivially():

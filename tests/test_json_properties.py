@@ -138,8 +138,8 @@ def test_flow_json_refuses_a_scalar_item_or_a_repeated_id(f, data, bad):
 @st.composite
 def specs(draw) -> InstanceSpec:
     """Specs with params drawn from their family's own names, each at least
-    its minimum and cap_min at most m_ticks, and n and feasible color
-    fractions drawn only for the families that read them, which the
+    its minimum and cap_min at most m_ticks, and n, feasible color fractions
+    and gen_seed drawn only for the families that read them, which the
     constructor requires."""
     family = draw(st.sampled_from(FAMILIES))
     m_ticks = draw(st.integers(1, 20))
@@ -154,12 +154,13 @@ def specs(draw) -> InstanceSpec:
     if "rho_s" in reads:
         drawn["rho_s"] = draw(unit)
         drawn["rho_t"] = draw(unit) * (1 - drawn["rho_s"])
+    if "gen_seed" in reads:
+        drawn["gen_seed"] = draw(st.integers(0, 2**64))
     return InstanceSpec(
         family=family,
         d=draw(st.integers(1, 8)),
         m_ticks=m_ticks,
         quantum=draw(fractions.filter(lambda q: q > 0)),
-        gen_seed=draw(st.integers(0, 2**64)),
         params=params,
         **drawn,
     )

@@ -26,6 +26,7 @@ from localflow.local_flow import (
     ZERO_CAPACITY,
     LocalEvaluator,
     RunConfig,
+    _ball_radius,
     length_cap,
     local_f2_edge,
     run_a1,
@@ -438,7 +439,7 @@ def ac5_instance() -> ColoredGraph:
     (None, 6, 3),
     (InstanceSpec("random_bounded", n=40, gen_seed=8031, params={"rounds": 3}), 4, 3),
     (InstanceSpec("grid", gen_seed=8032, params={"rows": 4, "cols": 7}), 5, 2),
-    (InstanceSpec("path_bundle", gen_seed=8033,
+    (InstanceSpec("path_bundle",
                   params={"bottlenecks": [2, 3, 1], "path_len": 5}), 6, 2),
 ], ids=["ac5", "random_bounded", "grid", "path_bundle"])
 def test_query_tree_matches_global_run_and_ball_rerun(spec, l, s):
@@ -476,6 +477,33 @@ def test_query_tree_stays_within_radius_s_times_l_minus_one():
         for e in g.edges:
             ref = DirectedEdgeRef(e.id, "AB")
             assert evaluators[e.id].f2_on(ref, seed) == f2.on(ref), (ref, seed)
+
+
+def test_radii_wider_than_the_default_match_too():
+    """The balls of radius s*l - 1 and s*l hold the ball of radius
+    s*(l-1), so on AC-5's instance they give no mismatch either."""
+    g = ac5_instance()
+    l, s = 6, 3
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    for seed in (1, 2, 3, 4, 5):
+        for radius in (s * l - 1, s * l):
+            assert verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs, radius=radius).passed
+
+
+def test_verify_locality_at_l_one_reads_only_the_edge():
+    # l=1 gives radius 0, a ball of the edge's two endpoints; the only paths
+    # are single S-T edges, which share no edge, so each carries its capacity.
+    g = build_graph("STSRT", [(0, 1, 3, 1), (2, 1, 2, 2), (2, 3, 4, 4), (3, 4, 1, 1),
+                              (0, 4, 2, 0), (4, 2, 1, 5)])
+    cfg = RunConfig(l=1, s=2, seed=3)
+    refs = [DirectedEdgeRef(e.id, o) for e in g.edges for o in ("AB", "BA")]
+    assert _ball_radius(1, 2) == 0
+    assert all(ball_nodes(g, ref, 0) == {g.edge(ref.edge_id).a, g.edge(ref.edge_id).b}
+               for ref in refs)
+    f2, _ = run_a2(g, cfg)
+    assert [f2.on_edge(e.id) for e in g.edges] == [3, 2, 0, 0, 2, -5]
+    assert verify_locality(g, cfg, refs).passed
+    assert [local_f2_edge(g, ref, cfg) for ref in refs] == [f2.on(ref) for ref in refs]
 
 
 def test_local_queries_build_no_graph(monkeypatch):
