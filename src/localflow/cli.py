@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     command(sub, "run-a2", partial(_cmd_run, variant="a2"), "chain-skipping augmentation",
             "graph!", "l|epsilon!", "s!", "seed", "out", "trace")
 
-    p = command(sub, "local-f2", _cmd_local_f2, "A2 value at one edge from its ball",
+    p = command(sub, "local-f2", _cmd_local_f2, "A2 value at one edge from the local query tree",
                 "graph!", "l|epsilon!", "s!", "seed")
     p.add_argument("--edge", type=int, required=True, help="edge id")
     p.add_argument("--orientation", choices=["AB", "BA"], default="AB")

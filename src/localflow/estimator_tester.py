@@ -6,12 +6,13 @@ locally computable flow.  Dividing its value by n gives the quantity
 ``run_tester``, the one sampling entry point, estimates: it samples k uniform
 vertices (or takes all of them) and sums, for each sampled source, the
 averaged values on its out-edges.  Several sampling seeds are several calls
-with ``replace(cfg, sample_seed=...)``.  Each value comes from one
-``LocalEvaluator`` query tree on the whole graph per call, shared by every
-sampled source and seed; a tree reads nothing beyond s*(l-1) hops of its
-edge, so the computation stays inside the ball of radius
+with ``replace(cfg, sample_seed=...)``.  Each value is a local query, as
+``local_f2_edge`` makes it: the ``LocalEvaluator`` query tree on the whole
+graph, one per call, shared by every sampled source and seed.  A tree reads
+nothing beyond s*(l-1) hops of its edge (``verify_locality`` checks this on
+balls), so the computation reads only the ball of radius
 ``TesterConfig.r`` = s*(l-1) + 1 around the vertex, which holds the ball of
-every out-edge.
+every out-edge, and never builds that ball.
 
 All arithmetic here is exact rational: with the full vertex set instead of
 samples, the tester equals the averaged flow value over n bit for bit.

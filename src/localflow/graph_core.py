@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from operator import attrgetter
-from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Sequence, Union
 
 COLORS = ("R", "S", "T")
 
@@ -84,20 +84,16 @@ class ColoredGraph:
     _adj: dict = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        node_by_id = {nd.id: nd for nd in self.nodes}
-        edge_by_id = {e.id: e for e in self.edges}
-        adj: dict = {v: [] for v in node_by_id}
-        for e in sorted(self.edges, key=attrgetter("id")):
-            a, b, arc = e.a, e.b, 2 * e.id
-            if a in adj:
-                adj[a] += (b, arc)
-            if b in adj and b != a:
-                adj[b] += (a, arc + 1)
-        for v, steps in adj.items():
-            adj[v] = tuple(steps)
-        object.__setattr__(self, "_node_by_id", node_by_id)
-        object.__setattr__(self, "_edge_by_id", edge_by_id)
-        object.__setattr__(self, "_adj", adj)
+        nodes, edges = self.nodes, self.edges
+        try:
+            lookups = _lookups(nodes, edges)
+        except TypeError:  # an unhashable id or endpoint, or ids that do not sort
+            # Look up only the items whose ids and endpoints are ints, so that
+            # validate_graph runs and names every field that is not.
+            lookups = _lookups([nd for nd in nodes if type(nd.id) is int],
+                               [e for e in edges if type(e.id) is type(e.a) is type(e.b) is int])
+        for name, lookup in zip(("_node_by_id", "_edge_by_id", "_adj"), lookups):
+            object.__setattr__(self, name, lookup)
         validate_graph(self).raise_if_invalid("graph")
 
     @property
@@ -123,6 +119,22 @@ class ColoredGraph:
 
     def nodes_of_color(self, color: str) -> list[int]:
         return sorted(nd.id for nd in self.nodes if nd.color == color)
+
+
+def _lookups(nodes: Sequence[Node], edges: Sequence[Edge]) -> tuple[dict, dict, dict]:
+    """A graph's nodes and edges by id, and its adjacency."""
+    node_by_id = {nd.id: nd for nd in nodes}
+    edge_by_id = {e.id: e for e in edges}
+    adj: dict = {v: [] for v in node_by_id}
+    for e in sorted(edges, key=attrgetter("id")):
+        a, b, arc = e.a, e.b, 2 * e.id
+        if a in adj:
+            adj[a] += (b, arc)
+        if b in adj and b != a:
+            adj[b] += (a, arc + 1)
+    for v, steps in adj.items():
+        adj[v] = tuple(steps)
+    return node_by_id, edge_by_id, adj
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,14 +185,17 @@ def validate_graph(g: ColoredGraph) -> ValidationReport:
     """Check every network invariant; violations are data, not exceptions.
 
     ColoredGraph's constructor runs it, so every graph that exists passes.
+    A check is skipped when one of its operands is already reported as not
+    an int, on which it could raise ``TypeError``.
     """
     bad: list[str] = []
     d, m = g.degree_bound, g.capacity_bound_ticks
-    if type(d) is not int:  # bool is an int subclass; a float is not exact
+    int_d, int_m = type(d) is int, type(m) is int  # bool is an int subclass; a float is not exact
+    if not int_d:
         bad.append(f"graph field 'degree_bound' is {d!r}, not an int")
     elif d < 1:
         bad.append(f"degree bound {d} is not positive")
-    if type(m) is not int:
+    if not int_m:
         bad.append(f"graph field 'capacity_bound_ticks' is {m!r}, not an int")
     elif m < 1:
         bad.append(f"capacity bound {m} is not positive")
@@ -192,30 +207,34 @@ def validate_graph(g: ColoredGraph) -> ValidationReport:
         bad.extend(_duplicate_ids("node", g.nodes))
     adj = g._adj
     for nd in g.nodes:
-        if type(nd.id) is not int:
+        int_id = type(nd.id) is int
+        if not int_id:
             bad.append(f"node field 'id' is {nd.id!r}, not an int")
         elif nd.id < 0:
             bad.append(f"negative node id {nd.id}")
         if nd.color not in COLORS:
             bad.append(f"node {nd.id} has unknown color {nd.color!r}")
-        deg = len(adj[nd.id]) // 2
-        if deg > d:
-            bad.append(f"degree bound exceeded at node {nd.id} ({deg} > {d})")
+        if int_id and int_d:
+            deg = len(adj[nd.id]) // 2
+            if deg > d:
+                bad.append(f"degree bound exceeded at node {nd.id} ({deg} > {d})")
     if len(g._edge_by_id) != len(g.edges):
         bad.extend(_duplicate_ids("edge", g.edges))
     for e in g.edges:
         a, b = e.a, e.b
-        if not type(e.id) is type(a) is type(b) is type(e.cap_ab) is type(e.cap_ba) is int:
+        ints = type(e.id) is type(a) is type(b) is type(e.cap_ab) is type(e.cap_ba) is int
+        if not ints:
             bad.extend(f"edge {e.id!r} field {name!r} is {value!r}, not an int"
                        for name in ("id", "a", "b", "cap_ab", "cap_ba")
                        if type(value := getattr(e, name)) is not int)
-        if a not in adj:
+        if (ints or type(a) is int) and a not in adj:
             bad.append(f"edge {e.id} endpoint a={a} is not a node")
-        if b not in adj:
+        if (ints or type(b) is int) and b not in adj:
             bad.append(f"edge {e.id} endpoint b={b} is not a node")
         if a == b:
             bad.append(f"edge {e.id} is a self-loop at node {a}")
-        if not (0 <= e.cap_ab <= m and 0 <= e.cap_ba <= m):
+        if ((ints or type(e.cap_ab) is type(e.cap_ba) is int) and int_m
+                and not (0 <= e.cap_ab <= m and 0 <= e.cap_ba <= m)):
             for cap, side in ((e.cap_ab, "ab"), (e.cap_ba, "ba")):
                 if cap < 0:
                     bad.append(f"edge {e.id} cap_{side} is negative")
@@ -228,6 +247,8 @@ def _duplicate_ids(kind: str, items: Iterable[Union[Node, Edge]]) -> list[str]:
     bad = []
     seen: set[int] = set()
     for item in items:
+        if type(item.id) is not int:  # reported as not an int, and maybe unhashable
+            continue
         if item.id in seen:
             bad.append(f"duplicate {kind} id {item.id}")
         seen.add(item.id)

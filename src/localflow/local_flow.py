@@ -7,10 +7,13 @@ whose chain depth reaches the threshold s, which is what confines each edge's
 final value to a ball around it.  ``LocalEvaluator`` computes that value
 without a sweep, as a memoised query tree over the paths through the edge and
 their predecessors, reading nothing beyond s*(l-1) hops of the edge.  A
-query may name a ball, which keeps the paths that lie inside it rather than
-being built as a graph.  ``local_f2_edge`` queries the ball of that radius,
-and ``verify_locality`` checks edge by edge, with one evaluator for every
-ball, that this reproduces the global run bit for bit.
+local query (``local_f2_edge``, and the tester's) is that tree on the whole
+graph: it reads only what the tree reads.  A query may also name a ball,
+which keeps the paths that lie inside it rather than being built as a graph;
+``verify_locality`` queries each edge's ball of radius s*(l-1), with one
+evaluator for every ball, and checks edge by edge that this reproduces the
+global run bit for bit, so the locality the queries rely on is checked, not
+assumed.
 """
 
 from __future__ import annotations
@@ -156,20 +159,22 @@ def run_a2(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:
 
 
 def _ball_radius(l: int, s: int) -> int:
-    """Radius of the ball a local query reads around its edge: the s*(l-1)
-    hops beyond which ``LocalEvaluator`` reads nothing."""
+    """The s*(l-1) hops beyond which ``LocalEvaluator`` reads nothing: the
+    radius of the balls ``verify_locality`` checks a local query on."""
     return s * (l - 1)
 
 
 def local_f2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
-    """Value of the skipping run at e, computed inside the ball h_{s*(l-1)}(e) only.
+    """Value of the skipping run at e, from the query tree on g.
 
-    The evaluator keeps only the paths inside the ball, with their ids, so
-    it sees the same labels as a global run, and (by the locality argument
-    in ``LocalEvaluator``) the result equals the global value exactly.
+    The tree reads nothing beyond s*(l-1) hops of e (the locality argument
+    in ``LocalEvaluator``), so it reads only the ball h_{s*(l-1)}(e) without
+    building it, and it labels paths by their ids, as a global run does: the
+    result equals the global value exactly.  ``verify_locality`` checks this
+    on the ball itself.
     """
     l, s = cfg.l, cfg.require_s()
-    return LocalEvaluator(g, l, s).f2_on(e, cfg.seed, ball_nodes(g, e, _ball_radius(l, s)))
+    return LocalEvaluator(g, l, s).f2_on(e, cfg.seed)
 
 
 class LocalityMismatch(NamedTuple):
@@ -254,8 +259,9 @@ class LocalEvaluator:
     read, and the walks that find them run at most l-1 edges from those
     edges' endpoints: the tree never reads beyond s*(l-1) hops of e's
     endpoints, and its value is the same on g and on any induced subgraph
-    that holds the radius-s*(l-1) ball, the ball ``_ball_radius`` gives a
-    local query.
+    that holds the radius-s*(l-1) ball.  So a local query runs the tree on
+    g, and ``verify_locality`` checks the claim on the balls of radius
+    ``_ball_radius``.
 
     A query given a ``ball`` is answered on ``induced_subgraph(g, ball)``,
     which is never built: the paths of that subgraph through an edge are

@@ -32,7 +32,7 @@ def spec_for(i: int, n: int = 20, **kw) -> InstanceSpec:
 
 
 def local_average(g, ref: DirectedEdgeRef, cfg: TesterConfig) -> Fraction:
-    """Mean over the seed list of the local A2 value at ref, from its ball."""
+    """Mean over the seed list of the local A2 value at ref, from the query tree on g."""
     total = sum(local_f2_edge(g, ref, RunConfig(l=cfg.l, s=cfg.s, seed=seed))
                 for seed in cfg.seeds)
     return Fraction(total, cfg.m)
@@ -77,7 +77,7 @@ def test_fbar2_edge_depends_only_on_its_ball():
     fbar = assemble_fbar2(g, cfg)
     for e in list(g.edges)[:8]:
         ref = DirectedEdgeRef(e.id, "AB")
-        sub = induced_subgraph(g, ball_nodes(g, ref, cfg.s * cfg.l))
+        sub = induced_subgraph(g, ball_nodes(g, ref, _ball_radius(cfg.l, cfg.s)))
         assert local_average(sub, ref, cfg) == fbar.on(ref)
 
 

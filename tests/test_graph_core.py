@@ -377,9 +377,24 @@ def test_induced_subgraph_matches_full_scan_on_every_ball(spec):
         ((Node(0, "S"), Node(1, "T")), (Edge(True, 0, 1, False, 1),), 2, 5, Fraction(1),
          "invalid graph: edge True field 'id' is True, not an int; "
          "edge True field 'cap_ab' is False, not an int"),
+        # Values that do not sort, compare with ints or hash: each is named,
+        # and the checks that would compare or look it up are skipped.
+        ((Node(0, "S"), Node(1, "T")), (Edge("a", 0, 1, 1, 1), Edge(1, 0, 1, 1, 1)), 2, 5,
+         Fraction(1), "invalid graph: edge 'a' field 'id' is 'a', not an int"),
+        ((Node(0, "S"), Node(1, "T")), (Edge(0, 0, 1, 1, 1),), "4", "5", Fraction(1),
+         "invalid graph: graph field 'degree_bound' is '4', not an int; "
+         "graph field 'capacity_bound_ticks' is '5', not an int"),
+        ((Node(0, "S"), Node(1, "T")), (Edge(0, 0, 1, "1", 1), Edge(1, 0, 1, 6, 1)), 2, 5,
+         Fraction(1), "invalid graph: edge 0 field 'cap_ab' is '1', not an int; "
+         "edge 1 cap_ab above M (6 > 5)"),
+        ((Node([0], "S"), Node(1, "T")), (Edge(0, [0], 1, 1, 1), Edge([2], 1, 3, 1, 1)), 2, 5,
+         Fraction(1), "invalid graph: node field 'id' is [0], not an int; "
+         "edge 0 field 'a' is [0], not an int; edge [2] field 'id' is [2], not an int; "
+         "edge [2] endpoint b=3 is not a node"),
     ],
     ids=["nodes", "degree-and-edge-ids", "edges", "bounds", "float-quantum", "bool-quantum",
-         "float-caps-and-bounds", "float-ids", "bool-ids"],
+         "float-caps-and-bounds", "float-ids", "bool-ids", "str-and-int-edge-ids",
+         "str-bounds", "str-cap", "unhashable-ids"],
 )
 def test_construction_names_every_violation_in_order(nodes, edges, d, m, quantum, message):
     with pytest.raises(ValueError) as err:
@@ -427,7 +442,8 @@ def test_an_existing_graph_is_never_validated_again(monkeypatch):
     run_a2(g, run_cfg)
     enumerate_paths(g, 4)
     max_flow(g)
-    # Local queries read each ball in place, so they build no graph either.
+    # Local queries run the tree on g, and verify_locality reads each ball in
+    # place, so they build no graph either.
     local_f2_edge(g, refs[0], run_cfg)
     verify_locality(g, run_cfg, refs, radius=2)
     assert validated == []  # none of these builds a graph

@@ -395,12 +395,21 @@ def watch_scans(g: ColoredGraph) -> tuple[WatchedTuple, WatchedTuple]:
     return watched[0], watched[1]
 
 
-def test_local_queries_never_scan_the_whole_graph():
+def test_local_queries_never_scan_the_whole_graph(monkeypatch):
     g, _ = generate(random_spec(571, n=400, params={"rounds": 2}))
     refs = [DirectedEdgeRef(e.id, o) for e, o in zip(g.edges[::40], ("AB", "BA") * 10)]
     cfg = RunConfig(l=3, s=2, seed=8)
+    balls: list[DirectedEdgeRef] = []
+    real_ball_nodes = local_flow_module.ball_nodes
+
+    def counting(h, center, r):
+        balls.append(center)
+        return real_ball_nodes(h, center, r)
+
+    monkeypatch.setattr(local_flow_module, "ball_nodes", counting)
     nodes, edges = watch_scans(g)
     local = [local_f2_edge(g, ref, cfg) for ref in refs]
+    assert balls == []  # a local query runs the tree on g, which reads only its ball
     ev = LocalEvaluator(g, 3, 2)
     cached = [ev.f2_on(ref, 8) for ref in refs]
     assert (nodes.scans, edges.scans) == (0, 0)
@@ -445,6 +454,7 @@ def ac5_instance() -> ColoredGraph:
 def test_query_tree_matches_global_run_and_ball_rerun(spec, l, s):
     g = ac5_instance() if spec is None else generate(spec)[0]
     ev = LocalEvaluator(g, l, s)
+    on_balls = LocalEvaluator(g, l, s)  # its own memo, which each new ball drops
     nonzero = 0
     for seed in (1, 2, 3, 4, 5):
         cfg = RunConfig(l=l, s=s, seed=seed)
@@ -454,6 +464,8 @@ def test_query_tree_matches_global_run_and_ball_rerun(spec, l, s):
                 ref = DirectedEdgeRef(e.id, orientation)
                 want = f2.on(ref)
                 assert ev.f2_on(ref, seed) == want, (ref, seed)
+                ball = ball_nodes(g, ref, _ball_radius(l, s))
+                assert on_balls.f2_on(ref, seed, ball) == want, (ref, seed)
                 assert local_f2_edge(g, ref, cfg) == want, (ref, seed)
                 assert ball_rerun_f2(g, ref, cfg) == want, (ref, seed)
                 nonzero += want != 0
@@ -636,21 +648,31 @@ def test_verify_locality_searches_each_node_and_builds_each_path_once(monkeypatc
     assert len(set(searched)) == 300 and len(set(built)) == len(set(hashed)) == 196
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(graphs(), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s, data):
     """No memo leaks between balls or seeds: queries on g and on balls of
-    every radius up to s*l, interleaved in a drawn order with mixed seeds."""
+    every radius up to s*l, interleaved in a drawn order with mixed seeds.
+    The answers on g, on every ball that holds the radius-s*(l-1) ball, and
+    of ``local_f2_edge`` are the global run's."""
+    f2 = {seed: run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2, 3)}
     queries = []
     for e in g.edges:
         for orientation in ("AB", "BA"):
             ref = DirectedEdgeRef(e.id, orientation)
+            for seed in (1, 2, 3):
+                assert local_f2_edge(g, ref, RunConfig(l=l, s=s, seed=seed)) == f2[seed].on(ref)
+            wide = ball_nodes(g, ref, _ball_radius(l, s))
             balls = dict.fromkeys(ball_nodes(g, ref, r) for r in range(s * l + 1))
-            queries += [(ref, seed, ball) for ball in (None, *balls) for seed in (1, 2, 3)]
+            queries += [(ref, seed, ball, ball is None or ball >= wide)
+                        for ball in (None, *balls) for seed in (1, 2, 3)]
     ev = LocalEvaluator(g, l, s)
-    for ref, seed, ball in data.draw(st.permutations(queries)):
+    for ref, seed, ball, global_value in data.draw(st.permutations(queries)):
         sub = g if ball is None else induced_subgraph(g, ball)
-        assert ev.f2_on(ref, seed, ball) == LocalEvaluator(sub, l, s).f2_on(ref, seed)
+        got = ev.f2_on(ref, seed, ball)
+        assert got == LocalEvaluator(sub, l, s).f2_on(ref, seed)
+        if global_value:
+            assert got == f2[seed].on(ref), (ref, seed, ball)
 
 
 def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
