@@ -5,17 +5,23 @@ ball, so averaging it over a fixed list of seeds yields a deterministic,
 locally computable flow.  Dividing its value by n gives the quantity
 ``run_tester``, the one sampling entry point, estimates: it samples k uniform
 vertices (or takes all of them) and sums, for each sampled source, the
-averaged values on its out-edges.  Several sampling seeds are several calls
-with ``replace(cfg, sample_seed=...)``.  Each value is a local query, as
-``local_f2_edge`` makes it: the ``LocalEvaluator`` query tree on the whole
-graph, one per call, shared by every sampled source and seed.  A tree reads
+averaged values on its out-edges, which is the source's averaged net
+outflow.  Several sampling seeds are several calls with
+``replace(cfg, sample_seed=...)``.  Each net outflow is a local query,
+``LocalEvaluator.outflow``: the query tree on the whole graph, one per call,
+shared by every sampled source and seed.  It sums the amounts of the
+unskipped paths that start at the source, so a path that only passes
+through it is never judged.  Those paths and their predecessors are read by
+the edge query of one of the source's out-edges too, and that tree reads
 nothing beyond s*(l-1) hops of its edge (``verify_locality`` checks this on
 balls), so the computation reads only the ball of radius
-``TesterConfig.r`` = s*(l-1) + 1 around the vertex, which holds the ball of
-every out-edge, and never builds that ball.
+``TesterConfig.r`` = s*(l-1) + 1 around the vertex, and never builds that
+ball.
 
-All arithmetic here is exact rational: with the full vertex set instead of
-samples, the tester equals the averaged flow value over n bit for bit.
+All arithmetic here is exact: a summand is integer ticks summed over the
+seeds, each distinct source's average is one ``Fraction``, and so is the
+estimate.  With the full vertex set instead of samples, the tester equals
+the averaged flow value over n bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graph_core import ColoredGraph, _int_field, out_edges
+from .graph_core import ColoredGraph, _int_field
 from .local_flow import LocalEvaluator, _ball_radius
 from .parallel import parallel_map
 
@@ -58,8 +64,10 @@ class TesterConfig:
 
     @property
     def r(self) -> int:
-        """Radius of the ball around a sampled vertex that holds the ball of
-        each of its out-edges, which has the vertex as an endpoint."""
+        """Radius of the ball around a sampled vertex that holds what its
+        outflow reads: the paths that start at the vertex and their
+        predecessors lie in the ball of one of its out-edges, each of which
+        has the vertex as an endpoint."""
         return _ball_radius(self.l, self.s) + 1
 
 
@@ -74,14 +82,14 @@ class TesterReport:
 
 
 def source_ball_summand(g: ColoredGraph, v: int, cfg: TesterConfig,
-                        evaluator: LocalEvaluator) -> Fraction:
-    """I(v in S) * sum over out(v) of the averaged local value, from h_r(v) data."""
+                        evaluator: LocalEvaluator) -> int:
+    """I(v in S) times the sum over the seeds of A2's net outflow at v, in
+    integer ticks: m times the averaged value on v's out-edges.  Each
+    outflow reads only the paths that start at v and their predecessors,
+    inside h_r(v)."""
     if g.node(v).color != "S":
-        return Fraction(0)
-    total = 0
-    for ref in out_edges(g, v):
-        total += sum(evaluator.f2_on(ref, seed) for seed in cfg.seeds)
-    return Fraction(total, cfg.m)
+        return 0
+    return sum(evaluator.outflow(v, seed) for seed in cfg.seeds)
 
 
 def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) -> TesterReport:
@@ -99,16 +107,16 @@ def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) 
     evaluator = LocalEvaluator(g, cfg.l, cfg.s)
     multiplicity = Counter(chosen)
     distinct_sources = sorted(v for v in multiplicity if g.node(v).color == "S")
-    summand_list = parallel_map(lambda v: source_ball_summand(g, v, cfg, evaluator),
-                                distinct_sources)
-    summand = dict(zip(distinct_sources, summand_list))
+    ticks = parallel_map(lambda v: source_ball_summand(g, v, cfg, evaluator), distinct_sources)
+    summand = {v: Fraction(t, cfg.m) for v, t in zip(distinct_sources, ticks)}
 
-    per_sample = tuple(summand.get(v, Fraction(0)) for v in chosen)
+    zero = Fraction(0)
+    per_sample = tuple(summand.get(v, zero) for v in chosen)
     # Each distinct source once, times its multiplicity: the same sum as
-    # over per_sample, whose other entries are 0.
-    total = sum((summand[v] * multiplicity[v] for v in distinct_sources), Fraction(0))
+    # over per_sample, whose other entries are 0, in ticks times m.
+    total = sum(t * multiplicity[v] for v, t in zip(distinct_sources, ticks))
     return TesterReport(
-        estimate=total / len(chosen),
+        estimate=Fraction(total, cfg.m * len(chosen)),
         sampled_nodes=tuple(chosen),
         per_sample=per_sample,
         exhaustive=exhaustive,

@@ -45,6 +45,12 @@ class DirectedEdgeRef(NamedTuple):
     orientation: str  # AB or BA
 
 
+def _orientation_error(ref: DirectedEdgeRef) -> ValueError:
+    """The error for a ref whose orientation is neither AB nor BA."""
+    return ValueError(f"bad field 'orientation': expected {AB!r} or {BA!r}, "
+                      f"got {ref.orientation!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class Node:
     id: int
@@ -154,7 +160,11 @@ class Flow:
 
     def on(self, ref: DirectedEdgeRef) -> Ticks:
         v = self.values.get(ref.edge_id, 0)
-        return v if ref.orientation == AB else -v
+        if ref.orientation == AB:
+            return v
+        if ref.orientation != BA:
+            raise _orientation_error(ref)
+        return -v
 
     def on_edge(self, edge_id: int) -> Ticks:
         return self.values.get(edge_id, 0)

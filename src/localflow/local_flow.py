@@ -27,10 +27,12 @@ from typing import NamedTuple
 
 from .graph_core import (
     AB,
+    BA,
     ColoredGraph,
     DirectedEdgeRef,
     Flow,
     _int_field,
+    _orientation_error,
     _Residuals,
     ball_nodes,
     validate_flow,
@@ -247,6 +249,10 @@ class LocalEvaluator:
       below u's: if u is unskipped, none of them is skipped either, and the
       recursion over amounts also ends within s levels.
 
+    A node's net outflow (``outflow``) is the same sum over the unskipped
+    paths that start at it minus those that end at it: a path that only
+    passes through the node adds nothing, so it is never judged.
+
     Locality.  Say a path is at position 1 if it runs through e, and at
     position j+1 if it shares an edge with a path at position j.  A path
     has at most l edges, so every node of a position-1 path lies within
@@ -300,18 +306,62 @@ class LocalEvaluator:
         edge = self.g.edge(e.edge_id)
         if ball is not None and (edge.a not in ball or edge.b not in ball):
             raise ValueError(f"unknown edge id {edge.id}")
-        if ball != self._ball:
-            self._ball, self._tables = ball, {}
-        t = self._tables.get(seed)
-        if t is None:
-            t = self._tables[seed] = _BallTables(seed, self._keys.setdefault(seed, {}), self.s)
+        t = self._seed_tables(seed, ball)
         total = 0
         for _, u, sign in self._ordered(t, edge.id):
             if self._depth(t, u, self.s) < self.s:
                 total += sign * self._amount(t, u)
         if not -edge.cap_ba <= total <= edge.cap_ab:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
-        return total if e.orientation == AB else -total
+        if e.orientation == AB:
+            return total
+        if e.orientation != BA:
+            raise _orientation_error(e)
+        return -total
+
+    def outflow(self, v: int, seed: int) -> int:
+        """A2's net outflow at node v under seed: the amounts of the unskipped
+        paths that start at v minus those of the paths that end at v.
+
+        A path that only passes through v enters and leaves it once, so it
+        adds nothing, and its depth and amount are never asked for.  The
+        paths that start or end at v are read from the ordered lists of v's
+        incident edges: such a path is vertex-simple, so it uses exactly
+        one of them and is counted once.
+        """
+        g = self.g
+        color = g.node(v).color
+        t = self._seed_tables(seed, None)
+        edge, s = g._edge_by_id, self.s
+        total = cap_out = cap_in = 0
+        for arc in g._adj[v][1::2]:  # v's arcs, each leaving v
+            e = edge[arc >> 1]
+            if arc & 1:  # e read BA
+                cap_out += e.cap_ba
+                cap_in += e.cap_ab
+            else:
+                cap_out += e.cap_ab
+                cap_in += e.cap_ba
+            for _, u, _ in self._ordered(t, e.id):
+                nodes = u.nodes
+                sign = 1 if nodes[0] == v else -1 if nodes[-1] == v else 0
+                if sign and self._depth(t, u, s) < s:
+                    total += sign * self._amount(t, u)
+        low = -cap_in if color == "T" else 0
+        high = cap_out if color == "S" else 0
+        if not low <= total <= high:
+            raise AssertionError(f"net outflow {total} at {color} node {v} outside [{low}, {high}]")
+        return total
+
+    def _seed_tables(self, seed: int, ball: frozenset[int] | None) -> _BallTables:
+        """seed's memo tables on ball; a ball other than the last drops the
+        last ball's tables."""
+        if ball != self._ball:
+            self._ball, self._tables = ball, {}
+        t = self._tables.get(seed)
+        if t is None:
+            t = self._tables[seed] = _BallTables(seed, self._keys.setdefault(seed, {}), self.s)
+        return t
 
     def _ordered(self, t: _BallTables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
         """(key, path, sign) of the paths through eid inside the ball, in key order."""

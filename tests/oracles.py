@@ -11,6 +11,8 @@ them former library routes kept to check their replacements:
   capacity of a cut;
 * ``assemble_fbar2`` and ``fbar2_value``: the seed-averaged A2 flow from m
   global runs, and its value;
+* ``out_edge_summand``: the tester's per-vertex summand summed over the
+  source's out-edges, the route that ``LocalEvaluator.outflow`` replaced;
 * ``length_boundary_violations``: the boundary invariant of A1, from prefix
   runs;
 * ``reference_sweep``: the A1/A2 sweep over ``DirectedEdgeRef``s, with a
@@ -38,12 +40,14 @@ from localflow.graph_core import (
     ball_nodes,
     flow_value,
     induced_subgraph,
+    out_edges,
     validate_flow,
 )
 from localflow.local_flow import (
     AUGMENTED,
     SKIPPED_CHAIN,
     ZERO_CAPACITY,
+    LocalEvaluator,
     RunConfig,
     RunTrace,
     TraceEntry,
@@ -116,6 +120,16 @@ def assemble_fbar2(g: ColoredGraph, cfg: TesterConfig) -> Flow:
         for eid, v in f2.values.items():
             sums[eid] = sums.get(eid, 0) + v
     return Flow({eid: Fraction(total, cfg.m) for eid, total in sums.items() if total != 0})
+
+
+def out_edge_summand(g: ColoredGraph, v: int, cfg: TesterConfig,
+                     evaluator: LocalEvaluator) -> Fraction:
+    """The tester's per-vertex summand by its definition: I(v in S) times
+    the seed mean of A2's values on v's out-edges, one edge query each."""
+    if g.node(v).color != "S":
+        return Fraction(0)
+    total = sum(evaluator.f2_on(ref, seed) for ref in out_edges(g, v) for seed in cfg.seeds)
+    return Fraction(total, cfg.m)
 
 
 def fbar2_value(g: ColoredGraph, cfg: TesterConfig) -> Fraction:

@@ -345,8 +345,9 @@ def test_ac8_chain_depth_dp_vs_brute_force(announce):
 # --- criterion 9 -----------------------------------------------------------
 
 
-def test_ac9_exhaustive_tester_telescopes(announce):
-    count = 0
+def ac9_specs() -> list[InstanceSpec]:
+    """AC-9's corpus: 20 instances, five of each family."""
+    specs = []
     for i in range(20):
         family = ("random_bounded", "grid", "layered", "path_bundle")[i % 4]
         if family == "random_bounded":
@@ -358,6 +359,13 @@ def test_ac9_exhaustive_tester_telescopes(announce):
             spec = InstanceSpec(family, gen_seed=9700 + i, params={"layers": 4, "width": 4})
         else:
             spec = InstanceSpec(family, params={"bottlenecks": [2, 1 + i % 3], "path_len": 2})
+        specs.append(spec)
+    return specs
+
+
+def test_ac9_exhaustive_tester_telescopes(announce):
+    count = 0
+    for spec in ac9_specs():
         g, _ = generate(spec)
         cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 3))
         assert run_tester(g, cfg, exhaustive=True).estimate == fbar2_value(g, cfg) / g.n

@@ -20,8 +20,9 @@ from localflow.graph_core import (
     validate_flow,
 )
 from localflow.harness import InstanceSpec, generate
-from localflow.local_flow import RunConfig, _ball_radius, local_f2_edge, run_a2
-from oracles import assemble_fbar2, fbar2_value
+from localflow.local_flow import LocalEvaluator, RunConfig, _ball_radius, local_f2_edge, run_a2
+from oracles import assemble_fbar2, fbar2_value, out_edge_summand
+from test_acceptance import ac9_specs
 
 
 def spec_for(i: int, n: int = 20, **kw) -> InstanceSpec:
@@ -160,6 +161,34 @@ def test_tester_samples_sorted_ids_and_weighs_each_source_by_its_multiplicity():
     ids_once = g._sorted_node_ids  # sorted once per graph, not once per call
     assert run_tester(g, replace(cfg, sample_seed=4)).sampled_nodes
     assert g._sorted_node_ids is ids_once and list(ids_once) == ids
+
+
+def test_tester_summands_equal_the_out_edge_reference_without_an_edge_query(monkeypatch):
+    """On AC-9's corpus, sampled and exhaustive, every summand is the
+    out-edge reference's and the estimate is their mean; the tester reads
+    outflows and makes no ``f2_on`` call."""
+    edge_queries = []
+    f2_on = LocalEvaluator.f2_on
+
+    def counting(self, *args, **kwargs):
+        edge_queries.append(args)
+        return f2_on(self, *args, **kwargs)
+
+    nonzero = 0
+    for i, spec in enumerate(ac9_specs()):
+        g, _ = generate(spec)
+        cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 3), k=60, sample_seed=i)
+        reference = LocalEvaluator(g, cfg.l, cfg.s)
+        for exhaustive in (False, True):
+            monkeypatch.setattr(LocalEvaluator, "f2_on", counting)
+            rep = run_tester(g, cfg, exhaustive=exhaustive)
+            monkeypatch.setattr(LocalEvaluator, "f2_on", f2_on)
+            assert not edge_queries
+            want = tuple(out_edge_summand(g, v, cfg, reference) for v in rep.sampled_nodes)
+            assert rep.per_sample == want
+            assert rep.estimate == sum(want, Fraction(0)) / len(want)
+            nonzero += rep.estimate != 0
+    assert nonzero == 38  # all but those of AC-9's first instance, which carries no flow
 
 
 def test_tester_reruns_are_equal():

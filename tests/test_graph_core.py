@@ -219,6 +219,12 @@ def test_antisymmetry_is_structural():
     assert f.on(DirectedEdgeRef(3, "BA")) == -2
 
 
+@pytest.mark.parametrize("orientation", ["ab", "ba", "", "BA ", None])
+def test_flow_on_refuses_an_unknown_orientation(orientation):
+    with pytest.raises(ValueError, match="bad field 'orientation': expected 'AB' or 'BA', got "):
+        Flow({3: 2}).on(DirectedEdgeRef(3, orientation))
+
+
 def test_flow_value_examples():
     g = line_graph("SRT", cap=4)
     assert flow_value(g, Flow.zero()) == 0

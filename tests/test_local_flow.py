@@ -17,6 +17,7 @@ from localflow.graph_core import (
     ball_nodes,
     flow_value,
     induced_subgraph,
+    out_edges,
     validate_flow,
 )
 from localflow.harness import InstanceSpec, default_specs, generate, max_depth_per_edge
@@ -654,7 +655,8 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
     """No memo leaks between balls or seeds: queries on g and on balls of
     every radius up to s*l, interleaved in a drawn order with mixed seeds.
     The answers on g, on every ball that holds the radius-s*(l-1) ball, and
-    of ``local_f2_edge`` are the global run's."""
+    of ``local_f2_edge`` are the global run's, and so is every node's
+    ``outflow``, queried among them."""
     f2 = {seed: run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2, 3)}
     queries = []
     for e in g.edges:
@@ -666,8 +668,16 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
             balls = dict.fromkeys(ball_nodes(g, ref, r) for r in range(s * l + 1))
             queries += [(ref, seed, ball, ball is None or ball >= wide)
                         for ball in (None, *balls) for seed in (1, 2, 3)]
+    # A node's net outflow, as a query of its own between the edge queries.
+    queries += [(v, seed, None, True) for v in sorted(nd.id for nd in g.nodes)
+                for seed in (1, 2, 3)]
+    net = {seed: net_outflows(g, f) for seed, f in f2.items()}
     ev = LocalEvaluator(g, l, s)
     for ref, seed, ball, global_value in data.draw(st.permutations(queries)):
+        if isinstance(ref, int):  # a node id
+            assert ev.outflow(ref, seed) == net[seed][ref], (ref, seed)
+            assert sum(ev.f2_on(out, seed) for out in out_edges(g, ref)) == net[seed][ref]
+            continue
         sub = g if ball is None else induced_subgraph(g, ball)
         got = ev.f2_on(ref, seed, ball)
         assert got == LocalEvaluator(sub, l, s).f2_on(ref, seed)
@@ -701,6 +711,68 @@ def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
                                for got in t.orders.values() for _, u, _ in got)
                     assert set(t.amounts).union(*t.depths) <= inside
     assert any(answers)
+
+
+def net_outflows(g: ColoredGraph, f: Flow) -> dict[int, int]:
+    """Each node's net outflow under f, summed over the edge list."""
+    net = dict.fromkeys((nd.id for nd in g.nodes), 0)
+    for e in g.edges:
+        net[e.a] += f.on_edge(e.id)
+        net[e.b] -= f.on_edge(e.id)
+    return net
+
+
+@pytest.mark.parametrize("spec,l,s", [
+    (InstanceSpec("path_bundle", params={"bottlenecks": [2, 0, 4], "path_len": 4}), 6, 2),
+    (InstanceSpec("grid", params={"rows": 5, "cols": 6}, gen_seed=3), 5, 2),
+    (InstanceSpec("random_bounded", n=50, gen_seed=5, params={"rounds": 3}), 4, 3),
+    (InstanceSpec("layered", params={"layers": 5, "width": 4}, gen_seed=4), 5, 2),
+], ids=["path_bundle", "grid", "random_bounded", "layered"])
+def test_outflow_is_the_net_outflow_of_the_global_run(spec, l, s):
+    """At every node and seed, ``outflow`` equals the net outflow of
+    ``run_a2``'s flow and the sum of ``f2_on`` over the node's out-edges.
+    On the grid and random_bounded instances some paths pass through S or
+    T nodes, which must add nothing."""
+    g, _ = generate(spec)
+    ev = LocalEvaluator(g, l, s)
+    by_color = {"R": set(), "S": set(), "T": set()}
+    for seed in (1, 2, 3):
+        f2, _ = run_a2(g, RunConfig(l=l, s=s, seed=seed))
+        for v, want in net_outflows(g, f2).items():
+            assert ev.outflow(v, seed) == want, (v, seed)
+            assert sum(ev.f2_on(ref, seed) for ref in out_edges(g, v)) == want, (v, seed)
+            by_color[g.node(v).color].add(want)
+    assert by_color["R"] == {0} and max(by_color["S"]) > 0 and min(by_color["T"]) < 0
+    with pytest.raises(ValueError, match="unknown node id -1"):
+        ev.outflow(-1, 1)
+
+
+def test_outflow_checks_its_result_against_the_nodes_invariant(monkeypatch):
+    """An amount that broke the flow's invariants would be caught: an S
+    node's net outflow below 0 or above the capacity leaving it, a T node's
+    below minus the capacity entering it."""
+    g = line_graph("SRT", cap=3)
+    assert LocalEvaluator(g, 2, 2).outflow(0, 1) == 3
+    for amount in (-1, 4):
+        monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, t, u, amount=amount: amount)
+        with pytest.raises(AssertionError, match=rf"outflow {amount} at S node 0 outside \[0, 3\]"):
+            LocalEvaluator(g, 2, 2).outflow(0, 1)
+    with pytest.raises(AssertionError, match=r"net outflow -4 at T node 2 outside \[-3, 0\]"):
+        LocalEvaluator(g, 2, 2).outflow(2, 1)
+
+
+def test_an_unknown_orientation_is_refused_not_read_as_ba():
+    """Every edge query refuses a ref whose orientation is neither AB nor BA."""
+    g = ac5_instance()
+    cfg = RunConfig(l=4, s=2, seed=1)
+    ref = DirectedEdgeRef(g.edges[0].id, "ab")
+    msg = "bad field 'orientation': expected 'AB' or 'BA', got 'ab'"
+    with pytest.raises(ValueError, match=msg):
+        LocalEvaluator(g, cfg.l, cfg.s).f2_on(ref, cfg.seed)
+    with pytest.raises(ValueError, match=msg):
+        local_f2_edge(g, ref, cfg)
+    with pytest.raises(ValueError, match=msg):
+        verify_locality(g, cfg, [ref])
 
 
 @pytest.mark.parametrize("spec", [
