@@ -25,7 +25,6 @@ from .graph_core import (
     flow_value,
     graph_from_json,
     graph_to_json,
-    out_edges,
     validate_flow,
     validate_graph,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "graph_to_json",
     "local_f2_edge",
     "max_flow",
-    "out_edges",
     "path_key",
     "run_a1",
     "run_a2",

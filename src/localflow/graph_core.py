@@ -265,12 +265,6 @@ def _duplicate_ids(kind: str, items: Iterable[Union[Node, Edge]]) -> list[str]:
     return bad
 
 
-def out_edges(g: ColoredGraph, v: int) -> list[DirectedEdgeRef]:
-    """Incident edges of v, each oriented away from v, in edge-id order."""
-    g.node(v)  # raises on an unknown node id
-    return [DirectedEdgeRef(arc >> 1, BA if arc & 1 else AB) for arc in g._adj[v][1::2]]
-
-
 def induced_subgraph(g: ColoredGraph, node_ids: AbstractSet[int]) -> ColoredGraph:
     """Subgraph on node_ids keeping original node/edge ids, colors and caps.
 

@@ -42,6 +42,7 @@ from .path_engine import (
     OrderKey,
     _chain_depths,
     _key_order,
+    _simple_walks,
     enumerate_paths,
     make_path,
     path_key,
@@ -272,21 +273,22 @@ class LocalEvaluator:
     A query given a ``ball`` is answered on ``induced_subgraph(g, ball)``,
     which is never built: the paths of that subgraph through an edge are
     exactly the paths of g through it whose nodes all lie in the ball, so
-    the ball only filters the lists of paths through edges, and an edge
-    with an endpoint outside it raises ``ValueError``, as on the subgraph.
-    Everything else is shared by every ball.  One layered search per node
-    of g finds both the walks from S nodes into it and the walks from it to
-    T nodes; a reversed walk reverses each arc (``arc ^ 1``).  A path is
-    known by its arcs: one found again through another of its edges is
-    looked up, and only a new one gets a canonical key.  The lists of paths
-    through an edge are built once per edge id and shared by both
-    orientations, every seed and every ball, and order keys once per seed.
-    The ordered lists, capped depths and amounts are memoised per seed for
-    one ball at a time: a query on another ball (no ball is one too) drops
-    the tables of the last.  The graph is valid by construction, so its
-    nodes and edges are read unchecked, and l and s come from a checked
-    config; every path, amount and returned value is checked against the
-    invariants of a valid flow.
+    the ball only filters the lists of paths through edges, and an edge with
+    an endpoint outside it raises ``ValueError``, as on the subgraph.
+    Everything else is shared by every ball.  The layered walk search that
+    lists the global paths from each S node with cap l (``_simple_walks``)
+    runs here at most once per node of g, with cap l-1, and finds both the
+    walks from S nodes into it and the walks from it to T nodes; a reversed
+    walk reverses each arc (``arc ^ 1``).  A path is known by its arcs: one
+    found again through another of its edges is looked up, and only a new
+    one gets a canonical key.  The lists of paths through an edge are built
+    once per edge id and shared by both orientations, every seed and every
+    ball, and order keys once per seed.  The ordered lists, capped depths
+    and amounts are memoised per seed for one ball at a time: a query on
+    another ball (no ball is one too) drops the tables of the last.  The
+    graph is valid by construction, so its nodes and edges are read
+    unchecked, and l and s come from a checked config; every path, amount
+    and returned value is checked against the invariants of a valid flow.
     """
 
     def __init__(self, g: ColoredGraph, l: int, s: int):
@@ -463,39 +465,13 @@ class LocalEvaluator:
     def _walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
         """(into, out of) v: the (nodes, arcs) of every vertex-simple
         walk of at most l-1 edges from an S node into v, and from v to a T
-        node, shortest first.  One layered search from v over g's adjacency,
-        read in place, finds both: a walk that ends at an S node is kept
-        reversed.  A walk of l-1 edges that would end at an R node is never
-        built: it can be neither kept nor grown, and its end is read either
-        way."""
+        node, shortest first: ``_simple_walks`` from v, with each walk that
+        ends at an S node reversed."""
         got = self._walk_memo.get(v)
         if got is None:
-            adj, node = self.g._adj, self.g._node_by_id
-            into: list[tuple] = []
-            out: list[tuple] = []
-            last = self.l - 1
-            layer = [((v,), ())]
-            for length in range(self.l):
-                grown = []
-                for nodes, arcs in layer:
-                    end = nodes[-1]
-                    color = node[end].color
-                    if color == "T":
-                        out.append((nodes, arcs))
-                    elif color == "S":
-                        back = tuple(map(_reverse_arc, reversed(arcs)))
-                        into.append((nodes[::-1], back))
-                    if length == last:
-                        continue
-                    steps = iter(adj[end])
-                    for nxt, arc in zip(steps, steps):
-                        if nxt in nodes:
-                            continue
-                        if length == last - 1 and node[nxt].color == "R":
-                            continue
-                        grown.append((nodes + (nxt,), arcs + (arc,)))
-                layer = grown
-            got = self._walk_memo[v] = (into, out)
+            to_s, to_t = _simple_walks(self.g, v, self.l - 1)
+            into = [(nodes[::-1], tuple(map(_reverse_arc, reversed(arcs)))) for nodes, arcs in to_s]
+            got = self._walk_memo[v] = (into, to_t)
         return got
 
     def _path(self, nodes: tuple[int, ...], arcs: tuple[int, ...]) -> AugPathCandidate:

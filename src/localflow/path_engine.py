@@ -1,9 +1,12 @@
 """Candidate augmenting paths, their deterministic labels, and chain depths.
 
-Paths are vertex-simple directed S->T walks of bounded length.  A path holds
-its edges as arcs: edge e read AB is the int 2*e and read BA is 2*e + 1, so an
-arc's edge is ``arc >> 1``, its reversal is ``arc ^ 1``, and residual
-capacities and per-edge tables can live in one flat dict keyed by arc.
+Paths are vertex-simple directed S->T walks of bounded length, all found by
+one layered walk search (``_simple_walks``): the global list runs it from each
+S node with cap l, the query tree of ``local_flow`` from each endpoint of an
+edge with cap l-1.  A path holds its edges as arcs: edge e read AB is the int
+2*e and read BA is 2*e + 1, so an arc's edge is ``arc >> 1``, its reversal is
+``arc ^ 1``, and residual capacities and per-edge tables can live in one flat
+dict keyed by arc.
 
 Each path gets a pseudo-random label derived by a keyed hash from its id
 sequence and a seed; because node and edge ids survive subgraph extraction, a
@@ -26,7 +29,7 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import repeat
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import AB, BA, ColoredGraph, DirectedEdgeRef
 
@@ -141,7 +144,8 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     Capacities are never consulted; whether a candidate can actually augment
     is a question for augmentation time.  Interior nodes may have any color.
     The result is sorted by canonical key, each path exactly once.  The graph
-    is valid by construction, so it is not checked here.  A graph with more
+    is valid by construction, so it is not checked here.  Each path is found
+    once, from its S end, by ``_simple_walks`` with cap l.  A graph with more
     than ``_MAX_WALKS`` non-backtracking S->T walks of at most l edges is
     refused before any path is listed, and one with none is not searched.
     """
@@ -177,39 +181,38 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     out: list[AugPathCandidate] = []
     if walks:  # with no such walk there is no path, and nothing to search
         for s in g.nodes_of_color("S"):
-            _extend(g._adj, color, l, out, [s], [], {s})
+            out += [make_path(*w) for w in _simple_walks(g, s, l)[1]]
     out.sort(key=lambda u: u.canonical_key)
     per_graph[l] = tuple(out)
     return out
 
 
-def _extend(
-    adj: Mapping[int, tuple[int, ...]],
-    color: Mapping[int, str],
-    l: int,
-    out: list[AugPathCandidate],
-    node_seq: list[int],
-    arc_seq: list[int],
-    on_path: set[int],
-) -> None:
-    """Depth-first growth of the simple path node_seq over g's adjacency
-    ``adj``, appending each S->T path found to out.  Module-level rather than
-    a nested closure: a closure that calls itself is a reference cycle, which
-    would keep color alive until the cyclic collector runs."""
-    steps = iter(adj[node_seq[-1]])
-    for nxt, arc in zip(steps, steps):
-        if nxt in on_path:
-            continue
-        node_seq.append(nxt)
-        arc_seq.append(arc)
-        if color[nxt] == "T":
-            out.append(make_path(node_seq, arc_seq))
-        if len(arc_seq) < l:
-            on_path.add(nxt)
-            _extend(adj, color, l, out, node_seq, arc_seq, on_path)
-            on_path.remove(nxt)
-        node_seq.pop()
-        arc_seq.pop()
+def _simple_walks(g: ColoredGraph, v: int, cap: int) -> tuple[list[tuple], list[tuple]]:
+    """The (nodes, arcs) of every vertex-simple walk of at most cap edges from
+    v that ends at an S node, and of every one that ends at a T node, shortest
+    first.  One layered search from v over g's adjacency, read in place.  A
+    walk of cap edges that would end at an R node is never built: it can be
+    neither kept nor grown, and its end is read either way."""
+    adj, node = g._adj, g._node_by_id
+    to_s: list[tuple] = []
+    to_t: list[tuple] = []
+    layer = [((v,), ())]
+    for length in range(cap + 1):
+        grown = []
+        for nodes, arcs in layer:
+            end = nodes[-1]
+            color = node[end].color
+            if color == "T":
+                to_t.append((nodes, arcs))
+            elif color == "S":
+                to_s.append((nodes, arcs))
+            if length < cap:
+                steps = iter(adj[end])
+                for nxt, arc in zip(steps, steps):
+                    if nxt not in nodes and (length < cap - 1 or node[nxt].color != "R"):
+                        grown.append((nodes + (nxt,), arcs + (arc,)))
+        layer = grown
+    return to_s, to_t
 
 
 def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes, int]:

@@ -11,8 +11,10 @@ them former library routes kept to check their replacements:
   capacity of a cut;
 * ``assemble_fbar2`` and ``fbar2_value``: the seed-averaged A2 flow from m
   global runs, and its value;
-* ``out_edge_summand``: the tester's per-vertex summand summed over the
-  source's out-edges, the route that ``LocalEvaluator.outflow`` replaced;
+* ``out_edges`` and ``out_edge_summand``: a node's incident edges oriented
+  away from it, read off the adjacency, and the tester's per-vertex summand
+  summed over the source's out-edges, the route that
+  ``LocalEvaluator.outflow`` replaced;
 * ``length_boundary_violations``: the boundary invariant of A1, from prefix
   runs;
 * ``reference_sweep``: the A1/A2 sweep over ``DirectedEdgeRef``s, with a
@@ -40,7 +42,6 @@ from localflow.graph_core import (
     ball_nodes,
     flow_value,
     induced_subgraph,
-    out_edges,
     validate_flow,
 )
 from localflow.local_flow import (
@@ -120,6 +121,12 @@ def assemble_fbar2(g: ColoredGraph, cfg: TesterConfig) -> Flow:
         for eid, v in f2.values.items():
             sums[eid] = sums.get(eid, 0) + v
     return Flow({eid: Fraction(total, cfg.m) for eid, total in sums.items() if total != 0})
+
+
+def out_edges(g: ColoredGraph, v: int) -> list[DirectedEdgeRef]:
+    """Incident edges of v, each oriented away from v, in edge-id order."""
+    g.node(v)  # raises on an unknown node id
+    return [DirectedEdgeRef(arc >> 1, BA if arc & 1 else AB) for arc in g._adj[v][1::2]]
 
 
 def out_edge_summand(g: ColoredGraph, v: int, cfg: TesterConfig,

@@ -16,12 +16,11 @@ from localflow.graph_core import (
     ball_nodes,
     flow_value,
     induced_subgraph,
-    out_edges,
     validate_flow,
 )
 from localflow.harness import InstanceSpec, generate
 from localflow.local_flow import LocalEvaluator, RunConfig, _ball_radius, local_f2_edge, run_a2
-from oracles import assemble_fbar2, fbar2_value, out_edge_summand
+from oracles import assemble_fbar2, fbar2_value, out_edge_summand, out_edges
 from test_acceptance import ac9_specs
 
 

@@ -28,7 +28,6 @@ from localflow.graph_core import (
     graph_from_json,
     graph_to_json,
     induced_subgraph,
-    out_edges,
     validate_flow,
     validate_graph,
 )
@@ -40,6 +39,7 @@ from oracles import (
     dfs_max_flow_value,
     full_scan_subgraph,
     naive_paths,
+    out_edges,
     path_signature,
     residual_sp_length,
 )

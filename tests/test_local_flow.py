@@ -17,7 +17,6 @@ from localflow.graph_core import (
     ball_nodes,
     flow_value,
     induced_subgraph,
-    out_edges,
     validate_flow,
 )
 from localflow.harness import InstanceSpec, default_specs, generate, max_depth_per_edge
@@ -34,11 +33,12 @@ from localflow.local_flow import (
     run_a2,
     verify_locality,
 )
-from localflow.path_engine import chain_depth_all, enumerate_paths, path_key
+from localflow.path_engine import _simple_walks, chain_depth_all, enumerate_paths, path_key
 from oracles import (
     ball_rerun_f2,
     length_boundary_violations,
     naive_paths,
+    out_edges,
     path_signature,
     reference_sweep,
     reference_walks,
@@ -789,6 +789,10 @@ def test_walk_search_equals_the_reference_search(spec):
         ev = LocalEvaluator(g, l, 2)
         for v in sorted(nd.id for nd in g.nodes):
             assert ev._walks(v) == reference_walks(g, l, v), (l, v)
+            # The same search at the global list's cap l, walks to S nodes unreversed.
+            to_s, to_t = _simple_walks(g, v, l)
+            back = [(nodes[::-1], tuple(arc ^ 1 for arc in reversed(arcs))) for nodes, arcs in to_s]
+            assert (back, to_t) == reference_walks(g, l + 1, v), (l, v)
         # A ball's list of the paths through an edge holds the paths of the
         # subgraph the ball induces, in key order, each with its direction.
         for ball in balls:

@@ -5,6 +5,7 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 import localflow.path_engine as path_engine_module
 from conftest import build_graph, line_graph
@@ -20,6 +21,7 @@ from localflow.path_engine import (
     path_key,
 )
 from oracles import brute_chain_depths, intersects, naive_paths, path_signature
+from test_json_properties import graphs
 
 
 def test_single_edge_single_path():
@@ -57,7 +59,7 @@ def test_too_many_walks_are_refused_before_any_path_is_listed(tmp_path, capsys, 
     def no_listing(*args):
         raise AssertionError("paths listed")
 
-    monkeypatch.setattr(path_engine_module, "_extend", no_listing)
+    monkeypatch.setattr(path_engine_module, "_simple_walks", no_listing)
     g, _ = generate(InstanceSpec("grid", params={"rows": 30, "cols": 40}, gen_seed=1))
     with pytest.raises(ValueError, match="path length cap l=12 is too large"):
         enumerate_paths(g, 12)
@@ -74,13 +76,13 @@ def test_no_walk_means_no_search(monkeypatch):
     """With no S->T walk of at most l edges, no path is searched for: here a
     grid with S nodes and no T node at all."""
     calls = []
-    extend = path_engine_module._extend
+    search = path_engine_module._simple_walks
 
     def counted(*args):
         calls.append(1)
-        return extend(*args)
+        return search(*args)
 
-    monkeypatch.setattr(path_engine_module, "_extend", counted)
+    monkeypatch.setattr(path_engine_module, "_simple_walks", counted)
     no_targets, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8},
                                           rho_t=Fraction(0), gen_seed=3))
     assert no_targets.nodes_of_color("S") and not no_targets.nodes_of_color("T")
@@ -105,6 +107,15 @@ def test_matches_naive_enumeration_on_random_instances():
         g, _ = generate(spec)
         got = {path_signature(u) for u in enumerate_paths(g, 4)}
         assert got == naive_paths(g, 4)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_matches_naive_enumeration_on_arbitrary_graphs(g):
+    """Sparse ids, parallel edges, S-T edges and isolated nodes, at every cap
+    from 1 to 5."""
+    for l in range(1, 6):
+        assert {path_signature(u) for u in enumerate_paths(g, l)} == naive_paths(g, l), l
 
 
 def test_paths_are_well_formed_and_unique():
