@@ -43,6 +43,7 @@ from .path_engine import (
     _chain_depths,
     _key_order,
     _simple_walks,
+    _tree_tables,
     enumerate_paths,
     make_path,
     path_key,
@@ -207,8 +208,11 @@ def verify_locality(
     """Compare the global run against per-edge local evaluations, exact equality.
 
     One global A2, then one pass over the sample: each edge is answered on
-    its own ball by a single ``LocalEvaluator``, whose walk searches, paths
-    and labels serve every ball.  ``radius`` (default ``_ball_radius``) and
+    its own ball by a single ``LocalEvaluator``.  Its walks and lists of
+    paths through edges depend only on (g, l), so they are built once per
+    (g, l) in the path cache and shared by every call, whatever its seed, s
+    or radius; order keys are computed once per call and seed, and serve
+    every ball of the call.  ``radius`` (default ``_ball_radius``) and
     ``local_seed`` exist for negative controls.  An empty sample is refused:
     it would check nothing.
     """
@@ -220,6 +224,7 @@ def verify_locality(
 
     f2_global, _ = run_a2(g, cfg)
     ev = LocalEvaluator(g, l, s)
+    ev._walk_memo, ev._through, ev._paths = _tree_tables(g, l)
     mismatches = []
     for ref in edge_sample:
         got_local = ev.f2_on(ref, seed, ball_nodes(g, ref, rad))
@@ -283,7 +288,10 @@ class LocalEvaluator:
     found again through another of its edges is looked up, and only a new
     one gets a canonical key.  The lists of paths through an edge are built
     once per edge id and shared by both orientations, every seed and every
-    ball, and order keys once per seed.  The ordered lists, capped depths
+    ball, and order keys once per seed.  A fresh evaluator builds its own
+    walks and lists, so a local query costs what the paper bounds;
+    ``verify_locality``'s evaluators share theirs, built once per (g, l) in
+    the path cache, across calls.  The ordered lists, capped depths
     and amounts are memoised per seed for one ball at a time: a query on
     another ball (no ball is one too) drops the tables of the last.  The
     graph is valid by construction, so its nodes and edges are read

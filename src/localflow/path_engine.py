@@ -129,9 +129,20 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
     return sorted(paths, key=lambda u: (len(u.arcs) << 64) | label(u.canonical_key))
 
 
-# Enumeration depends only on (graph, l), never on seeds or capacities, so
-# multi-seed sweeps share it.  Keyed by graph identity.
+# Paths depend only on (graph, l), never on seeds or capacities, so
+# multi-seed runs share them.  Keyed by graph identity; per graph, l -> the
+# global path list, and (l, "tree") -> the query tree's walk memo, paths
+# through each edge and paths by arcs, built once and shared by every
+# ``verify_locality`` call on (graph, l), whatever its seed, s or radius.
+# No value refers to the graph, so the cache never keeps a graph alive.
 _PATH_CACHE: "weakref.WeakKeyDictionary[ColoredGraph, dict]" = weakref.WeakKeyDictionary()
+
+
+def _tree_tables(g: ColoredGraph, l: int) -> tuple[dict, dict, dict]:
+    """The query tree's seed-independent tables on (g, l) from the path
+    cache: (walk memo, paths through each edge, paths by arcs)."""
+    return _PATH_CACHE.setdefault(g, {}).setdefault((l, "tree"), ({}, {}, {}))
+
 
 # The most non-backtracking S->T walks of at most l edges a graph may have for
 # its paths to be listed.

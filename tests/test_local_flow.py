@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 import localflow.local_flow as local_flow_module
 import localflow.path_engine as path_engine_module
 from conftest import build_graph, line_graph, seed_sensitive_graph
+from localflow.estimator_tester import TesterConfig, run_tester
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import (
     ColoredGraph,
@@ -647,6 +650,107 @@ def test_verify_locality_searches_each_node_and_builds_each_path_once(monkeypatc
     assert len({ball_nodes(g, ref, 18) for ref in refs}) == 292
     assert (len(searched), len(built), len(hashed)) == (300, 196, 196)
     assert len(set(searched)) == 300 and len(set(built)) == len(set(hashed)) == 196
+
+    # A later call on (g, l) reuses the walks and paths, whatever its seed, s
+    # and radius, and keys each path once under its own seed.
+    searched.clear(), built.clear(), hashed.clear()
+    cfg = RunConfig(l=6, s=2, seed=4)
+    warm = verify_locality(g, cfg, refs, radius=5)
+    assert (len(searched), len(built), len(hashed), len(set(hashed))) == (0, 0, 196, 196)
+    monkeypatch.undo()
+    assert warm == verify_locality(ac5_instance(), cfg, refs, radius=5)
+
+
+def test_verify_locality_shares_tables_per_l_and_answers_as_on_a_fresh_graph():
+    """One graph checked at l=4, then at l=6, then at l=4 again with a too
+    small radius and a mismatched local seed: each report is the one a fresh
+    copy of the graph gives, and each l has its own tables."""
+    g = ac5_instance()
+    refs = [DirectedEdgeRef(e.id, o) for e in g.edges for o in ("AB", "BA")]
+    calls = [(RunConfig(l=4, s=3, seed=1), {}), (RunConfig(l=6, s=3, seed=2), {}),
+             (RunConfig(l=4, s=2, seed=3), {"radius": 1, "local_seed": 5})]
+    reports = [verify_locality(g, cfg, refs, **kw) for cfg, kw in calls]
+    assert reports == [verify_locality(ac5_instance(), cfg, refs, **kw) for cfg, kw in calls]
+    assert reports[0].passed and reports[1].passed and not reports[2].passed
+    tables = path_engine_module._PATH_CACHE[g]
+    assert max(map(len, tables[4, "tree"][2])) <= 4 < max(map(len, tables[6, "tree"][2]))
+
+
+def test_a_call_that_raises_leaves_only_complete_shared_tables(monkeypatch):
+    """A verify_locality call cut off half way through listing the paths of
+    an edge shares nothing half built: the next call gives a fresh copy's
+    report, and every list of paths through an edge is a fresh evaluator's."""
+    g = ac5_instance()
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    cfg = RunConfig(l=6, s=3, seed=1)
+    real_make_path = local_flow_module.make_path
+    built: list[bytes] = []
+
+    def failing(nodes, arcs):
+        if len(built) == 100:
+            raise RuntimeError("cut off")
+        built.append(nodes)
+        return real_make_path(nodes, arcs)
+
+    monkeypatch.setattr(local_flow_module, "make_path", failing)
+    with pytest.raises(RuntimeError, match="cut off"):
+        verify_locality(g, cfg, refs)
+    monkeypatch.undo()
+    walks, through, paths = path_engine_module._PATH_CACHE[g][6, "tree"]
+    assert len(paths) == 100 and through
+    assert verify_locality(g, cfg, refs) == verify_locality(ac5_instance(), cfg, refs)
+    fresh = LocalEvaluator(g, 6, 3)
+    assert all(fresh._paths_through(eid) == got for eid, got in through.items())
+    assert all(fresh._walks(v) == got for v, got in walks.items())
+
+
+def test_local_queries_and_the_tester_stay_cold_after_verify_locality(monkeypatch):
+    """``local_f2_edge`` and ``run_tester`` build a fresh evaluator per call:
+    on a graph that ``verify_locality`` has warmed they search as many nodes
+    and build as many paths as on a fresh copy."""
+    l, s = 6, 3
+    refs = [DirectedEdgeRef(e.id, "AB") for e in ac5_instance().edges[::30]]
+    real_walks, real_make_path = local_flow_module._simple_walks, local_flow_module.make_path
+
+    def counts(g: ColoredGraph) -> tuple[int, int]:
+        searched: list[int] = []
+        built: list[bytes] = []
+
+        def walking(h, v, cap):
+            searched.append(v)
+            return real_walks(h, v, cap)
+
+        def making(nodes, arcs):
+            built.append(nodes)
+            return real_make_path(nodes, arcs)
+
+        monkeypatch.setattr(local_flow_module, "_simple_walks", walking)
+        monkeypatch.setattr(local_flow_module, "make_path", making)
+        for ref in refs:
+            local_f2_edge(g, ref, RunConfig(l=l, s=s, seed=1))
+        run_tester(g, TesterConfig(l=l, s=s, seeds=(1, 2), k=50))
+        monkeypatch.undo()
+        return len(searched), len(built)
+
+    warm = ac5_instance()
+    assert verify_locality(warm, RunConfig(l=l, s=s, seed=1),
+                           [DirectedEdgeRef(e.id, "AB") for e in warm.edges]).passed
+    assert path_engine_module._PATH_CACHE[warm][l, "tree"][0]
+    cold = counts(ac5_instance())
+    assert cold[0] > 0 and cold[1] > 0
+    assert counts(warm) == cold
+
+
+def test_the_path_cache_lets_go_of_its_graph():
+    g = ac5_instance()
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    enumerate_paths(g, 6)
+    assert verify_locality(g, RunConfig(l=6, s=3, seed=1), refs).passed
+    assert set(path_engine_module._PATH_CACHE[g]) == {6, (6, "tree")}
+    alive = weakref.ref(g)
+    del g
+    gc.collect()
+    assert alive() is None
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
