@@ -653,7 +653,7 @@ def test_verify_locality_searches_each_node_and_builds_each_path_once(monkeypatc
 
     # A later call on (g, l) reuses the walks and paths, whatever its seed, s
     # and radius, and keys each path once under its own seed.
-    searched.clear(), built.clear(), hashed.clear()
+    del searched[:], built[:], hashed[:]
     cfg = RunConfig(l=6, s=2, seed=4)
     warm = verify_locality(g, cfg, refs, radius=5)
     assert (len(searched), len(built), len(hashed), len(set(hashed))) == (0, 0, 196, 196)
@@ -684,7 +684,7 @@ def test_a_call_that_raises_leaves_only_complete_shared_tables(monkeypatch):
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
     cfg = RunConfig(l=6, s=3, seed=1)
     real_make_path = local_flow_module.make_path
-    built: list[bytes] = []
+    built: list[tuple[int, ...]] = []
 
     def failing(nodes, arcs):
         if len(built) == 100:
@@ -714,7 +714,7 @@ def test_local_queries_and_the_tester_stay_cold_after_verify_locality(monkeypatc
 
     def counts(g: ColoredGraph) -> tuple[int, int]:
         searched: list[int] = []
-        built: list[bytes] = []
+        built: list[tuple[int, ...]] = []
 
         def walking(h, v, cap):
             searched.append(v)
