@@ -302,7 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "verify-locality", _cmd_verify_locality, "global vs local equality",
                 "graph!", "l|epsilon!", "s!", "seed", "sample", "out")
     p.add_argument("--radius", type=int, help="negative control: ball radius (default s*(l-1))")
-    p.add_argument("--local-seed", type=int, help="mismatched-seed negative control")
+    p.add_argument("--local-seed", type=int,
+                   help="mismatched-seed negative control; it fails only where run_a2 depends "
+                        "on the seed, which it does not on AC-5's instance")
 
     p = command(sub, "tester", _cmd_tester, "sampling estimate of max flow over n",
                 "graph!", "l!", "s!", "seeds!", "seed", "out")

@@ -38,6 +38,7 @@ from .graph_core import (
     validate_flow,
 )
 from .path_engine import (
+    _PATH_CACHE,
     AugPathCandidate,
     OrderKey,
     _chain_depths,
@@ -208,26 +209,38 @@ def verify_locality(
     """Compare the global run against per-edge local evaluations, exact equality.
 
     One global A2, then one pass over the sample: each edge is answered on
-    its own ball by a single ``LocalEvaluator``.  Its walks and lists of
-    paths through edges depend only on (g, l), so they are built once per
-    (g, l) in the path cache and shared by every call, whatever its seed, s
-    or radius; order keys are computed once per call and seed, and serve
-    every ball of the call.  ``radius`` (default ``_ball_radius``) and
-    ``local_seed`` exist for negative controls.  An empty sample is refused:
-    it would check nothing.
+    its own ball by a single ``LocalEvaluator``.  What depends only on the
+    graph is built once and shared by every call through the path cache:
+    the balls once per (g, radius), and the walks and lists of paths
+    through edges once per (g, l), whatever the seed or s.  Each edge's
+    key-sorted list of paths is built once per call and seed; a ball only
+    filters it.  ``radius`` (default ``_ball_radius``) and ``local_seed``
+    exist for negative controls, and each must be a plain int, the radius
+    at least 0.  The mismatched-seed control fails only where ``run_a2``
+    depends on the seed: on AC-5's instance it does not, and
+    ``test_mismatched_seed_negative_control_fails`` shows the control
+    failing on a graph built for it.  An empty sample is refused: it would
+    check nothing.
     """
     if not edge_sample:
         raise ValueError("bad field 'edge_sample': expected at least one edge, got none")
     l, s = cfg.l, cfg.require_s()
-    rad = _ball_radius(l, s) if radius is None else radius
-    seed = cfg.seed if local_seed is None else local_seed
+    where = "verify_locality"
+    rad = (_ball_radius(l, s) if radius is None
+           else _int_field({"radius": radius}, "radius", where, minimum=0))
+    seed = (cfg.seed if local_seed is None
+            else _int_field({"local_seed": local_seed}, "local_seed", where))
 
     f2_global, _ = run_a2(g, cfg)
     ev = LocalEvaluator(g, l, s)
     ev._walk_memo, ev._through, ev._paths = _tree_tables(g, l)
+    balls = _PATH_CACHE.setdefault(g, {}).setdefault((rad, "balls"), {})
     mismatches = []
     for ref in edge_sample:
-        got_local = ev.f2_on(ref, seed, ball_nodes(g, ref, rad))
+        ball = balls.get(ref.edge_id)
+        if ball is None:
+            ball = balls[ref.edge_id] = ball_nodes(g, ref, rad)
+        got_local = ev.f2_on(ref, seed, ball)
         got_global = int(f2_global.on(ref))
         if got_global != got_local:
             mismatches.append(LocalityMismatch(ref, got_global, got_local))
@@ -288,12 +301,16 @@ class LocalEvaluator:
     found again through another of its edges is looked up, and only a new
     one gets a canonical key.  The lists of paths through an edge are built
     once per edge id and shared by both orientations, every seed and every
-    ball, and order keys once per seed.  A fresh evaluator builds its own
-    walks and lists, so a local query costs what the paper bounds;
-    ``verify_locality``'s evaluators share theirs, built once per (g, l) in
-    the path cache, across calls.  The ordered lists, capped depths
-    and amounts are memoised per seed for one ball at a time: a query on
-    another ball (no ball is one too) drops the tables of the last.  The
+    ball; order keys, and each edge's list sorted by them, once per seed.  A
+    ball filters an edge's sorted list, which keeps its order, so no ball
+    sorts anything, and where the ball drops no path it reuses the list.  A
+    fresh evaluator builds its own walks and lists, so a local query costs
+    what the paper bounds; ``verify_locality``'s evaluators share theirs,
+    built once per (g, l) in the path cache, across calls.  The filtered
+    lists, capped depths and amounts are memoised per seed for one ball at
+    a time: a query on another ball (no ball is one too) drops the tables
+    of the last.  Without a ball the filtered lists are the sorted lists
+    themselves.  The
     graph is valid by construction, so its nodes and edges are read
     unchecked, and l and s come from a checked config; every path, amount
     and returned value is checked against the invariants of a valid flow.
@@ -308,6 +325,8 @@ class LocalEvaluator:
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
         self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
         self._keys: dict[int, dict[bytes, OrderKey]] = {}  # seed -> canonical key -> order key
+        # seed -> edge id -> (key, path, sign) of every path through it, in key order
+        self._sorted: dict[int, dict[int, list[tuple[OrderKey, AugPathCandidate, int]]]] = {}
         self._ball: frozenset[int] | None = None  # the ball the tables hold
         self._tables: dict[int, _BallTables] = {}  # seed -> its tables on self._ball
 
@@ -370,25 +389,35 @@ class LocalEvaluator:
             self._ball, self._tables = ball, {}
         t = self._tables.get(seed)
         if t is None:
-            t = self._tables[seed] = _BallTables(seed, self._keys.setdefault(seed, {}), self.s)
+            t = self._tables[seed] = _BallTables(seed, self._keys.setdefault(seed, {}),
+                                                 self._sorted.setdefault(seed, {}), ball, self.s)
         return t
 
     def _ordered(self, t: _BallTables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
-        """(key, path, sign) of the paths through eid inside the ball, in key order."""
+        """(key, path, sign) of the paths through eid inside the ball, in key
+        order: the seed's sorted list of every path through eid, filtered by
+        the ball, which keeps the order.  Without a ball ``t.orders`` is the
+        seed's sorted lists themselves."""
         got = t.orders.get(eid)
         if got is None:
-            keys, ball = t.keys, self._ball
-            got = []
-            for u, sign in self._paths_through(eid):
-                if ball is not None and not ball.issuperset(u.nodes):
-                    continue
-                ck = u.canonical_key
-                k = keys.get(ck)
-                if k is None:
-                    k = keys[ck] = path_key(u, t.seed)
-                got.append((k, u, sign))
-            got.sort()  # keys are distinct, so paths are never compared
-            t.orders[eid] = got
+            got = t.sorted.get(eid)
+            if got is None:
+                keys, seed = t.keys, t.seed
+                got = []
+                for u, sign in self._paths_through(eid):
+                    ck = u.canonical_key
+                    k = keys.get(ck)
+                    if k is None:
+                        k = keys[ck] = path_key(u, seed)
+                    got.append((k, u, sign))
+                got.sort()  # keys are distinct, so paths are never compared
+                t.sorted[eid] = got
+            ball = self._ball
+            if ball is not None:
+                inside = [kus for kus in got if ball.issuperset(kus[1].nodes)]
+                if len(inside) < len(got):
+                    got = inside
+                t.orders[eid] = got
         return got
 
     def _depth(self, t: _BallTables, u: AugPathCandidate, k: int) -> int:
@@ -500,17 +529,21 @@ class LocalEvaluator:
 
 class _BallTables:
     """One seed's memo tables over an evaluator's paths on the evaluator's
-    ball, keyed by canonical key; ``keys`` is the seed's table of order keys,
+    ball, keyed by canonical key; ``keys`` (the seed's order keys) and
+    ``sorted`` (its key-sorted lists of every path through each edge) are
     shared by every ball.
 
     Plain data: the evaluator's methods fill it, so no reference cycle keeps
     a finished evaluator alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, keys: dict[bytes, OrderKey], s: int):
+    def __init__(self, seed: int, keys: dict[bytes, OrderKey],
+                 sorted_lists: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]],
+                 ball: frozenset[int] | None, s: int):
         self.seed = seed
         self.keys = keys
+        self.sorted = sorted_lists
         # edge id -> (key, path, sign) of the paths through it inside the ball, in key order
-        self.orders: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
+        self.orders = sorted_lists if ball is None else {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}

@@ -134,7 +134,10 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 # global path list, and (l, "tree") -> the query tree's walk memo, paths
 # through each edge and paths by arcs, built once and shared by every
 # ``verify_locality`` call on (graph, l), whatever its seed, s or radius.
-# No value refers to the graph, so the cache never keeps a graph alive.
+# ``verify_locality`` also keeps its balls here, under (radius, "balls"):
+# edge id -> the node ids within radius hops of the edge, built once per
+# (graph, radius) and shared whatever the l, s or seed.  No value refers to
+# the graph, so the cache never keeps a graph alive.
 _PATH_CACHE: "weakref.WeakKeyDictionary[ColoredGraph, dict]" = weakref.WeakKeyDictionary()
 
 

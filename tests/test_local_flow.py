@@ -746,11 +746,137 @@ def test_the_path_cache_lets_go_of_its_graph():
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
     enumerate_paths(g, 6)
     assert verify_locality(g, RunConfig(l=6, s=3, seed=1), refs).passed
-    assert set(path_engine_module._PATH_CACHE[g]) == {6, (6, "tree")}
+    assert set(path_engine_module._PATH_CACHE[g]) == {6, (6, "tree"), (15, "balls")}
     alive = weakref.ref(g)
     del g
     gc.collect()
     assert alive() is None
+
+
+def counted_balls(monkeypatch) -> list[tuple[int, int]]:
+    """The (edge id, radius) of every ``ball_nodes`` call ``local_flow`` makes
+    from now on."""
+    calls: list[tuple[int, int]] = []
+    real_ball_nodes = local_flow_module.ball_nodes
+
+    def counting(h, center, r):
+        calls.append((center.edge_id, r))
+        return real_ball_nodes(h, center, r)
+
+    monkeypatch.setattr(local_flow_module, "ball_nodes", counting)
+    return calls
+
+
+def test_verify_locality_builds_each_ball_once_per_radius(monkeypatch):
+    """A ball depends only on (g, edge, radius): a later call at the same
+    radius, whatever its seed, s or orientation, builds none, and a call at
+    a new radius builds one per edge."""
+    spec = random_spec(573, n=60, params={"rounds": 2})
+    g, _ = generate(spec)
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    flipped = [DirectedEdgeRef(ref.edge_id, "BA") for ref in refs]
+    cfg = RunConfig(l=3, s=2, seed=1)
+    # every config's default radius s*(l-1) is 4
+    later = [(cfg, flipped), (RunConfig(l=3, s=2, seed=2), refs),
+             (RunConfig(l=5, s=1, seed=3), refs)]
+    fresh = [verify_locality(generate(spec)[0], c, r) for c, r in [(cfg, refs), *later]]
+    calls = counted_balls(monkeypatch)
+    assert verify_locality(g, cfg, refs) == fresh[0]
+    assert calls == [(ref.edge_id, 4) for ref in refs]
+    del calls[:]
+    assert [verify_locality(g, c, r) for c, r in later] == fresh[1:]
+    assert calls == []
+    assert (verify_locality(g, cfg, refs, radius=2)
+            == verify_locality(generate(spec)[0], cfg, refs, radius=2))
+    assert calls == [(ref.edge_id, 2) for ref in refs] * 2  # g's, then the fresh copy's
+    balls = path_engine_module._PATH_CACHE[g]
+    for rad in (2, 4):
+        assert balls[rad, "balls"] == {ref.edge_id: ball_nodes(g, ref, rad) for ref in refs}
+
+
+def test_an_unknown_edge_stores_no_ball(monkeypatch):
+    g = ac5_instance()
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges[:100]]
+    cfg = RunConfig(l=6, s=3, seed=1)
+    calls = counted_balls(monkeypatch)
+    with pytest.raises(ValueError, match="unknown edge id 9999"):
+        verify_locality(g, cfg, refs + [DirectedEdgeRef(9999, "AB")])
+    assert 9999 not in path_engine_module._PATH_CACHE[g][15, "balls"]
+    assert len(calls) == len(refs) + 1
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    assert verify_locality(g, cfg, refs) == verify_locality(ac5_instance(), cfg, refs)
+
+
+@pytest.mark.parametrize("field,value", [
+    *(("radius", value) for value in (True, 2.0, "3", -1)),
+    *(("local_seed", value) for value in (True, 2.0, "3")),
+])
+def test_verify_locality_refuses_a_radius_or_local_seed_that_is_no_plain_int(field, value):
+    """``radius=True`` is not radius 1: it is refused before anything is
+    computed or cached for g, so the two never share a cached ball."""
+    g = line_graph("SRRT", cap=3)
+    with pytest.raises(ValueError, match=f"bad field '{field}'"):
+        verify_locality(g, RunConfig(l=3, s=2, seed=0), [DirectedEdgeRef(0, "AB")],
+                        **{field: value})
+    assert g not in path_engine_module._PATH_CACHE
+
+
+def test_a_negative_local_seed_is_a_seed_like_any_other():
+    # RunConfig takes any int seed, so local_seed does too.
+    g = seed_sensitive_graph()
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    cfg = RunConfig(l=3, s=5, seed=-1)
+    assert verify_locality(g, cfg, refs, local_seed=-1) == verify_locality(g, cfg, refs)
+    assert verify_locality(g, cfg, refs).passed
+
+
+def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypatch):
+    """On AC-5's instance at radius l-1, one evaluator answers every edge on
+    its ball under two interleaved seeds.  ``path_key`` runs once per path
+    and seed; each ball's list of paths through an edge is the seed's sorted
+    list filtered by the ball, and the sorted list itself where the ball
+    drops nothing; and the answers are ``verify_locality``'s."""
+    g = ac5_instance()
+    l, s, rad = 6, 3, 5
+    refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+    hashed: list[tuple[bytes, int]] = []
+    real_path_key = local_flow_module.path_key
+
+    def keying(u, seed):
+        hashed.append((u.canonical_key, seed))
+        return real_path_key(u, seed)
+
+    monkeypatch.setattr(local_flow_module, "path_key", keying)
+    ev = LocalEvaluator(g, l, s)
+    answers = {1: [], 2: []}
+    shared = filtered = 0
+    for ref in refs:
+        ball = ball_nodes(g, ref, rad)
+        for seed in (1, 2):
+            answers[seed].append(ev.f2_on(ref, seed, ball))
+        for seed, t in ev._tables.items():
+            for eid, got in t.orders.items():
+                full = ev._sorted[seed][eid]
+                inside = [kus for kus in full if ball.issuperset(kus[1].nodes)]
+                assert got == inside
+                if len(inside) == len(full):
+                    assert got is full
+                    shared += 1
+                else:
+                    filtered += 1
+    # Without a ball the sorted lists are the lists a query reads, unfiltered.
+    no_ball = [ev.f2_on(ref, seed) for seed in (1, 2) for ref in refs[:10]]
+    assert all(ev._tables[seed].orders is ev._sorted[seed] for seed in (1, 2))
+    monkeypatch.undo()
+    assert shared and filtered
+    assert len(hashed) == len(set(hashed)) == len(ev._keys[1]) + len(ev._keys[2])
+    assert set(ev._keys[1]) == set(ev._keys[2]) == {u.canonical_key for u in ev._paths.values()}
+    f2s = [run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2)]
+    for seed, f2 in zip((1, 2), f2s):
+        report = verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs, radius=rad)
+        assert [ref for ref, got in zip(refs, answers[seed]) if got != f2.on(ref)] == \
+            [mm.edge for mm in report.mismatches]
+    assert no_ball == [f2.on(ref) for f2 in f2s for ref in refs[:10]]
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
