@@ -287,8 +287,7 @@ def induced_subgraph(g: ColoredGraph, node_ids: AbstractSet[int]) -> ColoredGrap
 
 def ball_nodes(g: ColoredGraph, center: Union[int, DirectedEdgeRef], r: int) -> frozenset[int]:
     """Node ids at hop distance <= r from a node or from either endpoint of an edge."""
-    if r < 0:
-        raise ValueError(f"bad field 'radius': expected an integer >= 0, got {r}")
+    _int_field({"radius": r}, "radius", "ball_nodes", minimum=0)
     if isinstance(center, DirectedEdgeRef):
         e = g.edge(center.edge_id)
         seen = {e.a, e.b}

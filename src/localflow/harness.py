@@ -196,7 +196,7 @@ def _gen_path_bundle(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, di
         nodes.append(Node(chain[-1], "T"))
         for a, bnode in zip(chain, chain[1:]):
             edges.append(Edge(len(edges), a, bnode, b, b))
-    g = ColoredGraph(tuple(nodes), tuple(edges), max(spec.d, 2), spec.m_ticks, spec.quantum)
+    g = ColoredGraph(tuple(nodes), tuple(edges), spec.d, spec.m_ticks, spec.quantum)
     return g, {"known_max_flow_ticks": sum(bottlenecks)}
 
 
@@ -218,8 +218,7 @@ def _gen_grid(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, dict]:
                 if inside:
                     edges.append(Edge(len(edges), v, w, rng.randint(cap_min, spec.m_ticks),
                                       rng.randint(cap_min, spec.m_ticks)))
-    d = max(spec.d, 4 if rows > 1 and cols > 1 else 2)
-    return ColoredGraph(tuple(nodes), tuple(edges), d, spec.m_ticks, spec.quantum), {}
+    return ColoredGraph(tuple(nodes), tuple(edges), spec.d, spec.m_ticks, spec.quantum), {}
 
 
 def _gen_random_bounded(spec: InstanceSpec, params: dict) -> tuple[ColoredGraph, dict]:

@@ -292,28 +292,33 @@ class LocalEvaluator:
     which is never built: the paths of that subgraph through an edge are
     exactly the paths of g through it whose nodes all lie in the ball, so
     the ball only filters the lists of paths through edges, and an edge with
-    an endpoint outside it raises ``ValueError``, as on the subgraph.
-    Everything else is shared by every ball.  The layered walk search that
-    lists the global paths from each S node with cap l (``_simple_walks``)
-    runs here at most once per node of g, with cap l-1, and finds both the
-    walks from S nodes into it and the walks from it to T nodes; a reversed
-    walk reverses each arc (``arc ^ 1``).  A path is known by its arcs: one
-    found again through another of its edges is looked up, and only a new
-    one gets a canonical key.  The lists of paths through an edge are built
-    once per edge id and shared by both orientations, every seed and every
-    ball; order keys, and each edge's list sorted by them, once per seed.  A
-    ball filters an edge's sorted list, which keeps its order, so no ball
-    sorts anything, and where the ball drops no path it reuses the list.  A
-    fresh evaluator builds its own walks and lists, so a local query costs
-    what the paper bounds; ``verify_locality``'s evaluators share theirs,
-    built once per (g, l) in the path cache, across calls.  The filtered
-    lists, capped depths and amounts are memoised per seed for one ball at
-    a time: a query on another ball (no ball is one too) drops the tables
-    of the last.  Without a ball the filtered lists are the sorted lists
-    themselves.  The
-    graph is valid by construction, so its nodes and edges are read
-    unchecked, and l and s come from a checked config; every path, amount
-    and returned value is checked against the invariants of a valid flow.
+    an endpoint outside it raises ``ValueError``, as on the subgraph.  The
+    layered walk search that lists the global paths from each S node with
+    cap l (``_simple_walks``) runs here at most once per node of g, with cap
+    l-1, and finds both the walks from S nodes into it and the walks from it
+    to T nodes; a reversed walk reverses each arc (``arc ^ 1``).  A path is
+    known by its arcs: one found again through another of its edges is
+    looked up, and only a new one is built.  The paths through an edge are
+    listed once per edge id and shared by both orientations, every seed and
+    every ball.  A fresh evaluator builds its own walks and lists, so a
+    local query costs what the paper bounds; ``verify_locality``'s
+    evaluators share theirs, built once per (g, l) in the path cache, across
+    calls.
+
+    The memo has two levels, a ``_Tables`` each.  Per seed, the tables on g
+    hold the order keys, so ``path_key`` runs once per path and seed, each
+    edge's (key, path, sign) list sorted by key, and the capped depths and
+    amounts of the queries without a ball; they live as long as the
+    evaluator.  Per seed, a ball's view of them holds that ball's state
+    only: its lists are g's filtered by the ball, which keeps their order,
+    so no ball sorts anything, and where the ball drops no path the view
+    reuses g's list.  The views hold one ball at a time: a query on another
+    ball drops those of the last.  A path's key travels with it in its list
+    entry, so the recursion over depths and amounts never looks one up.
+    The graph is valid by construction, so its nodes and edges, and the
+    paths found on it, are read unchecked, and l and s come from a checked
+    config; every amount and returned value is checked against the
+    invariants of a valid flow.
     """
 
     def __init__(self, g: ColoredGraph, l: int, s: int):
@@ -324,11 +329,9 @@ class LocalEvaluator:
         self._paths: dict[tuple[int, ...], AugPathCandidate] = {}
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
         self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
-        self._keys: dict[int, dict[bytes, OrderKey]] = {}  # seed -> canonical key -> order key
-        # seed -> edge id -> (key, path, sign) of every path through it, in key order
-        self._sorted: dict[int, dict[int, list[tuple[OrderKey, AugPathCandidate, int]]]] = {}
-        self._ball: frozenset[int] | None = None  # the ball the tables hold
-        self._tables: dict[int, _BallTables] = {}  # seed -> its tables on self._ball
+        self._on_g: dict[int, _Tables] = {}  # seed -> its tables on g
+        # the last ball a query named -> seed -> its view of the tables on g
+        self._on_ball: dict[frozenset[int], dict[int, _Tables]] = {}
 
     def f2_on(self, e: DirectedEdgeRef, seed: int, ball: frozenset[int] | None = None) -> int:
         """A2's value at e under seed, on the subgraph ``ball`` induces if given."""
@@ -337,9 +340,9 @@ class LocalEvaluator:
             raise ValueError(f"unknown edge id {edge.id}")
         t = self._seed_tables(seed, ball)
         total = 0
-        for _, u, sign in self._ordered(t, edge.id):
-            if self._depth(t, u, self.s) < self.s:
-                total += sign * self._amount(t, u)
+        for ku, u, sign in self._ordered(t, edge.id):
+            if self._depth(t, ku, u, self.s) < self.s:
+                total += sign * self._amount(t, ku, u)
         if not -edge.cap_ba <= total <= edge.cap_ab:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
         if e.orientation == AB:
@@ -371,37 +374,42 @@ class LocalEvaluator:
             else:
                 cap_out += e.cap_ab
                 cap_in += e.cap_ba
-            for _, u, _ in self._ordered(t, e.id):
+            for ku, u, _ in self._ordered(t, e.id):
                 nodes = u.nodes
                 sign = 1 if nodes[0] == v else -1 if nodes[-1] == v else 0
-                if sign and self._depth(t, u, s) < s:
-                    total += sign * self._amount(t, u)
+                if sign and self._depth(t, ku, u, s) < s:
+                    total += sign * self._amount(t, ku, u)
         low = -cap_in if color == "T" else 0
         high = cap_out if color == "S" else 0
         if not low <= total <= high:
             raise AssertionError(f"net outflow {total} at {color} node {v} outside [{low}, {high}]")
         return total
 
-    def _seed_tables(self, seed: int, ball: frozenset[int] | None) -> _BallTables:
-        """seed's memo tables on ball; a ball other than the last drops the
-        last ball's tables."""
-        if ball != self._ball:
-            self._ball, self._tables = ball, {}
-        t = self._tables.get(seed)
+    def _seed_tables(self, seed: int, ball: frozenset[int] | None) -> _Tables:
+        """seed's tables on g, or with a ball its view of them on the ball; a
+        ball other than the last drops the last ball's views."""
+        t = self._on_g.get(seed)
         if t is None:
-            t = self._tables[seed] = _BallTables(seed, self._keys.setdefault(seed, {}),
-                                                 self._sorted.setdefault(seed, {}), ball, self.s)
-        return t
+            t = self._on_g[seed] = _Tables(seed, self.s)
+        if ball is None:
+            return t
+        views = self._on_ball.get(ball)
+        if views is None:
+            self._on_ball = {ball: (views := {})}
+        view = views.get(seed)
+        if view is None:
+            view = views[seed] = _Tables(seed, self.s, t, ball)
+        return view
 
-    def _ordered(self, t: _BallTables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
-        """(key, path, sign) of the paths through eid inside the ball, in key
-        order: the seed's sorted list of every path through eid, filtered by
-        the ball, which keeps the order.  Without a ball ``t.orders`` is the
-        seed's sorted lists themselves."""
-        got = t.orders.get(eid)
+    def _ordered(self, t: _Tables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
+        """(key, path, sign) of the paths through eid on t's graph, in key
+        order.  On g the paths are keyed, each once per seed, and sorted; a
+        ball's view filters g's list, which keeps its order, and reuses it
+        where the ball drops nothing."""
+        got = t.lists.get(eid)
         if got is None:
-            got = t.sorted.get(eid)
-            if got is None:
+            on_g = t.on_g
+            if on_g is None:
                 keys, seed = t.keys, t.seed
                 got = []
                 for u, sign in self._paths_through(eid):
@@ -411,47 +419,45 @@ class LocalEvaluator:
                         k = keys[ck] = path_key(u, seed)
                     got.append((k, u, sign))
                 got.sort()  # keys are distinct, so paths are never compared
-                t.sorted[eid] = got
-            ball = self._ball
-            if ball is not None:
-                inside = [kus for kus in got if ball.issuperset(kus[1].nodes)]
-                if len(inside) < len(got):
-                    got = inside
-                t.orders[eid] = got
+            else:
+                full = self._ordered(on_g, eid)
+                ball = t.ball
+                got = [kus for kus in full if ball.issuperset(kus[1].nodes)]
+                if len(got) == len(full):
+                    got = full
+            t.lists[eid] = got
         return got
 
-    def _depth(self, t: _BallTables, u: AugPathCandidate, k: int) -> int:
-        """h(u, k): u's chain depth capped at k."""
+    def _depth(self, t: _Tables, ku: OrderKey, u: AugPathCandidate, k: int) -> int:
+        """h(u, k): u's chain depth capped at k; ku is u's key."""
         if k == 1:
             return 1
         memo = t.depths[k]
         ck = u.canonical_key
         got = memo.get(ck)
         if got is None:
-            got = memo[ck] = self._compute_depth(t, u, k)
+            got = memo[ck] = self._compute_depth(t, ku, u, k)
         return got
 
-    def _compute_depth(self, t: _BallTables, u: AugPathCandidate, k: int) -> int:
+    def _compute_depth(self, t: _Tables, ku: OrderKey, u: AugPathCandidate, k: int) -> int:
         """h(u, k) for k >= 2, from u's predecessors."""
-        ku = t.keys[u.canonical_key]
         best = 0
         for arc in u.arcs:
             for kv, v, _ in self._ordered(t, arc >> 1):
                 if kv >= ku:
                     break
-                got = self._depth(t, v, k - 1)
+                got = self._depth(t, kv, v, k - 1)
                 if got == k - 1:
                     return k
                 if got > best:
                     best = got
         return best + 1
 
-    def _amount(self, t: _BallTables, u: AugPathCandidate) -> int:
-        """What A2 augments u by; u must be unskipped."""
+    def _amount(self, t: _Tables, ku: OrderKey, u: AugPathCandidate) -> int:
+        """What A2 augments u by; u must be unskipped, and ku is its key."""
         ck = u.canonical_key
         got = t.amounts.get(ck)
         if got is None:
-            ku = t.keys[ck]
             edge = self.g._edge_by_id
             for arc in u.arcs:
                 eid = arc >> 1
@@ -459,7 +465,7 @@ class LocalEvaluator:
                 for kv, v, v_sign in self._ordered(t, eid):
                     if kv >= ku:
                         break
-                    f_ab += v_sign * self._amount(t, v)
+                    f_ab += v_sign * self._amount(t, kv, v)
                 e = edge[eid]
                 room = e.cap_ba + f_ab if arc & 1 else e.cap_ab - f_ab
                 if got is None or room < got:
@@ -470,34 +476,34 @@ class LocalEvaluator:
         return got
 
     def _paths_through(self, eid: int) -> tuple[tuple[AugPathCandidate, int], ...]:
-        """(path, +1 if it uses eid AB else -1) for every path through eid."""
+        """(path, +1 if it uses eid AB else -1) for every vertex-simple S->T
+        path of at most l edges through eid, either way: an S-to-tail walk,
+        the edge, then a node-disjoint head-to-T walk."""
         got = self._through.get(eid)
         if got is None:
-            got = self._through[eid] = tuple(self._enumerate_through(eid))
+            e = self.g._edge_by_id[eid]
+            paths = self._paths
+            found = []
+            for tail, head, arc, sign in ((e.a, e.b, 2 * eid, 1), (e.b, e.a, 2 * eid + 1, -1)):
+                prefixes = self._walks(tail)[0]
+                if not prefixes:
+                    continue
+                suffixes = self._walks(head)[1]
+                for p_nodes, p_arcs in prefixes:
+                    room = self.l - 1 - len(p_arcs)
+                    on_prefix = set(p_nodes)
+                    through = p_arcs + (arc,)
+                    for s_nodes, s_arcs in suffixes:
+                        if len(s_arcs) > room:
+                            break
+                        if on_prefix.isdisjoint(s_nodes):
+                            arcs = through + s_arcs
+                            u = paths.get(arcs)
+                            if u is None:
+                                u = paths[arcs] = make_path(p_nodes + s_nodes, arcs)
+                            found.append((u, sign))
+            got = self._through[eid] = tuple(found)
         return got
-
-    def _enumerate_through(self, eid: int) -> list[tuple[AugPathCandidate, int]]:
-        """Vertex-simple S->T paths of at most l edges using eid, either way:
-        an S-to-tail walk, the edge, then a node-disjoint head-to-T walk."""
-        e = self.g._edge_by_id[eid]
-        found = []
-        for tail, head, arc, sign in ((e.a, e.b, 2 * eid, 1), (e.b, e.a, 2 * eid + 1, -1)):
-            prefixes = self._walks(tail)[0]
-            if not prefixes:
-                continue
-            suffixes = self._walks(head)[1]
-            for p_nodes, p_arcs in prefixes:
-                room = self.l - 1 - len(p_arcs)
-                on_prefix = set(p_nodes)
-                through = p_arcs + (arc,)
-                for s_nodes, s_arcs in suffixes:
-                    if len(s_arcs) > room:
-                        break
-                    if on_prefix.isdisjoint(s_nodes):
-                        arcs = through + s_arcs
-                        u = self._paths.get(arcs) or self._path(p_nodes + s_nodes, arcs)
-                        found.append((u, sign))
-        return found
 
     def _walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
         """(into, out of) v: the (nodes, arcs) of every vertex-simple
@@ -511,39 +517,24 @@ class LocalEvaluator:
             got = self._walk_memo[v] = (into, to_t)
         return got
 
-    def _path(self, nodes: tuple[int, ...], arcs: tuple[int, ...]) -> AugPathCandidate:
-        """The path not seen before with these nodes and arcs, checked."""
-        u = make_path(nodes, arcs)
-        key = u.canonical_key
-        g = self.g
-        if g._node_by_id[nodes[0]].color != "S" or g._node_by_id[nodes[-1]].color != "T":
-            raise AssertionError(f"path {key!r} does not run from S to T")
-        edge = g._edge_by_id
-        for x, arc, y in zip(nodes, arcs, nodes[1:]):
-            e = edge[arc >> 1]
-            if (e.a, e.b) != ((y, x) if arc & 1 else (x, y)):
-                raise AssertionError(f"edge {e.id} does not join {x} and {y} in path {key!r}")
-        self._paths[arcs] = u
-        return u
 
-
-class _BallTables:
-    """One seed's memo tables over an evaluator's paths on the evaluator's
-    ball, keyed by canonical key; ``keys`` (the seed's order keys) and
-    ``sorted`` (its key-sorted lists of every path through each edge) are
-    shared by every ball.
+class _Tables:
+    """One seed's memo tables, keyed by canonical key: on g if ``on_g`` is
+    None, else the view of the tables ``on_g`` on ``ball``.  ``lists`` maps
+    an edge id to the (key, path, sign) of the paths through it, in key
+    order; ``keys``, filled on g only, maps the canonical key of each path
+    listed there to its order key.
 
     Plain data: the evaluator's methods fill it, so no reference cycle keeps
     a finished evaluator alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, keys: dict[bytes, OrderKey],
-                 sorted_lists: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]],
-                 ball: frozenset[int] | None, s: int):
+    def __init__(self, seed: int, s: int, on_g: _Tables | None = None,
+                 ball: frozenset[int] | None = None):
         self.seed = seed
-        self.keys = keys
-        self.sorted = sorted_lists
-        # edge id -> (key, path, sign) of the paths through it inside the ball, in key order
-        self.orders = sorted_lists if ball is None else {}
+        self.on_g = on_g
+        self.ball = ball
+        self.keys: dict[bytes, OrderKey] = {}
+        self.lists: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}

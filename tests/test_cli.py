@@ -401,6 +401,16 @@ def test_experiment_bad_spec_exits_two_naming_the_field(tmp_path, capsys):
         assert message in captured.err
 
 
+def test_experiment_specs_that_are_no_json_array_exit_two(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": "grid", "params": {"rows": 2, "cols": 2}}))
+    code = main(["experiment", "locality", "--specs", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "bad field '--specs': expected a JSON array of instance specs" in captured.err
+
+
 def test_verify_locality_on_a_graph_with_no_edges_exits_two(tmp_path, capsys):
     path = tmp_path / "bare.json"
     path.write_text(json.dumps({"quantum": "1", "degree_bound": 2, "capacity_bound_ticks": 1,
@@ -452,6 +462,24 @@ def test_generate_refuses_a_param_out_of_range(tmp_path, capsys, argv, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, need, node", [
+    (["--family", "grid", "--rows", "3", "--cols", "3"], 4, 4),
+    (["--family", "grid", "--rows", "1", "--cols", "3"], 2, 1),
+    (["--family", "path_bundle", "--path-len", "2"], 2, 1),
+], ids=["grid", "grid_line", "path_bundle"])
+def test_generate_keeps_the_degree_bound_it_is_given(tmp_path, capsys, argv, need, node):
+    """A --d below what the family's graph needs is refused, not raised
+    behind the instance id's back; at the bound it needs, the graph says so."""
+    out = tmp_path / "g.json"
+    code = main(["generate", *argv, "--d", str(need - 1), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"invalid graph: degree bound exceeded at node {node} ({need} > {need - 1})" in captured.err
+    assert not out.exists()
+    assert main(["generate", *argv, "--d", str(need), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["degree_bound"] == need
+
+
 @pytest.mark.parametrize("argv, field", [
     (["run-a1", "--l", "0"], "l"),
     (["run-a2", "--l", "3", "--s", "0"], "s"),
@@ -496,6 +524,10 @@ def test_unknown_flag_exits_two(capsys):
                        (["experiment", "approx", "--seeds", ","], "--seeds"),
                        (["experiment", "locality", "--seeds", ""], "--seeds"),
                        (["experiment", "chain-tail", "--seeds", ","], "--seeds"),
+                       (["tester", "--graph", "g.json", "--l", "3", "--s", "2", "--seeds",
+                         "a,b"], "--seeds: expected comma-separated integers, got 'a,b'"),
+                       (["experiment", "locality", "--cfgs", "3-2"],
+                        "--cfgs: expected l:s pairs, got '3-2'"),
                        (["experiment", "approx", "--l-sweep", ""], "--l-sweep"),
                        (["run-a1", "--graph", "g.json", "--l", "1", "--epsilon", "1"],
                         "--epsilon"),

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import build_graph, line_graph
-from localflow.estimator_tester import TesterConfig, run_tester
+from localflow.estimator_tester import TesterConfig, run_tester, source_ball_summand
 from localflow.exact_oracle import max_flow
 from localflow.graph_core import (
     ColoredGraph,
@@ -113,6 +113,24 @@ def test_tester_with_no_sources_is_zero():
     g = line_graph("RRT")
     cfg = TesterConfig(l=2, s=2, seeds=(1,), k=50)
     assert run_tester(g, cfg).estimate == 0
+
+
+def test_tester_refuses_a_graph_with_no_nodes():
+    g = ColoredGraph((), (), 2, 5, Fraction(1))
+    with pytest.raises(ValueError, match="graph has no nodes"):
+        run_tester(g, TesterConfig(l=2, s=2, seeds=(1,)), exhaustive=True)
+
+
+def test_source_summand_is_zero_at_r_and_t_nodes_without_a_query():
+    g = line_graph("SRT", cap=3)
+    cfg = TesterConfig(l=2, s=2, seeds=(1, 2))
+
+    class NoQuery(LocalEvaluator):
+        def outflow(self, v, seed):
+            raise AssertionError(f"outflow asked at node {v}")
+
+    assert [source_ball_summand(g, v, cfg, NoQuery(g, 2, 2)) for v in (1, 2)] == [0, 0]
+    assert source_ball_summand(g, 0, cfg, LocalEvaluator(g, 2, 2)) == 6  # 3 per seed
 
 
 def test_exhaustive_tester_telescopes_exactly():

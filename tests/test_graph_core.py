@@ -167,6 +167,18 @@ def test_neighborhood_unknown_center():
         ball_nodes(g, DirectedEdgeRef(44, "AB"), 1)
 
 
+@pytest.mark.parametrize("radius", [True, 2.0, "1", -1])
+def test_ball_radius_must_be_a_plain_int_at_least_zero(radius):
+    """``radius=True`` is not radius 1, and a float or a string is named,
+    not a bare TypeError."""
+    g = line_graph("SRRT")
+    message = f"bad field 'radius' in ball_nodes: expected an integer >= 0, got {radius!r}"
+    for center in (1, DirectedEdgeRef(1, "AB")):
+        with pytest.raises(ValueError) as err:
+            ball_nodes(g, center, radius)
+        assert str(err.value) == message
+
+
 def test_zero_flow_is_valid_everywhere():
     g = build_graph("SRTT", [(0, 1, 2, 0), (1, 2, 2, 2), (1, 3, 1, 1)], d=3)
     assert validate_flow(g, Flow.zero()).ok
@@ -397,10 +409,12 @@ def test_induced_subgraph_matches_full_scan_on_every_ball(spec):
          Fraction(1), "invalid graph: node field 'id' is [0], not an int; "
          "edge 0 field 'a' is [0], not an int; edge [2] field 'id' is [2], not an int; "
          "edge [2] endpoint b=3 is not a node"),
+        ((Node(0, "S"), Node(1, "T")), (Edge(0, 0, 7, 1, 1),), 2, 5, Fraction(1),
+         "invalid graph: edge 0 endpoint b=7 is not a node"),
     ],
     ids=["nodes", "degree-and-edge-ids", "edges", "bounds", "float-quantum", "bool-quantum",
          "float-caps-and-bounds", "float-ids", "bool-ids", "str-and-int-edge-ids",
-         "str-bounds", "str-cap", "unhashable-ids"],
+         "str-bounds", "str-cap", "unhashable-ids", "dangling-b"],
 )
 def test_construction_names_every_violation_in_order(nodes, edges, d, m, quantum, message):
     with pytest.raises(ValueError) as err:

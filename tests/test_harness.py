@@ -185,6 +185,18 @@ def test_spec_refuses_a_param_below_its_minimum(family, params, minimum):
     assert g.edges  # the minimum itself builds a graph with edges
 
 
+@pytest.mark.parametrize("family, fields, message", [
+    ("random_bounded", {"n": 1}, "bad field 'n': random_bounded needs n >= 2, got 1"),
+    ("grid", {}, "bad field 'rows'/'cols': grid needs rows >= 1 and cols >= 1"),
+    ("path_bundle", {"params": {"bottlenecks": 3}},
+     "bad field 'bottlenecks' in instance spec params: expected a list of integers, got 3"),
+], ids=["random_bounded_n1", "grid_no_size", "path_bundle_int_bottlenecks"])
+def test_generate_refuses_a_spec_its_family_cannot_build(family, fields, message):
+    with pytest.raises(ValueError) as err:
+        generate(InstanceSpec(family, **fields))
+    assert str(err.value) == message
+
+
 def test_spec_refuses_cap_min_above_m_ticks():
     with pytest.raises(ValueError, match="bad field 'cap_min' in instance spec params: "
                                          "expected at most m_ticks=5, got 9"):

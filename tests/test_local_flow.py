@@ -423,13 +423,17 @@ def test_local_queries_never_scan_the_whole_graph(monkeypatch):
 
 def test_evaluator_enumerates_paths_through_each_edge_once(monkeypatch):
     enumerated: list[int] = []
-    real = LocalEvaluator._enumerate_through
+    listed: dict[int, tuple] = {}
+    real = LocalEvaluator._paths_through
 
     def counting(self, eid):
-        enumerated.append(eid)
-        return real(self, eid)
+        if eid not in self._through:
+            enumerated.append(eid)
+        got = real(self, eid)
+        assert listed.setdefault(eid, got) is got  # a later call returns the same list
+        return got
 
-    monkeypatch.setattr(LocalEvaluator, "_enumerate_through", counting)
+    monkeypatch.setattr(LocalEvaluator, "_paths_through", counting)
     g, _ = generate(random_spec(572, n=60, params={"rounds": 2}))
     edge_ids = [e.id for e in g.edges[:12]]
     ev = LocalEvaluator(g, 3, 2)
@@ -854,9 +858,9 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
         ball = ball_nodes(g, ref, rad)
         for seed in (1, 2):
             answers[seed].append(ev.f2_on(ref, seed, ball))
-        for seed, t in ev._tables.items():
-            for eid, got in t.orders.items():
-                full = ev._sorted[seed][eid]
+        for seed, t in ev._on_ball[ball].items():
+            for eid, got in t.lists.items():
+                full = ev._on_g[seed].lists[eid]
                 inside = [kus for kus in full if ball.issuperset(kus[1].nodes)]
                 assert got == inside
                 if len(inside) == len(full):
@@ -864,13 +868,17 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
                     shared += 1
                 else:
                     filtered += 1
-    # Without a ball the sorted lists are the lists a query reads, unfiltered.
+    # Without a ball a query reads g's sorted lists, unfiltered, and makes no view.
+    views = ev._on_ball
     no_ball = [ev.f2_on(ref, seed) for seed in (1, 2) for ref in refs[:10]]
-    assert all(ev._tables[seed].orders is ev._sorted[seed] for seed in (1, 2))
+    assert ev._on_ball is views
+    assert all(len(got) == len(ev._through[eid])
+               for seed in (1, 2) for eid, got in ev._on_g[seed].lists.items())
     monkeypatch.undo()
     assert shared and filtered
-    assert len(hashed) == len(set(hashed)) == len(ev._keys[1]) + len(ev._keys[2])
-    assert set(ev._keys[1]) == set(ev._keys[2]) == {u.canonical_key for u in ev._paths.values()}
+    keys = [ev._on_g[seed].keys for seed in (1, 2)]
+    assert len(hashed) == len(set(hashed)) == len(keys[0]) + len(keys[1])
+    assert set(keys[0]) == set(keys[1]) == {u.canonical_key for u in ev._paths.values()}
     f2s = [run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2)]
     for seed, f2 in zip((1, 2), f2s):
         report = verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs, radius=rad)
@@ -918,7 +926,7 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
 def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
     """Ball B1 under seeds 1 and 2, then B2, then B1 again: every answer is a
     fresh evaluator's on the subgraph the ball induces, and after every query
-    the memo tables are those of the current ball alone, one per seed."""
+    the views are those of the current ball alone, one per seed."""
     g, _ = generate(random_spec(7, n=40))
     l, s = 4, 2
     first, last = (DirectedEdgeRef(e.id, "AB") for e in (g.edges[0], g.edges[-1]))
@@ -934,13 +942,16 @@ def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
                 ref = DirectedEdgeRef(e.id, "AB")
                 answers.append(ev.f2_on(ref, seed, ball))
                 assert answers[-1] == fresh.f2_on(ref, seed)
-                assert ev._ball == ball and set(ev._tables) == set(seeds[:i + 1])
+                assert list(ev._on_ball) == [ball]
+                assert set(ev._on_ball[ball]) == set(seeds[:i + 1])
                 inside = {u.canonical_key for u in ev._paths.values() if ball.issuperset(u.nodes)}
-                for t in ev._tables.values():
+                for t in ev._on_ball[ball].values():
                     assert all(ball.issuperset(u.nodes)
-                               for got in t.orders.values() for _, u, _ in got)
+                               for got in t.lists.values() for _, u, _ in got)
                     assert set(t.amounts).union(*t.depths) <= inside
     assert any(answers)
+    # Every query named a ball, so the tables on g hold lists and keys only.
+    assert not any(t.amounts or any(t.depths) for t in ev._on_g.values())
 
 
 def net_outflows(g: ColoredGraph, f: Flow) -> dict[int, int]:
@@ -984,11 +995,30 @@ def test_outflow_checks_its_result_against_the_nodes_invariant(monkeypatch):
     g = line_graph("SRT", cap=3)
     assert LocalEvaluator(g, 2, 2).outflow(0, 1) == 3
     for amount in (-1, 4):
-        monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, t, u, amount=amount: amount)
+        monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, t, ku, u, amount=amount: amount)
         with pytest.raises(AssertionError, match=rf"outflow {amount} at S node 0 outside \[0, 3\]"):
             LocalEvaluator(g, 2, 2).outflow(0, 1)
     with pytest.raises(AssertionError, match=r"net outflow -4 at T node 2 outside \[-3, 0\]"):
         LocalEvaluator(g, 2, 2).outflow(2, 1)
+
+
+def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
+    """A value outside the edge's capacities, or a path whose predecessors
+    leave it a negative residual, would be caught: reached through an
+    ``_amount`` that gives one path more than its bottleneck."""
+    g = line_graph("SRT", cap=3)
+    monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, t, ku, u: 4)
+    with pytest.raises(AssertionError, match="value 4 on edge 0 outside its capacities"):
+        LocalEvaluator(g, 2, 2).f2_on(DirectedEdgeRef(0, "AB"), 1)
+    monkeypatch.undo()
+    # Paths 0-2-3 and 1-2-3 share edge 2; at s=3 neither is skipped.
+    g = build_graph("SSRT", [(0, 2, 3, 3), (1, 2, 3, 3), (2, 3, 3, 3)])
+    first = min(path_key(u, 1) for u in enumerate_paths(g, 2))
+    real = LocalEvaluator._amount
+    monkeypatch.setattr(LocalEvaluator, "_amount",
+                        lambda self, t, ku, u: 4 if ku == first else real(self, t, ku, u))
+    with pytest.raises(AssertionError, match="negative amount -1 on path"):
+        LocalEvaluator(g, 2, 3).f2_on(DirectedEdgeRef(2, "AB"), 1)
 
 
 def test_an_unknown_orientation_is_refused_not_read_as_ba():
@@ -1029,7 +1059,7 @@ def test_walk_search_equals_the_reference_search(spec):
             sub = induced_subgraph(g, ball)
             want = naive_paths(sub, l)
             ev.f2_on(center, 1, ball)
-            t = ev._tables[1]
+            t = ev._seed_tables(1, ball)
             for e in sub.edges:
                 got = ev._ordered(t, e.id)
                 assert [k for k, _, _ in got] == sorted(path_key(u, 1) for _, u, _ in got)
