@@ -12,6 +12,7 @@ import io
 import json
 import sys
 import time
+from collections import defaultdict
 from dataclasses import fields
 from fractions import Fraction
 from functools import partial
@@ -192,7 +193,7 @@ def _cmd_dump_paths(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     keyed = sorted(((path_key(u, args.seed), u) for u in enumerate_paths(g, args.l)),
                    key=lambda pair: pair[0])
-    depths = _chain_depths(u for _, u in keyed)
+    depths = _chain_depths((u for _, u in keyed), defaultdict(int))
     lines = [json.dumps({"nodes": list(u.nodes), "length": u.length,
                          "hash": key.hash_label, "depth": depth})
              for (key, u), depth in zip(keyed, depths)]

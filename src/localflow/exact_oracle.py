@@ -1,19 +1,30 @@
 """Exact maximum flow for multisource-multitarget networks.
 
-Ground truth for every approximation claim: shortest-augmenting-path
-(Edmonds-Karp) augmentation on integer ticks, over the residual capacities of
-g's own arcs.  One layered search serves every question asked of the
-residual network: it starts at every S node at depth 0, follows only arcs
-with room, and stops at the first T node it reaches.  Its path is the next
-augmenting path; the nodes of the last search, which reaches no T node, are
-the source side of a minimum cut and the certificate of optimality.
+Ground truth for every approximation claim: Dinic's blocking-flow method on
+integer ticks, over the residual capacities of g's own arcs in one flat table
+(``graph_core._residuals``).  One layered search serves every question asked
+of the residual network: it starts at every S node at level 0, follows only
+arcs with room, expands no T node, and stops after the first layer that holds
+a T node.  That layer's level is the length of a shortest augmenting path.
+Each phase of ``max_flow`` augments along paths that climb the levels one
+layer per arc until none is left; the nodes of the last search, which
+reaches no T node, are the source side of a minimum cut and the certificate
+of optimality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph_core import ColoredGraph, Flow, _Residuals, _source_outflow, validate_flow
+from .graph_core import (
+    ColoredGraph,
+    Flow,
+    _int_field,
+    _residual_flow,
+    _residuals,
+    _source_outflow,
+    validate_flow,
+)
 
 
 @dataclass(frozen=True)
@@ -23,19 +34,18 @@ class MaxFlowResult:
     residual_cut: frozenset[int]
 
 
-def _search(
-    g: ColoredGraph, res: _Residuals, sources: list[int], l_max: int | None = None
-) -> tuple[list[int] | None, dict[int, int | None]]:
-    """Layered search from every source at depth 0 over the arcs with room in res.
+def _levels(
+    g: ColoredGraph, res: list | dict, sources: list[int], l_max: int | None = None
+) -> tuple[dict[int, int], int | None]:
+    """Layered search from every source at level 0 over the arcs with room in res.
 
-    Stops at the first T node it reaches, or after ``l_max`` layers.  Returns
-    the arcs of a shortest residual path from a source to that T node (None
-    when none is reached) and the arc by which the search entered each node
-    it reached (None at the sources).
+    Expands no T node, and stops after the first layer that holds one, or
+    after ``l_max`` layers.  Returns the level of every node it reached and
+    the level of that layer (None when it reached no T node).
     """
-    adj, node, edge = g._adj, g._node_by_id, g._edge_by_id
-    parent: dict[int, int | None] = dict.fromkeys(sources)
-    frontier = list(parent)
+    adj, node = g._adj, g._node_by_id
+    level = dict.fromkeys(sources, 0)
+    frontier = sources
     depth = 0
     while frontier and (l_max is None or depth < l_max):
         depth += 1
@@ -43,37 +53,68 @@ def _search(
         for u in frontier:
             steps = iter(adj[u])
             for w, arc in zip(steps, steps):
-                if w in parent or res[arc] <= 0:
+                if w in level or res[arc] <= 0:
                     continue
-                parent[w] = arc
-                if node[w].color == "T":
-                    arcs = []
-                    while arc is not None:
-                        arcs.append(arc)
-                        e = edge[arc >> 1]
-                        arc = parent[e.b if arc & 1 else e.a]  # the arc's tail
-                    arcs.reverse()
-                    return arcs, parent
+                level[w] = depth
                 nxt.append(w)
-        frontier = nxt
-    return None, parent
+        frontier = [w for w in nxt if node[w].color != "T"]
+        if len(frontier) < len(nxt):
+            return level, depth
+    return level, None
+
+
+def _blocking_flow(
+    g: ColoredGraph, res: list | dict, level: dict[int, int], sources: list[int]
+) -> None:
+    """Augment res along paths from the sources to T nodes whose arcs each
+    climb one level, until every such path has an arc without room.
+
+    An iterative depth-first search from each source in turn.  ``ahead``
+    holds per node the index in its adjacency of the next arc to try: an arc
+    passed over is never tried again in this phase, and a node whose arcs
+    are used up is left for good.  After augmenting, the search backs up to
+    the tail of the first arc left without room.
+    """
+    adj, node = g._adj, g._node_by_id
+    ahead = dict.fromkeys(level, 0)
+    for s in sources:
+        nodes, arcs = [s], []
+        while nodes:
+            v = nodes[-1]
+            if node[v].color == "T":
+                amount = min(map(res.__getitem__, arcs))
+                for arc in arcs:
+                    res[arc] -= amount
+                    res[arc ^ 1] += amount
+                k = next(i for i, arc in enumerate(arcs) if not res[arc])
+                del nodes[k + 1:], arcs[k:]
+                continue
+            steps, i, up = adj[v], ahead[v], level[v] + 1
+            while i < len(steps) and (level.get(steps[i]) != up or res[steps[i + 1]] <= 0):
+                i += 2
+            ahead[v] = i
+            if i < len(steps):
+                nodes.append(steps[i])
+                arcs.append(steps[i + 1])
+            else:  # no way on from v in this phase
+                nodes.pop()
+                if arcs:
+                    arcs.pop()
+                    ahead[nodes[-1]] += 2
 
 
 def max_flow(g: ColoredGraph) -> MaxFlowResult:
     """Maximum flow value, an attaining flow, and the source-side min cut."""
-    res = _Residuals(g)
+    res = _residuals(g)
     sources = g.nodes_of_color("S")
     while True:
-        arcs, reached = _search(g, res, sources)
-        if arcs is None:
+        level, sink = _levels(g, res, sources)
+        if sink is None:
             break
-        amount = min(res[arc] for arc in arcs)
-        for arc in arcs:
-            res[arc] -= amount
-            res[arc ^ 1] += amount
-    f = res.flow()
+        _blocking_flow(g, res, level, sources)
+    f = _residual_flow(g, res)
     validate_flow(g, f).raise_if_invalid("max-flow output")
-    return MaxFlowResult(flow=f, value=int(_source_outflow(g, f)), residual_cut=frozenset(reached))
+    return MaxFlowResult(flow=f, value=int(_source_outflow(g, f)), residual_cut=frozenset(level))
 
 
 def shortest_augmenting_path_length(
@@ -83,8 +124,11 @@ def shortest_augmenting_path_length(
 
     A search from all sources simultaneously over the residual edge set
     ``{e : f(e) < c(e)}``.  With ``l_max`` set, paths longer than it count
-    as absent.  Raises ``ValueError`` if f is not a valid flow on g.
+    as absent; it must be None or a plain int >= 0.  Raises ``ValueError``
+    if f is not a valid flow on g.
     """
+    if l_max is not None:
+        _int_field({"l_max": l_max}, "l_max", "shortest_augmenting_path_length", minimum=0)
     validate_flow(g, f).raise_if_invalid("flow")
     return _shortest_augmenting_path_length(g, f, l_max)
 
@@ -94,5 +138,4 @@ def _shortest_augmenting_path_length(
 ) -> int | None:
     """``shortest_augmenting_path_length`` of a flow already validated on g,
     without the check."""
-    arcs, _ = _search(g, _Residuals(g, f), g.nodes_of_color("S"), l_max)
-    return None if arcs is None else len(arcs)
+    return _levels(g, _residuals(g, f), g.nodes_of_color("S"), l_max)[1]

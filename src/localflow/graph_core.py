@@ -318,31 +318,30 @@ def _net_out(g: ColoredGraph, f: Flow, v: int) -> Ticks:
     return total
 
 
-class _Residuals(dict):
-    """Residual capacity by arc under a flow (zero when none is given): the
-    arc's capacity less the flow along it.  Read from g on first use, so a
-    search or sweep holds entries only for the arcs it reaches."""
+def _residuals(g: ColoredGraph, f: Flow | None = None) -> list | dict:
+    """Residual capacity of every arc of g under f (the zero flow when None):
+    the arc's capacity less the flow along it.  A list indexed by arc when
+    g's edge ids are exactly 0..|E|-1, as in every generated graph; a dict
+    keyed by arc otherwise, as with negative or sparse ids."""
+    edge = g._edge_by_id
+    get = (f.values if f is not None else {}).get
+    dense = min(edge, default=0) == 0 and max(edge, default=-1) == len(edge) - 1
+    res: list | dict = [0] * (2 * len(edge)) if dense else {}
+    for eid, e in edge.items():
+        used = get(eid, 0)
+        res[2 * eid] = e.cap_ab - used
+        res[2 * eid + 1] = e.cap_ba + used
+    return res
 
-    def __init__(self, g: ColoredGraph, f: Flow | None = None):
-        super().__init__()
-        self.edge_by_id = g._edge_by_id
-        self.start = {} if f is None else f.values
 
-    def __missing__(self, arc: int) -> int:
-        e = self.edge_by_id[arc >> 1]
-        used = self.start.get(arc >> 1, 0)
-        got = self[arc] = e.cap_ba + used if arc & 1 else e.cap_ab - used
-        return got
-
-    def flow(self) -> Flow:
-        """The flow these residuals hold, read off the AB arcs: augmenting
-        reaches both arcs of every edge it changes."""
-        edge = self.edge_by_id
-        values = dict(self.start)
-        for arc, left in self.items():
-            if not arc & 1:
-                values[arc >> 1] = edge[arc >> 1].cap_ab - left
-        return Flow({eid: v for eid, v in values.items() if v})
+def _residual_flow(g: ColoredGraph, res: list | dict) -> Flow:
+    """The flow a table of ``_residuals`` holds, read off the AB arcs."""
+    values = {}
+    for eid, e in g._edge_by_id.items():
+        used = e.cap_ab - res[2 * eid]
+        if used:
+            values[eid] = used
+    return Flow(values)
 
 
 def validate_flow(g: ColoredGraph, f: Flow) -> ValidationReport:

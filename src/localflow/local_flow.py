@@ -33,7 +33,8 @@ from .graph_core import (
     Flow,
     _int_field,
     _orientation_error,
-    _Residuals,
+    _residual_flow,
+    _residuals,
     ball_nodes,
     validate_flow,
 )
@@ -115,18 +116,26 @@ def _sweep(
 ) -> tuple[Flow, RunTrace]:
     """Shared A1/A2 engine; skip_threshold None means never skip.
 
-    One pass over the paths in key order.  The residual capacities of the
-    arcs live in one dict: a path's amount is the least residual over its
-    arcs, and augmenting by it moves that much from each arc to its reverse.
-    A2's chain depths are computed in the same pass, path by path.
+    One pass over the paths in key order.  The order is kept in the path
+    cache until a sweep on (g, l) at another seed, so A1 and A2 at one seed
+    label and sort the paths once.  The residual capacities of the arcs live
+    in one flat table indexed by arc (``_residuals``): a path's amount is
+    the least residual over its arcs, and augmenting by it moves that much
+    from each arc to its reverse.  A2's chain depths are computed in the
+    same pass, path by path, in a table of the same shape.
     """
-    order = _key_order(enumerate_paths(g, l), seed)
+    per_graph = _PATH_CACHE.setdefault(g, {})
+    kept = per_graph.get((l, "order"))
+    if kept is None or kept[0] != seed:
+        kept = per_graph[l, "order"] = (seed, _key_order(enumerate_paths(g, l), seed))
+    order = kept[1]
+    res = _residuals(g)
     if skip_threshold is None:
         depths, skip_threshold = repeat(0), 1  # every path is below depth 1
     else:
-        depths = _chain_depths(order)
+        depths = _chain_depths(order, [0] * len(res) if type(res) is list
+                               else dict.fromkeys(res, 0))
 
-    res = _Residuals(g)
     room = res.__getitem__
     new_entry = tuple.__new__  # a TraceEntry without its Python-level __new__
     entries: list[TraceEntry] = []
@@ -148,7 +157,7 @@ def _sweep(
         else:
             append(new_entry(TraceEntry, (ck, ZERO_CAPACITY, 0)))
 
-    flow = res.flow()
+    flow = _residual_flow(g, res)
     validate_flow(g, flow).raise_if_invalid("run output flow")
     return flow, RunTrace(tuple(entries))
 

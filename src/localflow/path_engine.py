@@ -5,8 +5,8 @@ one layered walk search (``_simple_walks``): the global list runs it from each
 S node with cap l, the query tree of ``local_flow`` from each endpoint of an
 edge with cap l-1.  A path holds its edges as arcs: edge e read AB is the int
 2*e and read BA is 2*e + 1, so an arc's edge is ``arc >> 1``, its reversal is
-``arc ^ 1``, and residual capacities and per-edge tables can live in one flat
-dict keyed by arc.
+``arc ^ 1``, and residual capacities and chain depths live in one flat table
+indexed by arc: a list when the edge ids are 0..|E|-1, a dict otherwise.
 
 Each path gets a pseudo-random label derived by a keyed hash from its id
 sequence and a seed; because node and edge ids survive subgraph extraction, a
@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import hashlib
 import weakref
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import AB, BA, ColoredGraph, DirectedEdgeRef
@@ -131,8 +131,12 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 
 # Paths depend only on (graph, l), never on seeds or capacities, so
 # multi-seed runs share them.  Keyed by graph identity; per graph, l -> the
-# global path list, and (l, "tree") -> the query tree's walk memo, paths
-# through each edge and paths by arcs, built once and shared by every
+# global path list.  (l, "order") -> (seed, that list in seed's key order):
+# kept by the last A1 or A2 sweep on (graph, l) and replaced by a sweep at
+# another seed, so A1 and A2 at one seed label and sort the paths once.  It
+# is one list of references to the paths per (graph, l), whatever the number
+# of seeds run.  (l, "tree") -> the query tree's walk memo, paths through
+# each edge and paths by arcs, built once and shared by every
 # ``verify_locality`` call on (graph, l), whatever its seed, s or radius.
 # ``verify_locality`` also keeps its balls here, under (radius, "balls"):
 # edge id -> the node ids within radius hops of the edge, built once per
@@ -234,28 +238,27 @@ def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes,
     smaller-key intersecting paths."""
     ordered = sorted(paths, key=lambda u: path_key(u, seed))
     depths: dict[bytes, int] = {}
-    for u, d in zip(ordered, _chain_depths(ordered)):
+    for u, d in zip(ordered, _chain_depths(ordered, defaultdict(int))):
         if u.canonical_key in depths:
             raise ValueError("duplicate path in chain depth input")
         depths[u.canonical_key] = d
     return depths
 
 
-def _chain_depths(ordered: Iterable[AugPathCandidate]) -> Iterator[int]:
+def _chain_depths(ordered: Iterable[AugPathCandidate], best: list | dict) -> Iterator[int]:
     """The chain depth of each path of ``ordered``, which is sorted by
     path_key, in turn: single pass, O(length) per path.
 
-    ``best`` holds, per arc, the largest depth of a path seen so far through
-    its edge, the same for both arcs of an edge.  A path's depth d is one
-    more than the largest entry over its arcs, so d exceeds every entry it
-    replaces, and the update needs no comparison.
+    ``best`` is a table indexed by arc that reads 0 at every arc of the
+    paths, which this fills: per arc, the largest depth of a path seen so
+    far through its edge, the same for both arcs of an edge.  A path's depth
+    d is one more than the largest entry over its arcs, so d exceeds every
+    entry it replaces, and the update needs no comparison.
     """
-    best: dict[int, int] = {}
-    get = best.get
-    zeros = repeat(0)
+    at = best.__getitem__
     for u in ordered:
         arcs = u.arcs
-        d = 1 + max(map(get, arcs, zeros))
+        d = 1 + max(map(at, arcs))
         for arc in arcs:
             best[arc] = best[arc ^ 1] = d
         yield d

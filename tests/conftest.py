@@ -35,6 +35,15 @@ def seed_sensitive_graph() -> ColoredGraph:
     )
 
 
+def sparse_id_graph() -> ColoredGraph:
+    """Unsorted, negative and sparse ids, parallel edges and an isolated node
+    9: a graph whose arc tables are dicts, not lists."""
+    return ColoredGraph(
+        (Node(4, "S"), Node(0, "R"), Node(7, "T"), Node(9, "R")),
+        (Edge(5, 0, 7, 2, 1), Edge(-3, 4, 0, 1, 2), Edge(12, 7, 0, 3, 0), Edge(-8, 4, 7, 1, 1)),
+        3, 3)
+
+
 def count_flow_validations(monkeypatch) -> list:
     """Make every package module's ``validate_flow`` record the flows it is
     given, in the returned list."""

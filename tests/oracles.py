@@ -20,6 +20,8 @@ them former library routes kept to check their replacements:
 * ``reference_sweep``: the A1/A2 sweep over ``DirectedEdgeRef``s, with a
   per-edge flow dict and a per-edge depth dict, that the arc-keyed
   residual sweep replaced;
+* ``edmonds_karp``: the shortest-augmenting-path max flow that Dinic's
+  ``max_flow`` replaced, one layered search per augmenting path;
 * ``reference_walks``: the layered walk search of ``LocalEvaluator`` without
   pruning, over steps rebuilt from the edge list: every walk is grown into
   the last layer and only then dropped if it ends at an R node.
@@ -32,13 +34,16 @@ from fractions import Fraction
 from itertools import combinations
 
 from localflow.estimator_tester import TesterConfig
-from localflow.exact_oracle import shortest_augmenting_path_length
+from localflow.exact_oracle import MaxFlowResult, shortest_augmenting_path_length
 from localflow.graph_core import (
     AB,
     BA,
     ColoredGraph,
     DirectedEdgeRef,
     Flow,
+    _residual_flow,
+    _residuals,
+    _source_outflow,
     ball_nodes,
     flow_value,
     induced_subgraph,
@@ -194,6 +199,59 @@ def reference_sweep(g: ColoredGraph, l: int, seed: int,
     flow = Flow({eid: v for eid, v in f.items() if v != 0})
     validate_flow(g, flow).raise_if_invalid("reference sweep flow")
     return flow, RunTrace(tuple(entries))
+
+
+def _ek_search(
+    g: ColoredGraph, res: list | dict, sources: list[int]
+) -> tuple[list[int] | None, dict[int, int | None]]:
+    """Layered search from every source at depth 0 over the arcs with room in res.
+
+    Stops at the first T node it reaches.  Returns the arcs of a shortest
+    residual path from a source to that T node (None when none is reached)
+    and the arc by which the search entered each node it reached (None at
+    the sources).
+    """
+    adj, node, edge = g._adj, g._node_by_id, g._edge_by_id
+    parent: dict[int, int | None] = dict.fromkeys(sources)
+    frontier = list(parent)
+    while frontier:
+        nxt = []
+        for u in frontier:
+            steps = iter(adj[u])
+            for w, arc in zip(steps, steps):
+                if w in parent or res[arc] <= 0:
+                    continue
+                parent[w] = arc
+                if node[w].color == "T":
+                    arcs = []
+                    while arc is not None:
+                        arcs.append(arc)
+                        e = edge[arc >> 1]
+                        arc = parent[e.b if arc & 1 else e.a]  # the arc's tail
+                    arcs.reverse()
+                    return arcs, parent
+                nxt.append(w)
+        frontier = nxt
+    return None, parent
+
+
+def edmonds_karp(g: ColoredGraph) -> MaxFlowResult:
+    """Maximum flow by shortest augmenting paths (Edmonds-Karp), one layered
+    search per path; the nodes of the last search are the source side of a
+    minimum cut."""
+    res = _residuals(g)
+    sources = g.nodes_of_color("S")
+    while True:
+        arcs, reached = _ek_search(g, res, sources)
+        if arcs is None:
+            break
+        amount = min(res[arc] for arc in arcs)
+        for arc in arcs:
+            res[arc] -= amount
+            res[arc ^ 1] += amount
+    f = _residual_flow(g, res)
+    validate_flow(g, f).raise_if_invalid("max-flow output")
+    return MaxFlowResult(flow=f, value=int(_source_outflow(g, f)), residual_cut=frozenset(reached))
 
 
 def brute_min_cut(g: ColoredGraph) -> int:

@@ -3,13 +3,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import build_graph, count_flow_validations, line_graph
+from conftest import build_graph, count_flow_validations, line_graph, sparse_id_graph
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
-from localflow.graph_core import Flow, flow_value, validate_flow
-from localflow.harness import InstanceSpec, generate
+from localflow.graph_core import ColoredGraph, Flow, flow_value, validate_flow
+from localflow.harness import InstanceSpec, default_specs, generate
 from localflow.local_flow import RunConfig, run_a1, run_a2
-from oracles import brute_min_cut, cut_capacity, dfs_max_flow_value
+from oracles import brute_min_cut, cut_capacity, dfs_max_flow_value, edmonds_karp
+from test_json_properties import graphs
+from test_local_flow import ac5_instance
 
 
 def small_random_specs(count: int, start_seed: int = 0):
@@ -101,6 +104,33 @@ def test_upper_bounds_every_run_output():
             assert flow_value(g, f2) <= best
 
 
+def assert_same_as_edmonds_karp(g: ColoredGraph) -> None:
+    """Dinic's value and cut are Edmonds-Karp's; its flow is a valid flow of
+    that value, though not always the same flow."""
+    got, want = max_flow(g), edmonds_karp(g)
+    assert (got.value, got.residual_cut) == (want.value, want.residual_cut)
+    assert validate_flow(g, got.flow).ok and flow_value(g, got.flow) == got.value
+
+
+@pytest.mark.parametrize("spec", [
+    *default_specs(),  # every family: path_bundle, random_bounded, grid, layered
+    InstanceSpec("grid", params={"rows": 30, "cols": 40}, gen_seed=3),
+], ids=InstanceSpec.instance_id)
+def test_dinic_equals_edmonds_karp_on_every_family(spec):
+    assert_same_as_edmonds_karp(generate(spec)[0])
+
+
+def test_dinic_equals_edmonds_karp_on_ac5_and_sparse_ids():
+    assert_same_as_edmonds_karp(ac5_instance())
+    assert_same_as_edmonds_karp(sparse_id_graph())
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs())
+def test_dinic_equals_edmonds_karp_on_arbitrary_graphs(g):
+    assert_same_as_edmonds_karp(g)
+
+
 def test_shortest_augmenting_path_basics():
     g = line_graph("SRT", cap=2)
     assert shortest_augmenting_path_length(g, Flow.zero()) == 2
@@ -114,6 +144,14 @@ def test_shortest_augmenting_path_respects_l_max():
     assert shortest_augmenting_path_length(g, Flow.zero(), l_max=2) is None
     assert shortest_augmenting_path_length(g, Flow.zero(), l_max=3) == 3
     assert shortest_augmenting_path_length(g, Flow.zero()) == 3
+
+
+@pytest.mark.parametrize("l_max", [True, 2.5, -1, "3"])
+def test_shortest_augmenting_path_refuses_an_l_max_that_is_no_plain_int(l_max):
+    # True ran as 1, 2.5 as 3 layers, -1 as no path, and "3" raised TypeError.
+    g = line_graph("SRT", cap=1)
+    with pytest.raises(ValueError, match="bad field 'l_max'"):
+        shortest_augmenting_path_length(g, Flow.zero(), l_max)
 
 
 def test_residual_path_uses_reverse_slack():

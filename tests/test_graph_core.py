@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import localflow.graph_core as graph_core_module
-from conftest import build_graph, line_graph
+from conftest import build_graph, line_graph, sparse_id_graph
 from localflow.estimator_tester import TesterConfig, run_tester
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import (
@@ -501,10 +501,7 @@ def shuffled_grid(seed: int) -> ColoredGraph:
 @settings(max_examples=80, derandomize=True, database=None, deadline=None)
 @given(graphs_in_any_order())
 @example(shuffled_grid(1))
-@example(ColoredGraph(  # unsorted, negative and sparse ids, parallel edges, isolated node 9
-    (Node(4, "S"), Node(0, "R"), Node(7, "T"), Node(9, "R")),
-    (Edge(5, 0, 7, 2, 1), Edge(-3, 4, 0, 1, 2), Edge(12, 7, 0, 3, 0), Edge(-8, 4, 7, 1, 1)),
-    3, 3))
+@example(sparse_id_graph())
 def test_adjacency_is_the_edge_list_read_per_node(g):
     for nd in g.nodes:
         v = nd.id

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import random
 import weakref
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 
 import localflow.local_flow as local_flow_module
 import localflow.path_engine as path_engine_module
-from conftest import build_graph, line_graph, seed_sensitive_graph
+from conftest import build_graph, line_graph, seed_sensitive_graph, sparse_id_graph
 from localflow.estimator_tester import TesterConfig, run_tester
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from localflow.graph_core import (
@@ -56,21 +57,124 @@ def random_spec(i: int, n: int = 20, **kw) -> InstanceSpec:
     return InstanceSpec("random_bounded", gen_seed=2000 + i, **merged)
 
 
-@pytest.mark.parametrize("spec", default_specs(), ids=InstanceSpec.instance_id)
-def test_sweeps_equal_the_reference_sweep(spec):
-    g, _ = generate(spec)
+def table_shapes(monkeypatch) -> list[type]:
+    """The type of every residual table ``local_flow`` builds from now on."""
+    shapes: list[type] = []
+    real_residuals = local_flow_module._residuals
+
+    def recording(g, f=None):
+        res = real_residuals(g, f)
+        shapes.append(type(res))
+        return res
+
+    monkeypatch.setattr(local_flow_module, "_residuals", recording)
+    return shapes
+
+
+def sweeps_equal_the_reference_sweep(g: ColoredGraph, ls, seeds) -> set[str]:
+    """Check every A1 and A2 (s = 2, 3) run on g against ``reference_sweep``;
+    the actions their traces hold."""
     actions = set()
-    for l in (3, 6):
-        for seed in (1, 2, 3):
+    for l in ls:
+        for seed in seeds:
             for run, s in ((run_a1, None), (run_a2, 2), (run_a2, 3)):
                 flow, trace = run(g, RunConfig(l=l, s=s, seed=seed))
                 want_flow, want_trace = reference_sweep(g, l, seed, s)
                 assert flow.values == want_flow.values
                 assert trace == want_trace
                 actions.update(entry.action for entry in trace.entries)
+    return actions
+
+
+@pytest.mark.parametrize("spec", default_specs(), ids=InstanceSpec.instance_id)
+def test_sweeps_equal_the_reference_sweep(spec, monkeypatch):
+    g, _ = generate(spec)
+    shapes = table_shapes(monkeypatch)
+    actions = sweeps_equal_the_reference_sweep(g, (3, 6), (1, 2, 3))
     # The bundle's paths share no edge, so none is skipped or left without room.
     bundle = spec.family == "path_bundle"
     assert actions == ({AUGMENTED} if bundle else {AUGMENTED, SKIPPED_CHAIN, ZERO_CAPACITY})
+    assert set(shapes) == {list}  # generated edge ids are 0..|E|-1
+
+
+def test_sweeps_on_sparse_ids_equal_the_reference_sweep(monkeypatch):
+    shapes = table_shapes(monkeypatch)
+    assert sweeps_equal_the_reference_sweep(sparse_id_graph(), (1, 2, 3), (1, 2, 3))
+    assert set(shapes) == {dict}
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 4), st.integers(0, 3))
+def test_sweeps_on_arbitrary_graphs_equal_the_reference_sweep(g, l, seed):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        shapes = table_shapes(monkeypatch)
+        sweeps_equal_the_reference_sweep(g, (l,), (seed,))
+    dense = sorted(e.id for e in g.edges) == list(range(len(g.edges)))
+    assert set(shapes) == {list if dense else dict}
+
+
+def counted_orders(monkeypatch) -> list[tuple[int, int]]:
+    """The (path count, seed) of every ``_key_order`` call ``local_flow``
+    makes from now on."""
+    calls: list[tuple[int, int]] = []
+    real_key_order = local_flow_module._key_order
+
+    def counting(paths, seed):
+        calls.append((len(paths), seed))
+        return real_key_order(paths, seed)
+
+    monkeypatch.setattr(local_flow_module, "_key_order", counting)
+    return calls
+
+
+def kept_orders(g: ColoredGraph) -> dict[int, int]:
+    """l -> the seed of the key order the path cache keeps for (g, l)."""
+    return {key[0]: kept[0] for key, kept in path_engine_module._PATH_CACHE[g].items()
+            if type(key) is tuple and key[1] == "order"}
+
+
+def test_a_sweep_at_the_last_seed_on_g_and_l_sorts_nothing(monkeypatch):
+    g, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
+    n4, n5 = len(enumerate_paths(g, 4)), len(enumerate_paths(g, 5))
+    calls = counted_orders(monkeypatch)
+    a1 = run_a1(g, RunConfig(l=5, seed=1))
+    a2 = run_a2(g, RunConfig(l=5, s=3, seed=1))
+    assert calls == [(n5, 1)]
+    assert run_a1(g, RunConfig(l=5, seed=1)) == a1
+    assert calls == [(n5, 1)]
+    run_a2(g, RunConfig(l=5, s=3, seed=2))  # another seed
+    run_a2(g, RunConfig(l=4, s=3, seed=2))  # another l
+    assert calls == [(n5, 1), (n5, 2), (n4, 2)]
+    assert kept_orders(g) == {5: 2, 4: 2}
+    assert run_a2(g, RunConfig(l=5, s=3, seed=1)) == a2
+    assert calls[-1] == (n5, 1)
+    assert kept_orders(g) == {5: 1, 4: 2}
+
+
+def test_sweeps_in_any_interleaving_equal_sweeps_on_a_fresh_graph(monkeypatch):
+    spec = random_spec(7, n=40)
+    runs = [(run, l, s, seed) for run, s in ((run_a1, None), (run_a2, 2))
+            for l in (3, 4) for seed in (1, 2, 3)]
+    fresh = {run: run[0](generate(spec)[0], RunConfig(l=run[1], s=run[2], seed=run[3]))
+             for run in runs}
+    for shuffle_seed in range(4):
+        g, _ = generate(spec)
+        calls = counted_orders(monkeypatch)
+        order = runs * 2
+        random.Random(shuffle_seed).shuffle(order)
+        last: dict[int, int] = {}
+        for run in order:
+            _, l, s, seed = run
+            assert run[0](g, RunConfig(l=l, s=s, seed=seed)) == fresh[run]
+            last[l] = seed
+            assert kept_orders(g) == last  # one order per (g, l): the last seed's
+        # an order is computed exactly when the seed differs from the last at l
+        changes = 0
+        seen: dict[int, int] = {}
+        for _, l, _, seed in order:
+            changes += seen.get(l) != seed
+            seen[l] = seed
+        assert len(calls) == changes
 
 
 def test_sweep_order_ties_fall_back_to_the_canonical_key(monkeypatch):
@@ -750,7 +854,7 @@ def test_the_path_cache_lets_go_of_its_graph():
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
     enumerate_paths(g, 6)
     assert verify_locality(g, RunConfig(l=6, s=3, seed=1), refs).passed
-    assert set(path_engine_module._PATH_CACHE[g]) == {6, (6, "tree"), (15, "balls")}
+    assert set(path_engine_module._PATH_CACHE[g]) == {6, (6, "order"), (6, "tree"), (15, "balls")}
     alive = weakref.ref(g)
     del g
     gc.collect()
