@@ -107,16 +107,19 @@ class ColoredGraph:
         return len(self.nodes)
 
     def node(self, node_id: int) -> Node:
-        try:
-            return self._node_by_id[node_id]
-        except KeyError:
-            raise ValueError(f"unknown node id {node_id}") from None
+        """The node with this id; an id that is not a plain int (a bool, a
+        float, a string) names no node."""
+        nd = self._node_by_id.get(node_id) if type(node_id) is int else None
+        if nd is None:
+            raise ValueError(f"unknown node id {node_id!r}")
+        return nd
 
     def edge(self, edge_id: int) -> Edge:
-        try:
-            return self._edge_by_id[edge_id]
-        except KeyError:
-            raise ValueError(f"unknown edge id {edge_id}") from None
+        """The edge with this id; an id that is not a plain int names no edge."""
+        e = self._edge_by_id.get(edge_id) if type(edge_id) is int else None
+        if e is None:
+            raise ValueError(f"unknown edge id {edge_id!r}")
+        return e
 
     @cached_property
     def _sorted_node_ids(self) -> tuple[int, ...]:

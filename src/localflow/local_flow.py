@@ -11,9 +11,9 @@ local query (``local_f2_edge``, and the tester's) is that tree on the whole
 graph: it reads only what the tree reads.  A query may also name a ball,
 which keeps the paths that lie inside it rather than being built as a graph;
 ``verify_locality`` queries each edge's ball of radius s*(l-1), with one
-evaluator for every ball, and checks edge by edge that this reproduces the
-global run bit for bit, so the locality the queries rely on is checked, not
-assumed.
+evaluator for every ball, and checks edge by edge that the query read
+nothing outside the ball and that its value is the global run's bit for
+bit, so the locality the queries rely on is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -218,7 +218,11 @@ def verify_locality(
     """Compare the global run against per-edge local evaluations, exact equality.
 
     One global A2, then one pass over the sample: each edge is answered on
-    its own ball by a single ``LocalEvaluator``.  What depends only on the
+    its own ball by a single ``LocalEvaluator``.  Where the query on g read
+    only nodes of the ball, that is its value on the ball, so the check is
+    that the reads lie in the ball and that the value equals the global
+    run's; elsewhere the ball's own value is compared, and reported on a
+    mismatch.  What depends only on the
     graph is built once and shared by every call through the path cache:
     the balls once per (g, radius), and the walks and lists of paths
     through edges once per (g, l), whatever the seed or s.  Each edge's
@@ -231,6 +235,8 @@ def verify_locality(
     failing on a graph built for it.  An empty sample is refused: it would
     check nothing.
     """
+    if isinstance(edge_sample, DirectedEdgeRef):
+        raise ValueError(f"bad field 'edge_sample': expected a list of edges, got {edge_sample!r}")
     if not edge_sample:
         raise ValueError("bad field 'edge_sample': expected at least one edge, got none")
     l, s = cfg.l, cfg.require_s()
@@ -317,13 +323,24 @@ class LocalEvaluator:
     The memo has two levels, a ``_Tables`` each.  Per seed, the tables on g
     hold the order keys, so ``path_key`` runs once per path and seed, each
     edge's (key, path, sign) list sorted by key, and the capped depths and
-    amounts of the queries without a ball; they live as long as the
-    evaluator.  Per seed, a ball's view of them holds that ball's state
-    only: its lists are g's filtered by the ball, which keeps their order,
-    so no ball sorts anything, and where the ball drops no path the view
-    reuses g's list.  The views hold one ball at a time: a query on another
-    ball drops those of the last.  A path's key travels with it in its list
-    entry, so the recursion over depths and amounts never looks one up.
+    amounts; they live as long as the evaluator.  Made for a query that
+    names a ball, they also hold each depth's and amount's read set: the
+    nodes of the predecessors its computation read (those with a smaller
+    key, up to an early return) and their own read sets.  A value is a
+    function of what it read, and a ball's list of the paths through an
+    edge is g's list filtered by the ball, so where the ball holds a read
+    set, the value on the ball is the value on g.  A query on a ball is
+    answered on g first, and that answer stands if the ball holds its read
+    set: the nodes of every path through e, and the read sets of their
+    depths and of the unskipped ones' amounts.  Otherwise it is answered
+    on the ball's view of the tables, which holds that ball's state only:
+    its lists are g's filtered by the ball, which keeps their order, so no
+    ball sorts anything, and where the ball drops no path the view reuses
+    g's list.  The views hold one ball at a time: a query on another ball
+    drops those of the last.  Tables made for a query without a ball record
+    no read sets, so local queries and the tester pay nothing for them.  A
+    path's key travels with it in its list entry, so the recursion over
+    depths and amounts never looks one up.
     The graph is valid by construction, so its nodes and edges, and the
     paths found on it, are read unchecked, and l and s come from a checked
     config; every amount and returned value is checked against the
@@ -343,15 +360,15 @@ class LocalEvaluator:
         self._on_ball: dict[frozenset[int], dict[int, _Tables]] = {}
 
     def f2_on(self, e: DirectedEdgeRef, seed: int, ball: frozenset[int] | None = None) -> int:
-        """A2's value at e under seed, on the subgraph ``ball`` induces if given."""
+        """A2's value at e under seed, on the subgraph ``ball`` induces if given:
+        the value on g when the ball holds what the query read there."""
         edge = self.g.edge(e.edge_id)
         if ball is not None and (edge.a not in ball or edge.b not in ball):
             raise ValueError(f"unknown edge id {edge.id}")
         t = self._seed_tables(seed, ball)
-        total = 0
-        for ku, u, sign in self._ordered(t, edge.id):
-            if self._depth(t, ku, u, self.s) < self.s:
-                total += sign * self._amount(t, ku, u)
+        total = self._value(t, edge.id)
+        if ball is not None and not self._holds_reads(t, edge.id, ball):
+            total = self._value(self._view(t, ball), edge.id)
         if not -edge.cap_ba <= total <= edge.cap_ab:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
         if e.orientation == AB:
@@ -359,6 +376,32 @@ class LocalEvaluator:
         if e.orientation != BA:
             raise _orientation_error(e)
         return -total
+
+    def _value(self, t: _Tables, eid: int) -> int:
+        """A2's value on eid read AB on t's graph."""
+        total = 0
+        for ku, u, sign in self._ordered(t, eid):
+            if self._depth(t, ku, u, self.s) < self.s:
+                total += sign * self._amount(t, ku, u)
+        return total
+
+    def _holds_reads(self, t: _Tables, eid: int, ball: frozenset[int]) -> bool:
+        """Whether ball holds what the query at eid read on g, if the tables
+        t on g recorded it: the nodes of every path through eid, and the
+        read sets of their depths and of the unskipped ones' amounts.  A
+        ball that holds every node of g holds any read set."""
+        if t.reads is None:
+            return False
+        g, s = self.g, self.s
+        if len(ball) >= g.n and ball.issuperset(g._node_by_id):
+            return True
+        depth_reads, amount_reads = t.reads[s], t.reads[0]
+        for ku, u, _ in self._ordered(t, eid):
+            ck = u.canonical_key
+            if not (ball.issuperset(u.nodes) and ball.issuperset(depth_reads.get(ck, ()))
+                    and (self._depth(t, ku, u, s) == s or ball.issuperset(amount_reads[ck]))):
+                return False
+        return True
 
     def outflow(self, v: int, seed: int) -> int:
         """A2's net outflow at node v under seed: the amounts of the unskipped
@@ -395,19 +438,24 @@ class LocalEvaluator:
         return total
 
     def _seed_tables(self, seed: int, ball: frozenset[int] | None) -> _Tables:
-        """seed's tables on g, or with a ball its view of them on the ball; a
-        ball other than the last drops the last ball's views."""
+        """seed's tables on g; made for a query that names a ball, they
+        record read sets."""
         t = self._on_g.get(seed)
         if t is None:
             t = self._on_g[seed] = _Tables(seed, self.s)
-        if ball is None:
-            return t
+            if ball is not None:
+                t.reads = [{} for _ in range(self.s + 1)]
+        return t
+
+    def _view(self, t: _Tables, ball: frozenset[int]) -> _Tables:
+        """The view of the tables t on g on ball; a ball other than the last
+        drops the last ball's views."""
         views = self._on_ball.get(ball)
         if views is None:
             self._on_ball = {ball: (views := {})}
-        view = views.get(seed)
+        view = views.get(t.seed)
         if view is None:
-            view = views[seed] = _Tables(seed, self.s, t, ball)
+            view = views[t.seed] = _Tables(t.seed, self.s, t, ball)
         return view
 
     def _ordered(self, t: _Tables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
@@ -445,17 +493,25 @@ class LocalEvaluator:
         ck = u.canonical_key
         got = memo.get(ck)
         if got is None:
-            got = memo[ck] = self._compute_depth(t, ku, u, k)
+            seen = None if t.reads is None else set()
+            got = memo[ck] = self._compute_depth(t, ku, u, k, seen)
+            if seen is not None:
+                t.reads[k][ck] = tuple(seen)
         return got
 
-    def _compute_depth(self, t: _Tables, ku: OrderKey, u: AugPathCandidate, k: int) -> int:
-        """h(u, k) for k >= 2, from u's predecessors."""
+    def _compute_depth(self, t: _Tables, ku: OrderKey, u: AugPathCandidate, k: int,
+                       seen: set[int] | None) -> int:
+        """h(u, k) for k >= 2, from u's predecessors; unless seen is None,
+        adds to it the nodes of each predecessor read and that one's read set."""
         best = 0
+        below = None if seen is None else t.reads[k - 1]
         for arc in u.arcs:
             for kv, v, _ in self._ordered(t, arc >> 1):
                 if kv >= ku:
                     break
                 got = self._depth(t, kv, v, k - 1)
+                if seen is not None:
+                    seen.update(v.nodes, below.get(v.canonical_key, ()))
                 if got == k - 1:
                     return k
                 if got > best:
@@ -467,6 +523,7 @@ class LocalEvaluator:
         ck = u.canonical_key
         got = t.amounts.get(ck)
         if got is None:
+            seen = None if t.reads is None else set()
             edge = self.g._edge_by_id
             for arc in u.arcs:
                 eid = arc >> 1
@@ -475,6 +532,8 @@ class LocalEvaluator:
                     if kv >= ku:
                         break
                     f_ab += v_sign * self._amount(t, kv, v)
+                    if seen is not None:
+                        seen.update(v.nodes, t.reads[0][v.canonical_key])
                 e = edge[eid]
                 room = e.cap_ba + f_ab if arc & 1 else e.cap_ab - f_ab
                 if got is None or room < got:
@@ -482,6 +541,8 @@ class LocalEvaluator:
             if got is None or got < 0:
                 raise AssertionError(f"negative amount {got} on path {ck!r}")
             t.amounts[ck] = got
+            if seen is not None:
+                t.reads[0][ck] = tuple(seen)
         return got
 
     def _paths_through(self, eid: int) -> tuple[tuple[AugPathCandidate, int], ...]:
@@ -547,3 +608,6 @@ class _Tables:
         self.lists: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}
+        # on g, for ball queries: the read sets of the depths, by cap k as
+        # above, and at index 0 those of the amounts
+        self.reads: list[dict[bytes, tuple[int, ...]]] | None = None

@@ -7,6 +7,8 @@ them former library routes kept to check their replacements:
 
 * ``full_scan_subgraph`` and ``ball_rerun_f2``: the subgraph scan and the A2
   rerun on a ball that ``induced_subgraph`` and ``LocalEvaluator`` replace;
+* ``reference_locality_report``: ``verify_locality``'s report with each
+  edge answered by a fresh evaluator on its ball's full-scan subgraph;
 * ``intersects`` and ``cut_capacity``: edge sharing of two paths and the
   capacity of a cut;
 * ``assemble_fbar2`` and ``fbar2_value``: the seed-averaged A2 flow from m
@@ -54,6 +56,8 @@ from localflow.local_flow import (
     SKIPPED_CHAIN,
     ZERO_CAPACITY,
     LocalEvaluator,
+    LocalityMismatch,
+    LocalityReport,
     RunConfig,
     RunTrace,
     TraceEntry,
@@ -99,6 +103,23 @@ def ball_rerun_f2(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
     f2, _ = run_a2(sub, RunConfig(l=l, s=s, seed=cfg.seed))
     validate_flow(sub, f2).raise_if_invalid("ball flow")
     return int(f2.on(e))
+
+
+def reference_locality_report(g: ColoredGraph, cfg: RunConfig, refs: list[DirectedEdgeRef],
+                              radius: int) -> LocalityReport:
+    """``verify_locality(g, cfg, refs, radius=radius)`` from scratch: the
+    global values from ``reference_sweep``, and each edge's local value from
+    a fresh evaluator on the subgraph of its BFS ball."""
+    l, s = cfg.l, cfg.require_s()
+    f2, _ = reference_sweep(g, l, cfg.seed, s)
+    mismatches = []
+    for ref in refs:
+        e = g.edge(ref.edge_id)
+        sub = full_scan_subgraph(g, bfs_ball(g, [e.a, e.b], radius))
+        local = LocalEvaluator(sub, l, s).f2_on(ref, cfg.seed)
+        if local != f2.on(ref):
+            mismatches.append(LocalityMismatch(ref, f2.on(ref), local))
+    return LocalityReport(len(refs), tuple(mismatches))
 
 
 def intersects(u: AugPathCandidate, v: AugPathCandidate) -> bool:

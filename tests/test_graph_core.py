@@ -167,6 +167,30 @@ def test_neighborhood_unknown_center():
         ball_nodes(g, DirectedEdgeRef(44, "AB"), 1)
 
 
+@pytest.mark.parametrize("bad_id", [True, 1.0, "1", None])
+def test_node_and_edge_ids_that_are_no_plain_int_name_nothing(bad_id):
+    """``True`` and ``1.0`` hash as 1, so a dict lookup alone would answer
+    for node or edge 1; they are refused, and the error shows the id by
+    repr, so ``'1'`` is not mistaken for 1."""
+    g = line_graph("SRT")
+    assert g.node(1).id == g.edge(1).id == 1
+    with pytest.raises(ValueError, match=re.escape(f"unknown node id {bad_id!r}")):
+        g.node(bad_id)
+    with pytest.raises(ValueError, match=re.escape(f"unknown edge id {bad_id!r}")):
+        g.edge(bad_id)
+    with pytest.raises(ValueError, match=re.escape(f"unknown node id {bad_id!r}")):
+        ball_nodes(g, bad_id, 1)
+    with pytest.raises(ValueError, match=re.escape(f"unknown edge id {bad_id!r}")):
+        ball_nodes(g, DirectedEdgeRef(bad_id, "AB"), 1)
+
+
+def test_a_float_center_builds_no_ball_of_floats():
+    g = line_graph("SRRT")
+    assert ball_nodes(g, 3, 1) == {2, 3}
+    with pytest.raises(ValueError, match=re.escape("unknown node id 3.0")):
+        ball_nodes(g, 3.0, 1)
+
+
 @pytest.mark.parametrize("radius", [True, 2.0, "1", -1])
 def test_ball_radius_must_be_a_plain_int_at_least_zero(radius):
     """``radius=True`` is not radius 1, and a float or a string is named,

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -45,6 +46,7 @@ from oracles import (
     out_edges,
     path_signature,
     reference_sweep,
+    reference_locality_report,
     reference_walks,
 )
 from test_json_properties import graphs
@@ -406,6 +408,33 @@ def test_local_f2_unknown_edge():
         local_f2_edge(g, DirectedEdgeRef(12, "AB"), RunConfig(l=2, s=2))
 
 
+@pytest.mark.parametrize("bad_id", [True, 5.0, "5"])
+def test_edge_queries_refuse_an_edge_id_that_is_no_plain_int(bad_id):
+    """``True`` and ``5.0`` would otherwise be answered as edges 1 and 5, by
+    a local query and by ``verify_locality``, also once edge 1's and edge
+    5's balls are cached."""
+    g, _ = generate(random_spec(575, n=30))
+    cfg = RunConfig(l=3, s=2, seed=1)
+    assert verify_locality(g, cfg, [DirectedEdgeRef(1, "AB"), DirectedEdgeRef(5, "AB")]).passed
+    ref = DirectedEdgeRef(bad_id, "AB")
+    msg = re.escape(f"unknown edge id {bad_id!r}")
+    with pytest.raises(ValueError, match=msg):
+        local_f2_edge(g, ref, cfg)
+    with pytest.raises(ValueError, match=msg):
+        LocalEvaluator(g, cfg.l, cfg.s).f2_on(ref, cfg.seed)
+    with pytest.raises(ValueError, match=msg):
+        verify_locality(g, cfg, [ref])
+
+
+def test_verify_locality_refuses_a_bare_edge_as_its_sample():
+    g = line_graph("SRT")
+    ref = DirectedEdgeRef(0, "AB")
+    with pytest.raises(ValueError, match=re.escape(
+            "bad field 'edge_sample': expected a list of edges, got DirectedEdgeRef(")):
+        verify_locality(g, RunConfig(l=2, s=2, seed=0), ref)
+    assert verify_locality(g, RunConfig(l=2, s=2, seed=0), [ref]).passed
+
+
 def test_verify_locality_full_edge_set_passes():
     g, _ = generate(random_spec(800, n=30))
     cfg = RunConfig(l=3, s=2, seed=6)
@@ -630,6 +659,87 @@ def test_verify_locality_at_l_one_reads_only_the_edge():
     assert [local_f2_edge(g, ref, cfg) for ref in refs] == [f2.on(ref) for ref in refs]
 
 
+def counted_views(monkeypatch) -> list[frozenset[int]]:
+    """The ball of every query from now on that reads outside the graph's
+    tables: one that goes through a ball's view."""
+    views: list[frozenset[int]] = []
+    real_view = LocalEvaluator._view
+
+    def counting(self, t, ball):
+        views.append(ball)
+        return real_view(self, t, ball)
+
+    monkeypatch.setattr(LocalEvaluator, "_view", counting)
+    return views
+
+
+def alternating_refs(g: ColoredGraph) -> list[DirectedEdgeRef]:
+    return [DirectedEdgeRef(e.id, ("AB", "BA")[i % 2]) for i, e in enumerate(g.edges)]
+
+
+@pytest.mark.parametrize("spec,l,s", [
+    (None, 6, 3),
+    (InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3), 4, 3),
+], ids=["ac5", "grid"])
+def test_verify_locality_reports_equal_the_reference_at_every_radius(spec, l, s, monkeypatch):
+    """The whole report, each mismatch's local value too, is the one a fresh
+    evaluator per edge on its ball's subgraph gives: at the default radius,
+    where every query is answered from the tables on g, at l-1, where some
+    are, and at 1 and 0, where the balls drop paths through the edge."""
+    g = ac5_instance() if spec is None else generate(spec)[0]
+    refs = alternating_refs(g)
+    views = counted_views(monkeypatch)
+    viewed, mismatched = {}, {}
+    for radius in (s * (l - 1), l - 1, 1, 0):
+        del views[:]
+        for seed in (1, 2):
+            cfg = RunConfig(l=l, s=s, seed=seed)
+            report = verify_locality(g, cfg, refs, radius=radius)
+            assert report == reference_locality_report(g, cfg, refs, radius), (radius, seed)
+            mismatched[radius] = mismatched.get(radius, 0) + len(report.mismatches)
+        viewed[radius] = len(views)
+    assert viewed[s * (l - 1)] == mismatched[s * (l - 1)] == 0
+    assert 0 < viewed[l - 1] < 2 * len(refs)
+    assert mismatched[1] and mismatched[0]
+    if spec is not None:  # the grid: a mismatch whose local value is not 0
+        assert mismatched[l - 1]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
+def test_verify_locality_reports_equal_the_reference_on_arbitrary_graphs(g, l, s, seed, data):
+    if not g.edges:
+        return
+    radius = data.draw(st.sampled_from((s * (l - 1), l - 1, 1, 0)))
+    refs = alternating_refs(g)
+    cfg = RunConfig(l=l, s=s, seed=seed)
+    assert verify_locality(g, cfg, refs, radius=radius) == \
+        reference_locality_report(g, cfg, refs, radius)
+
+
+def test_ba_refs_are_negated_and_bad_orientations_refused_on_g(monkeypatch):
+    """On AC-5's instance at the default radius every query is answered from
+    the tables on g, and there too a BA ref reads the negated value and an
+    orientation that is neither AB nor BA is refused."""
+    g = ac5_instance()
+    l, s = 6, 3
+    cfg = RunConfig(l=l, s=s, seed=1)
+    f2, _ = run_a2(g, cfg)
+    views = counted_views(monkeypatch)
+    ev = LocalEvaluator(g, l, s)
+    nonzero = 0
+    for e in g.edges:
+        ab, ba = DirectedEdgeRef(e.id, "AB"), DirectedEdgeRef(e.id, "BA")
+        ball = ball_nodes(g, ab, _ball_radius(l, s))
+        got = ev.f2_on(ba, 1, ball)
+        assert got == -ev.f2_on(ab, 1, ball) == f2.on(ba)
+        nonzero += got != 0
+        with pytest.raises(ValueError, match="bad field 'orientation'"):
+            ev.f2_on(DirectedEdgeRef(e.id, "ab"), 1, ball)
+    assert verify_locality(g, cfg, [DirectedEdgeRef(e.id, "BA") for e in g.edges]).passed
+    assert nonzero and views == []
+
+
 def test_local_queries_build_no_graph(monkeypatch):
     g, _ = generate(random_spec(573, n=60, params={"rounds": 2}))
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
@@ -680,6 +790,19 @@ def test_ball_view_refuses_an_edge_outside_the_ball():
                 query(DirectedEdgeRef(eid, "AB"))
     assert view.f2_on(DirectedEdgeRef(1, "BA"), 1, ball) == 0
     assert view.f2_on(DirectedEdgeRef(2, "AB"), 1) == 0  # g itself has edge 2
+
+
+def test_a_ball_of_as_many_ids_as_g_has_nodes_is_not_taken_for_g():
+    """A ball that holds every node of g is g, so the query's reads need no
+    check; one of the same size that names an id outside g and misses the
+    target is not, and is answered on the subgraph it induces."""
+    g = line_graph("SRRT", cap=3)
+    ref = DirectedEdgeRef(0, "AB")
+    ev = LocalEvaluator(g, 3, 2)
+    assert ev.f2_on(ref, 1, frozenset({0, 1, 2, 3})) == 3
+    foreign = frozenset({0, 1, 2, 99})
+    assert len(foreign) == g.n
+    assert ev.f2_on(ref, 1, foreign) == LocalEvaluator(induced_subgraph(g, foreign), 3, 2).f2_on(ref, 1) == 0
 
 
 def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
@@ -941,9 +1064,11 @@ def test_a_negative_local_seed_is_a_seed_like_any_other():
 def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypatch):
     """On AC-5's instance at radius l-1, one evaluator answers every edge on
     its ball under two interleaved seeds.  ``path_key`` runs once per path
-    and seed; each ball's list of paths through an edge is the seed's sorted
-    list filtered by the ball, and the sorted list itself where the ball
-    drops nothing; and the answers are ``verify_locality``'s."""
+    and seed; each list of paths through an edge in a ball's view is the
+    seed's sorted list filtered by the ball, and the sorted list itself where
+    the ball drops nothing; and the answers are ``verify_locality``'s.  At
+    this radius some queries read outside their ball, and only those build
+    views."""
     g = ac5_instance()
     l, s, rad = 6, 3, 5
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
@@ -957,12 +1082,13 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
     monkeypatch.setattr(local_flow_module, "path_key", keying)
     ev = LocalEvaluator(g, l, s)
     answers = {1: [], 2: []}
-    shared = filtered = 0
+    shared = filtered = viewed = 0
     for ref in refs:
         ball = ball_nodes(g, ref, rad)
         for seed in (1, 2):
             answers[seed].append(ev.f2_on(ref, seed, ball))
-        for seed, t in ev._on_ball[ball].items():
+        viewed += ball in ev._on_ball
+        for seed, t in ev._on_ball.get(ball, {}).items():
             for eid, got in t.lists.items():
                 full = ev._on_g[seed].lists[eid]
                 inside = [kus for kus in full if ball.issuperset(kus[1].nodes)]
@@ -980,6 +1106,7 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
                for seed in (1, 2) for eid, got in ev._on_g[seed].lists.items())
     monkeypatch.undo()
     assert shared and filtered
+    assert 0 < viewed < len(refs)
     keys = [ev._on_g[seed].keys for seed in (1, 2)]
     assert len(hashed) == len(set(hashed)) == len(keys[0]) + len(keys[1])
     assert set(keys[0]) == set(keys[1]) == {u.canonical_key for u in ev._paths.values()}
@@ -1028,9 +1155,11 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
 
 
 def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
-    """Ball B1 under seeds 1 and 2, then B2, then B1 again: every answer is a
-    fresh evaluator's on the subgraph the ball induces, and after every query
-    the views are those of the current ball alone, one per seed."""
+    """Ball B1 under seeds 1 and 2, then B2, then B1 again, at a radius below
+    l-1, where queries read outside their balls: every answer is a fresh
+    evaluator's on the subgraph the ball induces, the views are never of
+    more than one ball, and once a ball's queries are done they are that
+    ball's alone, one per seed."""
     g, _ = generate(random_spec(7, n=40))
     l, s = 4, 2
     first, last = (DirectedEdgeRef(e.id, "AB") for e in (g.edges[0], g.edges[-1]))
@@ -1041,21 +1170,25 @@ def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
     for ball, seeds in ((b1, (1, 2)), (b2, (1,)), (b1, (1,))):
         sub = induced_subgraph(g, ball)
         fresh = LocalEvaluator(sub, l, s)
-        for i, seed in enumerate(seeds):
+        for seed in seeds:
             for e in sub.edges:
                 ref = DirectedEdgeRef(e.id, "AB")
                 answers.append(ev.f2_on(ref, seed, ball))
                 assert answers[-1] == fresh.f2_on(ref, seed)
-                assert list(ev._on_ball) == [ball]
-                assert set(ev._on_ball[ball]) == set(seeds[:i + 1])
-                inside = {u.canonical_key for u in ev._paths.values() if ball.issuperset(u.nodes)}
-                for t in ev._on_ball[ball].values():
-                    assert all(ball.issuperset(u.nodes)
-                               for got in t.lists.values() for _, u, _ in got)
-                    assert set(t.amounts).union(*t.depths) <= inside
+                assert len(ev._on_ball) <= 1
+                for viewed, views in ev._on_ball.items():
+                    inside = {u.canonical_key for u in ev._paths.values()
+                              if viewed.issuperset(u.nodes)}
+                    for t in views.values():
+                        assert all(viewed.issuperset(u.nodes)
+                                   for got in t.lists.values() for _, u, _ in got)
+                        assert set(t.amounts).union(*t.depths) <= inside
+        assert list(ev._on_ball) == [ball] and set(ev._on_ball[ball]) == set(seeds)
     assert any(answers)
-    # Every query named a ball, so the tables on g hold lists and keys only.
-    assert not any(t.amounts or any(t.depths) for t in ev._on_g.values())
+    # Every query named a ball, so the tables on g record a read set for
+    # every depth and amount they hold.
+    for t in ev._on_g.values():
+        assert t.amounts and [set(got) for got in t.reads] == [set(t.amounts), set(), set(t.depths[2])]
 
 
 def net_outflows(g: ColoredGraph, f: Flow) -> dict[int, int]:
@@ -1163,7 +1296,7 @@ def test_walk_search_equals_the_reference_search(spec):
             sub = induced_subgraph(g, ball)
             want = naive_paths(sub, l)
             ev.f2_on(center, 1, ball)
-            t = ev._seed_tables(1, ball)
+            t = ev._view(ev._on_g[1], ball)
             for e in sub.edges:
                 got = ev._ordered(t, e.id)
                 assert [k for k, _, _ in got] == sorted(path_key(u, 1) for _, u, _ in got)
