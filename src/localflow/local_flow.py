@@ -8,12 +8,13 @@ final value to a ball around it.  ``LocalEvaluator`` computes that value
 without a sweep, as a memoised query tree over the paths through the edge and
 their predecessors, reading nothing beyond s*(l-1) hops of the edge.  A
 local query (``local_f2_edge``, and the tester's) is that tree on the whole
-graph: it reads only what the tree reads.  A query may also name a ball,
-which keeps the paths that lie inside it rather than being built as a graph;
-``verify_locality`` queries each edge's ball of radius s*(l-1), with one
-evaluator for every ball, and checks edge by edge that the query read
-nothing outside the ball and that its value is the global run's bit for
-bit, so the locality the queries rely on is checked, not assumed.
+graph: it reads only what the tree reads.  An evaluator may instead answer
+on the subgraph a ball induces, keeping the paths that lie inside the ball
+rather than building the subgraph.  ``verify_locality`` answers each edge
+on g and records what the query read; where the reads leave the edge's
+ball of radius s*(l-1), it answers again on the ball.  It checks edge by
+edge that the value is the global run's bit for bit, so the locality the
+queries rely on is checked, not assumed.
 """
 
 from __future__ import annotations
@@ -217,19 +218,19 @@ def verify_locality(
 ) -> LocalityReport:
     """Compare the global run against per-edge local evaluations, exact equality.
 
-    One global A2, then one pass over the sample: each edge is answered on
-    its own ball by a single ``LocalEvaluator``.  Where the query on g read
-    only nodes of the ball, that is its value on the ball, so the check is
-    that the reads lie in the ball and that the value equals the global
-    run's; elsewhere the ball's own value is compared, and reported on a
-    mismatch.  What depends only on the
-    graph is built once and shared by every call through the path cache:
-    the balls once per (g, radius), and the walks and lists of paths
-    through edges once per (g, l), whatever the seed or s.  Each edge's
-    key-sorted list of paths is built once per call and seed; a ball only
-    filters it.  ``radius`` (default ``_ball_radius``) and ``local_seed``
-    exist for negative controls, and each must be a plain int, the radius
-    at least 0.  The mismatched-seed control fails only where ``run_a2``
+    One global A2, then one pass over the sample with one ``LocalEvaluator``
+    on g, which records what each query read.  Where the edge's ball holds
+    that read set, the value on g is the value on the subgraph the ball
+    induces, so the check is that the reads lie in the ball and that the
+    value equals the global run's.  Elsewhere a fresh evaluator on the ball
+    answers, and its value is compared, and reported on a mismatch; it takes
+    its order keys from the evaluator on g, so ``path_key`` runs once per
+    path.  What depends only on the graph is built once and shared by every
+    call through the path cache: the balls once per (g, radius), and the
+    walks and lists of paths through edges once per (g, l), whatever the
+    seed or s.  ``radius`` (default ``_ball_radius``) and ``local_seed``
+    exist for negative controls, and each must be a plain int, the radius at
+    least 0.  The mismatched-seed control fails only where ``run_a2``
     depends on the seed: on AC-5's instance it does not, and
     ``test_mismatched_seed_negative_control_fails`` shows the control
     failing on a graph built for it.  An empty sample is refused: it would
@@ -239,6 +240,9 @@ def verify_locality(
         raise ValueError(f"bad field 'edge_sample': expected a list of edges, got {edge_sample!r}")
     if not edge_sample:
         raise ValueError("bad field 'edge_sample': expected at least one edge, got none")
+    for ref in edge_sample:
+        if not isinstance(ref, DirectedEdgeRef):
+            raise ValueError(f"bad field 'edge_sample': expected a list of edges, got item {ref!r}")
     l, s = cfg.l, cfg.require_s()
     where = "verify_locality"
     rad = (_ball_radius(l, s) if radius is None
@@ -247,15 +251,21 @@ def verify_locality(
             else _int_field({"local_seed": local_seed}, "local_seed", where))
 
     f2_global, _ = run_a2(g, cfg)
+    tree = _tree_tables(g, l)
     ev = LocalEvaluator(g, l, s)
-    ev._walk_memo, ev._through, ev._paths = _tree_tables(g, l)
+    ev._walk_memo, ev._through, ev._paths = tree
     balls = _PATH_CACHE.setdefault(g, {}).setdefault((rad, "balls"), {})
     mismatches = []
     for ref in edge_sample:
         ball = balls.get(ref.edge_id)
         if ball is None:
             ball = balls[ref.edge_id] = ball_nodes(g, ref, rad)
-        got_local = ev.f2_on(ref, seed, ball)
+        got_local = ev.f2_on(ref, seed)
+        if not ev._holds_reads(ref.edge_id, seed, ball):
+            on_ball = LocalEvaluator(g, l, s, ball=ball)
+            on_ball._walk_memo, on_ball._through, on_ball._paths = tree
+            on_ball._seed_tables(seed).keys = ev._tables[seed].keys
+            got_local = on_ball.f2_on(ref, seed)
         got_global = int(f2_global.on(ref))
         if got_global != got_local:
             mismatches.append(LocalityMismatch(ref, got_global, got_local))
@@ -303,72 +313,63 @@ class LocalEvaluator:
     g, and ``verify_locality`` checks the claim on the balls of radius
     ``_ball_radius``.
 
-    A query given a ``ball`` is answered on ``induced_subgraph(g, ball)``,
+    An evaluator given a ``ball`` answers on the subgraph the ball induces,
     which is never built: the paths of that subgraph through an edge are
     exactly the paths of g through it whose nodes all lie in the ball, so
-    the ball only filters the lists of paths through edges, and an edge with
-    an endpoint outside it raises ``ValueError``, as on the subgraph.  The
-    layered walk search that lists the global paths from each S node with
-    cap l (``_simple_walks``) runs here at most once per node of g, with cap
-    l-1, and finds both the walks from S nodes into it and the walks from it
-    to T nodes; a reversed walk reverses each arc (``arc ^ 1``).  A path is
-    known by its arcs: one found again through another of its edges is
-    looked up, and only a new one is built.  The paths through an edge are
-    listed once per edge id and shared by both orientations, every seed and
-    every ball.  A fresh evaluator builds its own walks and lists, so a
-    local query costs what the paper bounds; ``verify_locality``'s
-    evaluators share theirs, built once per (g, l) in the path cache, across
-    calls.
+    the evaluator keeps only those, before keying and sorting them, and an
+    edge with an endpoint outside the ball, or a node outside it, raises
+    ``ValueError``, as on the subgraph.  The layered walk search that lists
+    the global paths from each S node with cap l (``_simple_walks``) runs
+    here at most once per node of g, with cap l-1, and finds both the walks
+    from S nodes into it and the walks from it to T nodes; a reversed walk
+    reverses each arc (``arc ^ 1``).  A path is known by its arcs: one found
+    again through another of its edges is looked up, and only a new one is
+    built.  The paths through an edge are listed once per edge id and shared
+    by both orientations and every seed.  A fresh evaluator builds its own
+    walks and lists, so a local query costs what the paper bounds;
+    ``verify_locality``'s evaluators share theirs, built once per (g, l) in
+    the path cache, across calls.
 
-    The memo has two levels, a ``_Tables`` each.  Per seed, the tables on g
-    hold the order keys, so ``path_key`` runs once per path and seed, each
-    edge's (key, path, sign) list sorted by key, and the capped depths and
-    amounts; they live as long as the evaluator.  Made for a query that
-    names a ball, they also hold each depth's and amount's read set: the
-    nodes of the predecessors its computation read (those with a smaller
-    key, up to an early return) and their own read sets.  A value is a
-    function of what it read, and a ball's list of the paths through an
-    edge is g's list filtered by the ball, so where the ball holds a read
-    set, the value on the ball is the value on g.  A query on a ball is
-    answered on g first, and that answer stands if the ball holds its read
-    set: the nodes of every path through e, and the read sets of their
-    depths and of the unskipped ones' amounts.  Otherwise it is answered
-    on the ball's view of the tables, which holds that ball's state only:
-    its lists are g's filtered by the ball, which keeps their order, so no
-    ball sorts anything, and where the ball drops no path the view reuses
-    g's list.  The views hold one ball at a time: a query on another ball
-    drops those of the last.  Tables made for a query without a ball record
-    no read sets, so local queries and the tester pay nothing for them.  A
-    path's key travels with it in its list entry, so the recursion over
-    depths and amounts never looks one up.
+    The memo is one ``_Tables`` per seed, which lives as long as the
+    evaluator.  It holds the order keys, so ``path_key`` runs once per path
+    and seed, each edge's (key, path, sign) list sorted by key, the capped
+    depths and amounts, and each depth's and amount's read set: the nodes
+    of the predecessors its computation read (those with a smaller key, up
+    to an early return) and their own read sets.  A value is a function of
+    what it read, and a ball's list of the paths through an edge is g's list
+    filtered by the ball, so where a ball holds what a query on g read, the
+    value on the subgraph the ball induces is the value on g
+    (``_holds_reads``).  A path's key travels with it in its list entry, so
+    the recursion over depths and amounts never looks one up.
     The graph is valid by construction, so its nodes and edges, and the
     paths found on it, are read unchecked, and l and s come from a checked
     config; every amount and returned value is checked against the
     invariants of a valid flow.
     """
 
-    def __init__(self, g: ColoredGraph, l: int, s: int):
+    def __init__(self, g: ColoredGraph, l: int, s: int, *, ball: frozenset[int] | None = None):
         self.g = g
         self.l = l
         self.s = s
+        self.ball = ball
         # a path's arcs -> the path
         self._paths: dict[tuple[int, ...], AugPathCandidate] = {}
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
         self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
-        self._on_g: dict[int, _Tables] = {}  # seed -> its tables on g
-        # the last ball a query named -> seed -> its view of the tables on g
-        self._on_ball: dict[frozenset[int], dict[int, _Tables]] = {}
+        self._tables: dict[int, _Tables] = {}  # by seed
 
-    def f2_on(self, e: DirectedEdgeRef, seed: int, ball: frozenset[int] | None = None) -> int:
-        """A2's value at e under seed, on the subgraph ``ball`` induces if given:
-        the value on g when the ball holds what the query read there."""
+    def f2_on(self, e: DirectedEdgeRef, seed: int) -> int:
+        """A2's value at e under seed, on the evaluator's graph."""
         edge = self.g.edge(e.edge_id)
+        ball = self.ball
         if ball is not None and (edge.a not in ball or edge.b not in ball):
             raise ValueError(f"unknown edge id {edge.id}")
-        t = self._seed_tables(seed, ball)
-        total = self._value(t, edge.id)
-        if ball is not None and not self._holds_reads(t, edge.id, ball):
-            total = self._value(self._view(t, ball), edge.id)
+        t = self._seed_tables(seed)
+        s = self.s
+        total = 0
+        for ku, u, sign in self._ordered(t, edge.id):
+            if self._depth(t, ku, u, s) < s:
+                total += sign * self._amount(t, ku, u)
         if not -edge.cap_ba <= total <= edge.cap_ab:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
         if e.orientation == AB:
@@ -377,24 +378,15 @@ class LocalEvaluator:
             raise _orientation_error(e)
         return -total
 
-    def _value(self, t: _Tables, eid: int) -> int:
-        """A2's value on eid read AB on t's graph."""
-        total = 0
-        for ku, u, sign in self._ordered(t, eid):
-            if self._depth(t, ku, u, self.s) < self.s:
-                total += sign * self._amount(t, ku, u)
-        return total
-
-    def _holds_reads(self, t: _Tables, eid: int, ball: frozenset[int]) -> bool:
-        """Whether ball holds what the query at eid read on g, if the tables
-        t on g recorded it: the nodes of every path through eid, and the
-        read sets of their depths and of the unskipped ones' amounts.  A
-        ball that holds every node of g holds any read set."""
-        if t.reads is None:
-            return False
+    def _holds_reads(self, eid: int, seed: int, ball: frozenset[int]) -> bool:
+        """Whether ball holds what the query at eid under seed read: the
+        nodes of every path through eid, and the read sets of their depths
+        and of the unskipped ones' amounts.  A ball that holds every node of
+        the graph holds any read set."""
         g, s = self.g, self.s
         if len(ball) >= g.n and ball.issuperset(g._node_by_id):
             return True
+        t = self._tables[seed]
         depth_reads, amount_reads = t.reads[s], t.reads[0]
         for ku, u, _ in self._ordered(t, eid):
             ck = u.canonical_key
@@ -415,7 +407,9 @@ class LocalEvaluator:
         """
         g = self.g
         color = g.node(v).color
-        t = self._seed_tables(seed, None)
+        if self.ball is not None and v not in self.ball:
+            raise ValueError(f"unknown node id {v!r}")
+        t = self._seed_tables(seed)
         edge, s = g._edge_by_id, self.s
         total = cap_out = cap_in = 0
         for arc in g._adj[v][1::2]:  # v's arcs, each leaving v
@@ -437,51 +431,29 @@ class LocalEvaluator:
             raise AssertionError(f"net outflow {total} at {color} node {v} outside [{low}, {high}]")
         return total
 
-    def _seed_tables(self, seed: int, ball: frozenset[int] | None) -> _Tables:
-        """seed's tables on g; made for a query that names a ball, they
-        record read sets."""
-        t = self._on_g.get(seed)
+    def _seed_tables(self, seed: int) -> _Tables:
+        t = self._tables.get(seed)
         if t is None:
-            t = self._on_g[seed] = _Tables(seed, self.s)
-            if ball is not None:
-                t.reads = [{} for _ in range(self.s + 1)]
+            t = self._tables[seed] = _Tables(seed, self.s)
         return t
 
-    def _view(self, t: _Tables, ball: frozenset[int]) -> _Tables:
-        """The view of the tables t on g on ball; a ball other than the last
-        drops the last ball's views."""
-        views = self._on_ball.get(ball)
-        if views is None:
-            self._on_ball = {ball: (views := {})}
-        view = views.get(t.seed)
-        if view is None:
-            view = views[t.seed] = _Tables(t.seed, self.s, t, ball)
-        return view
-
     def _ordered(self, t: _Tables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
-        """(key, path, sign) of the paths through eid on t's graph, in key
-        order.  On g the paths are keyed, each once per seed, and sorted; a
-        ball's view filters g's list, which keeps its order, and reuses it
-        where the ball drops nothing."""
+        """(key, path, sign) of the paths through eid on the evaluator's
+        graph, in key order, each path keyed once per seed."""
         got = t.lists.get(eid)
         if got is None:
-            on_g = t.on_g
-            if on_g is None:
-                keys, seed = t.keys, t.seed
-                got = []
-                for u, sign in self._paths_through(eid):
-                    ck = u.canonical_key
-                    k = keys.get(ck)
-                    if k is None:
-                        k = keys[ck] = path_key(u, seed)
-                    got.append((k, u, sign))
-                got.sort()  # keys are distinct, so paths are never compared
-            else:
-                full = self._ordered(on_g, eid)
-                ball = t.ball
-                got = [kus for kus in full if ball.issuperset(kus[1].nodes)]
-                if len(got) == len(full):
-                    got = full
+            keys, seed, ball = t.keys, t.seed, self.ball
+            through = self._paths_through(eid)
+            if ball is not None:
+                through = [us for us in through if ball.issuperset(us[0].nodes)]
+            got = []
+            for u, sign in through:
+                ck = u.canonical_key
+                k = keys.get(ck)
+                if k is None:
+                    k = keys[ck] = path_key(u, seed)
+                got.append((k, u, sign))
+            got.sort()  # keys are distinct, so paths are never compared
             t.lists[eid] = got
         return got
 
@@ -493,25 +465,23 @@ class LocalEvaluator:
         ck = u.canonical_key
         got = memo.get(ck)
         if got is None:
-            seen = None if t.reads is None else set()
+            seen: set[int] = set()
             got = memo[ck] = self._compute_depth(t, ku, u, k, seen)
-            if seen is not None:
-                t.reads[k][ck] = tuple(seen)
+            t.reads[k][ck] = tuple(seen)
         return got
 
     def _compute_depth(self, t: _Tables, ku: OrderKey, u: AugPathCandidate, k: int,
-                       seen: set[int] | None) -> int:
-        """h(u, k) for k >= 2, from u's predecessors; unless seen is None,
-        adds to it the nodes of each predecessor read and that one's read set."""
+                       seen: set[int]) -> int:
+        """h(u, k) for k >= 2, from u's predecessors; adds to seen the nodes
+        of each predecessor read and that one's read set."""
         best = 0
-        below = None if seen is None else t.reads[k - 1]
+        below = t.reads[k - 1]
         for arc in u.arcs:
             for kv, v, _ in self._ordered(t, arc >> 1):
                 if kv >= ku:
                     break
                 got = self._depth(t, kv, v, k - 1)
-                if seen is not None:
-                    seen.update(v.nodes, below.get(v.canonical_key, ()))
+                seen.update(v.nodes, below.get(v.canonical_key, ()))
                 if got == k - 1:
                     return k
                 if got > best:
@@ -523,7 +493,8 @@ class LocalEvaluator:
         ck = u.canonical_key
         got = t.amounts.get(ck)
         if got is None:
-            seen = None if t.reads is None else set()
+            seen: set[int] = set()
+            reads = t.reads[0]
             edge = self.g._edge_by_id
             for arc in u.arcs:
                 eid = arc >> 1
@@ -532,8 +503,7 @@ class LocalEvaluator:
                     if kv >= ku:
                         break
                     f_ab += v_sign * self._amount(t, kv, v)
-                    if seen is not None:
-                        seen.update(v.nodes, t.reads[0][v.canonical_key])
+                    seen.update(v.nodes, reads[v.canonical_key])
                 e = edge[eid]
                 room = e.cap_ba + f_ab if arc & 1 else e.cap_ab - f_ab
                 if got is None or room < got:
@@ -541,8 +511,7 @@ class LocalEvaluator:
             if got is None or got < 0:
                 raise AssertionError(f"negative amount {got} on path {ck!r}")
             t.amounts[ck] = got
-            if seen is not None:
-                t.reads[0][ck] = tuple(seen)
+            reads[ck] = tuple(seen)
         return got
 
     def _paths_through(self, eid: int) -> tuple[tuple[AugPathCandidate, int], ...]:
@@ -589,25 +558,20 @@ class LocalEvaluator:
 
 
 class _Tables:
-    """One seed's memo tables, keyed by canonical key: on g if ``on_g`` is
-    None, else the view of the tables ``on_g`` on ``ball``.  ``lists`` maps
-    an edge id to the (key, path, sign) of the paths through it, in key
-    order; ``keys``, filled on g only, maps the canonical key of each path
-    listed there to its order key.
+    """One seed's memo tables, keyed by canonical key.  ``keys`` maps the
+    canonical key of each path listed to its order key, and ``lists`` an
+    edge id to the (key, path, sign) of the paths through it, in key order.
+    ``reads`` holds the read sets of the depths, by cap k as ``depths``,
+    and at index 0 those of the amounts.
 
     Plain data: the evaluator's methods fill it, so no reference cycle keeps
     a finished evaluator alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, s: int, on_g: _Tables | None = None,
-                 ball: frozenset[int] | None = None):
+    def __init__(self, seed: int, s: int):
         self.seed = seed
-        self.on_g = on_g
-        self.ball = ball
         self.keys: dict[bytes, OrderKey] = {}
         self.lists: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}
-        # on g, for ball queries: the read sets of the depths, by cap k as
-        # above, and at index 0 those of the amounts
-        self.reads: list[dict[bytes, tuple[int, ...]]] | None = None
+        self.reads: list[dict[bytes, tuple[int, ...]]] = [{} for _ in range(s + 1)]

@@ -137,7 +137,9 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 # is one list of references to the paths per (graph, l), whatever the number
 # of seeds run.  (l, "tree") -> the query tree's walk memo, paths through
 # each edge and paths by arcs, built once and shared by every
-# ``verify_locality`` call on (graph, l), whatever its seed, s or radius.
+# ``verify_locality`` call on (graph, l), whatever its seed, s or radius, by
+# its evaluator on the graph and by each evaluator on the subgraph a ball
+# induces.
 # ``verify_locality`` also keeps its balls here, under (radius, "balls"):
 # edge id -> the node ids within radius hops of the edge, built once per
 # (graph, radius) and shared whatever the l, s or seed.  No value refers to

@@ -38,7 +38,13 @@ from localflow.local_flow import (
     run_a2,
     verify_locality,
 )
-from localflow.path_engine import _simple_walks, chain_depth_all, enumerate_paths, path_key
+from localflow.path_engine import (
+    _simple_walks,
+    _tree_tables,
+    chain_depth_all,
+    enumerate_paths,
+    path_key,
+)
 from oracles import (
     ball_rerun_f2,
     length_boundary_violations,
@@ -49,6 +55,7 @@ from oracles import (
     reference_locality_report,
     reference_walks,
 )
+from test_acceptance import SEEDS, _locality_suite
 from test_json_properties import graphs
 
 
@@ -435,6 +442,17 @@ def test_verify_locality_refuses_a_bare_edge_as_its_sample():
     assert verify_locality(g, RunConfig(l=2, s=2, seed=0), [ref]).passed
 
 
+@pytest.mark.parametrize("sample", [[(0, "AB")], [DirectedEdgeRef(0, "AB"), (1, "AB")],
+                                    [DirectedEdgeRef(0, "AB"), None], [0]])
+def test_verify_locality_refuses_a_sample_item_that_is_no_edge(sample):
+    """Each item of the sample must be a ``DirectedEdgeRef``: a plain tuple
+    is refused by name before anything runs, not read as one."""
+    g = ac5_instance()
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad field 'edge_sample': expected a list of edges, got item {sample[-1]!r}")):
+        verify_locality(g, RunConfig(l=6, s=3, seed=1), sample)
+    assert g not in path_engine_module._PATH_CACHE
+
 def test_verify_locality_full_edge_set_passes():
     g, _ = generate(random_spec(800, n=30))
     cfg = RunConfig(l=3, s=2, seed=6)
@@ -595,18 +613,18 @@ def ac5_instance() -> ColoredGraph:
 def test_query_tree_matches_global_run_and_ball_rerun(spec, l, s):
     g = ac5_instance() if spec is None else generate(spec)[0]
     ev = LocalEvaluator(g, l, s)
-    on_balls = LocalEvaluator(g, l, s)  # its own memo, which each new ball drops
     nonzero = 0
     for seed in (1, 2, 3, 4, 5):
         cfg = RunConfig(l=l, s=s, seed=seed)
         f2, _ = run_a2(g, cfg)
         for e in g.edges:
+            on_ball = ball_evaluator(g, l, s, ball_nodes(g, DirectedEdgeRef(e.id, "AB"),
+                                                          _ball_radius(l, s)))
             for orientation in ("AB", "BA"):
                 ref = DirectedEdgeRef(e.id, orientation)
                 want = f2.on(ref)
                 assert ev.f2_on(ref, seed) == want, (ref, seed)
-                ball = ball_nodes(g, ref, _ball_radius(l, s))
-                assert on_balls.f2_on(ref, seed, ball) == want, (ref, seed)
+                assert on_ball.f2_on(ref, seed) == want, (ref, seed)
                 assert local_f2_edge(g, ref, cfg) == want, (ref, seed)
                 assert ball_rerun_f2(g, ref, cfg) == want, (ref, seed)
                 nonzero += want != 0
@@ -659,18 +677,32 @@ def test_verify_locality_at_l_one_reads_only_the_edge():
     assert [local_f2_edge(g, ref, cfg) for ref in refs] == [f2.on(ref) for ref in refs]
 
 
-def counted_views(monkeypatch) -> list[frozenset[int]]:
-    """The ball of every query from now on that reads outside the graph's
-    tables: one that goes through a ball's view."""
-    views: list[frozenset[int]] = []
-    real_view = LocalEvaluator._view
+def ball_evaluator(g: ColoredGraph, l: int, s: int, ball: frozenset[int]) -> LocalEvaluator:
+    """An evaluator on the subgraph ``ball`` induces that shares the path
+    cache's walks and paths through edges on (g, l), as ``verify_locality``'s
+    ball evaluators do."""
+    ev = LocalEvaluator(g, l, s, ball=ball)
+    ev._walk_memo, ev._through, ev._paths = _tree_tables(g, l)
+    return ev
 
-    def counting(self, t, ball):
-        views.append(ball)
-        return real_view(self, t, ball)
 
-    monkeypatch.setattr(LocalEvaluator, "_view", counting)
-    return views
+def counted_evaluators(monkeypatch) -> list[LocalEvaluator]:
+    """Every ``LocalEvaluator`` made from now on, in the order made."""
+    made: list[LocalEvaluator] = []
+    real_init = LocalEvaluator.__init__
+
+    def counting(self, g, l, s, *, ball=None):
+        made.append(self)
+        real_init(self, g, l, s, ball=ball)
+
+    monkeypatch.setattr(LocalEvaluator, "__init__", counting)
+    return made
+
+
+def ball_evaluators(made: list[LocalEvaluator]) -> list[LocalEvaluator]:
+    """Those of ``made`` that answer on a ball: ``verify_locality`` makes one
+    for each query that read outside its ball."""
+    return [ev for ev in made if ev.ball is not None]
 
 
 def alternating_refs(g: ColoredGraph) -> list[DirectedEdgeRef]:
@@ -684,60 +716,110 @@ def alternating_refs(g: ColoredGraph) -> list[DirectedEdgeRef]:
 def test_verify_locality_reports_equal_the_reference_at_every_radius(spec, l, s, monkeypatch):
     """The whole report, each mismatch's local value too, is the one a fresh
     evaluator per edge on its ball's subgraph gives: at the default radius,
-    where every query is answered from the tables on g, at l-1, where some
-    are, and at 1 and 0, where the balls drop paths through the edge."""
+    where no query reads outside its ball, so no ball evaluator is made, at
+    l-1, where some do, and at 1 and 0, where the balls drop paths through
+    the edge."""
     g = ac5_instance() if spec is None else generate(spec)[0]
     refs = alternating_refs(g)
-    views = counted_views(monkeypatch)
-    viewed, mismatched = {}, {}
+    made = counted_evaluators(monkeypatch)
+    on_balls, mismatched = {}, {}
     for radius in (s * (l - 1), l - 1, 1, 0):
-        del views[:]
+        del made[:]
         for seed in (1, 2):
             cfg = RunConfig(l=l, s=s, seed=seed)
             report = verify_locality(g, cfg, refs, radius=radius)
             assert report == reference_locality_report(g, cfg, refs, radius), (radius, seed)
             mismatched[radius] = mismatched.get(radius, 0) + len(report.mismatches)
-        viewed[radius] = len(views)
-    assert viewed[s * (l - 1)] == mismatched[s * (l - 1)] == 0
-    assert 0 < viewed[l - 1] < 2 * len(refs)
+        on_balls[radius] = len(ball_evaluators(made))
+    assert on_balls[s * (l - 1)] == mismatched[s * (l - 1)] == 0
+    assert 0 < on_balls[l - 1] < 2 * len(refs)
     assert mismatched[1] and mismatched[0]
     if spec is not None:  # the grid: a mismatch whose local value is not 0
         assert mismatched[l - 1]
 
 
+def test_reads_stay_inside_the_default_radius_on_the_ac5_corpus(monkeypatch):
+    """On every instance and seed of acceptance check AC-5, at radius
+    s*(l-1), every query's read set lies in its ball, so ``verify_locality``
+    makes no ball evaluator.  This is stronger than AC-5's equal values: a
+    read beyond the radius fails it even where the value happens to agree."""
+    made = counted_evaluators(monkeypatch)
+    checked = 0
+    for spec, l, s in _locality_suite():
+        g, _ = generate(spec)
+        refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
+        for seed in SEEDS:
+            assert verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs).passed
+            checked += len(refs)
+    assert checked == 16355 and len(made) == 20 * len(SEEDS)
+    assert ball_evaluators(made) == []
+
+
+def test_read_sets_do_not_depend_on_the_order_of_queries():
+    """An evaluator whose first queries name no ball, plain ``f2_on`` and
+    ``outflow`` on AC-5's instance, holds a read set for every depth and
+    amount it computed; so, after them, every edge's ball of radius s*(l-1)
+    holds what its query read, and ``verify_locality``'s check of every edge
+    would make no ball evaluator.  No ball holds every node of g, so no
+    answer comes from the test for a ball that is g."""
+    g = ac5_instance()
+    l, s = 6, 3
+    ev = LocalEvaluator(g, l, s)
+    for e in g.edges[::10]:
+        ev.f2_on(DirectedEdgeRef(e.id, "AB"), 1)
+    for v in sorted(nd.id for nd in g.nodes)[::10]:
+        ev.outflow(v, 1)
+    t = ev._tables[1]
+    assert t.amounts and t.depths[s]
+    assert all(set(t.reads[k]) == set(t.depths[k]) for k in range(1, s + 1))
+    assert set(t.reads[0]) == set(t.amounts)
+    for e in g.edges:
+        ref = DirectedEdgeRef(e.id, "AB")
+        ball = ball_nodes(g, ref, _ball_radius(l, s))
+        ev.f2_on(ref, 1)
+        assert len(ball) < g.n and ev._holds_reads(e.id, 1, ball), e.id
+
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(graphs(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_verify_locality_reports_equal_the_reference_on_arbitrary_graphs(g, l, s, seed, data):
+    """The report is the reference's at every radius, and at s*(l-1) every
+    query's read set lies in its ball, so no ball evaluator is made: a read
+    beyond the radius fails this even where its value happens to agree."""
     if not g.edges:
         return
     radius = data.draw(st.sampled_from((s * (l - 1), l - 1, 1, 0)))
     refs = alternating_refs(g)
     cfg = RunConfig(l=l, s=s, seed=seed)
-    assert verify_locality(g, cfg, refs, radius=radius) == \
-        reference_locality_report(g, cfg, refs, radius)
+    with pytest.MonkeyPatch.context() as mp:
+        made = counted_evaluators(mp)
+        report = verify_locality(g, cfg, refs, radius=radius)
+    assert report == reference_locality_report(g, cfg, refs, radius)
+    if radius == s * (l - 1):
+        assert ball_evaluators(made) == []
 
 
 def test_ba_refs_are_negated_and_bad_orientations_refused_on_g(monkeypatch):
-    """On AC-5's instance at the default radius every query is answered from
-    the tables on g, and there too a BA ref reads the negated value and an
-    orientation that is neither AB nor BA is refused."""
+    """On AC-5's instance at the default radius ``verify_locality`` answers
+    every query from its evaluator on g, and there a BA ref reads the
+    negated value and an orientation that is neither AB nor BA is refused."""
     g = ac5_instance()
     l, s = 6, 3
     cfg = RunConfig(l=l, s=s, seed=1)
     f2, _ = run_a2(g, cfg)
-    views = counted_views(monkeypatch)
+    made = counted_evaluators(monkeypatch)
     ev = LocalEvaluator(g, l, s)
     nonzero = 0
     for e in g.edges:
         ab, ba = DirectedEdgeRef(e.id, "AB"), DirectedEdgeRef(e.id, "BA")
-        ball = ball_nodes(g, ab, _ball_radius(l, s))
-        got = ev.f2_on(ba, 1, ball)
-        assert got == -ev.f2_on(ab, 1, ball) == f2.on(ba)
+        got = ev.f2_on(ba, 1)
+        assert got == -ev.f2_on(ab, 1) == f2.on(ba)
         nonzero += got != 0
         with pytest.raises(ValueError, match="bad field 'orientation'"):
-            ev.f2_on(DirectedEdgeRef(e.id, "ab"), 1, ball)
+            ev.f2_on(DirectedEdgeRef(e.id, "ab"), 1)
     assert verify_locality(g, cfg, [DirectedEdgeRef(e.id, "BA") for e in g.edges]).passed
-    assert nonzero and views == []
+    with pytest.raises(ValueError, match="bad field 'orientation'"):
+        verify_locality(g, cfg, [DirectedEdgeRef(e.id, "ab") for e in g.edges])
+    assert nonzero and ball_evaluators(made) == []
 
 
 def test_local_queries_build_no_graph(monkeypatch):
@@ -764,45 +846,54 @@ def test_local_queries_build_no_graph(monkeypatch):
 ], ids=["ac5", "grid"])
 def test_ball_view_equals_evaluator_on_induced_subgraph(spec, l, s):
     """Every radius up to s*l, the too-small ones of the negative controls
-    too, all answered by one evaluator on g."""
+    too: an evaluator on a ball answers as one on the subgraph it induces."""
     g = ac5_instance() if spec is None else generate(spec)[0]
     refs = [DirectedEdgeRef(e.id, o) for e in g.edges for o in ("AB", "BA")]
-    view = LocalEvaluator(g, l, s)
     for radius in range(s * l + 1):
         by_ball: dict[frozenset[int], list[DirectedEdgeRef]] = {}
         for ref in refs:
             by_ball.setdefault(ball_nodes(g, ref, radius), []).append(ref)
         for ball, ball_refs in by_ball.items():
             sub = LocalEvaluator(induced_subgraph(g, ball), l, s)
+            on_ball = ball_evaluator(g, l, s, ball)
             for seed in (1, 2, 3):
                 for ref in ball_refs:
-                    assert view.f2_on(ref, seed, ball) == sub.f2_on(ref, seed), (ref, radius, seed)
+                    assert on_ball.f2_on(ref, seed) == sub.f2_on(ref, seed), (ref, radius, seed)
 
 
 def test_ball_view_refuses_an_edge_outside_the_ball():
+    """An evaluator on a ball refuses an edge or a node outside the ball, as
+    one on the subgraph the ball induces does."""
     g = line_graph("SRRRT")
     ball = ball_nodes(g, DirectedEdgeRef(0, "AB"), 1)  # nodes 0, 1, 2
     sub = LocalEvaluator(induced_subgraph(g, ball), 3, 2)
-    view = LocalEvaluator(g, 3, 2)
-    for eid in (2, 3, 12):  # one endpoint outside, both outside, no such edge
-        for query in (lambda ref: view.f2_on(ref, 1, ball), lambda ref: sub.f2_on(ref, 1)):
+    on_ball = LocalEvaluator(g, 3, 2, ball=ball)
+    for ev in (on_ball, sub):
+        for eid in (2, 3, 12):  # one endpoint outside, both outside, no such edge
             with pytest.raises(ValueError, match=f"unknown edge id {eid}"):
-                query(DirectedEdgeRef(eid, "AB"))
-    assert view.f2_on(DirectedEdgeRef(1, "BA"), 1, ball) == 0
-    assert view.f2_on(DirectedEdgeRef(2, "AB"), 1) == 0  # g itself has edge 2
+                ev.f2_on(DirectedEdgeRef(eid, "AB"), 1)
+        for v in (3, 12):  # outside the ball, no such node
+            with pytest.raises(ValueError, match=f"unknown node id {v}"):
+                ev.outflow(v, 1)
+    assert on_ball.f2_on(DirectedEdgeRef(1, "BA"), 1) == on_ball.outflow(0, 1) == 0
+    assert LocalEvaluator(g, 3, 2).f2_on(DirectedEdgeRef(2, "AB"), 1) == 0  # g has edge 2
 
 
 def test_a_ball_of_as_many_ids_as_g_has_nodes_is_not_taken_for_g():
-    """A ball that holds every node of g is g, so the query's reads need no
-    check; one of the same size that names an id outside g and misses the
-    target is not, and is answered on the subgraph it induces."""
+    """A ball that holds every node of g is g, so it holds the query's reads
+    unchecked; one of the same size that names an id outside g and misses
+    the target is not, and an evaluator on it answers as one on the
+    subgraph it induces."""
     g = line_graph("SRRT", cap=3)
     ref = DirectedEdgeRef(0, "AB")
     ev = LocalEvaluator(g, 3, 2)
-    assert ev.f2_on(ref, 1, frozenset({0, 1, 2, 3})) == 3
+    assert ev.f2_on(ref, 1) == 3
+    assert ev._holds_reads(0, 1, frozenset({0, 1, 2, 3}))
     foreign = frozenset({0, 1, 2, 99})
     assert len(foreign) == g.n
-    assert ev.f2_on(ref, 1, foreign) == LocalEvaluator(induced_subgraph(g, foreign), 3, 2).f2_on(ref, 1) == 0
+    assert not ev._holds_reads(0, 1, foreign)
+    assert LocalEvaluator(g, 3, 2, ball=foreign).f2_on(ref, 1) == \
+        LocalEvaluator(induced_subgraph(g, foreign), 3, 2).f2_on(ref, 1) == 0
 
 
 def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
@@ -1062,13 +1153,12 @@ def test_a_negative_local_seed_is_a_seed_like_any_other():
 
 
 def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypatch):
-    """On AC-5's instance at radius l-1, one evaluator answers every edge on
-    its ball under two interleaved seeds.  ``path_key`` runs once per path
-    and seed; each list of paths through an edge in a ball's view is the
-    seed's sorted list filtered by the ball, and the sorted list itself where
-    the ball drops nothing; and the answers are ``verify_locality``'s.  At
-    this radius some queries read outside their ball, and only those build
-    views."""
+    """On AC-5's instance at radius l-1, ``verify_locality`` checks every
+    edge under two seeds.  ``path_key`` runs once per path and seed, across
+    the evaluator on g and every ball evaluator; each list of the paths
+    through an edge on a ball is the seed's sorted list on g filtered by the
+    ball; and at this radius some queries read outside their ball, and a
+    ball evaluator is made for those alone."""
     g = ac5_instance()
     l, s, rad = 6, 3, 5
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
@@ -1080,54 +1170,53 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
         return real_path_key(u, seed)
 
     monkeypatch.setattr(local_flow_module, "path_key", keying)
-    ev = LocalEvaluator(g, l, s)
-    answers = {1: [], 2: []}
-    shared = filtered = viewed = 0
-    for ref in refs:
-        ball = ball_nodes(g, ref, rad)
-        for seed in (1, 2):
-            answers[seed].append(ev.f2_on(ref, seed, ball))
-        viewed += ball in ev._on_ball
-        for seed, t in ev._on_ball.get(ball, {}).items():
-            for eid, got in t.lists.items():
-                full = ev._on_g[seed].lists[eid]
-                inside = [kus for kus in full if ball.issuperset(kus[1].nodes)]
-                assert got == inside
-                if len(inside) == len(full):
-                    assert got is full
-                    shared += 1
-                else:
-                    filtered += 1
-    # Without a ball a query reads g's sorted lists, unfiltered, and makes no view.
-    views = ev._on_ball
-    no_ball = [ev.f2_on(ref, seed) for seed in (1, 2) for ref in refs[:10]]
-    assert ev._on_ball is views
-    assert all(len(got) == len(ev._through[eid])
-               for seed in (1, 2) for eid, got in ev._on_g[seed].lists.items())
+    made = counted_evaluators(monkeypatch)
+    reports = [verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs, radius=rad)
+               for seed in (1, 2)]
     monkeypatch.undo()
-    assert shared and filtered
-    assert 0 < viewed < len(refs)
-    keys = [ev._on_g[seed].keys for seed in (1, 2)]
+    on_g = {seed: ev for ev in made if ev.ball is None for seed in ev._tables}
+    on_balls = [(ev.ball, seed, t)
+                for ev in ball_evaluators(made) for seed, t in ev._tables.items()]
+    assert sorted(on_g) == [1, 2] and len(made) == 2 + len(on_balls)
+    keys = [on_g[seed]._tables[seed].keys for seed in (1, 2)]
+    assert all(t.keys is keys[seed - 1] for _, seed, t in on_balls)
     assert len(hashed) == len(set(hashed)) == len(keys[0]) + len(keys[1])
-    assert set(keys[0]) == set(keys[1]) == {u.canonical_key for u in ev._paths.values()}
-    f2s = [run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2)]
-    for seed, f2 in zip((1, 2), f2s):
-        report = verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs, radius=rad)
-        assert [ref for ref, got in zip(refs, answers[seed]) if got != f2.on(ref)] == \
-            [mm.edge for mm in report.mismatches]
-    assert no_ball == [f2.on(ref) for f2 in f2s for ref in refs[:10]]
+    assert set(keys[0]) == set(keys[1]) == {u.canonical_key for u in on_g[1]._paths.values()}
+    # On g a query reads the sorted lists unfiltered.
+    assert all(len(got) == len(on_g[seed]._through[eid])
+               for seed in (1, 2) for eid, got in on_g[seed]._tables[seed].lists.items())
+    for seed, ev in on_g.items():
+        outside = [ref for ref in refs
+                   if not ev._holds_reads(ref.edge_id, seed, ball_nodes(g, ref, rad))]
+        assert 0 < len(outside) < len(refs)
+        assert [ball for ball, at, _ in on_balls if at == seed] == \
+            [ball_nodes(g, ref, rad) for ref in outside]
+    filtered = 0
+    for ball, seed, t in on_balls:
+        for eid, got in t.lists.items():
+            full = on_g[seed]._ordered(on_g[seed]._tables[seed], eid)
+            assert got == [kus for kus in full if ball.issuperset(kus[1].nodes)]
+            filtered += len(got) < len(full)
+    assert filtered
+    for seed, report in zip((1, 2), reports):
+        cfg = RunConfig(l=l, s=s, seed=seed)
+        assert report == reference_locality_report(g, cfg, refs, rad)
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(graphs(), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s, data):
-    """No memo leaks between balls or seeds: queries on g and on balls of
-    every radius up to s*l, interleaved in a drawn order with mixed seeds.
-    The answers on g, on every ball that holds the radius-s*(l-1) ball, and
-    of ``local_f2_edge`` are the global run's, and so is every node's
-    ``outflow``, queried among them."""
+    """No memo leaks between seeds, nor between the evaluators on g and on
+    balls that share the path cache's walks and paths: queries on g and on
+    balls of every radius up to s*l, each ball with one evaluator,
+    interleaved in a drawn order with mixed seeds.  Each answers as a fresh
+    evaluator on the subgraph its ball induces, and those on g, on every
+    ball that holds the radius-s*(l-1) ball, and of ``local_f2_edge`` are
+    the global run's; so is every node's ``outflow`` on g, queried among
+    them, and on a ball it is a fresh evaluator's on the subgraph."""
     f2 = {seed: run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2, 3)}
     queries = []
+    on: dict[frozenset[int] | None, LocalEvaluator] = {None: LocalEvaluator(g, l, s)}
     for e in g.edges:
         for orientation in ("AB", "BA"):
             ref = DirectedEdgeRef(e.id, orientation)
@@ -1137,18 +1226,24 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
             balls = dict.fromkeys(ball_nodes(g, ref, r) for r in range(s * l + 1))
             queries += [(ref, seed, ball, ball is None or ball >= wide)
                         for ball in (None, *balls) for seed in (1, 2, 3)]
+            for ball in balls:
+                if ball not in on:
+                    on[ball] = ball_evaluator(g, l, s, ball)
     # A node's net outflow, as a query of its own between the edge queries.
-    queries += [(v, seed, None, True) for v in sorted(nd.id for nd in g.nodes)
+    queries += [(v, seed, ball, ball is None) for ball in on for v in sorted(ball or g._node_by_id)
                 for seed in (1, 2, 3)]
     net = {seed: net_outflows(g, f) for seed, f in f2.items()}
-    ev = LocalEvaluator(g, l, s)
     for ref, seed, ball, global_value in data.draw(st.permutations(queries)):
-        if isinstance(ref, int):  # a node id
-            assert ev.outflow(ref, seed) == net[seed][ref], (ref, seed)
-            assert sum(ev.f2_on(out, seed) for out in out_edges(g, ref)) == net[seed][ref]
-            continue
+        ev = on[ball]
         sub = g if ball is None else induced_subgraph(g, ball)
-        got = ev.f2_on(ref, seed, ball)
+        if isinstance(ref, int):  # a node id
+            got = ev.outflow(ref, seed)
+            assert got == LocalEvaluator(sub, l, s).outflow(ref, seed)
+            if global_value:
+                assert got == net[seed][ref], (ref, seed)
+                assert sum(ev.f2_on(out, seed) for out in out_edges(g, ref)) == got
+            continue
+        got = ev.f2_on(ref, seed)
         assert got == LocalEvaluator(sub, l, s).f2_on(ref, seed)
         if global_value:
             assert got == f2[seed].on(ref), (ref, seed, ball)
@@ -1157,37 +1252,36 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
 def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
     """Ball B1 under seeds 1 and 2, then B2, then B1 again, at a radius below
     l-1, where queries read outside their balls: every answer is a fresh
-    evaluator's on the subgraph the ball induces, the views are never of
-    more than one ball, and once a ball's queries are done they are that
-    ball's alone, one per seed."""
+    evaluator's on the subgraph the ball induces, an evaluator on a ball
+    holds the paths inside it alone, one table per seed it was asked, and
+    every table, on g or on a ball, holds a read set for every depth and
+    amount it holds."""
     g, _ = generate(random_spec(7, n=40))
     l, s = 4, 2
     first, last = (DirectedEdgeRef(e.id, "AB") for e in (g.edges[0], g.edges[-1]))
     b1, b2 = ball_nodes(g, first, 2), ball_nodes(g, last, 2)
     assert b1 != b2
-    ev = LocalEvaluator(g, l, s)
-    answers = []
+    on_g = LocalEvaluator(g, l, s)
+    answers, tables, outside = [], [], 0
     for ball, seeds in ((b1, (1, 2)), (b2, (1,)), (b1, (1,))):
         sub = induced_subgraph(g, ball)
         fresh = LocalEvaluator(sub, l, s)
+        ev = LocalEvaluator(g, l, s, ball=ball)
         for seed in seeds:
             for e in sub.edges:
                 ref = DirectedEdgeRef(e.id, "AB")
-                answers.append(ev.f2_on(ref, seed, ball))
+                answers.append(ev.f2_on(ref, seed))
                 assert answers[-1] == fresh.f2_on(ref, seed)
-                assert len(ev._on_ball) <= 1
-                for viewed, views in ev._on_ball.items():
-                    inside = {u.canonical_key for u in ev._paths.values()
-                              if viewed.issuperset(u.nodes)}
-                    for t in views.values():
-                        assert all(viewed.issuperset(u.nodes)
-                                   for got in t.lists.values() for _, u, _ in got)
-                        assert set(t.amounts).union(*t.depths) <= inside
-        assert list(ev._on_ball) == [ball] and set(ev._on_ball[ball]) == set(seeds)
-    assert any(answers)
-    # Every query named a ball, so the tables on g record a read set for
-    # every depth and amount they hold.
-    for t in ev._on_g.values():
+                on_g.f2_on(ref, seed)
+                outside += not on_g._holds_reads(e.id, seed, ball)
+        assert set(ev._tables) == set(seeds)
+        inside = {u.canonical_key for u in ev._paths.values() if ball.issuperset(u.nodes)}
+        for t in ev._tables.values():
+            assert all(ball.issuperset(u.nodes) for got in t.lists.values() for _, u, _ in got)
+            assert set(t.amounts).union(*t.depths) <= inside
+        tables += ev._tables.values()
+    assert any(answers) and outside
+    for t in [*tables, *on_g._tables.values()]:
         assert t.amounts and [set(got) for got in t.reads] == [set(t.amounts), set(), set(t.depths[2])]
 
 
@@ -1242,7 +1336,9 @@ def test_outflow_checks_its_result_against_the_nodes_invariant(monkeypatch):
 def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
     """A value outside the edge's capacities, or a path whose predecessors
     leave it a negative residual, would be caught: reached through an
-    ``_amount`` that gives one path more than its bottleneck."""
+    ``_amount`` that gives one path more than its bottleneck.  The stub
+    records the read set the real one would, empty, as the path has no
+    predecessor."""
     g = line_graph("SRT", cap=3)
     monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, t, ku, u: 4)
     with pytest.raises(AssertionError, match="value 4 on edge 0 outside its capacities"):
@@ -1252,8 +1348,14 @@ def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
     g = build_graph("SSRT", [(0, 2, 3, 3), (1, 2, 3, 3), (2, 3, 3, 3)])
     first = min(path_key(u, 1) for u in enumerate_paths(g, 2))
     real = LocalEvaluator._amount
-    monkeypatch.setattr(LocalEvaluator, "_amount",
-                        lambda self, t, ku, u: 4 if ku == first else real(self, t, ku, u))
+
+    def overflowing(self, t, ku, u):
+        if ku != first:
+            return real(self, t, ku, u)
+        t.reads[0][u.canonical_key] = ()
+        return 4
+
+    monkeypatch.setattr(LocalEvaluator, "_amount", overflowing)
     with pytest.raises(AssertionError, match="negative amount -1 on path"):
         LocalEvaluator(g, 2, 3).f2_on(DirectedEdgeRef(2, "AB"), 1)
 
@@ -1295,10 +1397,10 @@ def test_walk_search_equals_the_reference_search(spec):
         for ball in balls:
             sub = induced_subgraph(g, ball)
             want = naive_paths(sub, l)
-            ev.f2_on(center, 1, ball)
-            t = ev._view(ev._on_g[1], ball)
+            on_ball = LocalEvaluator(g, l, 2, ball=ball)
+            t = on_ball._seed_tables(1)
             for e in sub.edges:
-                got = ev._ordered(t, e.id)
+                got = on_ball._ordered(t, e.id)
                 assert [k for k, _, _ in got] == sorted(path_key(u, 1) for _, u, _ in got)
                 through = set()
                 for sig in want:
