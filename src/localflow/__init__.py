@@ -3,7 +3,7 @@
 Library layout:
     graph_core        network model, flows, validation, balls, JSON io
     exact_oracle      exact max flow and residual shortest-path certificates
-    path_engine       candidate paths, deterministic labels, chain depths
+    path_engine       candidate paths, deterministic labels, chain depths, path index
     local_flow        the A1/A2 sweeps, per-edge local evaluation, locality checks
     estimator_tester  the vertex-sampling tester of (max flow)/n
     harness           instance generators, experiment drivers, CSV output

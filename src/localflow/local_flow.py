@@ -45,10 +45,8 @@ from .path_engine import (
     OrderKey,
     _chain_depths,
     _key_order,
-    _simple_walks,
-    _tree_tables,
+    _PathIndex,
     enumerate_paths,
-    make_path,
     path_key,
 )
 
@@ -227,11 +225,11 @@ def verify_locality(
     its order keys from the evaluator on g, so ``path_key`` runs once per
     path.  What depends only on the graph is built once and shared by every
     call through the path cache: the balls once per (g, radius), and the
-    walks and lists of paths through edges once per (g, l), whatever the
-    seed or s.  ``radius`` (default ``_ball_radius``) and ``local_seed``
-    exist for negative controls, and each must be a plain int, the radius at
-    least 0.  The mismatched-seed control fails only where ``run_a2``
-    depends on the seed: on AC-5's instance it does not, and
+    ``_PathIndex`` once per (g, l), whatever the seed or s.  ``radius``
+    (default ``_ball_radius``) and ``local_seed`` exist for negative
+    controls, and each must be a plain int, the radius at least 0.  The
+    mismatched-seed control fails only where ``run_a2`` depends on the
+    seed: on AC-5's instance it does not, and
     ``test_mismatched_seed_negative_control_fails`` shows the control
     failing on a graph built for it.  An empty sample is refused: it would
     check nothing.
@@ -251,10 +249,10 @@ def verify_locality(
             else _int_field({"local_seed": local_seed}, "local_seed", where))
 
     f2_global, _ = run_a2(g, cfg)
-    tree = _tree_tables(g, l)
-    ev = LocalEvaluator(g, l, s)
-    ev._walk_memo, ev._through, ev._paths = tree
-    balls = _PATH_CACHE.setdefault(g, {}).setdefault((rad, "balls"), {})
+    per_graph = _PATH_CACHE.setdefault(g, {})
+    index = per_graph.setdefault((l, "tree"), _PathIndex(g, l))
+    ev = LocalEvaluator(g, l, s, index=index)
+    balls = per_graph.setdefault((rad, "balls"), {})
     mismatches = []
     for ref in edge_sample:
         ball = balls.get(ref.edge_id)
@@ -262,17 +260,12 @@ def verify_locality(
             ball = balls[ref.edge_id] = ball_nodes(g, ref, rad)
         got_local = ev.f2_on(ref, seed)
         if not ev._holds_reads(ref.edge_id, seed, ball):
-            on_ball = LocalEvaluator(g, l, s, ball=ball)
-            on_ball._walk_memo, on_ball._through, on_ball._paths = tree
-            on_ball._seed_tables(seed).keys = ev._tables[seed].keys
+            on_ball = LocalEvaluator(g, l, s, ball=ball, index=index, keys=ev.keys)
             got_local = on_ball.f2_on(ref, seed)
         got_global = int(f2_global.on(ref))
         if got_global != got_local:
             mismatches.append(LocalityMismatch(ref, got_global, got_local))
     return LocalityReport(checked=len(edge_sample), mismatches=tuple(mismatches))
-
-
-_reverse_arc = (1).__xor__  # arc ^ 1, called from C by map()
 
 
 class LocalEvaluator:
@@ -313,30 +306,24 @@ class LocalEvaluator:
     g, and ``verify_locality`` checks the claim on the balls of radius
     ``_ball_radius``.
 
-    An evaluator given a ``ball`` answers on the subgraph the ball induces,
-    which is never built: the paths of that subgraph through an edge are
-    exactly the paths of g through it whose nodes all lie in the ball, so
-    the evaluator keeps only those, before keying and sorting them, and an
-    edge with an endpoint outside the ball, or a node outside it, raises
-    ``ValueError``, as on the subgraph.  The layered walk search that lists
-    the global paths from each S node with cap l (``_simple_walks``) runs
-    here at most once per node of g, with cap l-1, and finds both the walks
-    from S nodes into it and the walks from it to T nodes; a reversed walk
-    reverses each arc (``arc ^ 1``).  A path is known by its arcs: one found
-    again through another of its edges is looked up, and only a new one is
-    built.  The paths through an edge are listed once per edge id and shared
-    by both orientations and every seed.  A fresh evaluator builds its own
-    walks and lists, so a local query costs what the paper bounds;
-    ``verify_locality``'s evaluators share theirs, built once per (g, l) in
-    the path cache, across calls.
+    The paths through each edge come from ``index``, a ``_PathIndex`` on
+    (g, l): a fresh one unless given, so a local query costs what the paper
+    bounds; ``verify_locality`` shares one per (g, l).  An evaluator given a
+    ``ball`` answers on the subgraph the ball induces, which is never built:
+    the paths of that subgraph through an edge are exactly the paths of g
+    through it whose nodes all lie in the ball, so the evaluator keeps only
+    those, before keying and sorting them, and an edge with an endpoint
+    outside the ball, or a node outside it, raises ``ValueError``, as on
+    the subgraph.
 
     The memo is one ``_Tables`` per seed, which lives as long as the
-    evaluator.  It holds the order keys, so ``path_key`` runs once per path
-    and seed, each edge's (key, path, sign) list sorted by key, the capped
-    depths and amounts, and each depth's and amount's read set: the nodes
-    of the predecessors its computation read (those with a smaller key, up
-    to an early return) and their own read sets.  A value is a function of
-    what it read, and a ball's list of the paths through an edge is g's list
+    evaluator.  It holds the order keys (``keys``, by seed, may be shared
+    with another evaluator on g), so ``path_key`` runs once per path and
+    seed, each edge's (key, path, sign) list sorted by key, the capped
+    depths and amounts, and each depth's read set: the nodes of the
+    predecessors its computation read (those with a smaller key, up to an
+    early return) and their own read sets.  A value is a function of what
+    it read, and a ball's list of the paths through an edge is g's list
     filtered by the ball, so where a ball holds what a query on g read, the
     value on the subgraph the ball induces is the value on g
     (``_holds_reads``).  A path's key travels with it in its list entry, so
@@ -347,15 +334,13 @@ class LocalEvaluator:
     invariants of a valid flow.
     """
 
-    def __init__(self, g: ColoredGraph, l: int, s: int, *, ball: frozenset[int] | None = None):
+    def __init__(self, g: ColoredGraph, l: int, s: int, *, ball: frozenset[int] | None = None,
+                 index: _PathIndex | None = None, keys: dict[int, dict] | None = None):
         self.g = g
-        self.l = l
         self.s = s
         self.ball = ball
-        # a path's arcs -> the path
-        self._paths: dict[tuple[int, ...], AugPathCandidate] = {}
-        self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
-        self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
+        self.index = _PathIndex(g, l) if index is None else index
+        self.keys = {} if keys is None else keys  # by seed
         self._tables: dict[int, _Tables] = {}  # by seed
 
     def f2_on(self, e: DirectedEdgeRef, seed: int) -> int:
@@ -380,18 +365,22 @@ class LocalEvaluator:
 
     def _holds_reads(self, eid: int, seed: int, ball: frozenset[int]) -> bool:
         """Whether ball holds what the query at eid under seed read: the
-        nodes of every path through eid, and the read sets of their depths
-        and of the unskipped ones' amounts.  A ball that holds every node of
-        the graph holds any read set."""
+        nodes of every path through eid and the read sets of their depths at
+        cap s.  A ball that holds every node of the graph holds any read set.
+
+        An unskipped path's amount needs no read set of its own.  The amount
+        of u reads the smaller-key paths through u's edges, then theirs,
+        along chains of decreasing key, down to paths with none.  A path v
+        reached at cap k under h(u, s) has h(v, k) <= h(u, s) - (s - k) < k,
+        so no depth computation under u returns early: h(u, s) read every
+        such chain, and its read set holds every node the amount read."""
         g, s = self.g, self.s
         if len(ball) >= g.n and ball.issuperset(g._node_by_id):
             return True
         t = self._tables[seed]
-        depth_reads, amount_reads = t.reads[s], t.reads[0]
-        for ku, u, _ in self._ordered(t, eid):
-            ck = u.canonical_key
-            if not (ball.issuperset(u.nodes) and ball.issuperset(depth_reads.get(ck, ()))
-                    and (self._depth(t, ku, u, s) == s or ball.issuperset(amount_reads[ck]))):
+        reads = t.reads[s]
+        for _, u, _ in self._ordered(t, eid):
+            if not (ball.issuperset(u.nodes) and ball.issuperset(reads.get(u.canonical_key, ()))):
                 return False
         return True
 
@@ -434,7 +423,7 @@ class LocalEvaluator:
     def _seed_tables(self, seed: int) -> _Tables:
         t = self._tables.get(seed)
         if t is None:
-            t = self._tables[seed] = _Tables(seed, self.s)
+            t = self._tables[seed] = _Tables(seed, self.s, self.keys.setdefault(seed, {}))
         return t
 
     def _ordered(self, t: _Tables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
@@ -443,7 +432,7 @@ class LocalEvaluator:
         got = t.lists.get(eid)
         if got is None:
             keys, seed, ball = t.keys, t.seed, self.ball
-            through = self._paths_through(eid)
+            through = self.index.through(eid)
             if ball is not None:
                 through = [us for us in through if ball.issuperset(us[0].nodes)]
             got = []
@@ -493,8 +482,6 @@ class LocalEvaluator:
         ck = u.canonical_key
         got = t.amounts.get(ck)
         if got is None:
-            seen: set[int] = set()
-            reads = t.reads[0]
             edge = self.g._edge_by_id
             for arc in u.arcs:
                 eid = arc >> 1
@@ -503,7 +490,6 @@ class LocalEvaluator:
                     if kv >= ku:
                         break
                     f_ab += v_sign * self._amount(t, kv, v)
-                    seen.update(v.nodes, reads[v.canonical_key])
                 e = edge[eid]
                 room = e.cap_ba + f_ab if arc & 1 else e.cap_ab - f_ab
                 if got is None or room < got:
@@ -511,49 +497,6 @@ class LocalEvaluator:
             if got is None or got < 0:
                 raise AssertionError(f"negative amount {got} on path {ck!r}")
             t.amounts[ck] = got
-            reads[ck] = tuple(seen)
-        return got
-
-    def _paths_through(self, eid: int) -> tuple[tuple[AugPathCandidate, int], ...]:
-        """(path, +1 if it uses eid AB else -1) for every vertex-simple S->T
-        path of at most l edges through eid, either way: an S-to-tail walk,
-        the edge, then a node-disjoint head-to-T walk."""
-        got = self._through.get(eid)
-        if got is None:
-            e = self.g._edge_by_id[eid]
-            paths = self._paths
-            found = []
-            for tail, head, arc, sign in ((e.a, e.b, 2 * eid, 1), (e.b, e.a, 2 * eid + 1, -1)):
-                prefixes = self._walks(tail)[0]
-                if not prefixes:
-                    continue
-                suffixes = self._walks(head)[1]
-                for p_nodes, p_arcs in prefixes:
-                    room = self.l - 1 - len(p_arcs)
-                    on_prefix = set(p_nodes)
-                    through = p_arcs + (arc,)
-                    for s_nodes, s_arcs in suffixes:
-                        if len(s_arcs) > room:
-                            break
-                        if on_prefix.isdisjoint(s_nodes):
-                            arcs = through + s_arcs
-                            u = paths.get(arcs)
-                            if u is None:
-                                u = paths[arcs] = make_path(p_nodes + s_nodes, arcs)
-                            found.append((u, sign))
-            got = self._through[eid] = tuple(found)
-        return got
-
-    def _walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
-        """(into, out of) v: the (nodes, arcs) of every vertex-simple
-        walk of at most l-1 edges from an S node into v, and from v to a T
-        node, shortest first: ``_simple_walks`` from v, with each walk that
-        ends at an S node reversed."""
-        got = self._walk_memo.get(v)
-        if got is None:
-            to_s, to_t = _simple_walks(self.g, v, self.l - 1)
-            into = [(nodes[::-1], tuple(map(_reverse_arc, reversed(arcs)))) for nodes, arcs in to_s]
-            got = self._walk_memo[v] = (into, to_t)
         return got
 
 
@@ -561,16 +504,15 @@ class _Tables:
     """One seed's memo tables, keyed by canonical key.  ``keys`` maps the
     canonical key of each path listed to its order key, and ``lists`` an
     edge id to the (key, path, sign) of the paths through it, in key order.
-    ``reads`` holds the read sets of the depths, by cap k as ``depths``,
-    and at index 0 those of the amounts.
+    ``reads`` holds the read sets of the depths, by cap k as ``depths``.
 
     Plain data: the evaluator's methods fill it, so no reference cycle keeps
     a finished evaluator alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, s: int):
+    def __init__(self, seed: int, s: int, keys: dict[bytes, OrderKey]):
         self.seed = seed
-        self.keys: dict[bytes, OrderKey] = {}
+        self.keys = keys
         self.lists: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}

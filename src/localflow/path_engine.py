@@ -2,11 +2,12 @@
 
 Paths are vertex-simple directed S->T walks of bounded length, all found by
 one layered walk search (``_simple_walks``): the global list runs it from each
-S node with cap l, the query tree of ``local_flow`` from each endpoint of an
-edge with cap l-1.  A path holds its edges as arcs: edge e read AB is the int
-2*e and read BA is 2*e + 1, so an arc's edge is ``arc >> 1``, its reversal is
-``arc ^ 1``, and residual capacities and chain depths live in one flat table
-indexed by arc: a list when the edge ids are 0..|E|-1, a dict otherwise.
+S node with cap l, and ``_PathIndex``, the query tree's paths through each
+edge, from each endpoint of an edge with cap l-1.  A path holds its edges as
+arcs: edge e read AB is the int 2*e and read BA is 2*e + 1, so an arc's edge
+is ``arc >> 1``, its reversal is ``arc ^ 1``, and residual capacities and
+chain depths live in one flat table indexed by arc: a list when the edge ids
+are 0..|E|-1, a dict otherwise.
 
 Each path gets a pseudo-random label derived by a keyed hash from its id
 sequence and a seed; because node and edge ids survive subgraph extraction, a
@@ -130,27 +131,13 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 
 
 # Paths depend only on (graph, l), never on seeds or capacities, so
-# multi-seed runs share them.  Keyed by graph identity; per graph, l -> the
-# global path list.  (l, "order") -> (seed, that list in seed's key order):
-# kept by the last A1 or A2 sweep on (graph, l) and replaced by a sweep at
-# another seed, so A1 and A2 at one seed label and sort the paths once.  It
-# is one list of references to the paths per (graph, l), whatever the number
-# of seeds run.  (l, "tree") -> the query tree's walk memo, paths through
-# each edge and paths by arcs, built once and shared by every
-# ``verify_locality`` call on (graph, l), whatever its seed, s or radius, by
-# its evaluator on the graph and by each evaluator on the subgraph a ball
-# induces.
-# ``verify_locality`` also keeps its balls here, under (radius, "balls"):
-# edge id -> the node ids within radius hops of the edge, built once per
-# (graph, radius) and shared whatever the l, s or seed.  No value refers to
-# the graph, so the cache never keeps a graph alive.
+# multi-seed runs share them.  Keyed by graph identity; per graph:
+# l -> the global path list, in canonical-key order;
+# (l, "order") -> (seed, that list in seed's key order), from the last sweep;
+# (l, "tree") -> the query tree's ``_PathIndex``, shared by ``verify_locality``;
+# (radius, "balls") -> edge id -> ``verify_locality``'s ball around the edge.
+# No value refers to the graph, so the cache never keeps a graph alive.
 _PATH_CACHE: "weakref.WeakKeyDictionary[ColoredGraph, dict]" = weakref.WeakKeyDictionary()
-
-
-def _tree_tables(g: ColoredGraph, l: int) -> tuple[dict, dict, dict]:
-    """The query tree's seed-independent tables on (g, l) from the path
-    cache: (walk memo, paths through each edge, paths by arcs)."""
-    return _PATH_CACHE.setdefault(g, {}).setdefault((l, "tree"), ({}, {}, {}))
 
 
 # The most non-backtracking S->T walks of at most l edges a graph may have for
@@ -201,19 +188,19 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     out: list[AugPathCandidate] = []
     if walks:  # with no such walk there is no path, and nothing to search
         for s in g.nodes_of_color("S"):
-            out += [make_path(*w) for w in _simple_walks(g, s, l)[1]]
+            out += [make_path(*w) for w in _simple_walks(g._adj, g._node_by_id, s, l)[1]]
     out.sort(key=lambda u: u.canonical_key)
     per_graph[l] = tuple(out)
     return out
 
 
-def _simple_walks(g: ColoredGraph, v: int, cap: int) -> tuple[list[tuple], list[tuple]]:
+def _simple_walks(adj: dict, node: dict, v: int, cap: int) -> tuple[list[tuple], list[tuple]]:
     """The (nodes, arcs) of every vertex-simple walk of at most cap edges from
     v that ends at an S node, and of every one that ends at a T node, shortest
-    first.  One layered search from v over g's adjacency, read in place.  A
-    walk of cap edges that would end at an R node is never built: it can be
-    neither kept nor grown, and its end is read either way."""
-    adj, node = g._adj, g._node_by_id
+    first.  One layered search from v over a graph's adjacency and nodes by
+    id (``_adj``, ``_node_by_id``), read in place.  A walk of cap edges that
+    would end at an R node is never built: it can be neither kept nor grown,
+    and its end is read either way."""
     to_s: list[tuple] = []
     to_t: list[tuple] = []
     layer = [((v,), ())]
@@ -233,6 +220,74 @@ def _simple_walks(g: ColoredGraph, v: int, cap: int) -> tuple[list[tuple], list[
                         grown.append((nodes + (nxt,), arcs + (arc,)))
         layer = grown
     return to_s, to_t
+
+
+_reverse_arc = (1).__xor__  # arc ^ 1, called from C by map()
+
+
+class _PathIndex:
+    """The query tree's walks and paths on (g, l), which depend on neither
+    seed nor s, each built on first use and kept.
+
+    The layered walk search that lists the global paths from each S node
+    with cap l (``_simple_walks``) runs here at most once per node, with cap
+    l-1, and finds both the walks from S nodes into it and the walks from it
+    to T nodes; a reversed walk reverses each arc (``arc ^ 1``).  A path is
+    known by its arcs: one found again through another of its edges is
+    looked up, and only a new one is built.  The paths through an edge are
+    listed once per edge id and shared by both orientations and every seed.
+    The index holds g's tables, not g, so the path cache, which holds
+    ``verify_locality``'s index per (g, l), never keeps a graph alive.
+    """
+
+    def __init__(self, g: ColoredGraph, l: int):
+        self.l = l
+        self._adj, self._node_by_id, self._edge_by_id = g._adj, g._node_by_id, g._edge_by_id
+        self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
+        self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
+        self._paths: dict[tuple[int, ...], AugPathCandidate] = {}  # by arcs
+
+    def through(self, eid: int) -> tuple[tuple[AugPathCandidate, int], ...]:
+        """(path, +1 if it uses eid AB else -1) for every vertex-simple S->T
+        path of at most l edges through eid, either way: an S-to-tail walk,
+        the edge, then a node-disjoint head-to-T walk."""
+        got = self._through.get(eid)
+        if got is None:
+            e = self._edge_by_id[eid]
+            paths = self._paths
+            found = []
+            for tail, head, arc, sign in ((e.a, e.b, 2 * eid, 1), (e.b, e.a, 2 * eid + 1, -1)):
+                prefixes = self.walks(tail)[0]
+                if not prefixes:
+                    continue
+                suffixes = self.walks(head)[1]
+                for p_nodes, p_arcs in prefixes:
+                    room = self.l - 1 - len(p_arcs)
+                    on_prefix = set(p_nodes)
+                    through = p_arcs + (arc,)
+                    for s_nodes, s_arcs in suffixes:
+                        if len(s_arcs) > room:
+                            break
+                        if on_prefix.isdisjoint(s_nodes):
+                            arcs = through + s_arcs
+                            u = paths.get(arcs)
+                            if u is None:
+                                u = paths[arcs] = make_path(p_nodes + s_nodes, arcs)
+                            found.append((u, sign))
+            got = self._through[eid] = tuple(found)
+        return got
+
+    def walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
+        """(into, out of) v: the (nodes, arcs) of every vertex-simple
+        walk of at most l-1 edges from an S node into v, and from v to a T
+        node, shortest first: ``_simple_walks`` from v, with each walk that
+        ends at an S node reversed."""
+        got = self._walk_memo.get(v)
+        if got is None:
+            to_s, to_t = _simple_walks(self._adj, self._node_by_id, v, self.l - 1)
+            into = [(nodes[::-1], tuple(map(_reverse_arc, reversed(arcs)))) for nodes, arcs in to_s]
+            got = self._walk_memo[v] = (into, to_t)
+        return got
 
 
 def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes, int]:

@@ -24,9 +24,12 @@ them former library routes kept to check their replacements:
   residual sweep replaced;
 * ``edmonds_karp``: the shortest-augmenting-path max flow that Dinic's
   ``max_flow`` replaced, one layered search per augmenting path;
-* ``reference_walks``: the layered walk search of ``LocalEvaluator`` without
+* ``reference_walks``: the layered walk search of ``_PathIndex`` without
   pruning, over steps rebuilt from the edge list: every walk is grown into
-  the last layer and only then dropped if it ends at an R node.
+  the last layer and only then dropped if it ends at an R node;
+* ``reference_amount_reads``: the nodes a path's amount reads, recomputed
+  from an evaluator's sorted lists, the read set that ``LocalEvaluator``
+  no longer records because its depth's read set holds it.
 """
 
 from __future__ import annotations
@@ -456,3 +459,24 @@ def reference_walks(g: ColoredGraph, l: int, v: int) -> tuple[list[tuple], list[
                     grown.append((nodes + (nxt,), arcs + (arc,)))
         layer = grown
     return into, out
+
+
+def reference_amount_reads(ev: LocalEvaluator, seed: int, u: AugPathCandidate) -> set[int]:
+    """The nodes that the amount of u under seed reads: those of every
+    smaller-key path through each of u's edges, and, recursively, of the
+    paths each of those reads, from ev's sorted lists."""
+    t = ev._seed_tables(seed)
+    seen: set[int] = set()
+    done: set[bytes] = set()
+    todo = [(path_key(u, seed), u)]
+    while todo:
+        ku, u = todo.pop()
+        for arc in u.arcs:
+            for kv, v, _ in ev._ordered(t, arc >> 1):
+                if kv >= ku:
+                    break
+                seen.update(v.nodes)
+                if v.canonical_key not in done:
+                    done.add(v.canonical_key)
+                    todo.append((kv, v))
+    return seen
