@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field, fields
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
@@ -34,7 +35,7 @@ from .graph_core import (
 )
 from .local_flow import RunConfig, _ball_radius, run_a1, run_a2, verify_locality
 from .parallel import parallel_map
-from .path_engine import chain_depth_all, enumerate_paths
+from .path_engine import _chain_depths, _global_order
 
 DEFAULT_L = 6
 DEFAULT_S = 3
@@ -376,16 +377,12 @@ CHAIN_TAIL_COLUMNS = (
 
 def max_depth_per_edge(g: ColoredGraph, l: int, seed: int) -> dict[int, int]:
     """For each undirected edge on some candidate path: the largest chain depth
-    among paths through it."""
-    paths = enumerate_paths(g, l)
-    depths = chain_depth_all(paths, seed)
-    best: dict[int, int] = {}
-    for u in paths:
-        d = depths[u.canonical_key]
-        for eid in u.edge_ids:
-            if best.get(eid, 0) < d:
-                best[eid] = d
-    return best
+    among paths through it.  That is what ``_chain_depths`` leaves in its
+    table by arc after a pass over the global key order."""
+    best: defaultdict[int, int] = defaultdict(int)
+    for _ in _chain_depths(_global_order(g, l, seed), best):
+        pass
+    return {arc >> 1: depth for arc, depth in best.items()}
 
 
 def experiment_chain_tail(

@@ -44,9 +44,8 @@ from .path_engine import (
     AugPathCandidate,
     OrderKey,
     _chain_depths,
-    _key_order,
+    _global_order,
     _PathIndex,
-    enumerate_paths,
     path_key,
 )
 
@@ -115,19 +114,15 @@ def _sweep(
 ) -> tuple[Flow, RunTrace]:
     """Shared A1/A2 engine; skip_threshold None means never skip.
 
-    One pass over the paths in key order.  The order is kept in the path
-    cache until a sweep on (g, l) at another seed, so A1 and A2 at one seed
-    label and sort the paths once.  The residual capacities of the arcs live
-    in one flat table indexed by arc (``_residuals``): a path's amount is
-    the least residual over its arcs, and augmenting by it moves that much
-    from each arc to its reverse.  A2's chain depths are computed in the
-    same pass, path by path, in a table of the same shape.
+    One pass over the paths in key order (``_global_order``), which the
+    path cache keeps until a call on (g, l) at another seed, so A1 and A2
+    at one seed label and sort the paths once.  The residual capacities of
+    the arcs live in one flat table indexed by arc (``_residuals``): a
+    path's amount is the least residual over its arcs, and augmenting by it
+    moves that much from each arc to its reverse.  A2's chain depths are
+    computed in the same pass, path by path, in a table of the same shape.
     """
-    per_graph = _PATH_CACHE.setdefault(g, {})
-    kept = per_graph.get((l, "order"))
-    if kept is None or kept[0] != seed:
-        kept = per_graph[l, "order"] = (seed, _key_order(enumerate_paths(g, l), seed))
-    order = kept[1]
+    order = _global_order(g, l, seed)
     res = _residuals(g)
     if skip_threshold is None:
         depths, skip_threshold = repeat(0), 1  # every path is below depth 1
@@ -221,10 +216,14 @@ def verify_locality(
     that read set, the value on g is the value on the subgraph the ball
     induces, so the check is that the reads lie in the ball and that the
     value equals the global run's.  Elsewhere a fresh evaluator on the ball
-    answers, and its value is compared, and reported on a mismatch; it takes
-    its order keys from the evaluator on g, so ``path_key`` runs once per
-    path.  What depends only on the graph is built once and shared by every
-    call through the path cache: the balls once per (g, radius), and the
+    answers, and its value is compared, and reported on a mismatch.  Both
+    kinds of evaluator order paths by their ranks in the global run's key
+    order (``_global_order`` at the local seed, which at the run's own seed
+    is the order ``run_a2`` just swept), so no path is labelled twice and
+    the tree compares ints.  Ranks order paths as ``path_key`` does: the
+    sort breaks (length, label) ties stably on canonical keys, which are
+    distinct.  What depends only on the graph is built once and shared by
+    every call through the path cache: the balls once per (g, radius), and the
     ``_PathIndex`` once per (g, l), whatever the seed or s.  ``radius``
     (default ``_ball_radius``) and ``local_seed`` exist for negative
     controls, and each must be a plain int, the radius at least 0.  The
@@ -249,9 +248,10 @@ def verify_locality(
             else _int_field({"local_seed": local_seed}, "local_seed", where))
 
     f2_global, _ = run_a2(g, cfg)
+    ranks = {u.canonical_key: i for i, u in enumerate(_global_order(g, l, seed))}
     per_graph = _PATH_CACHE.setdefault(g, {})
     index = per_graph.setdefault((l, "tree"), _PathIndex(g, l))
-    ev = LocalEvaluator(g, l, s, index=index)
+    ev = LocalEvaluator(g, l, s, index=index, keys={seed: ranks})
     balls = per_graph.setdefault((rad, "balls"), {})
     mismatches = []
     for ref in edge_sample:
@@ -266,6 +266,10 @@ def verify_locality(
         if got_global != got_local:
             mismatches.append(LocalityMismatch(ref, got_global, got_local))
     return LocalityReport(checked=len(edge_sample), mismatches=tuple(mismatches))
+
+
+# An evaluator's order key: a ``path_key``, or a rank in the global key order.
+_Key = OrderKey | int
 
 
 class LocalEvaluator:
@@ -318,16 +322,18 @@ class LocalEvaluator:
 
     The memo is one ``_Tables`` per seed, which lives as long as the
     evaluator.  It holds the order keys (``keys``, by seed, may be shared
-    with another evaluator on g), so ``path_key`` runs once per path and
-    seed, each edge's (key, path, sign) list sorted by key, the capped
-    depths and amounts, and each depth's read set: the nodes of the
-    predecessors its computation read (those with a smaller key, up to an
-    early return) and their own read sets.  A value is a function of what
-    it read, and a ball's list of the paths through an edge is g's list
-    filtered by the ball, so where a ball holds what a query on g read, the
-    value on the subgraph the ball induces is the value on g
-    (``_holds_reads``).  A path's key travels with it in its list entry, so
-    the recursion over depths and amounts never looks one up.
+    with another evaluator on g): any strict order consistent with
+    ``path_key``.  A path listed without one is keyed by ``path_key``, once
+    per seed; ``verify_locality`` passes its paths' ranks in the global key
+    order instead.  The memo also holds each edge's (key, path, sign) list
+    sorted by key, the capped depths and amounts, and each depth's read
+    set: the nodes of the predecessors its computation read (those with a
+    smaller key, up to an early return) and their own read sets.  A value
+    is a function of what it read, and a ball's list of the paths through
+    an edge is g's list filtered by the ball, so where a ball holds what a
+    query on g read, the value on the subgraph the ball induces is the
+    value on g (``_holds_reads``).  A path's key travels with it in its
+    list entry, so the recursion over depths and amounts never looks one up.
     The graph is valid by construction, so its nodes and edges, and the
     paths found on it, are read unchecked, and l and s come from a checked
     config; every amount and returned value is checked against the
@@ -426,7 +432,7 @@ class LocalEvaluator:
             t = self._tables[seed] = _Tables(seed, self.s, self.keys.setdefault(seed, {}))
         return t
 
-    def _ordered(self, t: _Tables, eid: int) -> list[tuple[OrderKey, AugPathCandidate, int]]:
+    def _ordered(self, t: _Tables, eid: int) -> list[tuple[_Key, AugPathCandidate, int]]:
         """(key, path, sign) of the paths through eid on the evaluator's
         graph, in key order, each path keyed once per seed."""
         got = t.lists.get(eid)
@@ -446,7 +452,7 @@ class LocalEvaluator:
             t.lists[eid] = got
         return got
 
-    def _depth(self, t: _Tables, ku: OrderKey, u: AugPathCandidate, k: int) -> int:
+    def _depth(self, t: _Tables, ku: _Key, u: AugPathCandidate, k: int) -> int:
         """h(u, k): u's chain depth capped at k; ku is u's key."""
         if k == 1:
             return 1
@@ -459,7 +465,7 @@ class LocalEvaluator:
             t.reads[k][ck] = tuple(seen)
         return got
 
-    def _compute_depth(self, t: _Tables, ku: OrderKey, u: AugPathCandidate, k: int,
+    def _compute_depth(self, t: _Tables, ku: _Key, u: AugPathCandidate, k: int,
                        seen: set[int]) -> int:
         """h(u, k) for k >= 2, from u's predecessors; adds to seen the nodes
         of each predecessor read and that one's read set."""
@@ -477,7 +483,7 @@ class LocalEvaluator:
                     best = got
         return best + 1
 
-    def _amount(self, t: _Tables, ku: OrderKey, u: AugPathCandidate) -> int:
+    def _amount(self, t: _Tables, ku: _Key, u: AugPathCandidate) -> int:
         """What A2 augments u by; u must be unskipped, and ku is its key."""
         ck = u.canonical_key
         got = t.amounts.get(ck)
@@ -502,18 +508,20 @@ class LocalEvaluator:
 
 class _Tables:
     """One seed's memo tables, keyed by canonical key.  ``keys`` maps the
-    canonical key of each path listed to its order key, and ``lists`` an
-    edge id to the (key, path, sign) of the paths through it, in key order.
+    canonical key of each path listed to its order key, which may be any
+    strict order consistent with ``path_key`` (an ``OrderKey``, or a rank in
+    the global key order), and ``lists`` an edge id to the (key, path,
+    sign) of the paths through it, in key order.
     ``reads`` holds the read sets of the depths, by cap k as ``depths``.
 
     Plain data: the evaluator's methods fill it, so no reference cycle keeps
     a finished evaluator alive until the cyclic collector runs.
     """
 
-    def __init__(self, seed: int, s: int, keys: dict[bytes, OrderKey]):
+    def __init__(self, seed: int, s: int, keys: dict[bytes, _Key]):
         self.seed = seed
         self.keys = keys
-        self.lists: dict[int, list[tuple[OrderKey, AugPathCandidate, int]]] = {}
+        self.lists: dict[int, list[tuple[_Key, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
         self.amounts: dict[bytes, int] = {}
         self.reads: list[dict[bytes, tuple[int, ...]]] = [{} for _ in range(s + 1)]

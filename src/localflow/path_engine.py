@@ -133,11 +133,25 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 # Paths depend only on (graph, l), never on seeds or capacities, so
 # multi-seed runs share them.  Keyed by graph identity; per graph:
 # l -> the global path list, in canonical-key order;
-# (l, "order") -> (seed, that list in seed's key order), from the last sweep;
+# (l, "order") -> (seed, that list in seed's key order), from the last
+#   ``_global_order`` call on (g, l); the sweeps read it, and
+#   ``verify_locality`` ranks the query tree's paths by it;
 # (l, "tree") -> the query tree's ``_PathIndex``, shared by ``verify_locality``;
 # (radius, "balls") -> edge id -> ``verify_locality``'s ball around the edge.
 # No value refers to the graph, so the cache never keeps a graph alive.
 _PATH_CACHE: "weakref.WeakKeyDictionary[ColoredGraph, dict]" = weakref.WeakKeyDictionary()
+
+
+def _global_order(g: ColoredGraph, l: int, seed: int) -> list[AugPathCandidate]:
+    """g's paths of at most l edges in seed's key order, sorted by
+    ``_key_order`` and kept in the path cache until a call on (g, l) at
+    another seed, so the runs and checks at one seed label and sort the
+    paths once.  Callers read the list and never change it."""
+    per_graph = _PATH_CACHE.setdefault(g, {})
+    kept = per_graph.get((l, "order"))
+    if kept is None or kept[0] != seed:
+        kept = per_graph[l, "order"] = (seed, _key_order(enumerate_paths(g, l), seed))
+    return kept[1]
 
 
 # The most non-backtracking S->T walks of at most l edges a graph may have for
@@ -293,7 +307,7 @@ class _PathIndex:
 def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes, int]:
     """Depth of every path, keyed by canonical key: 1 + the max depth over
     smaller-key intersecting paths."""
-    ordered = sorted(paths, key=lambda u: path_key(u, seed))
+    ordered = _key_order(sorted(paths, key=lambda u: u.canonical_key), seed)
     depths: dict[bytes, int] = {}
     for u, d in zip(ordered, _chain_depths(ordered, defaultdict(int))):
         if u.canonical_key in depths:

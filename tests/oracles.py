@@ -109,17 +109,20 @@ def ball_rerun_f2(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
 
 
 def reference_locality_report(g: ColoredGraph, cfg: RunConfig, refs: list[DirectedEdgeRef],
-                              radius: int) -> LocalityReport:
-    """``verify_locality(g, cfg, refs, radius=radius)`` from scratch: the
-    global values from ``reference_sweep``, and each edge's local value from
-    a fresh evaluator on the subgraph of its BFS ball."""
+                              radius: int, local_seed: int | None = None) -> LocalityReport:
+    """``verify_locality(g, cfg, refs, radius=radius, local_seed=local_seed)``
+    from scratch: the global values from ``reference_sweep`` at cfg's seed,
+    and each edge's local value from a fresh evaluator, keyed by
+    ``path_key``, on the subgraph of its BFS ball, at the local seed
+    (default cfg's)."""
     l, s = cfg.l, cfg.require_s()
+    seed = cfg.seed if local_seed is None else local_seed
     f2, _ = reference_sweep(g, l, cfg.seed, s)
     mismatches = []
     for ref in refs:
         e = g.edge(ref.edge_id)
         sub = full_scan_subgraph(g, bfs_ball(g, [e.a, e.b], radius))
-        local = LocalEvaluator(sub, l, s).f2_on(ref, cfg.seed)
+        local = LocalEvaluator(sub, l, s).f2_on(ref, seed)
         if local != f2.on(ref):
             mismatches.append(LocalityMismatch(ref, f2.on(ref), local))
     return LocalityReport(len(refs), tuple(mismatches))

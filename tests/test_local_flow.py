@@ -40,6 +40,8 @@ from localflow.local_flow import (
     verify_locality,
 )
 from localflow.path_engine import (
+    OrderKey,
+    _global_order,
     _PathIndex,
     _simple_walks,
     chain_depth_all,
@@ -125,16 +127,16 @@ def test_sweeps_on_arbitrary_graphs_equal_the_reference_sweep(g, l, seed):
 
 
 def counted_orders(monkeypatch) -> list[tuple[int, int]]:
-    """The (path count, seed) of every ``_key_order`` call ``local_flow``
-    makes from now on."""
+    """The (path count, seed) of every ``_key_order`` call made from now on:
+    the sweeps and ``verify_locality`` order paths through ``_global_order``."""
     calls: list[tuple[int, int]] = []
-    real_key_order = local_flow_module._key_order
+    real_key_order = path_engine_module._key_order
 
     def counting(paths, seed):
         calls.append((len(paths), seed))
         return real_key_order(paths, seed)
 
-    monkeypatch.setattr(local_flow_module, "_key_order", counting)
+    monkeypatch.setattr(path_engine_module, "_key_order", counting)
     return calls
 
 
@@ -819,20 +821,79 @@ def test_an_amount_reads_inside_its_paths_depth_read_set():
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
 @given(graphs(), st.integers(1, 3), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_verify_locality_reports_equal_the_reference_on_arbitrary_graphs(g, l, s, seed, data):
-    """The report is the reference's at every radius, and at s*(l-1) every
-    query's read set lies in its ball, so no ball evaluator is made: a read
-    beyond the radius fails this even where its value happens to agree."""
+    """The report is the reference's at every radius and local seed, and at
+    s*(l-1) every query's read set lies in its ball, so no ball evaluator is
+    made: a read beyond the radius fails this even where its value happens
+    to agree."""
     if not g.edges:
         return
     radius = data.draw(st.sampled_from((s * (l - 1), l - 1, 1, 0)))
+    local_seed = data.draw(st.integers(1, 3))
     refs = alternating_refs(g)
     cfg = RunConfig(l=l, s=s, seed=seed)
     with pytest.MonkeyPatch.context() as mp:
         made = counted_evaluators(mp)
-        report = verify_locality(g, cfg, refs, radius=radius)
-    assert report == reference_locality_report(g, cfg, refs, radius)
+        report = verify_locality(g, cfg, refs, radius=radius, local_seed=local_seed)
+    assert report == reference_locality_report(g, cfg, refs, radius, local_seed)
     if radius == s * (l - 1):
         assert ball_evaluators(made) == []
+
+
+def ranks_answer_as_path_keys(g: ColoredGraph, l: int, s: int, seed: int) -> None:
+    """An evaluator on g keyed by ranks in the global key order, as
+    ``verify_locality``'s are, and one keyed by ``path_key``, as a local
+    query's is, give the same value on every edge, both ways, the same
+    outflow at every node, and the same read sets, which decide where
+    ``verify_locality`` makes a ball evaluator."""
+    ranks = {u.canonical_key: i for i, u in enumerate(_global_order(g, l, seed))}
+    ranked, keyed = LocalEvaluator(g, l, s, keys={seed: ranks}), LocalEvaluator(g, l, s)
+    for e in g.edges:
+        for orientation in ("AB", "BA"):
+            ref = DirectedEdgeRef(e.id, orientation)
+            assert ranked.f2_on(ref, seed) == keyed.f2_on(ref, seed), (ref, l, s, seed)
+    for nd in g.nodes:
+        assert ranked.outflow(nd.id, seed) == keyed.outflow(nd.id, seed), (nd.id, l, s, seed)
+    if g.nodes:
+        by_rank, by_key = ranked._tables[seed], keyed._tables[seed]
+        assert by_rank.reads == by_key.reads
+        assert all(type(k) is OrderKey for k in by_key.keys.values())
+        for eid, got in by_key.lists.items():
+            assert [(u, sign) for _, u, sign in by_rank.lists[eid]] == \
+                [(u, sign) for _, u, sign in got]
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 3), st.integers(2, 3), st.integers(0, 3))
+def test_ranks_in_the_global_order_answer_as_path_keys_on_arbitrary_graphs(g, l, s, seed):
+    """Ranks and ``path_key`` give equal values, outflows and read sets."""
+    ranks_answer_as_path_keys(g, l, s, seed)
+
+
+def test_ranks_in_the_global_order_answer_as_path_keys_on_the_ac5_corpus():
+    """The same on every instance of acceptance check AC-5, at its l and at
+    s = 2 and 3, seed 1."""
+    for spec, l, _ in _locality_suite():
+        g, _ = generate(spec)
+        for s in (2, 3):
+            ranks_answer_as_path_keys(g, l, s, 1)
+
+
+def test_a_local_seed_report_is_the_references_at_that_seed():
+    """On CI's 6x8 grid and on a graph built for it, where A2 depends on the
+    seed, ``verify_locality`` with a local seed, whose evaluators rank paths
+    by that seed's global order, gives the reference's report at that seed,
+    mismatches and their local values included."""
+    grid = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))[0]
+    mismatched = 0
+    for g, l, s in ((grid, 4, 3), (seed_sensitive_graph(), 3, 5)):
+        refs = alternating_refs(g)
+        for seed, local_seed in ((1, 2), (2, 1), (0, 3)):
+            cfg = RunConfig(l=l, s=s, seed=seed)
+            for radius in (s * (l - 1), l - 1):
+                report = verify_locality(g, cfg, refs, radius=radius, local_seed=local_seed)
+                assert report == reference_locality_report(g, cfg, refs, radius, local_seed)
+                mismatched += len(report.mismatches)
+    assert mismatched
 
 
 def test_ba_refs_are_negated_and_bad_orientations_refused_on_g(monkeypatch):
@@ -975,18 +1036,50 @@ def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
     assert first[0] > 0 and first[1] > 0
 
 
+def counted_labels(monkeypatch) -> list[tuple[bytes, int]]:
+    """The (canonical key, seed) of every path label made from now on:
+    ``path_key`` and ``_key_order`` both label through ``_labeller``."""
+    labelled: list[tuple[bytes, int]] = []
+    real_labeller = path_engine_module._labeller
+
+    def labeller(seed):
+        label = real_labeller(seed)
+
+        def counting(canonical_key):
+            labelled.append((canonical_key, seed))
+            return label(canonical_key)
+
+        return counting
+
+    monkeypatch.setattr(path_engine_module, "_labeller", labeller)
+    return labelled
+
+
+def counted_path_keys(monkeypatch) -> list[bytes]:
+    """The canonical key of every ``path_key`` call ``local_flow`` makes from now on."""
+    keyed: list[bytes] = []
+    real_path_key = local_flow_module.path_key
+
+    def counting(u, seed):
+        keyed.append(u.canonical_key)
+        return real_path_key(u, seed)
+
+    monkeypatch.setattr(local_flow_module, "path_key", counting)
+    return keyed
+
+
 def test_verify_locality_searches_each_node_and_builds_each_path_once(monkeypatch):
     """One evaluator serves every ball: on AC-5's instance, whose 300 edges
     have 292 distinct balls, each of the 300 nodes is searched once and each
-    of the 196 paths is built and labelled once."""
+    of the 196 paths is built once, and labelled once per seed, across the
+    global run and every evaluator.  The evaluators rank paths by the global
+    run's key order, so ``path_key`` never runs."""
     g = ac5_instance()
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
     searched: list[int] = []
     built: list[bytes] = []
-    hashed: list[bytes] = []
     real_walks = _PathIndex.walks
     real_make_path = path_engine_module.make_path
-    real_path_key = local_flow_module.path_key
 
     def walking(self, v):
         if v not in self._walk_memo:
@@ -998,28 +1091,36 @@ def test_verify_locality_searches_each_node_and_builds_each_path_once(monkeypatc
         built.append(u.canonical_key)
         return u
 
-    def keying(u, seed):
-        hashed.append(u.canonical_key)
-        return real_path_key(u, seed)
-
     assert (g.n, len(g.edges), len(enumerate_paths(g, 6))) == (300, 300, 196)
     # The global list is built before make_path is counted: it is the index's builds that count.
     monkeypatch.setattr(_PathIndex, "walks", walking)
     monkeypatch.setattr(path_engine_module, "make_path", making)
-    monkeypatch.setattr(local_flow_module, "path_key", keying)
+    labelled = counted_labels(monkeypatch)
+    keyed = counted_path_keys(monkeypatch)
     assert verify_locality(g, RunConfig(l=6, s=3, seed=1), refs).passed
     assert len({ball_nodes(g, ref, 18) for ref in refs}) == 292
-    assert (len(searched), len(built), len(hashed)) == (300, 196, 196)
-    assert len(set(searched)) == 300 and len(set(built)) == len(set(hashed)) == 196
+    assert (len(searched), len(built), len(labelled)) == (300, 196, 196)
+    assert len(set(searched)) == 300 and len(set(built)) == len(set(labelled)) == 196
+    assert {seed for _, seed in labelled} == {1}
 
     # A later call on (g, l) reuses the walks and paths, whatever its seed, s
-    # and radius, and keys each path once under its own seed.
-    del searched[:], built[:], hashed[:]
+    # and radius, and labels each path once under its own seed.
+    del searched[:], built[:], labelled[:]
     cfg = RunConfig(l=6, s=2, seed=4)
     warm = verify_locality(g, cfg, refs, radius=5)
-    assert (len(searched), len(built), len(hashed), len(set(hashed))) == (0, 0, 196, 196)
+    assert (len(searched), len(built), len(labelled), len(set(labelled))) == (0, 0, 196, 196)
+    assert {seed for _, seed in labelled} == {4}
+
+    # With a local seed, the global run reads the kept order at the run's
+    # seed, and the evaluators' ranks label each path under the local seed.
+    del labelled[:]
+    control = verify_locality(g, cfg, refs, local_seed=2)
+    assert len(labelled) == len(set(labelled)) == 196
+    assert {seed for _, seed in labelled} == {2}
+    assert keyed == []
     monkeypatch.undo()
     assert warm == verify_locality(ac5_instance(), cfg, refs, radius=5)
+    assert control == verify_locality(ac5_instance(), cfg, refs, local_seed=2)
 
 
 def test_verify_locality_shares_tables_per_l_and_answers_as_on_a_fresh_graph():
@@ -1194,22 +1295,17 @@ def test_a_negative_local_seed_is_a_seed_like_any_other():
 
 def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypatch):
     """On AC-5's instance at radius l-1, ``verify_locality`` checks every
-    edge under two seeds.  ``path_key`` runs once per path and seed, across
-    the evaluator on g and every ball evaluator; each list of the paths
-    through an edge on a ball is the seed's sorted list on g filtered by the
-    ball; and at this radius some queries read outside their ball, and a
-    ball evaluator is made for those alone."""
+    edge under two seeds.  Each path is labelled once per seed, across the
+    global run, the evaluator on g and every ball evaluator, which share the
+    ranks of the global key order, so ``path_key`` never runs; each list of
+    the paths through an edge on a ball is the seed's sorted list on g
+    filtered by the ball; and at this radius some queries read outside their
+    ball, and a ball evaluator is made for those alone."""
     g = ac5_instance()
     l, s, rad = 6, 3, 5
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
-    hashed: list[tuple[bytes, int]] = []
-    real_path_key = local_flow_module.path_key
-
-    def keying(u, seed):
-        hashed.append((u.canonical_key, seed))
-        return real_path_key(u, seed)
-
-    monkeypatch.setattr(local_flow_module, "path_key", keying)
+    labelled = counted_labels(monkeypatch)
+    keyed = counted_path_keys(monkeypatch)
     made = counted_evaluators(monkeypatch)
     reports = [verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs, radius=rad)
                for seed in (1, 2)]
@@ -1220,7 +1316,8 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
     assert sorted(on_g) == [1, 2] and len(made) == 2 + len(on_balls)
     keys = [on_g[seed]._tables[seed].keys for seed in (1, 2)]
     assert all(t.keys is keys[seed - 1] for _, seed, t in on_balls)
-    assert len(hashed) == len(set(hashed)) == len(keys[0]) + len(keys[1])
+    assert len(labelled) == len(set(labelled)) == len(keys[0]) + len(keys[1])
+    assert keyed == []
     assert set(keys[0]) == set(keys[1]) == {u.canonical_key for u in on_g[1].index._paths.values()}
     # On g a query reads the sorted lists unfiltered.
     assert all(len(got) == len(on_g[seed].index.through(eid))
