@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -97,11 +98,71 @@ class TraceEntry(NamedTuple):
     amount: int
 
 
+# A sweep's record of a skipped path; any other path's record is its amount,
+# which is 0 where the path had no residual capacity.
+_SKIPPED = -1
+
+
+def _row(u: AugPathCandidate, amount: int) -> TraceEntry:
+    """The trace row of path u with record amount; built without
+    ``TraceEntry``'s Python-level ``__new__``."""
+    if amount > 0:
+        return tuple.__new__(TraceEntry, (u.canonical_key, AUGMENTED, amount))
+    action = ZERO_CAPACITY if amount == 0 else SKIPPED_CHAIN
+    return tuple.__new__(TraceEntry, (u.canonical_key, action, 0))
+
+
+class _TraceRows(Sequence):
+    """A sweep's trace rows, built only when read: the paths in key order
+    and, lined up with them, one int per path (its amount, or ``_SKIPPED``).
+
+    A sweep keeps two flat lists rather than a ``TraceEntry`` per path: the
+    cyclic collector never untracks a tuple subclass, so one row per path
+    kept alive sets off full collections.  Reads behave as on the tuple of
+    rows: ints (negative ones too) and slices index it, a slice is a tuple,
+    and it is equal to, and hashes as, that tuple.
+    """
+
+    __slots__ = ("_order", "_amounts")
+
+    def __init__(self, order: list[AugPathCandidate], amounts: list[int]):
+        self._order = order
+        self._amounts = amounts
+
+    def __len__(self) -> int:
+        return len(self._amounts)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(_row, self._order[i], self._amounts[i]))
+        return _row(self._order[i], self._amounts[i])
+
+    def __iter__(self):
+        return map(_row, self._order, self._amounts)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (tuple, _TraceRows)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-path audit of a run, in processing (key) order."""
+    """Per-path audit of a run, in processing (key) order.
 
-    entries: tuple[TraceEntry, ...]
+    ``entries`` is a sequence of ``TraceEntry``: a sweep's holds the key
+    order it swept and one int per path, and builds each row when it is
+    read (``_TraceRows``), so a live trace keeps its seed's order list after
+    the path cache has replaced it; a tuple of rows is equal to it.
+    """
+
+    entries: Sequence[TraceEntry]
 
     def to_json_lines(self) -> str:
         return "".join(json.dumps({"key": ent.canonical_key.decode("ascii"),
@@ -121,6 +182,8 @@ def _sweep(
     path's amount is the least residual over its arcs, and augmenting by it
     moves that much from each arc to its reverse.  A2's chain depths are
     computed in the same pass, path by path, in a table of the same shape.
+    The trace is that order and one int per path, lined up with it: the
+    amount, or ``_SKIPPED``; its rows are built only when read.
     """
     order = _global_order(g, l, seed)
     res = _residuals(g)
@@ -131,29 +194,25 @@ def _sweep(
                                else dict.fromkeys(res, 0))
 
     room = res.__getitem__
-    new_entry = tuple.__new__  # a TraceEntry without its Python-level __new__
-    entries: list[TraceEntry] = []
-    append = entries.append
+    amounts: list[int] = []
+    append = amounts.append
     for u, depth in zip(order, depths):
-        ck = u.canonical_key
         if depth >= skip_threshold:
-            append(new_entry(TraceEntry, (ck, SKIPPED_CHAIN, 0)))
+            append(_SKIPPED)
             continue
         arcs = u.arcs
         amount = min(map(room, arcs))
         if amount < 0:
-            raise AssertionError(f"negative amount {amount} on path {ck!r}")
+            raise AssertionError(f"negative amount {amount} on path {u.canonical_key!r}")
         if amount:
             for arc in arcs:
                 res[arc] -= amount
                 res[arc ^ 1] += amount
-            append(new_entry(TraceEntry, (ck, AUGMENTED, amount)))
-        else:
-            append(new_entry(TraceEntry, (ck, ZERO_CAPACITY, 0)))
+        append(amount)
 
     flow = _residual_flow(g, res)
     validate_flow(g, flow).raise_if_invalid("run output flow")
-    return flow, RunTrace(tuple(entries))
+    return flow, RunTrace(_TraceRows(order, amounts))
 
 
 def run_a1(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:

@@ -135,7 +135,9 @@ def _key_order(paths: list[AugPathCandidate], seed: int) -> list[AugPathCandidat
 # l -> the global path list, in canonical-key order;
 # (l, "order") -> (seed, that list in seed's key order), from the last
 #   ``_global_order`` call on (g, l); the sweeps read it, and
-#   ``verify_locality`` ranks the query tree's paths by it;
+#   ``verify_locality`` ranks the query tree's paths by it.  A call at
+#   another seed replaces the pair, never the list, so a live ``RunTrace``
+#   keeps its own seed's order;
 # (l, "tree") -> the query tree's ``_PathIndex``, shared by ``verify_locality``;
 # (radius, "balls") -> edge id -> ``verify_locality``'s ball around the edge.
 # No value refers to the graph, so the cache never keeps a graph alive.
@@ -146,7 +148,8 @@ def _global_order(g: ColoredGraph, l: int, seed: int) -> list[AugPathCandidate]:
     """g's paths of at most l edges in seed's key order, sorted by
     ``_key_order`` and kept in the path cache until a call on (g, l) at
     another seed, so the runs and checks at one seed label and sort the
-    paths once.  Callers read the list and never change it."""
+    paths once.  Callers read the list and never change it; a run's trace
+    keeps it, so it outlives its cache entry while the trace lives."""
     per_graph = _PATH_CACHE.setdefault(g, {})
     kept = per_graph.get((l, "order"))
     if kept is None or kept[0] != seed:

@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import weakref
+from collections.abc import Sequence
 from fractions import Fraction
 from itertools import chain
 
@@ -32,6 +33,8 @@ from localflow.local_flow import (
     ZERO_CAPACITY,
     LocalEvaluator,
     RunConfig,
+    RunTrace,
+    TraceEntry,
     _ball_radius,
     length_cap,
     local_f2_edge,
@@ -264,6 +267,73 @@ def test_a1_zero_capacity_paths_are_recorded_not_dropped():
     assert actions.count(AUGMENTED) == 1
     assert actions.count(ZERO_CAPACITY) == 1
     assert flow_value(g, f1) == 5
+
+
+def ci_grid() -> ColoredGraph:
+    """The 6x8 grid the CI's hash-seed step runs on: 450 paths at l=6."""
+    return generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))[0]
+
+
+def test_trace_rows_read_as_the_tuple_of_rows():
+    g = ci_grid()
+    _, trace = run_a2(g, RunConfig(l=6, s=3, seed=1))
+    _, want = reference_sweep(g, 6, 1, 3)
+    rows, entries = want.entries, trace.entries
+    assert type(rows) is tuple and isinstance(entries, Sequence)
+    assert len(entries) == len(rows) == 450
+    assert {row.action for row in rows} == {AUGMENTED, SKIPPED_CHAIN, ZERO_CAPACITY}
+    for i in (0, 1, 449, -1, -2, -450):
+        assert entries[i] == rows[i] and type(entries[i]) is TraceEntry
+    for i in (450, -451):
+        with pytest.raises(IndexError):
+            entries[i]
+    for cut in (slice(1, 5), slice(None, None, -3), slice(-4, None), slice(5, 2), slice(None)):
+        assert entries[cut] == rows[cut] and type(entries[cut]) is tuple
+    assert list(entries) == list(rows) and list(reversed(entries)) == list(reversed(rows))
+    assert entries.index(rows[7]) == 7 and entries.count(rows[7]) == 1
+    assert entries == rows and rows == entries and not entries != rows
+    assert entries != rows[:-1] and entries != list(rows)
+    assert trace == want and hash(trace) == hash(want) == hash(RunTrace(rows))
+    assert trace.to_json_lines() == want.to_json_lines()
+
+
+def test_trace_of_a_run_with_no_paths_is_empty():
+    for run in (run_a1, run_a2):
+        _, trace = run(line_graph("RRT"), RunConfig(l=3, s=2))
+        assert trace.entries == () and len(trace.entries) == 0 and list(trace.entries) == []
+        assert trace == RunTrace(()) and hash(trace) == hash(RunTrace(()))
+        assert trace.to_json_lines() == ""
+
+
+def test_a_kept_trace_outlives_its_seed_in_the_path_cache():
+    """A trace holds its own seed's key order, which the path cache drops
+    when a call on (g, l) at another seed replaces it."""
+    g = ci_grid()
+    _, kept = run_a1(g, RunConfig(l=6, seed=1))
+    _, other = run_a1(g, RunConfig(l=6, seed=2))
+    assert path_engine_module._PATH_CACHE[g][6, "order"][0] == 2
+    assert kept == reference_sweep(g, 6, 1, None)[1]
+    assert other == reference_sweep(g, 6, 2, None)[1]
+    assert kept != other
+
+
+def test_kept_traces_add_no_object_per_path_to_the_collector():
+    """A sweep's trace is two flat lists, not a row per path: the cyclic
+    collector never untracks a tuple subclass, so rows kept alive would
+    each add to every full collection."""
+    g = ci_grid()
+    paths = len(enumerate_paths(g, 6))
+    assert paths == 450
+    gc.disable()
+    try:
+        gc.collect()
+        before = len(gc.get_objects())
+        kept = [run_a2(g, RunConfig(l=6, s=3, seed=seed))[1] for seed in (1, 2, 3)]
+        gc.collect()
+        assert len(gc.get_objects()) - before < paths
+    finally:
+        gc.enable()
+    assert all(len(trace.entries) == paths for trace in kept)
 
 
 def test_a1_meets_length_gap_bound_and_leaves_no_short_path():
