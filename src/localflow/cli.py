@@ -41,18 +41,15 @@ from .harness import (
     write_csv,
 )
 from .local_flow import RunConfig, length_cap, local_f2_edge, run_a1, run_a2, verify_locality
-from .path_engine import _chain_depths, enumerate_paths, path_key
+from .path_engine import _chain_depths, _global_order, _labeller
 
 
 def _ints(text: str) -> list[int]:
-    """Comma-separated integers, at least one."""
+    """Comma-separated integers, at least one; an empty item is refused."""
     try:
-        values = [int(part) for part in text.split(",") if part != ""]
+        return [int(part) for part in text.split(",")]
     except ValueError:
-        values = []
-    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    return values
 
 
 def _cfgs(text: str) -> list[tuple[int, int]]:
@@ -191,12 +188,11 @@ def _cmd_tester(args: argparse.Namespace) -> int:
 
 def _cmd_dump_paths(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    keyed = sorted(((path_key(u, args.seed), u) for u in enumerate_paths(g, args.l)),
-                   key=lambda pair: pair[0])
-    depths = _chain_depths((u for _, u in keyed), defaultdict(int))
+    order = _global_order(g, args.l, args.seed)
+    label = _labeller(args.seed)
     lines = [json.dumps({"nodes": list(u.nodes), "length": u.length,
-                         "hash": key.hash_label, "depth": depth})
-             for (key, u), depth in zip(keyed, depths)]
+                         "hash": label(u.canonical_key), "depth": depth})
+             for u, depth in zip(order, _chain_depths(order, defaultdict(int)))]
     _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 

@@ -8,15 +8,16 @@ vertices (or takes all of them) and sums, for each sampled source, the
 averaged values on its out-edges, which is the source's averaged net
 outflow.  Several sampling seeds are several calls with
 ``replace(cfg, sample_seed=...)``.  Each net outflow is a local query,
-``LocalEvaluator.outflow``: the query tree on the whole graph, one per call,
-shared by every sampled source and seed.  It sums the amounts of the
-unskipped paths that start at the source, so a path that only passes
-through it is never judged.  Those paths and their predecessors are read by
-the edge query of one of the source's out-edges too, and that tree reads
-nothing beyond s*(l-1) hops of its edge (``verify_locality`` checks this on
-balls), so the computation reads only the ball of radius
-``TesterConfig.r`` = s*(l-1) + 1 around the vertex, and never builds that
-ball.
+``LocalEvaluator.outflow``: the query tree of one seed on the whole graph.
+A call builds one evaluator per distinct seed, each shared by every sampled
+source, and all of them on one path index, which depends on no seed.  An
+outflow sums the amounts of the unskipped paths that start at the source,
+so a path that only passes through it is never judged.  Those paths and
+their predecessors are read by the edge query of one of the source's
+out-edges too, and that tree reads nothing beyond s*(l-1) hops of its edge
+(``verify_locality`` checks this on balls), so the computation reads only
+the ball of radius ``TesterConfig.r`` = s*(l-1) + 1 around the vertex, and
+never builds that ball.
 
 All arithmetic here is exact: a summand is integer ticks summed over the
 seeds, each distinct source's average is one ``Fraction``, and so is the
@@ -34,6 +35,7 @@ from fractions import Fraction
 from .graph_core import ColoredGraph, _int_field
 from .local_flow import LocalEvaluator, _ball_radius
 from .parallel import parallel_map
+from .path_engine import _PathIndex
 
 
 @dataclass(frozen=True)
@@ -82,14 +84,15 @@ class TesterReport:
 
 
 def source_ball_summand(g: ColoredGraph, v: int, cfg: TesterConfig,
-                        evaluator: LocalEvaluator) -> int:
+                        evaluators: dict[int, LocalEvaluator]) -> int:
     """I(v in S) times the sum over the seeds of A2's net outflow at v, in
     integer ticks: m times the averaged value on v's out-edges.  Each
-    outflow reads only the paths that start at v and their predecessors,
-    inside h_r(v)."""
+    outflow, from the evaluator at its seed, reads only the paths that
+    start at v and their predecessors, inside h_r(v).  A seed listed twice
+    counts twice, as m does."""
     if g.node(v).color != "S":
         return 0
-    return sum(evaluator.outflow(v, seed) for seed in cfg.seeds)
+    return sum(evaluators[seed].outflow(v) for seed in cfg.seeds)
 
 
 def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) -> TesterReport:
@@ -104,10 +107,12 @@ def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) 
         rng = random.Random(cfg.sample_seed)
         chosen = [ids[rng.randrange(len(ids))] for _ in range(cfg.k)]
 
-    evaluator = LocalEvaluator(g, cfg.l, cfg.s)
+    index = _PathIndex(g, cfg.l)
+    evaluators = {seed: LocalEvaluator(g, cfg.l, cfg.s, seed, index=index)
+                  for seed in dict.fromkeys(cfg.seeds)}
     multiplicity = Counter(chosen)
     distinct_sources = sorted(v for v in multiplicity if g.node(v).color == "S")
-    ticks = parallel_map(lambda v: source_ball_summand(g, v, cfg, evaluator), distinct_sources)
+    ticks = parallel_map(lambda v: source_ball_summand(g, v, cfg, evaluators), distinct_sources)
     summand = {v: Fraction(t, cfg.m) for v, t in zip(distinct_sources, ticks)}
 
     zero = Fraction(0)

@@ -6,15 +6,17 @@ plain run (A1) processes everything; the skipping run (A2) refuses any path
 whose chain depth reaches the threshold s, which is what confines each edge's
 final value to a ball around it.  ``LocalEvaluator`` computes that value
 without a sweep, as a memoised query tree over the paths through the edge and
-their predecessors, reading nothing beyond s*(l-1) hops of the edge.  A
-local query (``local_f2_edge``, and the tester's) is that tree on the whole
-graph: it reads only what the tree reads.  An evaluator may instead answer
-on the subgraph a ball induces, keeping the paths that lie inside the ball
-rather than building the subgraph.  ``verify_locality`` answers each edge
-on g and records what the query read; where the reads leave the edge's
-ball of radius s*(l-1), it answers again on the ball.  It checks edge by
-edge that the value is the global run's bit for bit, so the locality the
-queries rely on is checked, not assumed.
+their predecessors, reading nothing beyond s*(l-1) hops of the edge: one
+evaluator per labelling seed, on a path index that depends on no seed and
+that evaluators at several seeds share.  A local query (``local_f2_edge``,
+and the tester's) is that tree on the whole graph: it reads only what the
+tree reads.  An evaluator may instead answer on the subgraph a ball
+induces, keeping the paths that lie inside the ball rather than building
+the subgraph.  ``verify_locality`` answers each edge on g and records what
+the query read; where the reads leave the edge's ball of radius s*(l-1),
+it answers again on the ball.  It checks edge by edge that the value is the
+global run's bit for bit, so the locality the queries rely on is checked,
+not assumed.
 """
 
 from __future__ import annotations
@@ -240,8 +242,7 @@ def local_f2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
     result equals the global value exactly.  ``verify_locality`` checks this
     on the ball itself.
     """
-    l, s = cfg.l, cfg.require_s()
-    return LocalEvaluator(g, l, s).f2_on(e, cfg.seed)
+    return LocalEvaluator(g, cfg.l, cfg.require_s(), cfg.seed).f2_on(e)
 
 
 class LocalityMismatch(NamedTuple):
@@ -310,17 +311,17 @@ def verify_locality(
     ranks = {u.canonical_key: i for i, u in enumerate(_global_order(g, l, seed))}
     per_graph = _PATH_CACHE.setdefault(g, {})
     index = per_graph.setdefault((l, "tree"), _PathIndex(g, l))
-    ev = LocalEvaluator(g, l, s, index=index, keys={seed: ranks})
+    ev = LocalEvaluator(g, l, s, seed, index=index, keys=ranks)
     balls = per_graph.setdefault((rad, "balls"), {})
     mismatches = []
     for ref in edge_sample:
         ball = balls.get(ref.edge_id)
         if ball is None:
             ball = balls[ref.edge_id] = ball_nodes(g, ref, rad)
-        got_local = ev.f2_on(ref, seed)
-        if not ev._holds_reads(ref.edge_id, seed, ball):
-            on_ball = LocalEvaluator(g, l, s, ball=ball, index=index, keys=ev.keys)
-            got_local = on_ball.f2_on(ref, seed)
+        got_local = ev.f2_on(ref)
+        if not ev._holds_reads(ref.edge_id, ball):
+            on_ball = LocalEvaluator(g, l, s, seed, ball=ball, index=index, keys=ranks)
+            got_local = on_ball.f2_on(ref)
         got_global = int(f2_global.on(ref))
         if got_global != got_local:
             mismatches.append(LocalityMismatch(ref, got_global, got_local))
@@ -369,9 +370,11 @@ class LocalEvaluator:
     g, and ``verify_locality`` checks the claim on the balls of radius
     ``_ball_radius``.
 
-    The paths through each edge come from ``index``, a ``_PathIndex`` on
-    (g, l): a fresh one unless given, so a local query costs what the paper
-    bounds; ``verify_locality`` shares one per (g, l).  An evaluator given a
+    An evaluator is the query tree of one seed.  The paths through each
+    edge come from ``index``, a ``_PathIndex`` on (g, l), which depends on
+    no seed: a fresh one unless given, so a local query costs what the
+    paper bounds; the tester shares one across the evaluators of its seeds,
+    and ``verify_locality`` one per (g, l).  An evaluator given a
     ``ball`` answers on the subgraph the ball induces, which is never built:
     the paths of that subgraph through an edge are exactly the paths of g
     through it whose nodes all lie in the ball, so the evaluator keeps only
@@ -379,14 +382,15 @@ class LocalEvaluator:
     outside the ball, or a node outside it, raises ``ValueError``, as on
     the subgraph.
 
-    The memo is one ``_Tables`` per seed, which lives as long as the
-    evaluator.  It holds the order keys (``keys``, by seed, may be shared
-    with another evaluator on g): any strict order consistent with
-    ``path_key``.  A path listed without one is keyed by ``path_key``, once
-    per seed; ``verify_locality`` passes its paths' ranks in the global key
-    order instead.  The memo also holds each edge's (key, path, sign) list
-    sorted by key, the capped depths and amounts, and each depth's read
-    set: the nodes of the predecessors its computation read (those with a
+    The memo lives as long as the evaluator, keyed by canonical key.
+    ``keys`` holds the order keys, which may be shared with another
+    evaluator at the same seed: any strict order consistent with
+    ``path_key``.  A path listed without one is keyed by ``path_key``, once;
+    ``verify_locality`` passes its paths' ranks in the global key order
+    instead.  ``lists`` holds each edge's (key, path, sign) list sorted by
+    key, ``depths`` and ``amounts`` the capped depths (by cap k) and the
+    amounts, and ``reads`` each depth's read set, by cap k as ``depths``:
+    the nodes of the predecessors its computation read (those with a
     smaller key, up to an early return) and their own read sets.  A value
     is a function of what it read, and a ball's list of the paths through
     an edge is g's list filtered by the ball, so where a ball holds what a
@@ -399,27 +403,31 @@ class LocalEvaluator:
     invariants of a valid flow.
     """
 
-    def __init__(self, g: ColoredGraph, l: int, s: int, *, ball: frozenset[int] | None = None,
-                 index: _PathIndex | None = None, keys: dict[int, dict] | None = None):
+    def __init__(self, g: ColoredGraph, l: int, s: int, seed: int, *,
+                 ball: frozenset[int] | None = None, index: _PathIndex | None = None,
+                 keys: dict[bytes, _Key] | None = None):
         self.g = g
         self.s = s
+        self.seed = seed
         self.ball = ball
         self.index = _PathIndex(g, l) if index is None else index
-        self.keys = {} if keys is None else keys  # by seed
-        self._tables: dict[int, _Tables] = {}  # by seed
+        self.keys = {} if keys is None else keys
+        self.lists: dict[int, list[tuple[_Key, AugPathCandidate, int]]] = {}
+        self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
+        self.amounts: dict[bytes, int] = {}
+        self.reads: list[dict[bytes, tuple[int, ...]]] = [{} for _ in range(s + 1)]  # by cap k
 
-    def f2_on(self, e: DirectedEdgeRef, seed: int) -> int:
-        """A2's value at e under seed, on the evaluator's graph."""
+    def f2_on(self, e: DirectedEdgeRef) -> int:
+        """A2's value at e under the evaluator's seed, on its graph."""
         edge = self.g.edge(e.edge_id)
         ball = self.ball
         if ball is not None and (edge.a not in ball or edge.b not in ball):
             raise ValueError(f"unknown edge id {edge.id}")
-        t = self._seed_tables(seed)
         s = self.s
         total = 0
-        for ku, u, sign in self._ordered(t, edge.id):
-            if self._depth(t, ku, u, s) < s:
-                total += sign * self._amount(t, ku, u)
+        for ku, u, sign in self._ordered(edge.id):
+            if self._depth(ku, u, s) < s:
+                total += sign * self._amount(ku, u)
         if not -edge.cap_ba <= total <= edge.cap_ab:
             raise AssertionError(f"value {total} on edge {edge.id} outside its capacities")
         if e.orientation == AB:
@@ -428,10 +436,10 @@ class LocalEvaluator:
             raise _orientation_error(e)
         return -total
 
-    def _holds_reads(self, eid: int, seed: int, ball: frozenset[int]) -> bool:
-        """Whether ball holds what the query at eid under seed read: the
-        nodes of every path through eid and the read sets of their depths at
-        cap s.  A ball that holds every node of the graph holds any read set.
+    def _holds_reads(self, eid: int, ball: frozenset[int]) -> bool:
+        """Whether ball holds what the query at eid read: the nodes of every
+        path through eid and the read sets of their depths at cap s.  A ball
+        that holds every node of the graph holds any read set.
 
         An unskipped path's amount needs no read set of its own.  The amount
         of u reads the smaller-key paths through u's edges, then theirs,
@@ -439,19 +447,18 @@ class LocalEvaluator:
         reached at cap k under h(u, s) has h(v, k) <= h(u, s) - (s - k) < k,
         so no depth computation under u returns early: h(u, s) read every
         such chain, and its read set holds every node the amount read."""
-        g, s = self.g, self.s
+        g = self.g
         if len(ball) >= g.n and ball.issuperset(g._node_by_id):
             return True
-        t = self._tables[seed]
-        reads = t.reads[s]
-        for _, u, _ in self._ordered(t, eid):
+        reads = self.reads[self.s]
+        for _, u, _ in self._ordered(eid):
             if not (ball.issuperset(u.nodes) and ball.issuperset(reads.get(u.canonical_key, ()))):
                 return False
         return True
 
-    def outflow(self, v: int, seed: int) -> int:
-        """A2's net outflow at node v under seed: the amounts of the unskipped
-        paths that start at v minus those of the paths that end at v.
+    def outflow(self, v: int) -> int:
+        """A2's net outflow at node v: the amounts of the unskipped paths
+        that start at v minus those of the paths that end at v.
 
         A path that only passes through v enters and leaves it once, so it
         adds nothing, and its depth and amount are never asked for.  The
@@ -463,7 +470,6 @@ class LocalEvaluator:
         color = g.node(v).color
         if self.ball is not None and v not in self.ball:
             raise ValueError(f"unknown node id {v!r}")
-        t = self._seed_tables(seed)
         edge, s = g._edge_by_id, self.s
         total = cap_out = cap_in = 0
         for arc in g._adj[v][1::2]:  # v's arcs, each leaving v
@@ -474,29 +480,23 @@ class LocalEvaluator:
             else:
                 cap_out += e.cap_ab
                 cap_in += e.cap_ba
-            for ku, u, _ in self._ordered(t, e.id):
+            for ku, u, _ in self._ordered(e.id):
                 nodes = u.nodes
                 sign = 1 if nodes[0] == v else -1 if nodes[-1] == v else 0
-                if sign and self._depth(t, ku, u, s) < s:
-                    total += sign * self._amount(t, ku, u)
+                if sign and self._depth(ku, u, s) < s:
+                    total += sign * self._amount(ku, u)
         low = -cap_in if color == "T" else 0
         high = cap_out if color == "S" else 0
         if not low <= total <= high:
             raise AssertionError(f"net outflow {total} at {color} node {v} outside [{low}, {high}]")
         return total
 
-    def _seed_tables(self, seed: int) -> _Tables:
-        t = self._tables.get(seed)
-        if t is None:
-            t = self._tables[seed] = _Tables(seed, self.s, self.keys.setdefault(seed, {}))
-        return t
-
-    def _ordered(self, t: _Tables, eid: int) -> list[tuple[_Key, AugPathCandidate, int]]:
+    def _ordered(self, eid: int) -> list[tuple[_Key, AugPathCandidate, int]]:
         """(key, path, sign) of the paths through eid on the evaluator's
-        graph, in key order, each path keyed once per seed."""
-        got = t.lists.get(eid)
+        graph, in key order, each path keyed once."""
+        got = self.lists.get(eid)
         if got is None:
-            keys, seed, ball = t.keys, t.seed, self.ball
+            keys, ball = self.keys, self.ball
             through = self.index.through(eid)
             if ball is not None:
                 through = [us for us in through if ball.issuperset(us[0].nodes)]
@@ -505,36 +505,35 @@ class LocalEvaluator:
                 ck = u.canonical_key
                 k = keys.get(ck)
                 if k is None:
-                    k = keys[ck] = path_key(u, seed)
+                    k = keys[ck] = path_key(u, self.seed)
                 got.append((k, u, sign))
             got.sort()  # keys are distinct, so paths are never compared
-            t.lists[eid] = got
+            self.lists[eid] = got
         return got
 
-    def _depth(self, t: _Tables, ku: _Key, u: AugPathCandidate, k: int) -> int:
+    def _depth(self, ku: _Key, u: AugPathCandidate, k: int) -> int:
         """h(u, k): u's chain depth capped at k; ku is u's key."""
         if k == 1:
             return 1
-        memo = t.depths[k]
+        memo = self.depths[k]
         ck = u.canonical_key
         got = memo.get(ck)
         if got is None:
             seen: set[int] = set()
-            got = memo[ck] = self._compute_depth(t, ku, u, k, seen)
-            t.reads[k][ck] = tuple(seen)
+            got = memo[ck] = self._compute_depth(ku, u, k, seen)
+            self.reads[k][ck] = tuple(seen)
         return got
 
-    def _compute_depth(self, t: _Tables, ku: _Key, u: AugPathCandidate, k: int,
-                       seen: set[int]) -> int:
+    def _compute_depth(self, ku: _Key, u: AugPathCandidate, k: int, seen: set[int]) -> int:
         """h(u, k) for k >= 2, from u's predecessors; adds to seen the nodes
         of each predecessor read and that one's read set."""
         best = 0
-        below = t.reads[k - 1]
+        below = self.reads[k - 1]
         for arc in u.arcs:
-            for kv, v, _ in self._ordered(t, arc >> 1):
+            for kv, v, _ in self._ordered(arc >> 1):
                 if kv >= ku:
                     break
-                got = self._depth(t, kv, v, k - 1)
+                got = self._depth(kv, v, k - 1)
                 seen.update(v.nodes, below.get(v.canonical_key, ()))
                 if got == k - 1:
                     return k
@@ -542,45 +541,24 @@ class LocalEvaluator:
                     best = got
         return best + 1
 
-    def _amount(self, t: _Tables, ku: _Key, u: AugPathCandidate) -> int:
+    def _amount(self, ku: _Key, u: AugPathCandidate) -> int:
         """What A2 augments u by; u must be unskipped, and ku is its key."""
         ck = u.canonical_key
-        got = t.amounts.get(ck)
+        got = self.amounts.get(ck)
         if got is None:
             edge = self.g._edge_by_id
             for arc in u.arcs:
                 eid = arc >> 1
                 f_ab = 0
-                for kv, v, v_sign in self._ordered(t, eid):
+                for kv, v, v_sign in self._ordered(eid):
                     if kv >= ku:
                         break
-                    f_ab += v_sign * self._amount(t, kv, v)
+                    f_ab += v_sign * self._amount(kv, v)
                 e = edge[eid]
                 room = e.cap_ba + f_ab if arc & 1 else e.cap_ab - f_ab
                 if got is None or room < got:
                     got = room
             if got is None or got < 0:
                 raise AssertionError(f"negative amount {got} on path {ck!r}")
-            t.amounts[ck] = got
+            self.amounts[ck] = got
         return got
-
-
-class _Tables:
-    """One seed's memo tables, keyed by canonical key.  ``keys`` maps the
-    canonical key of each path listed to its order key, which may be any
-    strict order consistent with ``path_key`` (an ``OrderKey``, or a rank in
-    the global key order), and ``lists`` an edge id to the (key, path,
-    sign) of the paths through it, in key order.
-    ``reads`` holds the read sets of the depths, by cap k as ``depths``.
-
-    Plain data: the evaluator's methods fill it, so no reference cycle keeps
-    a finished evaluator alive until the cyclic collector runs.
-    """
-
-    def __init__(self, seed: int, s: int, keys: dict[bytes, _Key]):
-        self.seed = seed
-        self.keys = keys
-        self.lists: dict[int, list[tuple[_Key, AugPathCandidate, int]]] = {}
-        self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
-        self.amounts: dict[bytes, int] = {}
-        self.reads: list[dict[bytes, tuple[int, ...]]] = [{} for _ in range(s + 1)]

@@ -122,7 +122,7 @@ def reference_locality_report(g: ColoredGraph, cfg: RunConfig, refs: list[Direct
     for ref in refs:
         e = g.edge(ref.edge_id)
         sub = full_scan_subgraph(g, bfs_ball(g, [e.a, e.b], radius))
-        local = LocalEvaluator(sub, l, s).f2_on(ref, seed)
+        local = LocalEvaluator(sub, l, s, seed).f2_on(ref)
         if local != f2.on(ref):
             mismatches.append(LocalityMismatch(ref, f2.on(ref), local))
     return LocalityReport(len(refs), tuple(mismatches))
@@ -162,12 +162,13 @@ def out_edges(g: ColoredGraph, v: int) -> list[DirectedEdgeRef]:
 
 
 def out_edge_summand(g: ColoredGraph, v: int, cfg: TesterConfig,
-                     evaluator: LocalEvaluator) -> Fraction:
+                     evaluators: dict[int, LocalEvaluator]) -> Fraction:
     """The tester's per-vertex summand by its definition: I(v in S) times
-    the seed mean of A2's values on v's out-edges, one edge query each."""
+    the seed mean of A2's values on v's out-edges, one edge query each, from
+    the evaluator at each seed."""
     if g.node(v).color != "S":
         return Fraction(0)
-    total = sum(evaluator.f2_on(ref, seed) for ref in out_edges(g, v) for seed in cfg.seeds)
+    total = sum(evaluators[seed].f2_on(ref) for ref in out_edges(g, v) for seed in cfg.seeds)
     return Fraction(total, cfg.m)
 
 
@@ -464,18 +465,17 @@ def reference_walks(g: ColoredGraph, l: int, v: int) -> tuple[list[tuple], list[
     return into, out
 
 
-def reference_amount_reads(ev: LocalEvaluator, seed: int, u: AugPathCandidate) -> set[int]:
-    """The nodes that the amount of u under seed reads: those of every
+def reference_amount_reads(ev: LocalEvaluator, u: AugPathCandidate) -> set[int]:
+    """The nodes that the amount of u under ev's seed reads: those of every
     smaller-key path through each of u's edges, and, recursively, of the
     paths each of those reads, from ev's sorted lists."""
-    t = ev._seed_tables(seed)
     seen: set[int] = set()
     done: set[bytes] = set()
-    todo = [(path_key(u, seed), u)]
+    todo = [(ev.keys[u.canonical_key], u)]
     while todo:
         ku, u = todo.pop()
         for arc in u.arcs:
-            for kv, v, _ in ev._ordered(t, arc >> 1):
+            for kv, v, _ in ev._ordered(arc >> 1):
                 if kv >= ku:
                     break
                 seen.update(v.nodes)

@@ -20,6 +20,7 @@ from localflow.graph_core import (
 )
 from localflow.harness import InstanceSpec, generate
 from localflow.local_flow import LocalEvaluator, RunConfig, _ball_radius, local_f2_edge, run_a2
+from localflow.path_engine import _PathIndex
 from oracles import assemble_fbar2, fbar2_value, out_edge_summand, out_edges
 from test_acceptance import ac9_specs
 
@@ -126,11 +127,13 @@ def test_source_summand_is_zero_at_r_and_t_nodes_without_a_query():
     cfg = TesterConfig(l=2, s=2, seeds=(1, 2))
 
     class NoQuery(LocalEvaluator):
-        def outflow(self, v, seed):
+        def outflow(self, v):
             raise AssertionError(f"outflow asked at node {v}")
 
-    assert [source_ball_summand(g, v, cfg, NoQuery(g, 2, 2)) for v in (1, 2)] == [0, 0]
-    assert source_ball_summand(g, 0, cfg, LocalEvaluator(g, 2, 2)) == 6  # 3 per seed
+    silent = {seed: NoQuery(g, 2, 2, seed) for seed in cfg.seeds}
+    assert [source_ball_summand(g, v, cfg, silent) for v in (1, 2)] == [0, 0]
+    evaluators = {seed: LocalEvaluator(g, 2, 2, seed) for seed in cfg.seeds}
+    assert source_ball_summand(g, 0, cfg, evaluators) == 6  # 3 per seed
 
 
 def test_exhaustive_tester_telescopes_exactly():
@@ -138,6 +141,31 @@ def test_exhaustive_tester_telescopes_exactly():
         g, _ = generate(spec_for(70 + i, n=20))
         cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 3))
         assert run_tester(g, cfg, exhaustive=True).estimate == fbar2_value(g, cfg) / g.n
+
+
+def test_a_seed_listed_twice_counts_twice_on_one_evaluator(monkeypatch):
+    """``seeds=(1, 2, 1)`` weighs seed 1 twice, as m = 3 does, and a call
+    builds one evaluator per distinct seed, all on one path index."""
+    made: list[LocalEvaluator] = []
+    real_init = LocalEvaluator.__init__
+
+    def counting(self, *args, **kw):
+        made.append(self)
+        real_init(self, *args, **kw)
+
+    differ = 0
+    for i in range(6):
+        g, _ = generate(spec_for(70 + i, n=20))
+        cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 1))
+        monkeypatch.setattr(LocalEvaluator, "__init__", counting)
+        got = run_tester(g, cfg, exhaustive=True).estimate
+        monkeypatch.undo()
+        assert sorted(ev.seed for ev in made) == [1, 2]
+        assert made[0].index is made[1].index
+        del made[:]
+        assert got == fbar2_value(g, cfg) / g.n
+        differ += got != run_tester(g, replace(cfg, seeds=(1, 2)), exhaustive=True).estimate
+    assert differ  # the repeat changes the estimate somewhere, so the test can fail
 
 
 def test_every_out_edge_ball_fits_in_the_vertex_ball():
@@ -149,6 +177,44 @@ def test_every_out_edge_ball_fits_in_the_vertex_ball():
         big = ball_nodes(g, v, r)
         for ref in out_edges(g, v):
             assert ball_nodes(g, ref, _ball_radius(cfg.l, cfg.s)) <= big
+
+
+def outflow_reads(ev: LocalEvaluator, v: int) -> set[int]:
+    """The nodes ``ev.outflow(v)``, already asked, read: those of each path
+    that starts or ends at v, and of that path's depth read set at cap s."""
+    g, s = ev.g, ev.s
+    reads: set[int] = set()
+    for arc in g._adj[v][1::2]:
+        for _, u, _ in ev._ordered(arc >> 1):
+            if v in (u.nodes[0], u.nodes[-1]):
+                reads.update(u.nodes, ev.reads[s][u.canonical_key])
+    return reads
+
+
+def test_an_outflow_reads_only_inside_the_tester_radius():
+    """``TesterConfig.r`` as a claim: on AC-5's instance and CI's 6x8 grid,
+    at three (l, s), under seeds 1-3, everything each S node's outflow read
+    lies in the node's ball of radius r.  The farthest read, in hops from
+    the node, is well inside r at each (l, s) and grows with it, so the
+    reads are not confined to the node's neighbours."""
+    ac5 = generate(InstanceSpec("random_bounded", n=300, gen_seed=8026, params={"rounds": 2}))[0]
+    grid = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))[0]
+    for g, farthest in ((ac5, [3, 4, 7]), (grid, [4, 5, 7])):
+        hops = []
+        for l, s in ((3, 2), (4, 2), (6, 3)):
+            cfg = TesterConfig(l=l, s=s, seeds=(1, 2, 3))
+            index = _PathIndex(g, l)
+            most = 0
+            for seed in cfg.seeds:
+                ev = LocalEvaluator(g, l, s, seed, index=index)
+                for v in g.nodes_of_color("S"):
+                    ev.outflow(v)
+                    reads = outflow_reads(ev, v)
+                    assert reads <= ball_nodes(g, v, cfg.r), (v, l, s, seed)
+                    most = max(most, min(r for r in range(cfg.r + 1)
+                                         if reads <= ball_nodes(g, v, r)))
+            hops.append(most)
+        assert hops == farthest
 
 
 def test_tester_report_shape_and_determinism():
@@ -195,7 +261,7 @@ def test_tester_summands_equal_the_out_edge_reference_without_an_edge_query(monk
     for i, spec in enumerate(ac9_specs()):
         g, _ = generate(spec)
         cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 3), k=60, sample_seed=i)
-        reference = LocalEvaluator(g, cfg.l, cfg.s)
+        reference = {seed: LocalEvaluator(g, cfg.l, cfg.s, seed) for seed in cfg.seeds}
         for exhaustive in (False, True):
             monkeypatch.setattr(LocalEvaluator, "f2_on", counting)
             rep = run_tester(g, cfg, exhaustive=exhaustive)

@@ -502,7 +502,7 @@ def test_edge_queries_refuse_an_edge_id_that_is_no_plain_int(bad_id):
     with pytest.raises(ValueError, match=msg):
         local_f2_edge(g, ref, cfg)
     with pytest.raises(ValueError, match=msg):
-        LocalEvaluator(g, cfg.l, cfg.s).f2_on(ref, cfg.seed)
+        LocalEvaluator(g, cfg.l, cfg.s, cfg.seed).f2_on(ref)
     with pytest.raises(ValueError, match=msg):
         verify_locality(g, cfg, [ref])
 
@@ -639,8 +639,8 @@ def test_local_queries_never_scan_the_whole_graph(monkeypatch):
     nodes, edges = watch_scans(g)
     local = [local_f2_edge(g, ref, cfg) for ref in refs]
     assert balls == []  # a local query runs the tree on g, which reads only its ball
-    ev = LocalEvaluator(g, 3, 2)
-    cached = [ev.f2_on(ref, 8) for ref in refs]
+    ev = LocalEvaluator(g, 3, 2, 8)
+    cached = [ev.f2_on(ref) for ref in refs]
     assert (nodes.scans, edges.scans) == (0, 0)
     f2, _ = run_a2(g, cfg)
     assert local == cached == [f2.on(ref) for ref in refs]
@@ -661,11 +661,12 @@ def test_evaluator_enumerates_paths_through_each_edge_once(monkeypatch):
     monkeypatch.setattr(_PathIndex, "through", counting)
     g, _ = generate(random_spec(572, n=60, params={"rounds": 2}))
     edge_ids = [e.id for e in g.edges[:12]]
-    ev = LocalEvaluator(g, 3, 2)
+    index = _PathIndex(g, 3)
     for seed in (1, 2, 3):
+        ev = LocalEvaluator(g, 3, 2, seed, index=index)
         for eid in edge_ids:
-            ab = ev.f2_on(DirectedEdgeRef(eid, "AB"), seed)
-            assert ev.f2_on(DirectedEdgeRef(eid, "BA"), seed) == -ab
+            ab = ev.f2_on(DirectedEdgeRef(eid, "AB"))
+            assert ev.f2_on(DirectedEdgeRef(eid, "BA")) == -ab
     assert len(enumerated) == len(set(enumerated))
     assert set(edge_ids) <= set(enumerated)
 
@@ -686,19 +687,20 @@ def ac5_instance() -> ColoredGraph:
 ], ids=["ac5", "random_bounded", "grid", "path_bundle"])
 def test_query_tree_matches_global_run_and_ball_rerun(spec, l, s):
     g = ac5_instance() if spec is None else generate(spec)[0]
-    ev = LocalEvaluator(g, l, s)
+    index = _PathIndex(g, l)
     nonzero = 0
     for seed in (1, 2, 3, 4, 5):
         cfg = RunConfig(l=l, s=s, seed=seed)
         f2, _ = run_a2(g, cfg)
+        ev = LocalEvaluator(g, l, s, seed, index=index)
         for e in g.edges:
-            on_ball = ball_evaluator(g, l, s, ball_nodes(g, DirectedEdgeRef(e.id, "AB"),
-                                                          _ball_radius(l, s)))
+            on_ball = ball_evaluator(g, l, s, seed, ball_nodes(g, DirectedEdgeRef(e.id, "AB"),
+                                                                _ball_radius(l, s)))
             for orientation in ("AB", "BA"):
                 ref = DirectedEdgeRef(e.id, orientation)
                 want = f2.on(ref)
-                assert ev.f2_on(ref, seed) == want, (ref, seed)
-                assert on_ball.f2_on(ref, seed) == want, (ref, seed)
+                assert ev.f2_on(ref) == want, (ref, seed)
+                assert on_ball.f2_on(ref) == want, (ref, seed)
                 assert local_f2_edge(g, ref, cfg) == want, (ref, seed)
                 assert ball_rerun_f2(g, ref, cfg) == want, (ref, seed)
                 nonzero += want != 0
@@ -712,16 +714,15 @@ def test_query_tree_stays_within_radius_s_times_l_minus_one():
     for e in g.edges:
         by_ball.setdefault(ball_nodes(g, DirectedEdgeRef(e.id, "AB"), s * (l - 1)), []).append(e.id)
     assert len(by_ball) > 1  # the balls are proper, so the test can fail
-    evaluators = {}
+    f2s = {seed: run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2, 3, 4, 5)}
     for ball, eids in by_ball.items():
-        ev = LocalEvaluator(induced_subgraph(g, set(ball)), l, s)
-        for eid in eids:
-            evaluators[eid] = ev
-    for seed in (1, 2, 3, 4, 5):
-        f2, _ = run_a2(g, RunConfig(l=l, s=s, seed=seed))
-        for e in g.edges:
-            ref = DirectedEdgeRef(e.id, "AB")
-            assert evaluators[e.id].f2_on(ref, seed) == f2.on(ref), (ref, seed)
+        sub = induced_subgraph(g, set(ball))
+        index = _PathIndex(sub, l)
+        for seed, f2 in f2s.items():
+            ev = LocalEvaluator(sub, l, s, seed, index=index)
+            for eid in eids:
+                ref = DirectedEdgeRef(eid, "AB")
+                assert ev.f2_on(ref) == f2.on(ref), (ref, seed)
 
 
 def test_radii_wider_than_the_default_match_too():
@@ -751,10 +752,11 @@ def test_verify_locality_at_l_one_reads_only_the_edge():
     assert [local_f2_edge(g, ref, cfg) for ref in refs] == [f2.on(ref) for ref in refs]
 
 
-def ball_evaluator(g: ColoredGraph, l: int, s: int, ball: frozenset[int]) -> LocalEvaluator:
-    """An evaluator on the subgraph ``ball`` induces that shares the path
-    cache's index on (g, l), as ``verify_locality``'s ball evaluators do."""
-    return LocalEvaluator(g, l, s, ball=ball, index=shared_index(g, l))
+def ball_evaluator(g: ColoredGraph, l: int, s: int, seed: int,
+                   ball: frozenset[int]) -> LocalEvaluator:
+    """An evaluator at seed on the subgraph ``ball`` induces that shares the
+    path cache's index on (g, l), as ``verify_locality``'s ball evaluators do."""
+    return LocalEvaluator(g, l, s, seed, ball=ball, index=shared_index(g, l))
 
 
 def shared_index(g: ColoredGraph, l: int) -> _PathIndex:
@@ -768,9 +770,9 @@ def counted_evaluators(monkeypatch) -> list[LocalEvaluator]:
     made: list[LocalEvaluator] = []
     real_init = LocalEvaluator.__init__
 
-    def counting(self, g, l, s, **kw):
+    def counting(self, *args, **kw):
         made.append(self)
-        real_init(self, g, l, s, **kw)
+        real_init(self, *args, **kw)
 
     monkeypatch.setattr(LocalEvaluator, "__init__", counting)
     return made
@@ -842,23 +844,22 @@ def test_read_sets_do_not_depend_on_the_order_of_queries():
     node of g, so no answer comes from the test for a ball that is g."""
     g = ac5_instance()
     l, s = 6, 3
-    ev = LocalEvaluator(g, l, s)
+    ev = LocalEvaluator(g, l, s, 1)
     for e in g.edges[::10]:
-        ev.f2_on(DirectedEdgeRef(e.id, "AB"), 1)
+        ev.f2_on(DirectedEdgeRef(e.id, "AB"))
     for v in sorted(nd.id for nd in g.nodes)[::10]:
-        ev.outflow(v, 1)
-    t = ev._tables[1]
-    assert t.amounts and t.depths[s]
-    assert all(set(t.reads[k]) == set(t.depths[k]) for k in range(1, s + 1))
-    unskipped = [u for _, u, _ in chain.from_iterable(t.lists.values())
-                 if u.canonical_key in t.amounts and t.depths[s].get(u.canonical_key, s) < s]
-    assert unskipped and all(reference_amount_reads(ev, 1, u) <= set(t.reads[s][u.canonical_key])
+        ev.outflow(v)
+    assert ev.amounts and ev.depths[s]
+    assert all(set(ev.reads[k]) == set(ev.depths[k]) for k in range(1, s + 1))
+    unskipped = [u for _, u, _ in chain.from_iterable(ev.lists.values())
+                 if u.canonical_key in ev.amounts and ev.depths[s].get(u.canonical_key, s) < s]
+    assert unskipped and all(reference_amount_reads(ev, u) <= set(ev.reads[s][u.canonical_key])
                              for u in unskipped)
     for e in g.edges:
         ref = DirectedEdgeRef(e.id, "AB")
         ball = ball_nodes(g, ref, _ball_radius(l, s))
-        ev.f2_on(ref, 1)
-        assert len(ball) < g.n and ev._holds_reads(e.id, 1, ball), e.id
+        ev.f2_on(ref)
+        assert len(ball) < g.n and ev._holds_reads(e.id, ball), e.id
 
 
 def test_an_amount_reads_inside_its_paths_depth_read_set():
@@ -872,19 +873,19 @@ def test_an_amount_reads_inside_its_paths_depth_read_set():
     checked = unskipped = 0
     for g, l in graphs:
         for s in (2, 3, 4):
-            ev = LocalEvaluator(g, l, s)
+            index = _PathIndex(g, l)
             for seed in (1, 2):
+                ev = LocalEvaluator(g, l, s, seed, index=index)
                 for e in g.edges:
-                    ev.f2_on(DirectedEdgeRef(e.id, "AB"), seed)
+                    ev.f2_on(DirectedEdgeRef(e.id, "AB"))
                 depths = chain_depth_all(enumerate_paths(g, l), seed).values()
                 unskipped += sum(depth < s for depth in depths)
-                t = ev._tables[seed]
-                listed = {u.canonical_key: u for got in t.lists.values() for _, u, _ in got}
-                for ck, depth in t.depths[s].items():
+                listed = {u.canonical_key: u for got in ev.lists.values() for _, u, _ in got}
+                for ck, depth in ev.depths[s].items():
                     if depth < s:
                         checked += 1
-                        reads = reference_amount_reads(ev, seed, listed[ck])
-                        assert reads <= set(t.reads[s][ck]), (ck, s, seed)
+                        reads = reference_amount_reads(ev, listed[ck])
+                        assert reads <= set(ev.reads[s][ck]), (ck, s, seed)
     assert checked == unskipped > 0  # every unskipped path of every graph
 
 
@@ -916,19 +917,18 @@ def ranks_answer_as_path_keys(g: ColoredGraph, l: int, s: int, seed: int) -> Non
     outflow at every node, and the same read sets, which decide where
     ``verify_locality`` makes a ball evaluator."""
     ranks = {u.canonical_key: i for i, u in enumerate(_global_order(g, l, seed))}
-    ranked, keyed = LocalEvaluator(g, l, s, keys={seed: ranks}), LocalEvaluator(g, l, s)
+    ranked, keyed = LocalEvaluator(g, l, s, seed, keys=ranks), LocalEvaluator(g, l, s, seed)
     for e in g.edges:
         for orientation in ("AB", "BA"):
             ref = DirectedEdgeRef(e.id, orientation)
-            assert ranked.f2_on(ref, seed) == keyed.f2_on(ref, seed), (ref, l, s, seed)
+            assert ranked.f2_on(ref) == keyed.f2_on(ref), (ref, l, s, seed)
     for nd in g.nodes:
-        assert ranked.outflow(nd.id, seed) == keyed.outflow(nd.id, seed), (nd.id, l, s, seed)
+        assert ranked.outflow(nd.id) == keyed.outflow(nd.id), (nd.id, l, s, seed)
     if g.nodes:
-        by_rank, by_key = ranked._tables[seed], keyed._tables[seed]
-        assert by_rank.reads == by_key.reads
-        assert all(type(k) is OrderKey for k in by_key.keys.values())
-        for eid, got in by_key.lists.items():
-            assert [(u, sign) for _, u, sign in by_rank.lists[eid]] == \
+        assert ranked.reads == keyed.reads
+        assert all(type(k) is OrderKey for k in keyed.keys.values())
+        for eid, got in keyed.lists.items():
+            assert [(u, sign) for _, u, sign in ranked.lists[eid]] == \
                 [(u, sign) for _, u, sign in got]
 
 
@@ -975,15 +975,15 @@ def test_ba_refs_are_negated_and_bad_orientations_refused_on_g(monkeypatch):
     cfg = RunConfig(l=l, s=s, seed=1)
     f2, _ = run_a2(g, cfg)
     made = counted_evaluators(monkeypatch)
-    ev = LocalEvaluator(g, l, s)
+    ev = LocalEvaluator(g, l, s, 1)
     nonzero = 0
     for e in g.edges:
         ab, ba = DirectedEdgeRef(e.id, "AB"), DirectedEdgeRef(e.id, "BA")
-        got = ev.f2_on(ba, 1)
-        assert got == -ev.f2_on(ab, 1) == f2.on(ba)
+        got = ev.f2_on(ba)
+        assert got == -ev.f2_on(ab) == f2.on(ba)
         nonzero += got != 0
         with pytest.raises(ValueError, match="bad field 'orientation'"):
-            ev.f2_on(DirectedEdgeRef(e.id, "ab"), 1)
+            ev.f2_on(DirectedEdgeRef(e.id, "ab"))
     assert verify_locality(g, cfg, [DirectedEdgeRef(e.id, "BA") for e in g.edges]).passed
     with pytest.raises(ValueError, match="bad field 'orientation'"):
         verify_locality(g, cfg, [DirectedEdgeRef(e.id, "ab") for e in g.edges])
@@ -1022,11 +1022,13 @@ def test_ball_view_equals_evaluator_on_induced_subgraph(spec, l, s):
         for ref in refs:
             by_ball.setdefault(ball_nodes(g, ref, radius), []).append(ref)
         for ball, ball_refs in by_ball.items():
-            sub = LocalEvaluator(induced_subgraph(g, ball), l, s)
-            on_ball = ball_evaluator(g, l, s, ball)
+            induced = induced_subgraph(g, ball)
+            index = _PathIndex(induced, l)
             for seed in (1, 2, 3):
+                sub = LocalEvaluator(induced, l, s, seed, index=index)
+                on_ball = ball_evaluator(g, l, s, seed, ball)
                 for ref in ball_refs:
-                    assert on_ball.f2_on(ref, seed) == sub.f2_on(ref, seed), (ref, radius, seed)
+                    assert on_ball.f2_on(ref) == sub.f2_on(ref), (ref, radius, seed)
 
 
 def test_ball_view_refuses_an_edge_outside_the_ball():
@@ -1034,17 +1036,17 @@ def test_ball_view_refuses_an_edge_outside_the_ball():
     one on the subgraph the ball induces does."""
     g = line_graph("SRRRT")
     ball = ball_nodes(g, DirectedEdgeRef(0, "AB"), 1)  # nodes 0, 1, 2
-    sub = LocalEvaluator(induced_subgraph(g, ball), 3, 2)
-    on_ball = LocalEvaluator(g, 3, 2, ball=ball)
+    sub = LocalEvaluator(induced_subgraph(g, ball), 3, 2, 1)
+    on_ball = LocalEvaluator(g, 3, 2, 1, ball=ball)
     for ev in (on_ball, sub):
         for eid in (2, 3, 12):  # one endpoint outside, both outside, no such edge
             with pytest.raises(ValueError, match=f"unknown edge id {eid}"):
-                ev.f2_on(DirectedEdgeRef(eid, "AB"), 1)
+                ev.f2_on(DirectedEdgeRef(eid, "AB"))
         for v in (3, 12):  # outside the ball, no such node
             with pytest.raises(ValueError, match=f"unknown node id {v}"):
-                ev.outflow(v, 1)
-    assert on_ball.f2_on(DirectedEdgeRef(1, "BA"), 1) == on_ball.outflow(0, 1) == 0
-    assert LocalEvaluator(g, 3, 2).f2_on(DirectedEdgeRef(2, "AB"), 1) == 0  # g has edge 2
+                ev.outflow(v)
+    assert on_ball.f2_on(DirectedEdgeRef(1, "BA")) == on_ball.outflow(0) == 0
+    assert LocalEvaluator(g, 3, 2, 1).f2_on(DirectedEdgeRef(2, "AB")) == 0  # g has edge 2
 
 
 def test_a_ball_of_as_many_ids_as_g_has_nodes_is_not_taken_for_g():
@@ -1054,14 +1056,14 @@ def test_a_ball_of_as_many_ids_as_g_has_nodes_is_not_taken_for_g():
     subgraph it induces."""
     g = line_graph("SRRT", cap=3)
     ref = DirectedEdgeRef(0, "AB")
-    ev = LocalEvaluator(g, 3, 2)
-    assert ev.f2_on(ref, 1) == 3
-    assert ev._holds_reads(0, 1, frozenset({0, 1, 2, 3}))
+    ev = LocalEvaluator(g, 3, 2, 1)
+    assert ev.f2_on(ref) == 3
+    assert ev._holds_reads(0, frozenset({0, 1, 2, 3}))
     foreign = frozenset({0, 1, 2, 99})
     assert len(foreign) == g.n
-    assert not ev._holds_reads(0, 1, foreign)
-    assert LocalEvaluator(g, 3, 2, ball=foreign).f2_on(ref, 1) == \
-        LocalEvaluator(induced_subgraph(g, foreign), 3, 2).f2_on(ref, 1) == 0
+    assert not ev._holds_reads(0, foreign)
+    assert LocalEvaluator(g, 3, 2, 1, ball=foreign).f2_on(ref) == \
+        LocalEvaluator(induced_subgraph(g, foreign), 3, 2, 1).f2_on(ref) == 0
 
 
 def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
@@ -1088,12 +1090,12 @@ def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
 
         monkeypatch.setattr(path_engine_module, "make_path", making)
         monkeypatch.setattr(_PathIndex, "walks", walking)
-        ev = LocalEvaluator(g, 4, 3)
+        index = _PathIndex(g, 4)
         for seed in (1, 2):
+            ev = LocalEvaluator(g, 4, 3, seed, index=index)
             for ref in refs:
-                ev.f2_on(ref, seed)
+                ev.f2_on(ref)
         monkeypatch.undo()
-        index = ev.index
         assert len(built) == len(set(built)) == len(index._paths)  # one make_path per path
         assert len(searched) == len(set(searched))  # one walk search per node
         # ... and only of endpoints of the edges whose paths were listed
@@ -1380,28 +1382,27 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
     reports = [verify_locality(g, RunConfig(l=l, s=s, seed=seed), refs, radius=rad)
                for seed in (1, 2)]
     monkeypatch.undo()
-    on_g = {seed: ev for ev in made if ev.ball is None for seed in ev._tables}
-    on_balls = [(ev.ball, seed, t)
-                for ev in ball_evaluators(made) for seed, t in ev._tables.items()]
+    on_g = {ev.seed: ev for ev in made if ev.ball is None}
+    on_balls = [(ev.ball, ev.seed, ev) for ev in ball_evaluators(made)]
     assert sorted(on_g) == [1, 2] and len(made) == 2 + len(on_balls)
-    keys = [on_g[seed]._tables[seed].keys for seed in (1, 2)]
+    keys = [on_g[seed].keys for seed in (1, 2)]
     assert all(t.keys is keys[seed - 1] for _, seed, t in on_balls)
     assert len(labelled) == len(set(labelled)) == len(keys[0]) + len(keys[1])
     assert keyed == []
     assert set(keys[0]) == set(keys[1]) == {u.canonical_key for u in on_g[1].index._paths.values()}
     # On g a query reads the sorted lists unfiltered.
     assert all(len(got) == len(on_g[seed].index.through(eid))
-               for seed in (1, 2) for eid, got in on_g[seed]._tables[seed].lists.items())
+               for seed in (1, 2) for eid, got in on_g[seed].lists.items())
     for seed, ev in on_g.items():
         outside = [ref for ref in refs
-                   if not ev._holds_reads(ref.edge_id, seed, ball_nodes(g, ref, rad))]
+                   if not ev._holds_reads(ref.edge_id, ball_nodes(g, ref, rad))]
         assert 0 < len(outside) < len(refs)
         assert [ball for ball, at, _ in on_balls if at == seed] == \
             [ball_nodes(g, ref, rad) for ref in outside]
     filtered = 0
     for ball, seed, t in on_balls:
         for eid, got in t.lists.items():
-            full = on_g[seed]._ordered(on_g[seed]._tables[seed], eid)
+            full = on_g[seed]._ordered(eid)
             assert got == [kus for kus in full if ball.issuperset(kus[1].nodes)]
             filtered += len(got) < len(full)
     assert filtered
@@ -1413,17 +1414,19 @@ def test_each_edge_is_keyed_and_sorted_once_per_seed_across_every_ball(monkeypat
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(graphs(), st.integers(1, 3), st.integers(1, 3), st.data())
 def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s, data):
-    """No memo leaks between seeds, nor between the evaluators on g and on
-    balls that share the path cache's walks and paths: queries on g and on
-    balls of every radius up to s*l, each ball with one evaluator,
-    interleaved in a drawn order with mixed seeds.  Each answers as a fresh
+    """No memo leaks between the evaluators of different seeds, nor between
+    those on g and on balls, all of which share walks and paths: queries on
+    g and on balls of every radius up to s*l, each ball with one evaluator
+    per seed, interleaved in a drawn order with mixed seeds.  Each answers as a fresh
     evaluator on the subgraph its ball induces, and those on g, on every
     ball that holds the radius-s*(l-1) ball, and of ``local_f2_edge`` are
     the global run's; so is every node's ``outflow`` on g, queried among
     them, and on a ball it is a fresh evaluator's on the subgraph."""
     f2 = {seed: run_a2(g, RunConfig(l=l, s=s, seed=seed))[0] for seed in (1, 2, 3)}
     queries = []
-    on: dict[frozenset[int] | None, LocalEvaluator] = {None: LocalEvaluator(g, l, s)}
+    index = _PathIndex(g, l)
+    on: dict[tuple[frozenset[int] | None, int], LocalEvaluator] = {
+        (None, seed): LocalEvaluator(g, l, s, seed, index=index) for seed in (1, 2, 3)}
     for e in g.edges:
         for orientation in ("AB", "BA"):
             ref = DirectedEdgeRef(e.id, orientation)
@@ -1434,61 +1437,66 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
             queries += [(ref, seed, ball, ball is None or ball >= wide)
                         for ball in (None, *balls) for seed in (1, 2, 3)]
             for ball in balls:
-                if ball not in on:
-                    on[ball] = ball_evaluator(g, l, s, ball)
+                for seed in (1, 2, 3):
+                    if (ball, seed) not in on:
+                        on[ball, seed] = ball_evaluator(g, l, s, seed, ball)
     # A node's net outflow, as a query of its own between the edge queries.
-    queries += [(v, seed, ball, ball is None) for ball in on for v in sorted(ball or g._node_by_id)
-                for seed in (1, 2, 3)]
+    queries += [(v, seed, ball, ball is None) for ball, seed in on
+                for v in sorted(ball or g._node_by_id)]
     net = {seed: net_outflows(g, f) for seed, f in f2.items()}
     for ref, seed, ball, global_value in data.draw(st.permutations(queries)):
-        ev = on[ball]
+        ev = on[ball, seed]
         sub = g if ball is None else induced_subgraph(g, ball)
         if isinstance(ref, int):  # a node id
-            got = ev.outflow(ref, seed)
-            assert got == LocalEvaluator(sub, l, s).outflow(ref, seed)
+            got = ev.outflow(ref)
+            assert got == LocalEvaluator(sub, l, s, seed).outflow(ref)
             if global_value:
                 assert got == net[seed][ref], (ref, seed)
-                assert sum(ev.f2_on(out, seed) for out in out_edges(g, ref)) == got
+                assert sum(ev.f2_on(out) for out in out_edges(g, ref)) == got
             continue
-        got = ev.f2_on(ref, seed)
-        assert got == LocalEvaluator(sub, l, s).f2_on(ref, seed)
+        got = ev.f2_on(ref)
+        assert got == LocalEvaluator(sub, l, s, seed).f2_on(ref)
         if global_value:
             assert got == f2[seed].on(ref), (ref, seed, ball)
 
 
 def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
     """Ball B1 under seeds 1 and 2, then B2, then B1 again, at a radius below
-    l-1, where queries read outside their balls: every answer is a fresh
-    evaluator's on the subgraph the ball induces, an evaluator on a ball
-    holds the paths inside it alone, one table per seed it was asked, and
-    every table, on g or on a ball, holds a read set for every depth it
-    holds."""
+    l-1, where queries read outside their balls, one evaluator per seed
+    asked on a ball's index: every answer is a fresh evaluator's on the
+    subgraph the ball induces, an evaluator on a ball holds the paths inside
+    it alone, and every evaluator, on g or on a ball, holds a read set for
+    every depth it holds."""
     g, _ = generate(random_spec(7, n=40))
     l, s = 4, 2
     first, last = (DirectedEdgeRef(e.id, "AB") for e in (g.edges[0], g.edges[-1]))
     b1, b2 = ball_nodes(g, first, 2), ball_nodes(g, last, 2)
     assert b1 != b2
-    on_g = LocalEvaluator(g, l, s)
+    on_g_index = _PathIndex(g, l)
+    on_g = {seed: LocalEvaluator(g, l, s, seed, index=on_g_index) for seed in (1, 2)}
     answers, tables, outside = [], [], 0
     for ball, seeds in ((b1, (1, 2)), (b2, (1,)), (b1, (1,))):
         sub = induced_subgraph(g, ball)
-        fresh = LocalEvaluator(sub, l, s)
-        ev = LocalEvaluator(g, l, s, ball=ball)
+        index, sub_index = _PathIndex(g, l), _PathIndex(sub, l)
+        evs = []
         for seed in seeds:
+            fresh = LocalEvaluator(sub, l, s, seed, index=sub_index)
+            ev = LocalEvaluator(g, l, s, seed, ball=ball, index=index)
+            evs.append(ev)
             for e in sub.edges:
                 ref = DirectedEdgeRef(e.id, "AB")
-                answers.append(ev.f2_on(ref, seed))
-                assert answers[-1] == fresh.f2_on(ref, seed)
-                on_g.f2_on(ref, seed)
-                outside += not on_g._holds_reads(e.id, seed, ball)
-        assert set(ev._tables) == set(seeds)
-        inside = {u.canonical_key for u in ev.index._paths.values() if ball.issuperset(u.nodes)}
-        for t in ev._tables.values():
+                answers.append(ev.f2_on(ref))
+                assert answers[-1] == fresh.f2_on(ref)
+                on_g[seed].f2_on(ref)
+                outside += not on_g[seed]._holds_reads(e.id, ball)
+        assert [ev.seed for ev in evs] == list(seeds)
+        inside = {u.canonical_key for u in index._paths.values() if ball.issuperset(u.nodes)}
+        for t in evs:
             assert all(ball.issuperset(u.nodes) for got in t.lists.values() for _, u, _ in got)
             assert set(t.amounts).union(*t.depths) <= inside
-        tables += ev._tables.values()
+        tables += evs
     assert any(answers) and outside
-    for t in [*tables, *on_g._tables.values()]:
+    for t in [*tables, *on_g.values()]:
         assert t.amounts and [set(got) for got in t.reads] == [set(), set(), set(t.depths[2])]
 
 
@@ -1513,17 +1521,18 @@ def test_outflow_is_the_net_outflow_of_the_global_run(spec, l, s):
     On the grid and random_bounded instances some paths pass through S or
     T nodes, which must add nothing."""
     g, _ = generate(spec)
-    ev = LocalEvaluator(g, l, s)
+    index = _PathIndex(g, l)
     by_color = {"R": set(), "S": set(), "T": set()}
     for seed in (1, 2, 3):
         f2, _ = run_a2(g, RunConfig(l=l, s=s, seed=seed))
+        ev = LocalEvaluator(g, l, s, seed, index=index)
         for v, want in net_outflows(g, f2).items():
-            assert ev.outflow(v, seed) == want, (v, seed)
-            assert sum(ev.f2_on(ref, seed) for ref in out_edges(g, v)) == want, (v, seed)
+            assert ev.outflow(v) == want, (v, seed)
+            assert sum(ev.f2_on(ref) for ref in out_edges(g, v)) == want, (v, seed)
             by_color[g.node(v).color].add(want)
     assert by_color["R"] == {0} and max(by_color["S"]) > 0 and min(by_color["T"]) < 0
     with pytest.raises(ValueError, match="unknown node id -1"):
-        ev.outflow(-1, 1)
+        ev.outflow(-1)
 
 
 def test_outflow_checks_its_result_against_the_nodes_invariant(monkeypatch):
@@ -1531,13 +1540,13 @@ def test_outflow_checks_its_result_against_the_nodes_invariant(monkeypatch):
     node's net outflow below 0 or above the capacity leaving it, a T node's
     below minus the capacity entering it."""
     g = line_graph("SRT", cap=3)
-    assert LocalEvaluator(g, 2, 2).outflow(0, 1) == 3
+    assert LocalEvaluator(g, 2, 2, 1).outflow(0) == 3
     for amount in (-1, 4):
-        monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, t, ku, u, amount=amount: amount)
+        monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, ku, u, amount=amount: amount)
         with pytest.raises(AssertionError, match=rf"outflow {amount} at S node 0 outside \[0, 3\]"):
-            LocalEvaluator(g, 2, 2).outflow(0, 1)
+            LocalEvaluator(g, 2, 2, 1).outflow(0)
     with pytest.raises(AssertionError, match=r"net outflow -4 at T node 2 outside \[-3, 0\]"):
-        LocalEvaluator(g, 2, 2).outflow(2, 1)
+        LocalEvaluator(g, 2, 2, 1).outflow(2)
 
 
 def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
@@ -1545,21 +1554,21 @@ def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
     leave it a negative residual, would be caught: reached through an
     ``_amount`` that gives one path more than its bottleneck."""
     g = line_graph("SRT", cap=3)
-    monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, t, ku, u: 4)
+    monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, ku, u: 4)
     with pytest.raises(AssertionError, match="value 4 on edge 0 outside its capacities"):
-        LocalEvaluator(g, 2, 2).f2_on(DirectedEdgeRef(0, "AB"), 1)
+        LocalEvaluator(g, 2, 2, 1).f2_on(DirectedEdgeRef(0, "AB"))
     monkeypatch.undo()
     # Paths 0-2-3 and 1-2-3 share edge 2; at s=3 neither is skipped.
     g = build_graph("SSRT", [(0, 2, 3, 3), (1, 2, 3, 3), (2, 3, 3, 3)])
     first = min(path_key(u, 1) for u in enumerate_paths(g, 2))
     real = LocalEvaluator._amount
 
-    def overflowing(self, t, ku, u):
-        return real(self, t, ku, u) if ku != first else 4
+    def overflowing(self, ku, u):
+        return real(self, ku, u) if ku != first else 4
 
     monkeypatch.setattr(LocalEvaluator, "_amount", overflowing)
     with pytest.raises(AssertionError, match="negative amount -1 on path"):
-        LocalEvaluator(g, 2, 3).f2_on(DirectedEdgeRef(2, "AB"), 1)
+        LocalEvaluator(g, 2, 3, 1).f2_on(DirectedEdgeRef(2, "AB"))
 
 
 def test_an_unknown_orientation_is_refused_not_read_as_ba():
@@ -1569,7 +1578,7 @@ def test_an_unknown_orientation_is_refused_not_read_as_ba():
     ref = DirectedEdgeRef(g.edges[0].id, "ab")
     msg = "bad field 'orientation': expected 'AB' or 'BA', got 'ab'"
     with pytest.raises(ValueError, match=msg):
-        LocalEvaluator(g, cfg.l, cfg.s).f2_on(ref, cfg.seed)
+        LocalEvaluator(g, cfg.l, cfg.s, cfg.seed).f2_on(ref)
     with pytest.raises(ValueError, match=msg):
         local_f2_edge(g, ref, cfg)
     with pytest.raises(ValueError, match=msg):
@@ -1599,10 +1608,9 @@ def test_walk_search_equals_the_reference_search(spec):
         for ball in balls:
             sub = induced_subgraph(g, ball)
             want = naive_paths(sub, l)
-            on_ball = LocalEvaluator(g, l, 2, ball=ball)
-            t = on_ball._seed_tables(1)
+            on_ball = LocalEvaluator(g, l, 2, 1, ball=ball)
             for e in sub.edges:
-                got = on_ball._ordered(t, e.id)
+                got = on_ball._ordered(e.id)
                 assert [k for k, _, _ in got] == sorted(path_key(u, 1) for _, u, _ in got)
                 through = set()
                 for sig in want:
