@@ -20,7 +20,7 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import IO, Iterable, Mapping, Sequence
 
-from .exact_oracle import _shortest_augmenting_path_length, max_flow
+from .exact_oracle import MaxFlowResult, _shortest_augmenting_path_length, max_flow
 from .graph_core import (
     ColoredGraph,
     DirectedEdgeRef,
@@ -308,8 +308,31 @@ def write_csv(rows: Sequence[Mapping], columns: Sequence[str], fp: IO[str]) -> N
 APPROX_COLUMNS = (
     "kind", "instance", "family", "n", "d", "m_ticks", "l", "s", "seed",
     "fstar", "f1", "f2", "bound_frac", "bound_dec", "gap_bound_ok", "no_short_path_ok",
-    "f1_minus_f2_frac", "f1_minus_f2_dec",
+    "l1_fstar_f1", "sharp_bound_ok", "f1_minus_f2_frac", "f1_minus_f2_dec",
 )
+
+
+def _length_lemma(g: ColoredGraph, fstar: Flow, f1: Flow, l: int) -> tuple[int, bool]:
+    """(sum over edges of |f*(e) - f1(e)|, whether (|f*| - |f1|)*(l+1) is at
+    most that sum), for a maximum flow f* and a flow f1 on g.
+
+    The inequality holds whenever f1 leaves no residual S->T path of at most
+    l edges, as A1's output does.  Decompose f* - f1 into paths and cycles
+    that each use an edge in the direction in which f* - f1 is positive
+    there, so the amounts on an edge add up to |f*(e) - f1(e)|.  A path
+    starts and ends at S or T nodes, since both flows are conserved at R
+    nodes.  On each of its arcs f1 < f* <= the capacity, so a piece from an
+    S node to a T node is a residual path of f1; it holds a residual S->T
+    path of at most its own length, so it has more than l edges.  Pieces
+    between two S nodes, between two T nodes, and cycles add nothing to
+    |f*| - |f1|, and pieces from T to S subtract from it.  So
+    (|f*| - |f1|)*(l+1) is at most the S->T pieces' amounts times their
+    lengths, which is at most the sum.  Each term is at most 2M and
+    2|E| <= d*n, which gives back the paper's |f1| >= |f*| - d*M*n/l.
+    """
+    gap = _source_outflow(g, fstar) - _source_outflow(g, f1)
+    l1 = sum(abs(fstar.on_edge(e.id) - f1.on_edge(e.id)) for e in g.edges)
+    return l1, gap * (l + 1) <= l1
 
 
 def experiment_approx(
@@ -319,15 +342,17 @@ def experiment_approx(
     s: int = DEFAULT_S,
 ) -> tuple[list[dict], bool]:
     """Gap-versus-l sweep: every row checks the length-l approximation bound
-    |f1| >= |f*| - (d*M/l)*n and the no-short-augmenting-path certificate;
-    per (instance, l) a seed_mean row reports the mean A1-A2 gap."""
+    |f1| >= |f*| - (d*M/l)*n, the no-short-augmenting-path certificate and
+    ``_length_lemma``'s sharp bound; per (instance, l) a seed_mean row reports
+    the mean A1-A2 gap."""
     ok = True
     rows: list[dict] = []
 
     prepared = [(spec,) + generate(spec) for spec in specs]
 
-    def run_one(item: tuple[InstanceSpec, ColoredGraph, int, int, int]) -> dict:
-        spec, g, fstar, l, seed = item
+    def run_one(item: tuple[InstanceSpec, ColoredGraph, MaxFlowResult, int, int]) -> dict:
+        spec, g, best, l, seed = item
+        fstar = best.value
         f1, _ = run_a1(g, RunConfig(l=l, seed=seed))
         f2, _ = run_a2(g, RunConfig(l=l, s=s, seed=seed))
         # run_a1 and run_a2 have validated their flows
@@ -336,6 +361,7 @@ def experiment_approx(
         bound = Fraction(g.degree_bound * g.capacity_bound_ticks * g.n, l)
         gap_ok = Fraction(v1) >= Fraction(fstar) - bound
         no_short = _shortest_augmenting_path_length(g, f1, l) is None
+        l1, sharp_ok = _length_lemma(g, best.flow, f1, l)
         return {
             "kind": "run", "instance": spec.instance_id(), "family": spec.family,
             "n": g.n, "d": g.degree_bound, "m_ticks": g.capacity_bound_ticks,
@@ -343,26 +369,28 @@ def experiment_approx(
             "fstar": fstar, "f1": v1, "f2": v2,
             "bound_frac": frac_str(bound), "bound_dec": dec_str(bound),
             "gap_bound_ok": gap_ok, "no_short_path_ok": no_short,
+            "l1_fstar_f1": l1, "sharp_bound_ok": sharp_ok,
             "f1_minus_f2_frac": frac_str(Fraction(v1 - v2)),
             "f1_minus_f2_dec": dec_str(Fraction(v1 - v2)),
         }
 
     for spec, g, _meta in prepared:
-        fstar = max_flow(g).value
+        best = max_flow(g)
         for l in l_values:
-            items = [(spec, g, fstar, l, seed) for seed in seeds]
+            items = [(spec, g, best, l, seed) for seed in seeds]
             run_rows = parallel_map(run_one, items)
             gaps = [Fraction(int(r["f1"]) - int(r["f2"])) for r in run_rows]
             mean_gap = sum(gaps, Fraction(0)) / len(gaps)
             for r in run_rows:
-                ok = ok and bool(r["gap_bound_ok"]) and bool(r["no_short_path_ok"])
+                ok = ok and r["gap_bound_ok"] and r["no_short_path_ok"] and r["sharp_bound_ok"]
                 rows.append(r)
             rows.append({
                 "kind": "seed_mean", "instance": spec.instance_id(), "family": spec.family,
                 "n": g.n, "d": g.degree_bound, "m_ticks": g.capacity_bound_ticks,
                 "l": l, "s": s, "seed": "",
-                "fstar": fstar, "f1": "", "f2": "",
+                "fstar": best.value, "f1": "", "f2": "",
                 "bound_frac": "", "bound_dec": "", "gap_bound_ok": "", "no_short_path_ok": "",
+                "l1_fstar_f1": "", "sharp_bound_ok": "",
                 "f1_minus_f2_frac": frac_str(mean_gap),
                 "f1_minus_f2_dec": dec_str(mean_gap),
             })

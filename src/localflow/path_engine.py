@@ -3,7 +3,8 @@
 Paths are vertex-simple directed S->T walks of bounded length, all found by
 one layered walk search (``_simple_walks``): the global list runs it from each
 S node with cap l, and ``_PathIndex``, the query tree's paths through each
-edge, from each endpoint of an edge with cap l-1.  A path holds its edges as
+edge, from each first step (arc) out of an endpoint of an edge with cap l-1,
+once per arc.  A path holds its edges as
 arcs: edge e read AB is the int 2*e and read BA is 2*e + 1, so an arc's edge
 is ``arc >> 1``, its reversal is ``arc ^ 1``, and residual capacities and
 chain depths live in one flat table indexed by arc: a list when the edge ids
@@ -30,6 +31,7 @@ import weakref
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .graph_core import AB, BA, ColoredGraph, DirectedEdgeRef
@@ -205,62 +207,74 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     out: list[AugPathCandidate] = []
     if walks:  # with no such walk there is no path, and nothing to search
         for s in g.nodes_of_color("S"):
-            out += [make_path(*w) for w in _simple_walks(g._adj, g._node_by_id, s, l)[1]]
+            to_t = _simple_walks(g._adj, g._node_by_id, ((s,), (), ()), l, False)[1]
+            out += [make_path(*w) for w in to_t]
     out.sort(key=lambda u: u.canonical_key)
     per_graph[l] = tuple(out)
     return out
 
 
-def _simple_walks(adj: dict, node: dict, v: int, cap: int) -> tuple[list[tuple], list[tuple]]:
-    """The (nodes, arcs) of every vertex-simple walk of at most cap edges from
-    v that ends at an S node, and of every one that ends at a T node, shortest
-    first.  One layered search from v over a graph's adjacency and nodes by
-    id (``_adj``, ``_node_by_id``), read in place.  A walk of cap edges that
-    would end at an R node is never built: it can be neither kept nor grown,
-    and its end is read either way."""
+def _simple_walks(adj: dict, node: dict, start: tuple, cap: int,
+                  into: bool) -> tuple[list[tuple], list[tuple]]:
+    """The (nodes, arcs) of every vertex-simple walk of at most cap edges
+    that begins with the walk start and ends at an S node, read S first, and
+    of every one that ends at a T node, shortest first.  start is (nodes,
+    arcs, back), back being its arcs read backwards: a node ``((v,), (), ())``
+    or a first step ``((v, w), (arc,), (arc ^ 1,))``.  One layered search
+    over a graph's adjacency and nodes by id (``_adj``, ``_node_by_id``),
+    read in place, which reads each walk backwards as it grows it.  When
+    into is false the caller keeps only the walks to T nodes, so none to an
+    S node is listed or read backwards.  No walk is grown to cap edges at an
+    end that is not kept (R, or S when into is false): it can be neither
+    kept nor grown, and its end is read either way."""
     to_s: list[tuple] = []
     to_t: list[tuple] = []
-    layer = [((v,), ())]
-    for length in range(cap + 1):
+    kept = ("S", "T") if into else ("T",)
+    layer = [start]
+    for length in range(len(start[1]), cap + 1):
         grown = []
-        for nodes, arcs in layer:
+        for nodes, arcs, back in layer:
             end = nodes[-1]
             color = node[end].color
             if color == "T":
                 to_t.append((nodes, arcs))
-            elif color == "S":
-                to_s.append((nodes, arcs))
+            elif color == "S" and into:
+                to_s.append((nodes[::-1], back))
             if length < cap:
                 steps = iter(adj[end])
                 for nxt, arc in zip(steps, steps):
-                    if nxt not in nodes and (length < cap - 1 or node[nxt].color != "R"):
-                        grown.append((nodes + (nxt,), arcs + (arc,)))
+                    if nxt not in nodes and (length < cap - 1 or node[nxt].color in kept):
+                        grown.append((nodes + (nxt,), arcs + (arc,),
+                                      (arc ^ 1,) + back if into else back))
         layer = grown
     return to_s, to_t
-
-
-_reverse_arc = (1).__xor__  # arc ^ 1, called from C by map()
 
 
 class _PathIndex:
     """The query tree's walks and paths on (g, l), which depend on neither
     seed nor s, each built on first use and kept.
 
-    The layered walk search that lists the global paths from each S node
-    with cap l (``_simple_walks``) runs here at most once per node, with cap
-    l-1, and finds both the walks from S nodes into it and the walks from it
-    to T nodes; a reversed walk reverses each arc (``arc ^ 1``).  A path is
-    known by its arcs: one found again through another of its edges is
-    looked up, and only a new one is built.  The paths through an edge are
-    listed once per edge id and shared by both orientations and every seed.
-    The index holds g's tables, not g, so the path cache, which holds
-    ``verify_locality``'s index per (g, l), never keeps a graph alive.
+    The walks are kept per branch, that is, per arc leaving a node: the
+    branch of arc v->w holds the vertex-simple walks of at most l-1 edges
+    that leave v by that arc, both those from S nodes into v and those from
+    v to T nodes, from one run of the layered walk search that lists the
+    global paths (``_simple_walks``), so each arc is searched at most once.
+    Listing the paths through edge (a, b) joins S-walks into a with T-walks
+    out of b: a walk out of a whose first stop is b meets every walk out of
+    b, so the join reads, and grows, only the branches of a and of b whose
+    first stop is not the edge's other end.  The trivial walk (v,) comes
+    from v's colour.  A path is known by its arcs: one found again through
+    another of its edges is looked up, and only a new one is built.  The
+    paths through an edge are listed once per edge id and shared by both
+    orientations and every seed.  The index holds g's tables, not g, so the
+    path cache, which holds ``verify_locality``'s index per (g, l), never
+    keeps a graph alive.
     """
 
     def __init__(self, g: ColoredGraph, l: int):
         self.l = l
         self._adj, self._node_by_id, self._edge_by_id = g._adj, g._node_by_id, g._edge_by_id
-        self._walk_memo: dict[int, tuple[list[tuple], list[tuple]]] = {}
+        self._branches: dict[int, tuple[list[tuple], list[tuple]]] = {}  # by first arc
         self._through: dict[int, tuple[tuple[AugPathCandidate, int], ...]] = {}
         self._paths: dict[tuple[int, ...], AugPathCandidate] = {}  # by arcs
 
@@ -273,38 +287,54 @@ class _PathIndex:
             e = self._edge_by_id[eid]
             paths = self._paths
             found = []
-            for tail, head, arc, sign in ((e.a, e.b, 2 * eid, 1), (e.b, e.a, 2 * eid + 1, -1)):
-                prefixes = self.walks(tail)[0]
-                if not prefixes:
+            a_into, a_out = self._walks(e.a, e.b)
+            b_into, b_out = self._walks(e.b, e.a)
+            for prefixes, suffixes, arc, sign in ((a_into, b_out, 2 * eid, 1),
+                                                  (b_into, a_out, 2 * eid + 1, -1)):
+                if not suffixes:
                     continue
-                suffixes = self.walks(head)[1]
-                for p_nodes, p_arcs in prefixes:
+                for p_nodes, p_arcs in chain.from_iterable(prefixes):
                     room = self.l - 1 - len(p_arcs)
                     on_prefix = set(p_nodes)
                     through = p_arcs + (arc,)
-                    for s_nodes, s_arcs in suffixes:
-                        if len(s_arcs) > room:
-                            break
-                        if on_prefix.isdisjoint(s_nodes):
-                            arcs = through + s_arcs
-                            u = paths.get(arcs)
-                            if u is None:
-                                u = paths[arcs] = make_path(p_nodes + s_nodes, arcs)
-                            found.append((u, sign))
+                    for ends in suffixes:
+                        for s_nodes, s_arcs in ends:
+                            if len(s_arcs) > room:
+                                break
+                            if on_prefix.isdisjoint(s_nodes):
+                                arcs = through + s_arcs
+                                u = paths.get(arcs)
+                                if u is None:
+                                    u = paths[arcs] = make_path(p_nodes + s_nodes, arcs)
+                                found.append((u, sign))
             got = self._through[eid] = tuple(found)
         return got
 
-    def walks(self, v: int) -> tuple[list[tuple], list[tuple]]:
-        """(into, out of) v: the (nodes, arcs) of every vertex-simple
-        walk of at most l-1 edges from an S node into v, and from v to a T
-        node, shortest first: ``_simple_walks`` from v, with each walk that
-        ends at an S node reversed."""
-        got = self._walk_memo.get(v)
-        if got is None:
-            to_s, to_t = _simple_walks(self._adj, self._node_by_id, v, self.l - 1)
-            into = [(nodes[::-1], tuple(map(_reverse_arc, reversed(arcs)))) for nodes, arcs in to_s]
-            got = self._walk_memo[v] = (into, to_t)
-        return got
+    def _walks(self, v: int, other: int | None) -> tuple[list[list[tuple]], list[list[tuple]]]:
+        """(into, out of) v: the nonempty lists of (nodes, arcs) of the
+        vertex-simple walks of at most l-1 edges from S nodes into v, and from
+        v to T nodes, whose stop next to v is not other.  The trivial walk
+        comes first if v has the colour, then each branch's list, shortest
+        first, growing each branch not grown yet."""
+        color = self._node_by_id[v].color
+        into = [[((v,), ())]] if color == "S" else []
+        out = [[((v,), ())]] if color == "T" else []
+        if self.l > 1:
+            branches = self._branches
+            steps = iter(self._adj[v])
+            for w, arc in zip(steps, steps):
+                if w != other:
+                    got = branches.get(arc)
+                    if got is None:
+                        start = ((v, w), (arc,), (arc ^ 1,))
+                        got = branches[arc] = _simple_walks(
+                            self._adj, self._node_by_id, start, self.l - 1, True)
+                    to_s, to_t = got
+                    if to_s:
+                        into.append(to_s)
+                    if to_t:
+                        out.append(to_t)
+        return into, out
 
 
 def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes, int]:

@@ -24,9 +24,10 @@ them former library routes kept to check their replacements:
   residual sweep replaced;
 * ``edmonds_karp``: the shortest-augmenting-path max flow that Dinic's
   ``max_flow`` replaced, one layered search per augmenting path;
-* ``reference_walks``: the layered walk search of ``_PathIndex`` without
-  pruning, over steps rebuilt from the edge list: every walk is grown into
-  the last layer and only then dropped if it ends at an R node;
+* ``reference_walks``: the layered walk search of ``_PathIndex`` from a
+  node, not per first arc, and without pruning, over steps rebuilt from the
+  edge list: every walk is grown into the last layer and only then dropped
+  if it ends at an R node;
 * ``reference_amount_reads``: the nodes a path's amount reads, recomputed
   from an evaluator's sorted lists, the read set that ``LocalEvaluator``
   no longer records because its depth's read set holds it.

@@ -15,9 +15,10 @@ import pytest
 from localflow.cli import main as cli_main
 from localflow.estimator_tester import TesterConfig, run_tester
 from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
-from localflow.graph_core import DirectedEdgeRef, flow_value, validate_flow
+from localflow.graph_core import DirectedEdgeRef, Flow, flow_value, validate_flow
 from localflow.harness import (
     InstanceSpec,
+    _length_lemma,
     experiment_chain_tail,
     generate,
     max_depth_per_edge,
@@ -160,12 +161,19 @@ def _approx_suite() -> list[InstanceSpec]:
 
 
 def test_ac3_ac4_length_bound_and_boundaries(announce):
+    """The paper's line |f1| >= |f*| - d*M*n/l, and the sharp bound behind it,
+    (|f*| - |f1|)*(l+1) <= sum_e |f*(e) - f1(e)| (``_length_lemma``).  The
+    paper's line is at least |f*| on this whole suite, so the zero flow
+    passes it too; the zero flow fails the sharp bound on 44 of the 48
+    (instance, l) pairs, so that check can fail here."""
     l_values = (2, 4, 6, 8)
     rows = 0
     boundary_runs = 0
+    zero_fails_paper = zero_fails_sharp = 0
     for spec in _approx_suite():
         g, _ = generate(spec)
-        fstar = Fraction(max_flow(g).value)
+        best = max_flow(g)
+        fstar = Fraction(best.value)
         for l in l_values:
             bound = Fraction(g.degree_bound * g.capacity_bound_ticks * g.n, l)
             for seed in SEEDS:
@@ -174,11 +182,15 @@ def test_ac3_ac4_length_bound_and_boundaries(announce):
                 v1 = Fraction(int(flow_value(g, f1)))
                 assert v1 >= fstar - bound, (spec.instance_id(), l, seed)
                 assert shortest_augmenting_path_length(g, f1, l) is None
+                assert _length_lemma(g, best.flow, f1, l)[1], (spec.instance_id(), l, seed)
                 rows += 1
                 violations = length_boundary_violations(g, cfg)
                 assert violations == [], (spec.instance_id(), l, seed, violations)
                 boundary_runs += 1
-    announce(f"AC-3  length-l gap bound + certificate: PASS ({rows} runs, exact)")
+            zero_fails_paper += not 0 >= fstar - bound
+            zero_fails_sharp += not _length_lemma(g, best.flow, Flow.zero(), l)[1]
+    assert (zero_fails_paper, zero_fails_sharp) == (0, 44)
+    announce(f"AC-3  length-l gap bound + sharp bound + certificate: PASS ({rows} runs, exact)")
     announce(f"AC-4  boundary invariant: PASS ({boundary_runs} runs, zero violations)")
 
 

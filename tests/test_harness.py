@@ -6,17 +6,20 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localflow.local_flow as local_flow_module
-from localflow.exact_oracle import max_flow
+from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
 from conftest import count_flow_validations
-from localflow.graph_core import dumps_json, graph_to_json, validate_graph
+from localflow.graph_core import Flow, dumps_json, graph_to_json, validate_graph
 from localflow.harness import (
     _FAMILY_FIELDS,
     APPROX_COLUMNS,
     CHAIN_TAIL_COLUMNS,
     LOCALITY_COLUMNS,
     InstanceSpec,
+    _length_lemma,
     dec_str,
     default_specs,
     experiment_approx,
@@ -26,7 +29,8 @@ from localflow.harness import (
     generate,
     write_csv,
 )
-from localflow.local_flow import _ball_radius
+from localflow.local_flow import RunConfig, _ball_radius, run_a1
+from test_json_properties import graphs
 
 
 def test_path_bundle_known_value():
@@ -268,9 +272,29 @@ def test_experiment_approx_small_suite_passes():
     assert len(mean_rows) == 2 * 2
     assert all(r["gap_bound_ok"] for r in run_rows)
     assert all(r["no_short_path_ok"] for r in run_rows)
+    assert all(r["sharp_bound_ok"] for r in run_rows)
     # bundle at l >= path length closes the gap entirely
     bundle = [r for r in run_rows if r["family"] == "path_bundle" and r["l"] == 2]
     assert all(r["f1"] == r["fstar"] == 5 for r in bundle)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 4), st.integers(1, 3))
+def test_the_sharp_length_bound_holds_for_flows_with_no_short_path(g, l, seed):
+    """A flow that leaves no residual S->T path of at most l edges, as A1's
+    does, has (|f*| - |f1|)*(l+1) <= sum_e |f*(e) - f1(e)|; the sum is at
+    most 2M|E| <= d*M*n, which gives the paper's line.  The zero flow meets
+    the bound whenever no S->T path of at most l edges has room on every
+    arc."""
+    best = max_flow(g)
+    f1, _ = run_a1(g, RunConfig(l=l, seed=seed))
+    assert shortest_augmenting_path_length(g, f1, l) is None
+    l1, sharp_ok = _length_lemma(g, best.flow, f1, l)
+    assert sharp_ok
+    m, edges = g.capacity_bound_ticks, len(g.edges)
+    assert l1 <= 2 * m * edges <= g.degree_bound * m * g.n
+    if shortest_augmenting_path_length(g, Flow.zero(), l) is None:
+        assert _length_lemma(g, best.flow, Flow.zero(), l)[1]
 
 
 def test_experiment_approx_validates_each_row_flow_twice(monkeypatch):

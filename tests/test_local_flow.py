@@ -1066,30 +1066,41 @@ def test_a_ball_of_as_many_ids_as_g_has_nodes_is_not_taken_for_g():
         LocalEvaluator(induced_subgraph(g, foreign), 3, 2, 1).f2_on(ref) == 0
 
 
-def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
+def arc_ends(g: ColoredGraph, arc: int) -> tuple[int, int]:
+    """The node an arc leaves and the node it enters."""
+    e = g.edge(arc >> 1)
+    return (e.b, e.a) if arc & 1 else (e.a, e.b)
+
+
+def counted_branches(monkeypatch) -> list[int]:
+    """The arc of every branch search ``path_engine`` makes from now on."""
+    searched: list[int] = []
+    real_walks = path_engine_module._simple_walks
+
+    def walking(adj, node, start, cap, into):
+        if start[1]:
+            searched.append(start[1][0])
+        return real_walks(adj, node, start, cap, into)
+
+    monkeypatch.setattr(path_engine_module, "_simple_walks", walking)
+    return searched
+
+
+def test_each_path_is_built_once_and_each_arc_searched_once(monkeypatch):
     g, _ = generate(random_spec(574, n=60, params={"rounds": 3}))
     refs = [DirectedEdgeRef(e.id, o) for e in g.edges[:20] for o in ("AB", "BA")]
 
     def counts() -> tuple[int, int, int, int]:
         built: list[bytes] = []
-        searched: list[int] = []
         real_make_path = path_engine_module.make_path
-        real_walks = _PathIndex.walks
 
         def making(nodes, edges):
             u = real_make_path(nodes, edges)
             built.append(u.canonical_key)
             return u
 
-        def walking(self, v, *rest, **kw):
-            before = len(self._walk_memo)
-            got = real_walks(self, v, *rest, **kw)
-            if len(self._walk_memo) > before:
-                searched.append(v)
-            return got
-
         monkeypatch.setattr(path_engine_module, "make_path", making)
-        monkeypatch.setattr(_PathIndex, "walks", walking)
+        searched = counted_branches(monkeypatch)
         index = _PathIndex(g, 4)
         for seed in (1, 2):
             ev = LocalEvaluator(g, 4, 3, seed, index=index)
@@ -1097,15 +1108,43 @@ def test_each_path_is_built_once_and_each_node_searched_once(monkeypatch):
                 ev.f2_on(ref)
         monkeypatch.undo()
         assert len(built) == len(set(built)) == len(index._paths)  # one make_path per path
-        assert len(searched) == len(set(searched))  # one walk search per node
-        # ... and only of endpoints of the edges whose paths were listed
-        listed = {v for eid in index._through for v in (g.edge(eid).a, g.edge(eid).b)}
-        assert set(searched) <= listed
+        assert len(searched) == len(set(searched)) == len(index._branches)  # one search per arc
+        # ... and only of arcs that leave an endpoint of a listed edge for a
+        # stop other than that edge's other endpoint
+        listed = {arc_ends(g, 2 * eid + o) for eid in index._through for o in (0, 1)}
+        for arc in searched:
+            v, w = arc_ends(g, arc)
+            assert any(tail == v and head != w for tail, head in listed), arc
         return len(built), len(searched), len(listed), len(index._through)
 
     first = counts()
     assert first == counts()  # deterministic
     assert first[0] > 0 and first[1] > 0
+
+
+def test_an_edge_with_no_path_grows_one_branch_per_endpoint(monkeypatch):
+    """On a cycle, where every node has degree 2, listing the paths through
+    an edge that carries none grows, at each endpoint, the one branch that
+    points away from the edge, and none toward the other endpoint: a walk
+    from one endpoint whose first stop is the other meets every walk out of
+    the other."""
+    # Edge i joins nodes i and i+1 mod 12; S at 0, T at 1, so edge 6 (6-7)
+    # lies on no S->T path of at most 11 edges.
+    g = build_graph("ST" + "R" * 10, [(i, (i + 1) % 12, 1, 1) for i in range(12)], d=2)
+
+    def searched_arcs() -> list[int]:
+        searched = counted_branches(monkeypatch)
+        ev = LocalEvaluator(g, 4, 2, 1)
+        assert ev.f2_on(DirectedEdgeRef(6, "AB")) == 0
+        monkeypatch.undo()
+        assert ev.index._through == {6: ()}
+        assert sorted(ev.index._branches) == sorted(searched)
+        return searched
+
+    first = searched_arcs()
+    assert [arc_ends(g, arc) for arc in first] == [(6, 5), (7, 8)]
+    assert not {2 * 6, 2 * 6 + 1} & set(first)  # neither arc of the edge itself
+    assert searched_arcs() == first
 
 
 def counted_labels(monkeypatch) -> list[tuple[bytes, int]]:
@@ -1140,39 +1179,35 @@ def counted_path_keys(monkeypatch) -> list[bytes]:
     return keyed
 
 
-def test_verify_locality_searches_each_node_and_builds_each_path_once(monkeypatch):
+def test_verify_locality_searches_each_arc_and_builds_each_path_once(monkeypatch):
     """One evaluator serves every ball: on AC-5's instance, whose 300 edges
-    have 292 distinct balls, each of the 300 nodes is searched once and each
-    of the 196 paths is built once, and labelled once per seed, across the
-    global run and every evaluator.  The evaluators rank paths by the global
+    have 292 distinct balls, each arc whose node has a neighbour other than
+    the arc's head (596 of the 600) is searched once, and each of the 196
+    paths is built once, and labelled once per seed, across the global run
+    and every evaluator.  The evaluators rank paths by the global
     run's key order, so ``path_key`` never runs."""
     g = ac5_instance()
     refs = [DirectedEdgeRef(e.id, "AB") for e in g.edges]
-    searched: list[int] = []
     built: list[bytes] = []
-    real_walks = _PathIndex.walks
     real_make_path = path_engine_module.make_path
-
-    def walking(self, v):
-        if v not in self._walk_memo:
-            searched.append(v)
-        return real_walks(self, v)
 
     def making(nodes, arcs):
         u = real_make_path(nodes, arcs)
         built.append(u.canonical_key)
         return u
 
-    assert (g.n, len(g.edges), len(enumerate_paths(g, 6))) == (300, 300, 196)
+    growable = [arc for v in sorted(g._adj) for arc in g._adj[v][1::2]
+                if set(g._adj[v][::2]) - {arc_ends(g, arc)[1]}]
+    assert (g.n, len(g.edges), len(enumerate_paths(g, 6)), len(growable)) == (300, 300, 196, 596)
     # The global list is built before make_path is counted: it is the index's builds that count.
-    monkeypatch.setattr(_PathIndex, "walks", walking)
+    searched = counted_branches(monkeypatch)
     monkeypatch.setattr(path_engine_module, "make_path", making)
     labelled = counted_labels(monkeypatch)
     keyed = counted_path_keys(monkeypatch)
     assert verify_locality(g, RunConfig(l=6, s=3, seed=1), refs).passed
     assert len({ball_nodes(g, ref, 18) for ref in refs}) == 292
-    assert (len(searched), len(built), len(labelled)) == (300, 196, 196)
-    assert len(set(searched)) == 300 and len(set(built)) == len(set(labelled)) == 196
+    assert (len(searched), len(built), len(labelled)) == (len(growable), 196, 196)
+    assert sorted(searched) == sorted(growable) and len(set(built)) == len(set(labelled)) == 196
     assert {seed for _, seed in labelled} == {1}
 
     # A later call on (g, l) reuses the walks and paths, whatever its seed, s
@@ -1236,30 +1271,27 @@ def test_a_call_that_raises_leaves_only_complete_shared_tables(monkeypatch):
     assert verify_locality(g, cfg, refs) == verify_locality(ac5_instance(), cfg, refs)
     fresh = _PathIndex(g, 6)
     assert all(fresh.through(eid) == got for eid, got in index._through.items())
-    assert all(fresh.walks(v) == got for v, got in index._walk_memo.items())
+    for arc in index._branches:
+        fresh._walks(arc_ends(g, arc)[0], None)
+    assert all(fresh._branches[arc] == got for arc, got in index._branches.items())
 
 
 def test_local_queries_and_the_tester_stay_cold_after_verify_locality(monkeypatch):
     """``local_f2_edge`` and ``run_tester`` build a fresh evaluator per call:
-    on a graph that ``verify_locality`` has warmed they search as many nodes
+    on a graph that ``verify_locality`` has warmed they search as many arcs
     and build as many paths as on a fresh copy."""
     l, s = 6, 3
     refs = [DirectedEdgeRef(e.id, "AB") for e in ac5_instance().edges[::30]]
-    real_walks, real_make_path = path_engine_module._simple_walks, path_engine_module.make_path
+    real_make_path = path_engine_module.make_path
 
     def counts(g: ColoredGraph) -> tuple[int, int]:
-        searched: list[int] = []
         built: list[tuple[int, ...]] = []
-
-        def walking(adj, node, v, cap):
-            searched.append(v)
-            return real_walks(adj, node, v, cap)
 
         def making(nodes, arcs):
             built.append(nodes)
             return real_make_path(nodes, arcs)
 
-        monkeypatch.setattr(path_engine_module, "_simple_walks", walking)
+        searched = counted_branches(monkeypatch)
         monkeypatch.setattr(path_engine_module, "make_path", making)
         for ref in refs:
             local_f2_edge(g, ref, RunConfig(l=l, s=s, seed=1))
@@ -1270,7 +1302,7 @@ def test_local_queries_and_the_tester_stay_cold_after_verify_locality(monkeypatc
     warm = ac5_instance()
     assert verify_locality(warm, RunConfig(l=l, s=s, seed=1),
                            [DirectedEdgeRef(e.id, "AB") for e in warm.edges]).passed
-    assert path_engine_module._PATH_CACHE[warm][l, "tree"]._walk_memo
+    assert path_engine_module._PATH_CACHE[warm][l, "tree"]._branches
     cold = counts(ac5_instance())
     assert cold[0] > 0 and cold[1] > 0
     assert counts(warm) == cold
@@ -1598,11 +1630,33 @@ def test_walk_search_equals_the_reference_search(spec):
     for l in range(1, 7):
         index = _PathIndex(g, l)
         for v in sorted(nd.id for nd in g.nodes):
-            assert index.walks(v) == reference_walks(g, l, v), (l, v)
-            # The same search at the global list's cap l, walks to S nodes unreversed.
-            to_s, to_t = _simple_walks(g._adj, g._node_by_id, v, l)
-            back = [(nodes[::-1], tuple(arc ^ 1 for arc in reversed(arcs))) for nodes, arcs in to_s]
-            assert (back, to_t) == reference_walks(g, l + 1, v), (l, v)
+            into, out = reference_walks(g, l, v)
+            stops, arcs = g._adj[v][::2], g._adj[v][1::2]
+            # The index lists the reference's walks by branch: the trivial
+            # walk first, then those leaving v by each arc in turn, each
+            # branch in the reference's order, and drops the branches whose
+            # first stop is the node it is told to avoid.
+            at = {arc: i for i, arc in enumerate(arcs)}
+            into = sorted(into, key=lambda w: at[w[1][-1] ^ 1] if w[1] else -1)
+            out = sorted(out, key=lambda w: at[w[1][0]] if w[1] else -1)
+            for other in [None, *stops]:
+                got_into, got_out = index._walks(v, other)
+                assert all(got_into) and all(got_out), (l, v)
+                assert list(chain.from_iterable(got_into)) == \
+                    [w for w in into if len(w[0]) == 1 or w[0][-2] != other], (l, v, other)
+                assert list(chain.from_iterable(got_out)) == \
+                    [w for w in out if len(w[0]) == 1 or w[0][1] != other], (l, v, other)
+            for arc in arcs:
+                assert index._branches.get(arc, ([], [])) == (
+                    [w for w in into if w[1][-1:] == (arc ^ 1,)],
+                    [w for w in out if w[1][:1] == (arc,)]), (l, v, arc)
+            # The same search from v at the global list's cap l, which keeps
+            # the walks to S nodes only when asked to.
+            start = ((v,), (), ())
+            wide = reference_walks(g, l + 1, v)
+            assert _simple_walks(g._adj, g._node_by_id, start, l, True) == wide, (l, v)
+            assert _simple_walks(g._adj, g._node_by_id, start, l, False) == ([], wide[1]), (l, v)
+        assert bool(index._branches) == (l > 1)
         # A ball's list of the paths through an edge holds the paths of the
         # subgraph the ball induces, in key order, each with its direction.
         for ball in balls:
