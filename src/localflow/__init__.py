@@ -11,7 +11,7 @@ Library layout:
 """
 
 from .estimator_tester import TesterConfig, TesterReport, run_tester
-from .exact_oracle import MaxFlowResult, max_flow, shortest_augmenting_path_length
+from .exact_oracle import MaxFlowResult, max_flow
 from .graph_core import (
     ColoredGraph,
     DirectedEdgeRef,
@@ -20,7 +20,6 @@ from .graph_core import (
     Node,
     ValidationReport,
     ball_nodes,
-    flow_from_json,
     flow_to_json,
     flow_value,
     graph_from_json,
@@ -41,7 +40,6 @@ from .local_flow import (
 from .path_engine import (
     AugPathCandidate,
     OrderKey,
-    chain_depth_all,
     enumerate_paths,
     path_key,
 )
@@ -63,9 +61,7 @@ __all__ = [
     "TesterReport",
     "ValidationReport",
     "ball_nodes",
-    "chain_depth_all",
     "enumerate_paths",
-    "flow_from_json",
     "flow_to_json",
     "flow_value",
     "generate",
@@ -77,7 +73,6 @@ __all__ = [
     "run_a1",
     "run_a2",
     "run_tester",
-    "shortest_augmenting_path_length",
     "validate_flow",
     "validate_graph",
     "verify_locality",

@@ -9,7 +9,8 @@ a T node.  That layer's level is the length of a shortest augmenting path.
 Each phase of ``max_flow`` augments along paths that climb the levels one
 layer per arc until none is left; the nodes of the last search, which
 reaches no T node, are the source side of a minimum cut and the certificate
-of optimality.
+of optimality.  ``_shortest_augmenting_path_length`` asks the same search
+for the length of a shortest augmenting path under a given flow.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 from .graph_core import (
     ColoredGraph,
     Flow,
-    _int_field,
     _residual_flow,
     _residuals,
     _source_outflow,
@@ -117,25 +117,10 @@ def max_flow(g: ColoredGraph) -> MaxFlowResult:
     return MaxFlowResult(flow=f, value=int(_source_outflow(g, f)), residual_cut=frozenset(level))
 
 
-def shortest_augmenting_path_length(
-    g: ColoredGraph, f: Flow, l_max: int | None = None
-) -> int | None:
-    """Edge count of the shortest residual S->T path; None if absent.
-
-    A search from all sources simultaneously over the residual edge set
-    ``{e : f(e) < c(e)}``.  With ``l_max`` set, paths longer than it count
-    as absent; it must be None or a plain int >= 0.  Raises ``ValueError``
-    if f is not a valid flow on g.
-    """
-    if l_max is not None:
-        _int_field({"l_max": l_max}, "l_max", "shortest_augmenting_path_length", minimum=0)
-    validate_flow(g, f).raise_if_invalid("flow")
-    return _shortest_augmenting_path_length(g, f, l_max)
-
-
 def _shortest_augmenting_path_length(
     g: ColoredGraph, f: Flow, l_max: int | None = None
 ) -> int | None:
-    """``shortest_augmenting_path_length`` of a flow already validated on g,
-    without the check."""
+    """Edge count of a shortest residual S->T path under f, a flow already
+    validated on g; None if there is none, or none of at most ``l_max``
+    edges.  The harness's certificate that A1 leaves no short path."""
     return _levels(g, _residuals(g, f), g.nodes_of_color("S"), l_max)[1]

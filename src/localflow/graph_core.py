@@ -21,7 +21,6 @@ neighbour, arc, ...) of the arcs leaving v, in edge-id order.
 from __future__ import annotations
 
 import json
-import re
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -468,28 +467,6 @@ def flow_to_json(f: Flow) -> dict:
             continue
         vals.append({"id": eid, "f_ab": int(v) if isinstance(v, int) else str(Fraction(v))})
     return {"edge_values": vals}
-
-
-def flow_from_json(obj: Mapping) -> Flow:
-    """Read a flow as ``flow_to_json`` writes it: each ``f_ab`` an integer or
-    a rational as a "p/q" (or "p") string; floats, bools and other strings
-    are refused, as are ids that are not integers and repeated ids."""
-    values: dict[int, Ticks] = {}
-    where = "flow edge value"
-    for item in _list_field(obj, "edge_values", "flow"):
-        raw = _require(item, "f_ab", where)
-        if type(raw) is int:
-            v: Ticks = raw
-        elif isinstance(raw, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", raw):
-            v = Fraction(raw)
-        else:
-            raise ValueError(
-                f"bad field 'f_ab' in {where}: expected an integer or a 'p/q' string, got {raw!r}")
-        eid = _int_field(item, "id", where)
-        if eid in values:
-            raise ValueError(f"bad field 'id' in {where}: repeated edge id {eid}")
-        values[eid] = v
-    return Flow(values)
 
 
 def dumps_json(obj: dict) -> str:

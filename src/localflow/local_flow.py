@@ -16,14 +16,15 @@ the subgraph.  ``verify_locality`` answers each edge on g and records what
 the query read; where the reads leave the edge's ball of radius s*(l-1),
 it answers again on the ball.  It checks edge by edge that the value is the
 global run's bit for bit, so the locality the queries rely on is checked,
-not assumed.
+not assumed.  A run returns its flow and its trace (``RunTrace``): the
+paths in the order swept and one int per path.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
@@ -100,8 +101,7 @@ class TraceEntry(NamedTuple):
     amount: int
 
 
-# A sweep's record of a skipped path; any other path's record is its amount,
-# which is 0 where the path had no residual capacity.
+# A trace's record of a skipped path, in place of its amount.
 _SKIPPED = -1
 
 
@@ -114,16 +114,9 @@ def _row(u: AugPathCandidate, amount: int) -> TraceEntry:
     return tuple.__new__(TraceEntry, (u.canonical_key, action, 0))
 
 
-class _TraceRows(Sequence):
-    """A sweep's trace rows, built only when read: the paths in key order
-    and, lined up with them, one int per path (its amount, or ``_SKIPPED``).
-
-    A sweep keeps two flat lists rather than a ``TraceEntry`` per path: the
-    cyclic collector never untracks a tuple subclass, so one row per path
-    kept alive sets off full collections.  Reads behave as on the tuple of
-    rows: ints (negative ones too) and slices index it, a slice is a tuple,
-    and it is equal to, and hashes as, that tuple.
-    """
+class _TraceRows:
+    """A trace's rows, each built when it is read: ``len``, an int index
+    and iteration, over the trace's two lists."""
 
     __slots__ = ("_order", "_amounts")
 
@@ -134,37 +127,33 @@ class _TraceRows(Sequence):
     def __len__(self) -> int:
         return len(self._amounts)
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(_row, self._order[i], self._amounts[i]))
+    def __getitem__(self, i: int) -> TraceEntry:
         return _row(self._order[i], self._amounts[i])
 
-    def __iter__(self):
+    def __iter__(self) -> Iterator[TraceEntry]:
         return map(_row, self._order, self._amounts)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (tuple, _TraceRows)):
-            return tuple(self) == tuple(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
 class RunTrace:
-    """Per-path audit of a run, in processing (key) order.
+    """Per-path audit of a run: the paths in the key order the sweep read
+    them, and lined up with them one int per path, the amount augmented
+    (0 where the path had no residual capacity) or ``_SKIPPED``.
 
-    ``entries`` is a sequence of ``TraceEntry``: a sweep's holds the key
-    order it swept and one int per path, and builds each row when it is
-    read (``_TraceRows``), so a live trace keeps its seed's order list after
-    the path cache has replaced it; a tuple of rows is equal to it.
+    A sweep keeps these two flat lists rather than a ``TraceEntry`` per
+    path: the cyclic collector never untracks a tuple subclass, so one row
+    per path kept alive sets off full collections.  ``entries`` reads the
+    rows, each built when it is read.  ``order`` is the seed's list in the
+    path cache, which a live trace keeps after the cache has replaced it.
+    Two traces are equal when their lists are.
     """
 
-    entries: Sequence[TraceEntry]
+    order: list[AugPathCandidate]
+    amounts: list[int]
+
+    @property
+    def entries(self) -> _TraceRows:
+        return _TraceRows(self.order, self.amounts)
 
     def to_json_lines(self) -> str:
         return "".join(json.dumps({"key": ent.canonical_key.decode("ascii"),
@@ -185,7 +174,7 @@ def _sweep(
     moves that much from each arc to its reverse.  A2's chain depths are
     computed in the same pass, path by path, in a table of the same shape.
     The trace is that order and one int per path, lined up with it: the
-    amount, or ``_SKIPPED``; its rows are built only when read.
+    amount, or ``_SKIPPED``.
     """
     order = _global_order(g, l, seed)
     res = _residuals(g)
@@ -214,7 +203,7 @@ def _sweep(
 
     flow = _residual_flow(g, res)
     validate_flow(g, flow).raise_if_invalid("run output flow")
-    return flow, RunTrace(_TraceRows(order, amounts))
+    return flow, RunTrace(order, amounts)
 
 
 def run_a1(g: ColoredGraph, cfg: RunConfig) -> tuple[Flow, RunTrace]:

@@ -337,6 +337,7 @@ class _PathIndex:
         return into, out
 
 
+# Only tests call this; it stays because the benchmark's tracer targets it.
 def chain_depth_all(paths: Iterable[AugPathCandidate], seed: int) -> dict[bytes, int]:
     """Depth of every path, keyed by canonical key: 1 + the max depth over
     smaller-key intersecting paths."""

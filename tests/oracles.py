@@ -21,7 +21,7 @@ them former library routes kept to check their replacements:
   runs;
 * ``reference_sweep``: the A1/A2 sweep over ``DirectedEdgeRef``s, with a
   per-edge flow dict and a per-edge depth dict, that the arc-keyed
-  residual sweep replaced;
+  residual sweep replaced; it returns the trace's rows;
 * ``edmonds_karp``: the shortest-augmenting-path max flow that Dinic's
   ``max_flow`` replaced, one layered search per augmenting path;
 * ``reference_walks``: the layered walk search of ``_PathIndex`` from a
@@ -30,17 +30,22 @@ them former library routes kept to check their replacements:
   if it ends at an R node;
 * ``reference_amount_reads``: the nodes a path's amount reads, recomputed
   from an evaluator's sorted lists, the read set that ``LocalEvaluator``
-  no longer records because its depth's read set holds it.
+  no longer records because its depth's read set holds it;
+* ``residual_sp_length``: the length of a shortest residual S->T path,
+  the certificate that A1 leaves no short path;
+* ``read_flow``: a flow read back from ``flow_to_json``'s output, which the
+  library only writes.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import combinations
 
 from localflow.estimator_tester import TesterConfig
-from localflow.exact_oracle import MaxFlowResult, shortest_augmenting_path_length
+from localflow.exact_oracle import MaxFlowResult
 from localflow.graph_core import (
     AB,
     BA,
@@ -63,7 +68,6 @@ from localflow.local_flow import (
     LocalityMismatch,
     LocalityReport,
     RunConfig,
-    RunTrace,
     TraceEntry,
     _ball_radius,
     run_a1,
@@ -186,16 +190,17 @@ def length_boundary_violations(g: ColoredGraph, cfg: RunConfig) -> list[int]:
     bad = []
     for j in range(1, cfg.l + 1):
         f, _ = run_a1(g, RunConfig(l=j, seed=cfg.seed))
-        if shortest_augmenting_path_length(g, f, j) is not None:
+        if residual_sp_length(g, f.values, j) is not None:
             bad.append(j)
     return bad
 
 
 def reference_sweep(g: ColoredGraph, l: int, seed: int,
-                    skip_threshold: int | None) -> tuple[Flow, RunTrace]:
+                    skip_threshold: int | None) -> tuple[Flow, tuple[TraceEntry, ...]]:
     """A1 (skip_threshold None) or A2, one path at a time in ``path_key``
     order: depths from a dict of the best depth per undirected edge, rooms
-    from the edge's capacities and the flow so far, by orientation string."""
+    from the edge's capacities and the flow so far, by orientation string.
+    Returns the flow and the tuple of the trace's rows, in the order swept."""
     order = sorted(enumerate_paths(g, l), key=lambda u: path_key(u, seed))
     depths: dict[bytes, int] = {}
     best_at_edge: dict[int, int] = {}
@@ -227,7 +232,7 @@ def reference_sweep(g: ColoredGraph, l: int, seed: int,
             entries.append(TraceEntry(u.canonical_key, ZERO_CAPACITY, 0))
     flow = Flow({eid: v for eid, v in f.items() if v != 0})
     validate_flow(g, flow).raise_if_invalid("reference sweep flow")
-    return flow, RunTrace(tuple(entries))
+    return flow, tuple(entries)
 
 
 def _ek_search(
@@ -409,7 +414,13 @@ def brute_chain_depths(paths: list[AugPathCandidate], seed: int) -> dict[bytes, 
     return {u.canonical_key: longest_from(u) for u in paths}
 
 
-def residual_sp_length(g: ColoredGraph, f_values: dict[int, int], l_max=None):
+def read_flow(obj: dict) -> Flow:
+    """The flow ``flow_to_json`` wrote: each ``f_ab`` an int or a "p/q" string."""
+    return Flow({item["id"]: item["f_ab"] if type(item["f_ab"]) is int else Fraction(item["f_ab"])
+                 for item in obj["edge_values"]})
+
+
+def residual_sp_length(g: ColoredGraph, f_values: Mapping[int, int], l_max=None):
     """Shortest S->T length over edges with slack, via per-node Dijkstra-ish
     relaxation instead of multi-source BFS."""
     import heapq

@@ -13,7 +13,6 @@ from localflow.exact_oracle import max_flow
 from localflow.graph_core import (
     DirectedEdgeRef,
     dumps_json,
-    flow_from_json,
     graph_from_json,
     graph_to_json,
     validate_flow,
@@ -21,6 +20,7 @@ from localflow.graph_core import (
 from localflow.harness import InstanceSpec, generate
 from localflow.local_flow import RunConfig, _ball_radius, verify_locality
 from localflow.path_engine import chain_depth_all, enumerate_paths, path_key
+from oracles import read_flow
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -70,7 +70,7 @@ def test_maxflow_out_reads_back_as_the_maximum_flow(random_graph, tmp_path, caps
     g = graph_from_json(json.loads(random_graph.read_text()))
     best = max_flow(g)
     assert int(stdout) == best.value
-    flow = flow_from_json(json.loads(out.read_text()))
+    flow = read_flow(json.loads(out.read_text()))
     assert flow == best.flow
     assert validate_flow(g, flow).ok
 

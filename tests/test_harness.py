@@ -10,9 +10,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localflow.local_flow as local_flow_module
-from localflow.exact_oracle import max_flow, shortest_augmenting_path_length
+from localflow.exact_oracle import max_flow
 from conftest import count_flow_validations
-from localflow.graph_core import Flow, dumps_json, graph_to_json, validate_graph
+from localflow.graph_core import (
+    ColoredGraph,
+    Edge,
+    Flow,
+    Node,
+    dumps_json,
+    flow_value,
+    graph_to_json,
+    validate_graph,
+)
 from localflow.harness import (
     _FAMILY_FIELDS,
     APPROX_COLUMNS,
@@ -30,6 +39,7 @@ from localflow.harness import (
     write_csv,
 )
 from localflow.local_flow import RunConfig, _ball_radius, run_a1
+from oracles import residual_sp_length
 from test_json_properties import graphs
 
 
@@ -278,22 +288,39 @@ def test_experiment_approx_small_suite_passes():
     assert all(r["f1"] == r["fstar"] == 5 for r in bundle)
 
 
+@st.composite
+def graphs_with_a_long_chain(draw) -> tuple[ColoredGraph, int]:
+    """A ``graphs()`` example and an l in 1..4, with a disjoint S-R...R-T
+    chain of l+1 edges added on fresh ids: no path of at most l edges uses
+    it, so A1 at cap l leaves it empty, and a maximum flow does not."""
+    g, l = draw(graphs()), draw(st.integers(1, 4))
+    m = g.capacity_bound_ticks
+    first = 10**6 + 1  # above every id that graphs() draws
+    nodes = tuple(Node(first + i, color) for i, color in enumerate("S" + "R" * l + "T"))
+    chain = tuple(Edge(first + i, first + i, first + i + 1, draw(st.integers(1, m)),
+                       draw(st.integers(1, m))) for i in range(l + 1))
+    return ColoredGraph(g.nodes + nodes, g.edges + chain, max(g.degree_bound, 2), m,
+                        g.quantum), l
+
+
 @settings(max_examples=100, derandomize=True, database=None, deadline=None)
-@given(graphs(), st.integers(1, 4), st.integers(1, 3))
-def test_the_sharp_length_bound_holds_for_flows_with_no_short_path(g, l, seed):
+@given(graphs_with_a_long_chain(), st.integers(1, 3))
+def test_the_sharp_length_bound_holds_for_flows_with_no_short_path(g_l, seed):
     """A flow that leaves no residual S->T path of at most l edges, as A1's
     does, has (|f*| - |f1|)*(l+1) <= sum_e |f*(e) - f1(e)|; the sum is at
-    most 2M|E| <= d*M*n, which gives the paper's line.  The zero flow meets
-    the bound whenever no S->T path of at most l edges has room on every
-    arc."""
+    most 2M|E| <= d*M*n, which gives the paper's line.  The added chain
+    gives every example a gap of at least 1.  The zero flow meets the bound
+    whenever no S->T path of at most l edges has room on every arc."""
+    g, l = g_l
     best = max_flow(g)
     f1, _ = run_a1(g, RunConfig(l=l, seed=seed))
-    assert shortest_augmenting_path_length(g, f1, l) is None
+    assert residual_sp_length(g, f1.values, l) is None
+    assert best.value - flow_value(g, f1) >= 1
     l1, sharp_ok = _length_lemma(g, best.flow, f1, l)
     assert sharp_ok
     m, edges = g.capacity_bound_ticks, len(g.edges)
     assert l1 <= 2 * m * edges <= g.degree_bound * m * g.n
-    if shortest_augmenting_path_length(g, Flow.zero(), l) is None:
+    if residual_sp_length(g, {}, l) is None:
         assert _length_lemma(g, best.flow, Flow.zero(), l)[1]
 
 
