@@ -172,9 +172,11 @@ def _sweep(
     the arcs live in one flat table indexed by arc (``_residuals``): a
     path's amount is the least residual over its arcs, and augmenting by it
     moves that much from each arc to its reverse.  A2's chain depths are
-    computed in the same pass, path by path, in a table of the same shape.
-    The trace is that order and one int per path, lined up with it: the
-    amount, or ``_SKIPPED``.
+    computed in the same pass, path by path, in a table of the same shape,
+    capped at s (``_chain_depths``): a path is skipped iff its capped depth
+    is s, and one whose arcs all read s already writes nothing.  The trace
+    is that order and one int per path, lined up with it: the amount, or
+    ``_SKIPPED``.
     """
     order = _global_order(g, l, seed)
     res = _residuals(g)
@@ -182,7 +184,7 @@ def _sweep(
         depths, skip_threshold = repeat(0), 1  # every path is below depth 1
     else:
         depths = _chain_depths(order, [0] * len(res) if type(res) is list
-                               else dict.fromkeys(res, 0))
+                               else dict.fromkeys(res, 0), skip_threshold)
 
     room = res.__getitem__
     amounts: list[int] = []
@@ -332,7 +334,8 @@ class LocalEvaluator:
     * A path u is skipped iff its chain depth reaches s.  Its depth capped at
       k is h(u, 1) = 1 and h(u, k) = min(k, 1 + max h(v, k-1)) over the paths
       v with a smaller key that share an undirected edge with u (u's
-      predecessors), so u is skipped iff h(u, s) = s.
+      predecessors), so u is skipped iff h(u, s) = s.  This is the capped
+      depth the global sweep computes (``_chain_depths`` with cap s).
     * When u is reached, each of its edges carries the signed amounts of the
       smaller-key paths through it; u's amount is the smallest residual
       these leave.  Every such path is a predecessor of u, so its depth is

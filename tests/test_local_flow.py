@@ -194,12 +194,22 @@ def test_sweeps_in_any_interleaving_equal_sweeps_on_a_fresh_graph(monkeypatch):
         assert len(calls) == changes
 
 
+class ZeroLabelState:
+    """A labelling state whose digest reads label 0, whatever it is fed."""
+
+    def update(self, data: bytes) -> None:
+        pass
+
+    def digest(self) -> bytes:
+        return bytes(8)
+
+
 def test_sweep_order_ties_fall_back_to_the_canonical_key(monkeypatch):
     # With every label equal, paths of one length tie on (length, label), and
     # only the canonical key orders them.
     g, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
     paths = enumerate_paths(g, 5)
-    monkeypatch.setattr(path_engine_module, "_labeller", lambda seed: lambda key: 0)
+    monkeypatch.setattr(path_engine_module, "_labeller", lambda seed: ZeroLabelState)
     lengths = [u.length for u in paths]
     assert len(lengths) > len(set(lengths))  # some do tie
     expected = [u.canonical_key for u in sorted(paths, key=lambda u: (u.length, u.canonical_key))]
@@ -1180,20 +1190,30 @@ def test_an_edge_with_no_path_grows_one_branch_per_endpoint(monkeypatch):
     assert searched_arcs() == first
 
 
+class CountingState:
+    """A labelling state that records each canonical key it is fed, with
+    its seed, and hashes it as the real state does."""
+
+    def __init__(self, state, seed: int, labelled: list[tuple[bytes, int]]):
+        self.state, self.seed, self.labelled = state, seed, labelled
+
+    def update(self, canonical_key: bytes) -> None:
+        self.labelled.append((canonical_key, self.seed))
+        self.state.update(canonical_key)
+
+    def digest(self) -> bytes:
+        return self.state.digest()
+
+
 def counted_labels(monkeypatch) -> list[tuple[bytes, int]]:
     """The (canonical key, seed) of every path label made from now on:
-    ``path_key`` and ``_key_order`` both label through ``_labeller``."""
+    ``path_key`` and ``_key_order`` both label from ``_labeller``'s state."""
     labelled: list[tuple[bytes, int]] = []
     real_labeller = path_engine_module._labeller
 
     def labeller(seed):
-        label = real_labeller(seed)
-
-        def counting(canonical_key):
-            labelled.append((canonical_key, seed))
-            return label(canonical_key)
-
-        return counting
+        copy = real_labeller(seed)
+        return lambda: CountingState(copy(), seed, labelled)
 
     monkeypatch.setattr(path_engine_module, "_labeller", labeller)
     return labelled

@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import gc
 import hashlib
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import localflow.path_engine as path_engine_module
 from conftest import build_graph, line_graph
@@ -14,6 +16,7 @@ from localflow.graph_core import DirectedEdgeRef, ball_nodes, induced_subgraph
 from localflow.harness import InstanceSpec, generate
 from localflow.path_engine import (
     OrderKey,
+    _chain_depths,
     _key_order,
     chain_depth_all,
     enumerate_paths,
@@ -21,6 +24,7 @@ from localflow.path_engine import (
     path_key,
 )
 from oracles import brute_chain_depths, intersects, naive_paths, path_signature
+from test_acceptance import _locality_suite
 from test_json_properties import graphs
 
 
@@ -173,12 +177,77 @@ def test_key_order_refines_length_order():
     assert lengths == sorted(lengths)
 
 
+def listed_in_length_then_key_order(paths) -> bool:
+    want = sorted(paths, key=lambda u: (u.length, u.canonical_key))
+    return [u.canonical_key for u in paths] == [u.canonical_key for u in want]
+
+
+def key_ordered(paths, seed: int) -> bool:
+    got = [u.canonical_key for u in _key_order(paths, seed)]
+    return got == [u.canonical_key for u in sorted(paths, key=lambda u: path_key(u, seed))]
+
+
 def test_key_order_is_path_key_order():
     g, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
     paths = enumerate_paths(g, 5)
     assert len(paths) > 100
+    assert listed_in_length_then_key_order(paths)
     for seed in (0, 77, -3, 2**70):
-        assert _key_order(paths, seed) == sorted(paths, key=lambda u: path_key(u, seed))
+        assert key_ordered(paths, seed)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 4), st.integers(-2, 3))
+def test_paths_are_listed_by_length_then_key_and_key_ordered_by_path_key(g, l, seed):
+    """``enumerate_paths`` lists paths in (length, canonical key) order, the
+    order ``_key_order`` needs of its input, and ``_key_order`` sorts them
+    as ``path_key`` does, on graphs with parallel edges and sparse ids."""
+    paths = enumerate_paths(g, l)
+    assert listed_in_length_then_key_order(paths)
+    assert listed_in_length_then_key_order(enumerate_paths(g, l))  # from the cache
+    assert key_ordered(paths, seed)
+
+
+def capped_depths_are_min_s_of_the_true_depths(g, l: int, seeds,
+                                               caps=(1, 2, 3, 8)) -> Counter[int]:
+    """Assert that a pass capped at s yields min(s, true depth) path by path
+    and leaves min(s, entry) of the uncapped pass's table; returns, per cap
+    s, how many capped depths read s over the seeds."""
+    at_cap: Counter[int] = Counter()
+    for seed in seeds:
+        order = _key_order(enumerate_paths(g, l), seed)
+        true_best: defaultdict[int, int] = defaultdict(int)
+        true = list(_chain_depths(order, true_best))
+        for s in caps:
+            best: defaultdict[int, int] = defaultdict(int)
+            capped = list(_chain_depths(order, best, s))
+            assert capped == [min(s, d) for d in true], (seed, s)
+            assert dict(best) == {arc: min(s, d) for arc, d in true_best.items()}, (seed, s)
+            at_cap[s] += capped.count(s)
+    return at_cap
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 4), st.integers(0, 3))
+def test_capped_depths_are_the_true_depths_capped_on_arbitrary_graphs(g, l, seed):
+    capped_depths_are_min_s_of_the_true_depths(g, l, (seed,))
+
+
+def test_capped_depths_are_the_true_depths_capped_on_the_corpus_and_the_grid():
+    """The AC-5 corpus at its own l, and global-sweep's 30x40 grid at l=6,
+    seeds 1-3, each at caps 1, 2, 3 and 8.  On the corpus some paths lie
+    below each cap and some reach it; on the grid over 95 % of the paths
+    reach cap 3, so the pass skips the writes of most of them."""
+    at_cap: Counter[int] = Counter()
+    total = 0
+    for spec, l, _ in _locality_suite():
+        g = generate(spec)[0]
+        at_cap += capped_depths_are_min_s_of_the_true_depths(g, l, (1, 2, 3))
+        total += 3 * len(enumerate_paths(g, l))
+    assert at_cap[1] == total and 0 < at_cap[8] < at_cap[3] < at_cap[2] < total
+    g, _ = generate(InstanceSpec("grid", params={"rows": 30, "cols": 40}, gen_seed=3))
+    n = len(enumerate_paths(g, 6))
+    assert capped_depths_are_min_s_of_the_true_depths(g, 6, (1, 2, 3))[3] > 0.95 * 3 * n
 
 
 def test_hash_label_is_the_seed_keyed_blake2b_of_the_canonical_key():
