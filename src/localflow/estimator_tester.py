@@ -108,8 +108,7 @@ def run_tester(g: ColoredGraph, cfg: TesterConfig, *, exhaustive: bool = False) 
         chosen = [ids[rng.randrange(len(ids))] for _ in range(cfg.k)]
 
     index = _PathIndex(g, cfg.l)
-    evaluators = {seed: LocalEvaluator(g, cfg.l, cfg.s, seed, index=index)
-                  for seed in dict.fromkeys(cfg.seeds)}
+    evaluators = {seed: LocalEvaluator(index, cfg.s, seed) for seed in dict.fromkeys(cfg.seeds)}
     multiplicity = Counter(chosen)
     distinct_sources = sorted(v for v in multiplicity if g.node(v).color == "S")
     ticks = parallel_map(lambda v: source_ball_summand(g, v, cfg, evaluators), distinct_sources)

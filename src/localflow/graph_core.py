@@ -106,19 +106,12 @@ class ColoredGraph:
         return len(self.nodes)
 
     def node(self, node_id: int) -> Node:
-        """The node with this id; an id that is not a plain int (a bool, a
-        float, a string) names no node."""
-        nd = self._node_by_id.get(node_id) if type(node_id) is int else None
-        if nd is None:
-            raise ValueError(f"unknown node id {node_id!r}")
-        return nd
+        """The node with this id (``_by_id``)."""
+        return _by_id(self._node_by_id, node_id, "node")
 
     def edge(self, edge_id: int) -> Edge:
-        """The edge with this id; an id that is not a plain int names no edge."""
-        e = self._edge_by_id.get(edge_id) if type(edge_id) is int else None
-        if e is None:
-            raise ValueError(f"unknown edge id {edge_id!r}")
-        return e
+        """The edge with this id (``_by_id``)."""
+        return _by_id(self._edge_by_id, edge_id, "edge")
 
     @cached_property
     def _sorted_node_ids(self) -> tuple[int, ...]:
@@ -127,6 +120,17 @@ class ColoredGraph:
 
     def nodes_of_color(self, color: str) -> list[int]:
         return sorted(nd.id for nd in self.nodes if nd.color == color)
+
+
+def _by_id(table: Mapping, item_id: int, kind: str):
+    """The item with this id in a graph's ``_node_by_id`` or ``_edge_by_id``
+    table; an id that is not a plain int (a bool, a float, a string) names
+    none.  ``ColoredGraph.node`` and ``.edge`` and the query tree, which
+    reads the tables through its path index, all look ids up here."""
+    got = table.get(item_id) if type(item_id) is int else None
+    if got is None:
+        raise ValueError(f"unknown {kind} id {item_id!r}")
+    return got
 
 
 def _lookups(nodes: Sequence[Node], edges: Sequence[Edge]) -> tuple[dict, dict, dict]:

@@ -8,15 +8,17 @@ final value to a ball around it.  ``LocalEvaluator`` computes that value
 without a sweep, as a memoised query tree over the paths through the edge and
 their predecessors, reading nothing beyond s*(l-1) hops of the edge: one
 evaluator per labelling seed, on a path index that depends on no seed and
-that evaluators at several seeds share.  A local query (``local_f2_edge``,
-and the tester's) is that tree on the whole graph: it reads only what the
-tree reads.  An evaluator may instead answer on the subgraph a ball
-induces, keeping the paths that lie inside the ball rather than building
-the subgraph.  ``verify_locality`` answers each edge on g and records what
-the query read; where the reads leave the edge's ball of radius s*(l-1),
-it answers again on the ball.  It checks edge by edge that the value is the
-global run's bit for bit, so the locality the queries rely on is checked,
-not assumed.  A run returns its flow and its trace (``RunTrace``): the
+that evaluators at several seeds share.  The index is the tree's one view
+of the graph: the evaluator reads every node, edge and adjacency through
+it.  A local query (``local_f2_edge``, and the tester's) is that tree on
+an index of the whole graph: it reads only what the tree reads.  An
+evaluator may instead answer on the subgraph a ball induces, keeping the
+paths that lie inside the ball rather than building the subgraph.
+``verify_locality`` answers each edge on g and records what the query
+read; where the reads leave the edge's ball of radius s*(l-1), it answers
+again on the ball.  It checks edge by edge that the value is the global
+run's bit for bit, so the locality the queries rely on is checked, not
+assumed.  A run returns its flow and its trace (``RunTrace``): the
 paths in the order swept and one int per path.
 """
 
@@ -36,6 +38,7 @@ from .graph_core import (
     ColoredGraph,
     DirectedEdgeRef,
     Flow,
+    _by_id,
     _int_field,
     _orientation_error,
     _residual_flow,
@@ -231,9 +234,11 @@ def local_f2_edge(g: ColoredGraph, e: DirectedEdgeRef, cfg: RunConfig) -> int:
     in ``LocalEvaluator``), so it reads only the ball h_{s*(l-1)}(e) without
     building it, and it labels paths by their ids, as a global run does: the
     result equals the global value exactly.  ``verify_locality`` checks this
-    on the ball itself.
+    on the ball itself.  e must be a ``DirectedEdgeRef``.
     """
-    return LocalEvaluator(g, cfg.l, cfg.require_s(), cfg.seed).f2_on(e)
+    if not isinstance(e, DirectedEdgeRef):
+        raise ValueError(f"bad field 'e': expected an edge, got {e!r}")
+    return LocalEvaluator(_PathIndex(g, cfg.l), cfg.require_s(), cfg.seed).f2_on(e)
 
 
 class LocalityMismatch(NamedTuple):
@@ -301,8 +306,10 @@ def verify_locality(
     f2_global, _ = run_a2(g, cfg)
     ranks = {u.canonical_key: i for i, u in enumerate(_global_order(g, l, seed))}
     per_graph = _PATH_CACHE.setdefault(g, {})
-    index = per_graph.setdefault((l, "tree"), _PathIndex(g, l))
-    ev = LocalEvaluator(g, l, s, seed, index=index, keys=ranks)
+    index = per_graph.get((l, "tree"))
+    if index is None:
+        index = per_graph[l, "tree"] = _PathIndex(g, l)
+    ev = LocalEvaluator(index, s, seed, keys=ranks)
     balls = per_graph.setdefault((rad, "balls"), {})
     mismatches = []
     for ref in edge_sample:
@@ -311,7 +318,7 @@ def verify_locality(
             ball = balls[ref.edge_id] = ball_nodes(g, ref, rad)
         got_local = ev.f2_on(ref)
         if not ev._holds_reads(ref.edge_id, ball):
-            on_ball = LocalEvaluator(g, l, s, seed, ball=ball, index=index, keys=ranks)
+            on_ball = LocalEvaluator(index, s, seed, ball=ball, keys=ranks)
             got_local = on_ball.f2_on(ref)
         got_global = int(f2_global.on(ref))
         if got_global != got_local:
@@ -362,17 +369,20 @@ class LocalEvaluator:
     g, and ``verify_locality`` checks the claim on the balls of radius
     ``_ball_radius``.
 
-    An evaluator is the query tree of one seed.  The paths through each
-    edge come from ``index``, a ``_PathIndex`` on (g, l), which depends on
-    no seed: a fresh one unless given, so a local query costs what the
-    paper bounds; the tester shares one across the evaluators of its seeds,
-    and ``verify_locality`` one per (g, l).  An evaluator given a
-    ``ball`` answers on the subgraph the ball induces, which is never built:
-    the paths of that subgraph through an edge are exactly the paths of g
-    through it whose nodes all lie in the ball, so the evaluator keeps only
-    those, before keying and sorting them, and an edge with an endpoint
-    outside the ball, or a node outside it, raises ``ValueError``, as on
-    the subgraph.
+    An evaluator is the query tree of one seed on ``index``, a
+    ``_PathIndex`` on (g, l), which depends on no seed and is the tree's
+    one view of the graph: the paths through each edge come from it, and
+    every node, edge and adjacency the tree reads is read from the index's
+    tables (``_node_by_id``, ``_edge_by_id``, ``_adj``).  So the evaluator
+    holds no graph, and its l is the index's.  A local query builds a fresh
+    index, so it costs what the paper bounds; the tester shares one across
+    the evaluators of its seeds, and ``verify_locality`` one per (g, l).
+    An evaluator given a ``ball`` answers on the subgraph the ball induces,
+    which is never built: the paths of that subgraph through an edge are
+    exactly the paths of g through it whose nodes all lie in the ball, so
+    the evaluator keeps only those, before keying and sorting them, and an
+    edge with an endpoint outside the ball, or a node outside it, raises
+    ``ValueError``, as on the subgraph.
 
     The memo lives as long as the evaluator, keyed by canonical key.
     ``keys`` holds the order keys, which may be shared with another
@@ -389,20 +399,20 @@ class LocalEvaluator:
     query on g read, the value on the subgraph the ball induces is the
     value on g (``_holds_reads``).  A path's key travels with it in its
     list entry, so the recursion over depths and amounts never looks one up.
-    The graph is valid by construction, so its nodes and edges, and the
-    paths found on it, are read unchecked, and l and s come from a checked
-    config; every amount and returned value is checked against the
-    invariants of a valid flow.
+    The graph is valid by construction, so the index's tables and the
+    paths found on it are read unchecked, except the edge or node id a
+    caller names, which is looked up as ``ColoredGraph.edge`` and ``.node``
+    look it up (``_by_id``); l and s come from a checked config; every
+    amount and returned value is checked against the invariants of a valid
+    flow.
     """
 
-    def __init__(self, g: ColoredGraph, l: int, s: int, seed: int, *,
-                 ball: frozenset[int] | None = None, index: _PathIndex | None = None,
-                 keys: dict[bytes, _Key] | None = None):
-        self.g = g
+    def __init__(self, index: _PathIndex, s: int, seed: int, *,
+                 ball: frozenset[int] | None = None, keys: dict[bytes, _Key] | None = None):
+        self.index = index
         self.s = s
         self.seed = seed
         self.ball = ball
-        self.index = _PathIndex(g, l) if index is None else index
         self.keys = {} if keys is None else keys
         self.lists: dict[int, list[tuple[_Key, AugPathCandidate, int]]] = {}
         self.depths: list[dict[bytes, int]] = [{} for _ in range(s + 1)]  # by cap k
@@ -411,7 +421,7 @@ class LocalEvaluator:
 
     def f2_on(self, e: DirectedEdgeRef) -> int:
         """A2's value at e under the evaluator's seed, on its graph."""
-        edge = self.g.edge(e.edge_id)
+        edge = _by_id(self.index._edge_by_id, e.edge_id, "edge")
         ball = self.ball
         if ball is not None and (edge.a not in ball or edge.b not in ball):
             raise ValueError(f"unknown edge id {edge.id}")
@@ -439,8 +449,8 @@ class LocalEvaluator:
         reached at cap k under h(u, s) has h(v, k) <= h(u, s) - (s - k) < k,
         so no depth computation under u returns early: h(u, s) read every
         such chain, and its read set holds every node the amount read."""
-        g = self.g
-        if len(ball) >= g.n and ball.issuperset(g._node_by_id):
+        nodes = self.index._node_by_id
+        if len(ball) >= len(nodes) and ball.issuperset(nodes):
             return True
         reads = self.reads[self.s]
         for _, u, _ in self._ordered(eid):
@@ -458,13 +468,13 @@ class LocalEvaluator:
         incident edges: such a path is vertex-simple, so it uses exactly
         one of them and is counted once.
         """
-        g = self.g
-        color = g.node(v).color
+        index = self.index
+        color = _by_id(index._node_by_id, v, "node").color
         if self.ball is not None and v not in self.ball:
             raise ValueError(f"unknown node id {v!r}")
-        edge, s = g._edge_by_id, self.s
+        edge, s = index._edge_by_id, self.s
         total = cap_out = cap_in = 0
-        for arc in g._adj[v][1::2]:  # v's arcs, each leaving v
+        for arc in index._adj[v][1::2]:  # v's arcs, each leaving v
             e = edge[arc >> 1]
             if arc & 1:  # e read BA
                 cap_out += e.cap_ba
@@ -538,7 +548,7 @@ class LocalEvaluator:
         ck = u.canonical_key
         got = self.amounts.get(ck)
         if got is None:
-            edge = self.g._edge_by_id
+            edge = self.index._edge_by_id
             for arc in u.arcs:
                 eid = arc >> 1
                 f_ab = 0

@@ -39,7 +39,7 @@ from itertools import chain
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .graph_core import AB, BA, ColoredGraph, DirectedEdgeRef
+from .graph_core import AB, BA, ColoredGraph, DirectedEdgeRef, _int_field
 
 _MASK64 = (1 << 64) - 1
 
@@ -114,7 +114,11 @@ def _labeller(seed: int) -> Callable[[], "hashlib.blake2b"]:
 
 
 def path_key(u: AugPathCandidate, seed: int) -> OrderKey:
-    """Deterministic order key; stable across machines, runs and subgraphs."""
+    """Deterministic order key; stable across machines, runs and subgraphs.
+    A seed that is not a plain int is refused: a bool or an integral float
+    would label as the int it equals."""
+    if type(seed) is not int:
+        _int_field({"seed": seed}, "seed", "path_key")  # raises
     ck = u.canonical_key
     h = _labeller(seed)()
     h.update(ck)
@@ -200,10 +204,11 @@ def enumerate_paths(g: ColoredGraph, l: int) -> list[AugPathCandidate]:
     checked here.  Each path is found once, from its S end, by
     ``_simple_walks`` with cap l.  A graph with more than ``_MAX_WALKS``
     non-backtracking S->T walks of at most l edges is refused before any
-    path is listed, and one with none is not searched.
+    path is listed, and one with none is not searched.  l must be a plain
+    int, checked before the cache is read, since 2.0 and True hash and
+    compare as the ints 2 and 1.
     """
-    if l < 1:
-        raise ValueError(f"bad field 'l': expected a path length cap >= 1, got {l}")
+    _int_field({"l": l}, "l", "enumerate_paths", minimum=1)
     per_graph = _PATH_CACHE.setdefault(g, {})
     cached = per_graph.get(l)
     if cached is not None:
@@ -295,7 +300,9 @@ class _PathIndex:
     paths through an edge are listed once per edge id and shared by both
     orientations and every seed.  The index holds g's tables, not g, so the
     path cache, which holds ``verify_locality``'s index per (g, l), never
-    keeps a graph alive.
+    keeps a graph alive.  It is the query tree's one view of g:
+    ``LocalEvaluator`` reads g's nodes, edges and adjacency only through
+    ``_node_by_id``, ``_edge_by_id`` and ``_adj`` here.
     """
 
     def __init__(self, g: ColoredGraph, l: int):

@@ -73,7 +73,7 @@ from localflow.local_flow import (
     run_a1,
     run_a2,
 )
-from localflow.path_engine import AugPathCandidate, enumerate_paths, path_key
+from localflow.path_engine import AugPathCandidate, _PathIndex, enumerate_paths, path_key
 
 
 def bfs_ball(g: ColoredGraph, start_nodes: list[int], r: int) -> set[int]:
@@ -127,7 +127,7 @@ def reference_locality_report(g: ColoredGraph, cfg: RunConfig, refs: list[Direct
     for ref in refs:
         e = g.edge(ref.edge_id)
         sub = full_scan_subgraph(g, bfs_ball(g, [e.a, e.b], radius))
-        local = LocalEvaluator(sub, l, s, seed).f2_on(ref)
+        local = LocalEvaluator(_PathIndex(sub, l), s, seed).f2_on(ref)
         if local != f2.on(ref):
             mismatches.append(LocalityMismatch(ref, f2.on(ref), local))
     return LocalityReport(len(refs), tuple(mismatches))

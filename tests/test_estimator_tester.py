@@ -130,9 +130,9 @@ def test_source_summand_is_zero_at_r_and_t_nodes_without_a_query():
         def outflow(self, v):
             raise AssertionError(f"outflow asked at node {v}")
 
-    silent = {seed: NoQuery(g, 2, 2, seed) for seed in cfg.seeds}
+    silent = {seed: NoQuery(_PathIndex(g, 2), 2, seed) for seed in cfg.seeds}
     assert [source_ball_summand(g, v, cfg, silent) for v in (1, 2)] == [0, 0]
-    evaluators = {seed: LocalEvaluator(g, 2, 2, seed) for seed in cfg.seeds}
+    evaluators = {seed: LocalEvaluator(_PathIndex(g, 2), 2, seed) for seed in cfg.seeds}
     assert source_ball_summand(g, 0, cfg, evaluators) == 6  # 3 per seed
 
 
@@ -182,9 +182,9 @@ def test_every_out_edge_ball_fits_in_the_vertex_ball():
 def outflow_reads(ev: LocalEvaluator, v: int) -> set[int]:
     """The nodes ``ev.outflow(v)``, already asked, read: those of each path
     that starts or ends at v, and of that path's depth read set at cap s."""
-    g, s = ev.g, ev.s
+    s = ev.s
     reads: set[int] = set()
-    for arc in g._adj[v][1::2]:
+    for arc in ev.index._adj[v][1::2]:
         for _, u, _ in ev._ordered(arc >> 1):
             if v in (u.nodes[0], u.nodes[-1]):
                 reads.update(u.nodes, ev.reads[s][u.canonical_key])
@@ -206,7 +206,7 @@ def test_an_outflow_reads_only_inside_the_tester_radius():
             index = _PathIndex(g, l)
             most = 0
             for seed in cfg.seeds:
-                ev = LocalEvaluator(g, l, s, seed, index=index)
+                ev = LocalEvaluator(index, s, seed)
                 for v in g.nodes_of_color("S"):
                     ev.outflow(v)
                     reads = outflow_reads(ev, v)
@@ -261,7 +261,7 @@ def test_tester_summands_equal_the_out_edge_reference_without_an_edge_query(monk
     for i, spec in enumerate(ac9_specs()):
         g, _ = generate(spec)
         cfg = TesterConfig(l=3, s=2, seeds=(1, 2, 3), k=60, sample_seed=i)
-        reference = {seed: LocalEvaluator(g, cfg.l, cfg.s, seed) for seed in cfg.seeds}
+        reference = {seed: LocalEvaluator(_PathIndex(g, cfg.l), cfg.s, seed) for seed in cfg.seeds}
         for exhaustive in (False, True):
             monkeypatch.setattr(LocalEvaluator, "f2_on", counting)
             rep = run_tester(g, cfg, exhaustive=exhaustive)

@@ -508,9 +508,20 @@ def test_edge_queries_refuse_an_edge_id_that_is_no_plain_int(bad_id):
     with pytest.raises(ValueError, match=msg):
         local_f2_edge(g, ref, cfg)
     with pytest.raises(ValueError, match=msg):
-        LocalEvaluator(g, cfg.l, cfg.s, cfg.seed).f2_on(ref)
+        LocalEvaluator(_PathIndex(g, cfg.l), cfg.s, cfg.seed).f2_on(ref)
     with pytest.raises(ValueError, match=msg):
         verify_locality(g, cfg, [ref])
+
+
+@pytest.mark.parametrize("e", [(0, "AB"), 0, None])
+def test_a_local_query_refuses_an_edge_that_is_no_edge_ref(e):
+    """As ``verify_locality`` refuses a sample item that is no
+    ``DirectedEdgeRef``, a local query refuses such an edge by name."""
+    g = line_graph("SRT")
+    cfg = RunConfig(l=2, s=2, seed=0)
+    assert local_f2_edge(g, DirectedEdgeRef(0, "AB"), cfg) == 4
+    with pytest.raises(ValueError, match=re.escape(f"bad field 'e': expected an edge, got {e!r}")):
+        local_f2_edge(g, e, cfg)
 
 
 def test_verify_locality_refuses_a_bare_edge_as_its_sample():
@@ -645,7 +656,7 @@ def test_local_queries_never_scan_the_whole_graph(monkeypatch):
     nodes, edges = watch_scans(g)
     local = [local_f2_edge(g, ref, cfg) for ref in refs]
     assert balls == []  # a local query runs the tree on g, which reads only its ball
-    ev = LocalEvaluator(g, 3, 2, 8)
+    ev = LocalEvaluator(_PathIndex(g, 3), 2, 8)
     cached = [ev.f2_on(ref) for ref in refs]
     assert (nodes.scans, edges.scans) == (0, 0)
     f2, _ = run_a2(g, cfg)
@@ -669,7 +680,7 @@ def test_evaluator_enumerates_paths_through_each_edge_once(monkeypatch):
     edge_ids = [e.id for e in g.edges[:12]]
     index = _PathIndex(g, 3)
     for seed in (1, 2, 3):
-        ev = LocalEvaluator(g, 3, 2, seed, index=index)
+        ev = LocalEvaluator(index, 2, seed)
         for eid in edge_ids:
             ab = ev.f2_on(DirectedEdgeRef(eid, "AB"))
             assert ev.f2_on(DirectedEdgeRef(eid, "BA")) == -ab
@@ -698,7 +709,7 @@ def test_query_tree_matches_global_run_and_ball_rerun(spec, l, s):
     for seed in (1, 2, 3, 4, 5):
         cfg = RunConfig(l=l, s=s, seed=seed)
         f2, _ = run_a2(g, cfg)
-        ev = LocalEvaluator(g, l, s, seed, index=index)
+        ev = LocalEvaluator(index, s, seed)
         for e in g.edges:
             on_ball = ball_evaluator(g, l, s, seed, ball_nodes(g, DirectedEdgeRef(e.id, "AB"),
                                                                 _ball_radius(l, s)))
@@ -725,7 +736,7 @@ def test_query_tree_stays_within_radius_s_times_l_minus_one():
         sub = induced_subgraph(g, set(ball))
         index = _PathIndex(sub, l)
         for seed, f2 in f2s.items():
-            ev = LocalEvaluator(sub, l, s, seed, index=index)
+            ev = LocalEvaluator(index, s, seed)
             for eid in eids:
                 ref = DirectedEdgeRef(eid, "AB")
                 assert ev.f2_on(ref) == f2.on(ref), (ref, seed)
@@ -762,7 +773,7 @@ def ball_evaluator(g: ColoredGraph, l: int, s: int, seed: int,
                    ball: frozenset[int]) -> LocalEvaluator:
     """An evaluator at seed on the subgraph ``ball`` induces that shares the
     path cache's index on (g, l), as ``verify_locality``'s ball evaluators do."""
-    return LocalEvaluator(g, l, s, seed, ball=ball, index=shared_index(g, l))
+    return LocalEvaluator(shared_index(g, l), s, seed, ball=ball)
 
 
 def shared_index(g: ColoredGraph, l: int) -> _PathIndex:
@@ -841,7 +852,7 @@ def test_reads_stay_inside_the_default_radius_on_the_ac5_corpus(monkeypatch):
 
 
 class RecordingTable(dict):
-    """A graph table that records each key it is indexed by."""
+    """A graph table that records each key it is indexed or looked up by."""
 
     def __init__(self, table: dict):
         super().__init__(table)
@@ -851,14 +862,34 @@ class RecordingTable(dict):
         self.read.add(key)
         return dict.__getitem__(self, key)
 
+    def get(self, key, default=None):
+        self.read.add(key)
+        return dict.get(self, key, default)
+
+
+def recording_index(g: ColoredGraph, l: int) -> tuple[_PathIndex, tuple[RecordingTable, ...]]:
+    """A fresh path index on (g, l) whose three tables, the query tree's one
+    view of g, record what is read: (adjacency, colours, edges)."""
+    index = _PathIndex(g, l)
+    tables = tuple(RecordingTable(t) for t in (g._adj, g._node_by_id, g._edge_by_id))
+    index._adj, index._node_by_id, index._edge_by_id = tables
+    return index, tables
+
+
+def touched(g: ColoredGraph, colours: RecordingTable, edges: RecordingTable) -> set[int]:
+    """The nodes whose colour was read and both endpoints of each edge read."""
+    return colours.read.union(*((g.edge(eid).a, g.edge(eid).b) for eid in edges.read))
+
 
 @pytest.mark.parametrize("l, s", [(3, 2), (4, 2), (6, 3)])
 def test_the_query_tree_touches_nothing_beyond_its_radius(l, s):
-    """What a fresh query's path index touches, not only what its values
-    read: every node whose colour it reads lies within s*(l-1) hops of the
-    edge, and every node whose adjacency it reads within s*(l-1) - 1, so
-    each neighbour that adjacency names lies within s*(l-1) too.  At (3, 2)
-    and (4, 2) colour reads reach the bound on both instances."""
+    """What a fresh query touches through its path index, the evaluator's
+    own lookups included, not only what its values read: every node whose
+    colour it reads, and both endpoints of every edge it reads, lie within
+    s*(l-1) hops of the edge, and every node whose adjacency it reads within
+    s*(l-1) - 1, so each neighbour that adjacency names lies within s*(l-1)
+    too.  At (3, 2) and (4, 2) colour reads reach the bound on both
+    instances."""
     radius = _ball_radius(l, s)
     for g in (ac5_instance(), ci_grid()):
         reached = False
@@ -866,12 +897,33 @@ def test_the_query_tree_touches_nothing_beyond_its_radius(l, s):
             ref = DirectedEdgeRef(e.id, "AB")
             inner, ball = ball_nodes(g, ref, radius - 1), ball_nodes(g, ref, radius)
             for seed in (1, 2, 3):
-                index = _PathIndex(g, l)
-                index._adj = adj = RecordingTable(g._adj)
-                index._node_by_id = colours = RecordingTable(g._node_by_id)
-                LocalEvaluator(g, l, s, seed, index=index).f2_on(ref)
-                assert colours.read <= ball, (e.id, seed)
+                index, (adj, colours, edges) = recording_index(g, l)
+                LocalEvaluator(index, s, seed).f2_on(ref)
+                assert e.id in edges.read
+                assert touched(g, colours, edges) <= ball, (e.id, seed)
                 assert adj.read <= inner, (e.id, seed)
+                reached = reached or not colours.read <= inner
+        if (l, s) != (6, 3):
+            assert reached, g.n
+
+
+@pytest.mark.parametrize("l, s", [(3, 2), (4, 2), (6, 3)])
+def test_an_outflow_touches_nothing_beyond_the_tester_radius(l, s):
+    """The same for a fresh ``outflow`` at every S node, against the
+    tester's radius r = s*(l-1) + 1: colour and edge reads lie within r
+    hops of the node, and adjacency reads within r - 1.  At (3, 2) and
+    (4, 2) colour reads reach r on both instances."""
+    r = TesterConfig(l=l, s=s, seeds=(1,)).r
+    for g in (ac5_instance(), ci_grid()):
+        reached = False
+        for v in g.nodes_of_color("S"):
+            inner, ball = ball_nodes(g, v, r - 1), ball_nodes(g, v, r)
+            for seed in (1, 2, 3):
+                index, (adj, colours, edges) = recording_index(g, l)
+                LocalEvaluator(index, s, seed).outflow(v)
+                assert v in colours.read and v in adj.read
+                assert touched(g, colours, edges) <= ball, (v, seed)
+                assert adj.read <= inner, (v, seed)
                 reached = reached or not colours.read <= inner
         if (l, s) != (6, 3):
             assert reached, g.n
@@ -887,7 +939,7 @@ def test_read_sets_do_not_depend_on_the_order_of_queries():
     node of g, so no answer comes from the test for a ball that is g."""
     g = ac5_instance()
     l, s = 6, 3
-    ev = LocalEvaluator(g, l, s, 1)
+    ev = LocalEvaluator(_PathIndex(g, l), s, 1)
     for e in g.edges[::10]:
         ev.f2_on(DirectedEdgeRef(e.id, "AB"))
     for v in sorted(nd.id for nd in g.nodes)[::10]:
@@ -918,7 +970,7 @@ def test_an_amount_reads_inside_its_paths_depth_read_set():
         for s in (2, 3, 4):
             index = _PathIndex(g, l)
             for seed in (1, 2):
-                ev = LocalEvaluator(g, l, s, seed, index=index)
+                ev = LocalEvaluator(index, s, seed)
                 for e in g.edges:
                     ev.f2_on(DirectedEdgeRef(e.id, "AB"))
                 depths = chain_depth_all(enumerate_paths(g, l), seed).values()
@@ -960,7 +1012,8 @@ def ranks_answer_as_path_keys(g: ColoredGraph, l: int, s: int, seed: int) -> Non
     outflow at every node, and the same read sets, which decide where
     ``verify_locality`` makes a ball evaluator."""
     ranks = {u.canonical_key: i for i, u in enumerate(_global_order(g, l, seed))}
-    ranked, keyed = LocalEvaluator(g, l, s, seed, keys=ranks), LocalEvaluator(g, l, s, seed)
+    ranked = LocalEvaluator(_PathIndex(g, l), s, seed, keys=ranks)
+    keyed = LocalEvaluator(_PathIndex(g, l), s, seed)
     for e in g.edges:
         for orientation in ("AB", "BA"):
             ref = DirectedEdgeRef(e.id, orientation)
@@ -1018,7 +1071,7 @@ def test_ba_refs_are_negated_and_bad_orientations_refused_on_g(monkeypatch):
     cfg = RunConfig(l=l, s=s, seed=1)
     f2, _ = run_a2(g, cfg)
     made = counted_evaluators(monkeypatch)
-    ev = LocalEvaluator(g, l, s, 1)
+    ev = LocalEvaluator(_PathIndex(g, l), s, 1)
     nonzero = 0
     for e in g.edges:
         ab, ba = DirectedEdgeRef(e.id, "AB"), DirectedEdgeRef(e.id, "BA")
@@ -1068,7 +1121,7 @@ def test_ball_view_equals_evaluator_on_induced_subgraph(spec, l, s):
             induced = induced_subgraph(g, ball)
             index = _PathIndex(induced, l)
             for seed in (1, 2, 3):
-                sub = LocalEvaluator(induced, l, s, seed, index=index)
+                sub = LocalEvaluator(index, s, seed)
                 on_ball = ball_evaluator(g, l, s, seed, ball)
                 for ref in ball_refs:
                     assert on_ball.f2_on(ref) == sub.f2_on(ref), (ref, radius, seed)
@@ -1079,8 +1132,8 @@ def test_ball_view_refuses_an_edge_outside_the_ball():
     one on the subgraph the ball induces does."""
     g = line_graph("SRRRT")
     ball = ball_nodes(g, DirectedEdgeRef(0, "AB"), 1)  # nodes 0, 1, 2
-    sub = LocalEvaluator(induced_subgraph(g, ball), 3, 2, 1)
-    on_ball = LocalEvaluator(g, 3, 2, 1, ball=ball)
+    sub = LocalEvaluator(_PathIndex(induced_subgraph(g, ball), 3), 2, 1)
+    on_ball = LocalEvaluator(_PathIndex(g, 3), 2, 1, ball=ball)
     for ev in (on_ball, sub):
         for eid in (2, 3, 12):  # one endpoint outside, both outside, no such edge
             with pytest.raises(ValueError, match=f"unknown edge id {eid}"):
@@ -1089,7 +1142,8 @@ def test_ball_view_refuses_an_edge_outside_the_ball():
             with pytest.raises(ValueError, match=f"unknown node id {v}"):
                 ev.outflow(v)
     assert on_ball.f2_on(DirectedEdgeRef(1, "BA")) == on_ball.outflow(0) == 0
-    assert LocalEvaluator(g, 3, 2, 1).f2_on(DirectedEdgeRef(2, "AB")) == 0  # g has edge 2
+    on_g = LocalEvaluator(_PathIndex(g, 3), 2, 1)
+    assert on_g.f2_on(DirectedEdgeRef(2, "AB")) == 0  # g has edge 2
 
 
 def test_a_ball_of_as_many_ids_as_g_has_nodes_is_not_taken_for_g():
@@ -1099,14 +1153,14 @@ def test_a_ball_of_as_many_ids_as_g_has_nodes_is_not_taken_for_g():
     subgraph it induces."""
     g = line_graph("SRRT", cap=3)
     ref = DirectedEdgeRef(0, "AB")
-    ev = LocalEvaluator(g, 3, 2, 1)
+    ev = LocalEvaluator(_PathIndex(g, 3), 2, 1)
     assert ev.f2_on(ref) == 3
     assert ev._holds_reads(0, frozenset({0, 1, 2, 3}))
     foreign = frozenset({0, 1, 2, 99})
     assert len(foreign) == g.n
     assert not ev._holds_reads(0, foreign)
-    assert LocalEvaluator(g, 3, 2, 1, ball=foreign).f2_on(ref) == \
-        LocalEvaluator(induced_subgraph(g, foreign), 3, 2, 1).f2_on(ref) == 0
+    assert LocalEvaluator(_PathIndex(g, 3), 2, 1, ball=foreign).f2_on(ref) == \
+        LocalEvaluator(_PathIndex(induced_subgraph(g, foreign), 3), 2, 1).f2_on(ref) == 0
 
 
 def arc_ends(g: ColoredGraph, arc: int) -> tuple[int, int]:
@@ -1146,7 +1200,7 @@ def test_each_path_is_built_once_and_each_arc_searched_once(monkeypatch):
         searched = counted_branches(monkeypatch)
         index = _PathIndex(g, 4)
         for seed in (1, 2):
-            ev = LocalEvaluator(g, 4, 3, seed, index=index)
+            ev = LocalEvaluator(index, 3, seed)
             for ref in refs:
                 ev.f2_on(ref)
         monkeypatch.undo()
@@ -1177,7 +1231,7 @@ def test_an_edge_with_no_path_grows_one_branch_per_endpoint(monkeypatch):
 
     def searched_arcs() -> list[int]:
         searched = counted_branches(monkeypatch)
-        ev = LocalEvaluator(g, 4, 2, 1)
+        ev = LocalEvaluator(_PathIndex(g, 4), 2, 1)
         assert ev.f2_on(DirectedEdgeRef(6, "AB")) == 0
         monkeypatch.undo()
         assert ev.index._through == {6: ()}
@@ -1511,7 +1565,7 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
     queries = []
     index = _PathIndex(g, l)
     on: dict[tuple[frozenset[int] | None, int], LocalEvaluator] = {
-        (None, seed): LocalEvaluator(g, l, s, seed, index=index) for seed in (1, 2, 3)}
+        (None, seed): LocalEvaluator(index, s, seed) for seed in (1, 2, 3)}
     for e in g.edges:
         for orientation in ("AB", "BA"):
             ref = DirectedEdgeRef(e.id, orientation)
@@ -1534,13 +1588,13 @@ def test_one_evaluator_answers_each_ball_as_a_fresh_one_on_its_subgraph(g, l, s,
         sub = g if ball is None else induced_subgraph(g, ball)
         if isinstance(ref, int):  # a node id
             got = ev.outflow(ref)
-            assert got == LocalEvaluator(sub, l, s, seed).outflow(ref)
+            assert got == LocalEvaluator(_PathIndex(sub, l), s, seed).outflow(ref)
             if global_value:
                 assert got == net[seed][ref], (ref, seed)
                 assert sum(ev.f2_on(out) for out in out_edges(g, ref)) == got
             continue
         got = ev.f2_on(ref)
-        assert got == LocalEvaluator(sub, l, s, seed).f2_on(ref)
+        assert got == LocalEvaluator(_PathIndex(sub, l), s, seed).f2_on(ref)
         if global_value:
             assert got == f2[seed].on(ref), (ref, seed, ball)
 
@@ -1558,15 +1612,15 @@ def test_one_evaluator_holds_the_tables_of_one_ball_at_a_time():
     b1, b2 = ball_nodes(g, first, 2), ball_nodes(g, last, 2)
     assert b1 != b2
     on_g_index = _PathIndex(g, l)
-    on_g = {seed: LocalEvaluator(g, l, s, seed, index=on_g_index) for seed in (1, 2)}
+    on_g = {seed: LocalEvaluator(on_g_index, s, seed) for seed in (1, 2)}
     answers, tables, outside = [], [], 0
     for ball, seeds in ((b1, (1, 2)), (b2, (1,)), (b1, (1,))):
         sub = induced_subgraph(g, ball)
         index, sub_index = _PathIndex(g, l), _PathIndex(sub, l)
         evs = []
         for seed in seeds:
-            fresh = LocalEvaluator(sub, l, s, seed, index=sub_index)
-            ev = LocalEvaluator(g, l, s, seed, ball=ball, index=index)
+            fresh = LocalEvaluator(sub_index, s, seed)
+            ev = LocalEvaluator(index, s, seed, ball=ball)
             evs.append(ev)
             for e in sub.edges:
                 ref = DirectedEdgeRef(e.id, "AB")
@@ -1610,7 +1664,7 @@ def test_outflow_is_the_net_outflow_of_the_global_run(spec, l, s):
     by_color = {"R": set(), "S": set(), "T": set()}
     for seed in (1, 2, 3):
         f2, _ = run_a2(g, RunConfig(l=l, s=s, seed=seed))
-        ev = LocalEvaluator(g, l, s, seed, index=index)
+        ev = LocalEvaluator(index, s, seed)
         for v, want in net_outflows(g, f2).items():
             assert ev.outflow(v) == want, (v, seed)
             assert sum(ev.f2_on(ref) for ref in out_edges(g, v)) == want, (v, seed)
@@ -1625,13 +1679,13 @@ def test_outflow_checks_its_result_against_the_nodes_invariant(monkeypatch):
     node's net outflow below 0 or above the capacity leaving it, a T node's
     below minus the capacity entering it."""
     g = line_graph("SRT", cap=3)
-    assert LocalEvaluator(g, 2, 2, 1).outflow(0) == 3
+    assert LocalEvaluator(_PathIndex(g, 2), 2, 1).outflow(0) == 3
     for amount in (-1, 4):
         monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, ku, u, amount=amount: amount)
         with pytest.raises(AssertionError, match=rf"outflow {amount} at S node 0 outside \[0, 3\]"):
-            LocalEvaluator(g, 2, 2, 1).outflow(0)
+            LocalEvaluator(_PathIndex(g, 2), 2, 1).outflow(0)
     with pytest.raises(AssertionError, match=r"net outflow -4 at T node 2 outside \[-3, 0\]"):
-        LocalEvaluator(g, 2, 2, 1).outflow(2)
+        LocalEvaluator(_PathIndex(g, 2), 2, 1).outflow(2)
 
 
 def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
@@ -1641,7 +1695,7 @@ def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
     g = line_graph("SRT", cap=3)
     monkeypatch.setattr(LocalEvaluator, "_amount", lambda self, ku, u: 4)
     with pytest.raises(AssertionError, match="value 4 on edge 0 outside its capacities"):
-        LocalEvaluator(g, 2, 2, 1).f2_on(DirectedEdgeRef(0, "AB"))
+        LocalEvaluator(_PathIndex(g, 2), 2, 1).f2_on(DirectedEdgeRef(0, "AB"))
     monkeypatch.undo()
     # Paths 0-2-3 and 1-2-3 share edge 2; at s=3 neither is skipped.
     g = build_graph("SSRT", [(0, 2, 3, 3), (1, 2, 3, 3), (2, 3, 3, 3)])
@@ -1653,7 +1707,7 @@ def test_f2_on_checks_its_value_and_each_amount_it_builds_on(monkeypatch):
 
     monkeypatch.setattr(LocalEvaluator, "_amount", overflowing)
     with pytest.raises(AssertionError, match="negative amount -1 on path"):
-        LocalEvaluator(g, 2, 3, 1).f2_on(DirectedEdgeRef(2, "AB"))
+        LocalEvaluator(_PathIndex(g, 2), 3, 1).f2_on(DirectedEdgeRef(2, "AB"))
 
 
 def test_an_unknown_orientation_is_refused_not_read_as_ba():
@@ -1663,7 +1717,7 @@ def test_an_unknown_orientation_is_refused_not_read_as_ba():
     ref = DirectedEdgeRef(g.edges[0].id, "ab")
     msg = "bad field 'orientation': expected 'AB' or 'BA', got 'ab'"
     with pytest.raises(ValueError, match=msg):
-        LocalEvaluator(g, cfg.l, cfg.s, cfg.seed).f2_on(ref)
+        LocalEvaluator(_PathIndex(g, cfg.l), cfg.s, cfg.seed).f2_on(ref)
     with pytest.raises(ValueError, match=msg):
         local_f2_edge(g, ref, cfg)
     with pytest.raises(ValueError, match=msg):
@@ -1715,7 +1769,7 @@ def test_walk_search_equals_the_reference_search(spec):
         for ball in balls:
             sub = induced_subgraph(g, ball)
             want = naive_paths(sub, l)
-            on_ball = LocalEvaluator(g, l, 2, 1, ball=ball)
+            on_ball = LocalEvaluator(_PathIndex(g, l), 2, 1, ball=ball)
             for e in sub.edges:
                 got = on_ball._ordered(e.id)
                 assert [k for k, _, _ in got] == sorted(path_key(u, 1) for _, u, _ in got)

@@ -158,6 +158,27 @@ def test_path_key_is_deterministic():
     assert path_key(u, 42) != path_key(u, 43)
 
 
+@pytest.mark.parametrize("seed", [1.5, True, 1.0, "1", None])
+def test_path_key_refuses_a_seed_that_is_no_plain_int(seed):
+    """A float is refused by name rather than failing inside the hash, and
+    ``True`` and ``1.0`` are not labelled as seed 1."""
+    g = line_graph("SRT")
+    (u,) = enumerate_paths(g, 2)
+    path_key(u, 1)
+    with pytest.raises(ValueError, match=f"bad field 'seed' in path_key: .* got {seed!r}"):
+        path_key(u, seed)
+
+
+@pytest.mark.parametrize("l", [2.0, True, 1.0, "2", 0])
+def test_enumerate_paths_refuses_an_l_that_is_no_plain_int_before_the_cache(l):
+    """2.0 and True hash and compare as the ints 2 and 1, so a cache read
+    first would return the l=2 or l=1 list; l is checked before it."""
+    g = line_graph("SRT")
+    assert len(enumerate_paths(g, 2)) == 1 and enumerate_paths(g, 1) == []
+    with pytest.raises(ValueError, match=f"bad field 'l' in enumerate_paths: .* got {l!r}"):
+        enumerate_paths(g, l)
+
+
 def test_path_key_stable_inside_neighborhood_view():
     g = line_graph("SRTRR")
     (u,) = enumerate_paths(g, 2)
