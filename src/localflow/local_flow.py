@@ -180,6 +180,15 @@ def _sweep(
     is s, and one whose arcs all read s already writes nothing.  The trace
     is that order and one int per path, lined up with it: the amount, or
     ``_SKIPPED``.
+
+    An unskipped path whose first or last arc has no residual records
+    amount 0 without the minimum over its arcs; most paths end so.  This is
+    exact: residuals start at the capacities, which are at least 0, and an
+    augmentation takes the least residual of its path from each of the
+    path's arcs, so none goes below 0, and an end arc at 0 makes the
+    minimum 0.  Every amount the minimum computes is still checked to be
+    at least 0, and ``validate_flow`` checks the run's output on every
+    edge, where a negative residual shows as a capacity exceeded.
     """
     order = _global_order(g, l, seed)
     res = _residuals(g)
@@ -197,6 +206,9 @@ def _sweep(
             append(_SKIPPED)
             continue
         arcs = u.arcs
+        if not (res[arcs[0]] and res[arcs[-1]]):
+            append(0)
+            continue
         amount = min(map(room, arcs))
         if amount < 0:
             raise AssertionError(f"negative amount {amount} on path {u.canonical_key!r}")
@@ -402,13 +414,16 @@ class LocalEvaluator:
     The graph is valid by construction, so the index's tables and the
     paths found on it are read unchecked, except the edge or node id a
     caller names, which is looked up as ``ColoredGraph.edge`` and ``.node``
-    look it up (``_by_id``); l and s come from a checked config; every
+    look it up (``_by_id``); l comes from the index, and s is checked as
+    ``RunConfig`` checks it, a plain int of at least 1; every
     amount and returned value is checked against the invariants of a valid
     flow.
     """
 
     def __init__(self, index: _PathIndex, s: int, seed: int, *,
                  ball: frozenset[int] | None = None, keys: dict[bytes, _Key] | None = None):
+        if type(s) is not int or s < 1:
+            _int_field({"s": s}, "s", "LocalEvaluator", minimum=1)  # raises
         self.index = index
         self.s = s
         self.seed = seed

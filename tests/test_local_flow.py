@@ -5,6 +5,7 @@ import json
 import random
 import re
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from itertools import chain
 
@@ -128,6 +129,44 @@ def test_sweeps_on_arbitrary_graphs_equal_the_reference_sweep(g, l, seed):
         sweeps_equal_the_reference_sweep(g, (l,), (seed,))
     dense = sorted(e.id for e in g.edges) == list(range(len(g.edges)))
     assert set(shapes) == {list if dense else dict}
+
+
+def sweeps_scale_with_the_capacities(g: ColoredGraph, l: int, s: int, seed: int) -> int:
+    """A metamorphic relation, which needs no second implementation: with
+    every capacity and M times 3, the A1 and A2 flows on every edge, each
+    path's amount, and the max flow's value are times 3.  Skip decisions
+    read no capacity, and an amount is the least residual over its path's
+    arcs, so every residual and amount is times 3, and so is which of them
+    read 0.  Returns g's max flow value."""
+    scaled = ColoredGraph(g.nodes, tuple(replace(e, cap_ab=3 * e.cap_ab, cap_ba=3 * e.cap_ba)
+                                         for e in g.edges),
+                          g.degree_bound, 3 * g.capacity_bound_ticks, g.quantum)
+    for run, cfg in ((run_a1, RunConfig(l=l, seed=seed)), (run_a2, RunConfig(l=l, s=s, seed=seed))):
+        flow, trace = run(g, cfg)
+        flow3, trace3 = run(scaled, cfg)
+        assert flow3 == Flow({eid: 3 * v for eid, v in flow.values.items()}), (l, s, seed)
+        assert trace3.order == trace.order
+        # a skipped path's mark stays as it is
+        assert trace3.amounts == [a if a < 0 else 3 * a for a in trace.amounts], (l, s, seed)
+    best = max_flow(g).value
+    assert max_flow(scaled).value == 3 * best
+    return best
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(graphs(), st.integers(1, 4), st.integers(1, 3), st.integers(0, 3))
+def test_scaling_every_capacity_scales_both_sweeps_and_the_max_flow(g, l, s, seed):
+    sweeps_scale_with_the_capacities(g, l, s, seed)
+
+
+def test_scaling_every_capacity_scales_the_sweeps_on_the_ci_grid_and_ac5s_instance():
+    """The same relation where paths compete: few ``graphs()`` examples have
+    an S->T path at all."""
+    grid, _ = generate(InstanceSpec("grid", params={"rows": 6, "cols": 8}, gen_seed=3))
+    for g in (grid, ac5_instance()):
+        for l, s in ((3, 2), (4, 2), (6, 3)):
+            for seed in (1, 2):
+                assert sweeps_scale_with_the_capacities(g, l, s, seed) > 0
 
 
 def counted_orders(monkeypatch) -> list[tuple[int, int]]:
@@ -522,6 +561,18 @@ def test_a_local_query_refuses_an_edge_that_is_no_edge_ref(e):
     assert local_f2_edge(g, DirectedEdgeRef(0, "AB"), cfg) == 4
     with pytest.raises(ValueError, match=re.escape(f"bad field 'e': expected an edge, got {e!r}")):
         local_f2_edge(g, e, cfg)
+
+
+@pytest.mark.parametrize("s", [0, True, -1, 2.0])
+def test_an_evaluator_refuses_an_s_that_is_no_int_of_at_least_1(s):
+    """An evaluator built directly checks s as ``RunConfig`` does: 0 and
+    True answered 0 where s=2 answers 4, -1 raised ``IndexError`` and 2.0
+    ``TypeError``."""
+    index = _PathIndex(line_graph("SRT"), 2)
+    assert LocalEvaluator(index, 2, 1).f2_on(DirectedEdgeRef(0, "AB")) == 4
+    with pytest.raises(ValueError, match=re.escape(
+            f"bad field 's' in LocalEvaluator: expected an integer >= 1, got {s!r}")):
+        LocalEvaluator(index, s, 1)
 
 
 def test_verify_locality_refuses_a_bare_edge_as_its_sample():
